@@ -106,7 +106,6 @@ from .kg_lattice import (
     calibrate_time_coefficient,
     evolve,
     plane_wave_residual,
-    solve_cyclic_tridiagonal,
 )
 
 __version__ = "0.1.0"

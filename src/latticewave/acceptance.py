@@ -11,7 +11,6 @@ documented corrections.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -49,8 +48,8 @@ from .waves import (
     WaveSpec,
     beat_field,
     beat_velocities,
-    eval_wave,
     measure_group_velocity,
+    sample_wave,
 )
 
 AS_PRINTED_CHOICES = ("s4", "tan-dispersion")
@@ -205,12 +204,9 @@ def _criterion_5_beat_velocities(rng: np.random.Generator, as_printed: frozenset
         vp, vg = beat_velocities(bb)
         worst = max(worst, abs(vp * vg - cc**2) / cc**2)
     c.check("v_phase * v_group = c^2 on mass-shell mode pairs, relative", worst, 1e-10)
-    start = time.time()
     grid = GridSpec(Nt=256, Nx=1024)
     measured = measure_group_velocity(beat_field(b, grid), beat=b)
-    elapsed = time.time() - start
     c.check("envelope-tracked group velocity vs dw/dk, relative (256x1024)", abs(measured - 0.625) / 0.625, 0.02)
-    c.note(f"envelope measurement took {elapsed:.2f} s (budget 30 s)")
     return c
 
 
@@ -285,7 +281,6 @@ def _criterion_7_mass_spectrum(rng: np.random.Generator, as_printed: frozenset) 
 
 def _criterion_8_integral_lorentz(rng: np.random.Generator, as_printed: frozenset) -> _Checker:
     c = _Checker()
-    start = time.time()
     if "s4" in as_printed:
         c.note("running with the as-printed S4 table entry; failure expected")
         c.require(
@@ -309,7 +304,6 @@ def _criterion_8_integral_lorentz(rng: np.random.Generator, as_printed: frozense
         all(eval_word(factorize(m)).entries == m.entries for m in ball),
     )
     c.require("determinants all +/-1", all(m.determinant() in (-1, 1) for m in ball))
-    c.note(f"group checks took {time.time() - start:.2f} s (budget 60 s)")
     return c
 
 
@@ -317,22 +311,19 @@ def _criterion_9_evolution_fidelity(rng: np.random.Generator, as_printed: frozen
     c = _Checker()
     grid = GRID
 
-    def closed_form(spec, nt, nx):
-        return np.array([[eval_wave(spec, n, j) for j in range(nx)] for n in range(nt)])
-
     m0_exp = math.sqrt(4 - 4 * math.tan(math.pi / 8) ** 2)
-    exact = closed_form(WaveSpec(form=WaveForm.EXPONENTIAL, N=4, M=8), 18, 16)
+    exact = sample_wave(WaveSpec(form=WaveForm.EXPONENTIAL, N=4, M=8), 18, 16).psi
     out = evolve(exact[:2], 16, KGParams(m0=m0_exp, grid=grid))
     c.check("exponential solution reproduced over 16 steps", float(np.max(np.abs(out.psi - exact))), 1e-10)
 
     m0_rest = mass_from_rest_period(5, grid)
-    exact = closed_form(WaveSpec(form=WaveForm.CAYLEY, N=5, M=INFINITE), 18, 12)
+    exact = sample_wave(WaveSpec(form=WaveForm.CAYLEY, N=5, M=INFINITE), 18, 12).psi
     out = evolve(exact[:2], 16, KGParams(m0=m0_rest, grid=grid))
     c.check("rest cayley solution reproduced over 16 steps", float(np.max(np.abs(out.psi - exact))), 1e-10)
 
     m0_cayley = 2 * math.pi / math.sqrt(12)
     nx = 112
-    exact = closed_form(WaveSpec(form=WaveForm.CAYLEY, N=3, M=6), 18, nx)
+    exact = sample_wave(WaveSpec(form=WaveForm.CAYLEY, N=3, M=6), 18, nx).psi
     out = evolve(exact[:2], 16, KGParams(m0=m0_cayley, grid=grid))
     window = slice(40, nx - 40)
     c.check(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ from .lorentz_int import (
     matrix_to_json,
     word_to_json,
 )
-from .waves import BeatSpec, WaveForm, WaveSpec, beat_field, beat_velocities, eval_wave, measure_group_velocity
+from .waves import BeatSpec, WaveForm, WaveSpec, beat_field, beat_velocities, measure_group_velocity, sample_wave
 
 OUTPUT_DIR_ENV = "LATTICEWAVE_OUTPUT_DIR"
 
@@ -63,6 +64,13 @@ class Param:
     choices: tuple | None = None
 
 
+def _finite_float(value) -> float:
+    as_float = float(value)
+    if not math.isfinite(as_float):
+        raise ValueError
+    return as_float
+
+
 def _coerce(param: Param, value):
     try:
         if param.kind == "int":
@@ -73,7 +81,7 @@ def _coerce(param: Param, value):
                 raise ValueError
             return int(as_float)
         if param.kind == "float":
-            return float(value)
+            return _finite_float(value)
         if param.kind == "str":
             value = str(value)
             if param.choices and value not in param.choices:
@@ -101,8 +109,8 @@ def _coerce(param: Param, value):
             seq = list(value)
             if len(seq) != 3:
                 raise ValueError
-            return [int(x) if param.kind == "vec3i" else float(x) for x in seq]
-    except (TypeError, ValueError):
+            return [int(x) if param.kind == "vec3i" else _finite_float(x) for x in seq]
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"parameter {param.name!r}: cannot interpret {value!r} as {param.kind}") from None
     raise ConfigError(f"parameter {param.name!r} has unknown kind {param.kind}")
 
@@ -368,12 +376,9 @@ def _run_lorentz_factorize(cfg: RunConfig):
 
 def _run_wave_sample(cfg: RunConfig):
     p = cfg.params
-    spec = _wave_spec_from(p)
-    rows = []
-    for n in range(p["nt"]):
-        for j in range(p["nx"]):
-            value = eval_wave(spec, n, j)
-            rows.append((n, j, value.real, value.imag))
+    psi = sample_wave(_wave_spec_from(p), p["nt"], p["nx"]).psi
+    # tolist() yields Python floats, whose repr the CSV cells use
+    rows = [(n, j, z.real, z.imag) for n, row in enumerate(psi.tolist()) for j, z in enumerate(row)]
     return TableOutput(
         columns=("n", "j", "re", "im"),
         rows=rows,
@@ -414,11 +419,11 @@ def _run_kg_evolve(cfg: RunConfig):
     p = cfg.params
     spec = _wave_spec_from(p)
     nx, steps = p["nx"], p["steps"]
-    initial = np.array([[eval_wave(spec, n, j) for j in range(nx)] for n in range(2)])
+    initial = sample_wave(spec, 2, nx).psi
     slab = evolve(initial, steps, KGParams(m0=p["m0"], grid=cfg.grid))
     extra = {}
     if p["verify"]:
-        exact = np.array([[eval_wave(spec, n, j) for j in range(nx)] for n in range(steps + 2)])
+        exact = sample_wave(spec, steps + 2, nx).psi
         extra["max-deviation-from-closed-form"] = float(np.max(np.abs(slab.psi - exact)))
     return SlabOutput(slab=slab, extra_meta=extra)
 

@@ -114,12 +114,12 @@ def solve_modes(
     (N, M) with INFINITE ordered after every finite M. Deterministic; an
     empty list is a valid result.
     """
-    if m0 < 0:
-        raise DomainError("m0 must be >= 0")
+    if not (m0 >= 0):
+        raise DomainError(f"m0 must be >= 0, got {m0!r}")
     if n_max < 2 or m_max < 2:
         raise DomainError("mode bounds must be >= 2")
-    if tol < 0:
-        raise DomainError("tol must be >= 0")
+    if not (tol >= 0):
+        raise DomainError(f"tol must be >= 0, got {tol!r}")
     found = []
     wavelengths: list[MaybeInfinite] = list(range(2, m_max + 1)) + [INFINITE]
     for N in range(2, n_max + 1):

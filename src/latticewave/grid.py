@@ -171,9 +171,16 @@ def load_slab_csv(path: str | Path, grid: GridSpec | None = None) -> FieldSlab:
         rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
     if not rows or tuple(rows[0]) != SLAB_CSV_COLUMNS:
         raise DomainError(f"{path}: not a slab CSV (missing 'n,j,re,im' header row)")
+    if len(rows) < 2:
+        raise DomainError(f"{path}: slab CSV has no data rows")
     for row in rows[1:]:
-        n, j = int(row[0]), int(row[1])
-        entries[(n, j)] = complex(float(row[2]), float(row[3]))
+        if len(row) != len(SLAB_CSV_COLUMNS):
+            raise DomainError(f"{path}: slab CSV row {row!r} does not have {len(SLAB_CSV_COLUMNS)} cells")
+        try:
+            n, j = int(row[0]), int(row[1])
+            entries[(n, j)] = complex(float(row[2]), float(row[3]))
+        except ValueError:
+            raise DomainError(f"{path}: slab CSV row {row!r} has a non-numeric cell") from None
     nt = 1 + max(k[0] for k in entries)
     nx = 1 + max(k[1] for k in entries)
     if len(entries) != nt * nx:

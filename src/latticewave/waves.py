@@ -87,6 +87,21 @@ def _unimodular_power(z: complex, exponent: int) -> complex:
 _QUARTER_TURNS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
+def _exponential_phase(spec: WaveSpec, n: int, j: int) -> tuple[int, int]:
+    """The phase n/N - j/M as an exact fraction num/den of a turn, 0 <= num < den."""
+    N = spec.N
+    if isinstance(spec.M, Infinite):
+        return n % N, N
+    M = spec.M
+    return (n * M - j * N) % (N * M), N * M
+
+
+def _exponential_value(amplitude: complex, num: int, den: int) -> complex:
+    if (4 * num) % den == 0:
+        return amplitude * _QUARTER_TURNS[(4 * num) // den]
+    return amplitude * cmath.rect(1.0, 2.0 * math.pi * (num / den))
+
+
 def eval_exponential(spec: WaveSpec, n: int, j: int) -> complex:
     """A exp{2 pi i (n/N - j/M)} with the phase reduced in exact integers.
 
@@ -96,27 +111,26 @@ def eval_exponential(spec: WaveSpec, n: int, j: int) -> complex:
     """
     if spec.form is not WaveForm.EXPONENTIAL:
         raise DomainError("eval_exponential needs an exponential WaveSpec")
-    N = spec.N
+    return _exponential_value(spec.amplitude, *_exponential_phase(spec, n, j))
+
+
+def _cayley_bases(spec: WaveSpec) -> tuple[complex, complex | None]:
+    """The per-step and per-site factors; no per-site factor for M = INFINITE."""
+    theta_t = math.pi / spec.N
+    base_t = (1.0 + 1j * theta_t) / (1.0 - 1j * theta_t)
     if isinstance(spec.M, Infinite):
-        num, den = n % N, N
-    else:
-        M = spec.M
-        num, den = (n * M - j * N) % (N * M), N * M
-    if (4 * num) % den == 0:
-        return spec.amplitude * _QUARTER_TURNS[(4 * num) // den]
-    return spec.amplitude * cmath.rect(1.0, 2.0 * math.pi * (num / den))
+        return base_t, None
+    theta_x = math.pi / spec.M
+    return base_t, (1.0 - 1j * theta_x) / (1.0 + 1j * theta_x)
 
 
 def eval_cayley(spec: WaveSpec, n: int, j: int) -> complex:
     """The quasi-periodic Cayley-transform wave, by renormalized powering."""
     if spec.form is not WaveForm.CAYLEY:
         raise DomainError("eval_cayley needs a cayley WaveSpec")
-    theta_t = math.pi / spec.N
-    base_t = (1.0 + 1j * theta_t) / (1.0 - 1j * theta_t)
+    base_t, base_x = _cayley_bases(spec)
     value = _unimodular_power(base_t, n)
-    if not isinstance(spec.M, Infinite):
-        theta_x = math.pi / spec.M
-        base_x = (1.0 - 1j * theta_x) / (1.0 + 1j * theta_x)
+    if base_x is not None:
         value *= _unimodular_power(base_x, j)
     return spec.amplitude * value
 
@@ -134,14 +148,53 @@ def cayley_phase_increments(spec: WaveSpec) -> tuple[float, float]:
     return per_step, per_site
 
 
+def _exponential_slab(spec: WaveSpec, nt: int, nx: int) -> np.ndarray:
+    # the value at (n, j) depends only on (n mod N, j mod M), and within that
+    # tile only on the phase residue: evaluate each residue once, then gather
+    tn = min(nt, spec.N)
+    tx = 1 if isinstance(spec.M, Infinite) else min(nx, spec.M)
+    values: dict[int, complex] = {}
+    tile = np.empty((tn, tx), dtype=np.complex128)
+    for n in range(tn):
+        for j in range(tx):
+            num, den = _exponential_phase(spec, n, j)
+            if num not in values:
+                values[num] = _exponential_value(spec.amplitude, num, den)
+            tile[n, j] = values[num]
+    return tile[np.ix_(np.arange(nt) % tn, np.arange(nx) % tx)]
+
+
+def _complex_product(a, b, c, d):
+    """(a + ib)(c + id) in the operation order of Python's complex multiply.
+
+    numpy's complex multiply may round differently in the last bit, so the
+    vectorized sampler spells the product out to match eval_cayley exactly.
+    """
+    return a * c - b * d, a * d + b * c
+
+
+def _cayley_slab(spec: WaveSpec, nt: int, nx: int) -> np.ndarray:
+    # separable: psi[n, j] = A * (T[n] * X[j]) with the factors of eval_cayley
+    base_t, base_x = _cayley_bases(spec)
+    t = np.array([_unimodular_power(base_t, n) for n in range(nt)])[:, None]
+    re, im = t.real, t.imag
+    if base_x is not None:
+        x = np.array([_unimodular_power(base_x, j) for j in range(nx)])[None, :]
+        re, im = _complex_product(re, im, x.real, x.imag)
+    amplitude = complex(spec.amplitude)
+    psi = np.empty((nt, nx), dtype=np.complex128)
+    psi.real, psi.imag = _complex_product(amplitude.real, amplitude.imag, re, im)
+    return psi
+
+
 def sample_wave(spec: WaveSpec, nt: int, nx: int, grid: GridSpec | None = None) -> FieldSlab:
-    """Evaluate a mode on an nt x nx slab."""
+    """Evaluate a mode on an nt x nx slab, bit-identical to eval_wave at every site."""
     if nt < 1 or nx < 1:
         raise DomainError("slab extents must be positive")
-    psi = np.empty((nt, nx), dtype=np.complex128)
-    for n in range(nt):
-        for j in range(nx):
-            psi[n, j] = eval_wave(spec, n, j)
+    if spec.form is WaveForm.EXPONENTIAL:
+        psi = _exponential_slab(spec, nt, nx)
+    else:
+        psi = _cayley_slab(spec, nt, nx)
     g = grid if grid is not None else GridSpec(Nt=nt, Nx=nx)
     return FieldSlab(psi=psi, grid=g)
 

@@ -86,6 +86,29 @@ class TestExperiments:
             value = eval_wave(spec, int(n_str), int(j_str))
             assert complex(float(re_str), float(im_str)) == pytest.approx(value, abs=1e-15)
 
+    def test_wave_sample_cells_are_the_reprs_of_eval_wave(self, tmp_path):
+        from latticewave import WaveForm, WaveSpec, eval_wave
+
+        out = tmp_path / "wave.csv"
+        assert main([
+            "wave-sample", "--form", "cayley", "--wave-n", "5", "--wave-m", "7",
+            "--nt", "6", "--nx", "9", "--output", str(out),
+        ]) == 0
+        spec = WaveSpec(form=WaveForm.CAYLEY, N=5, M=7)
+        rows = [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+        expected = []
+        for n in range(6):
+            for j in range(9):
+                value = eval_wave(spec, n, j)
+                expected.append(f"{n},{j},{value.real!r},{value.imag!r}")
+        assert rows == expected
+
+    def test_wave_sample_empty_extent_is_a_domain_error(self, tmp_path):
+        assert main([
+            "wave-sample", "--form", "cayley", "--wave-n", "3", "--wave-m", "4",
+            "--nt", "0", "--output", str(tmp_path / "wave.csv"),
+        ]) == 3
+
     def test_quantization_check_rest_step(self, tmp_path):
         out = tmp_path / "q.json"
         assert main([
@@ -162,6 +185,17 @@ class TestRunConfigs:
         path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--m0", "1", "--n-max", "1e400"],
+        ["--m0", "nan"],
+        ["--m0", "1", "--tol", "nan"],
+        ["--m0", "inf"],
+    ], ids=["overflowing-int", "nan-mass", "nan-tolerance", "infinite-mass"])
+    def test_non_finite_numbers_are_config_errors(self, tmp_path, flags):
+        argv = ["dispersion-scan", "--form", "cayley", *flags, "--output", str(tmp_path / "scan.csv")]
+        assert main(argv) == 2
+        assert not (tmp_path / "scan.csv").exists()
+
     def test_domain_error_exits_3(self, tmp_path):
         # spacelike step: dj too large for dn
         code = main([
@@ -209,6 +243,12 @@ class TestVerifyAll:
         stdout = capsys.readouterr().out
         assert "10/10 criteria passed" in stdout
         assert out.read_text().count("[PASS]") == 10
+
+    def test_verbose_report_reruns_are_byte_identical(self, tmp_path):
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        assert main(["verify-all", "--seed", "3", "--output", str(first)]) == 0
+        assert main(["verify-all", "--seed", "3", "--output", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
 
     def test_as_printed_s4_reports_documented_failure(self, capsys):
         code = main(["verify-all", "--seed", "0", "--as-printed", "s4"])

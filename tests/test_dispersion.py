@@ -107,6 +107,11 @@ class TestSolveModes:
         b = solve_modes(m0, DispersionForm.EXPONENTIAL, 32, 32, 1e-6, GRID)
         assert a == b
 
+    @pytest.mark.parametrize("m0, tol", [(math.nan, 1e-9), (1.0, math.nan), (-1.0, 1e-9), (1.0, -1e-9)])
+    def test_nan_or_negative_mass_and_tolerance_rejected(self, m0, tol):
+        with pytest.raises(DomainError):
+            solve_modes(m0, DispersionForm.CAYLEY, 8, 8, tol, GRID)
+
     def test_rest_solutions_match_the_mass_spectrum(self):
         """Every cayley solution with M = INFINITE has m0 = h/(c^2 N tau) exactly."""
         for n in (3, 5, 11):

@@ -73,6 +73,18 @@ def test_csv_missing_header_rejected(tmp_path):
         load_slab_csv(path)
 
 
+@pytest.mark.parametrize("text", [
+    "n,j,re,im\n",
+    "# comment\nn,j,re,im\n0,0,1.0\n",
+    "n,j,re,im\n0,0,abc,0.0\n",
+], ids=["header-only", "short-row", "non-numeric"])
+def test_csv_malformed_body_rejected(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DomainError):
+        load_slab_csv(path)
+
+
 def test_grid_spec_validation():
     with pytest.raises(DomainError):
         GridSpec(tau=0.0)

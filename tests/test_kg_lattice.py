@@ -19,8 +19,8 @@ from latticewave import (
     evolve,
     plane_wave_residual,
     sample_wave,
-    solve_cyclic_tridiagonal,
 )
+from latticewave.kg_lattice import _apply_kernel, _inverse_kernel, _stencil_constants
 
 GRID = GridSpec()
 
@@ -113,31 +113,82 @@ class TestCalibration:
             previous = scaled
 
 
-class TestCyclicTridiagonalSolver:
-    def test_against_dense_solver(self):
+def dense_circulant(off: float, diag: float, n: int) -> np.ndarray:
+    a = np.zeros((n, n))
+    for i in range(n):
+        a[i, i] += diag
+        a[i, (i + 1) % n] += off
+        a[i, (i - 1) % n] += off
+    return a
+
+
+class TestInverseKernel:
+    """The banded closed-form kernel against numpy.linalg.inv of the dense circulant."""
+
+    def kernel_and_dense_inverse(self, p: KGParams, n: int):
+        off, diag, _, _ = _stencil_constants(p)
+        return _inverse_kernel(off, diag, n, p), np.linalg.inv(dense_circulant(off, diag, n))
+
+    def test_narrow_band_matches_dense_inverse(self):
+        p = KGParams(m0=1.7, grid=GRID)
+        kernel, inverse = self.kernel_and_dense_inverse(p, 96)
+        w = len(kernel) - 1
+        assert 2 <= w < 96 // 2
+        column = inverse[:, 0]
+        np.testing.assert_allclose(kernel, column[: w + 1], rtol=0, atol=1e-15 * abs(column[0]))
+        # the offsets left out of the band change no result beyond rounding
+        rng = np.random.default_rng(30)
+        f = rng.normal(size=96) + 1j * rng.normal(size=96)
+        expected = inverse @ f
+        assert float(np.max(np.abs(_apply_kernel(kernel, f) - expected))) <= 1e-14 * float(np.max(np.abs(expected)))
+
+    def test_full_width_band_matches_dense_inverse(self):
+        """eps = 0.01 makes the kernel decay slowly, so every offset is kept."""
+        p = KGParams(m0=1.0, grid=GridSpec(eps=0.01))
         rng = np.random.default_rng(31)
-        for n in (3, 5, 12, 33):
-            sub = rng.normal(size=n) + 1j * rng.normal(size=n)
-            sup = rng.normal(size=n) + 1j * rng.normal(size=n)
-            diag = rng.normal(size=n) + 1j * rng.normal(size=n) + 6.0  # keep well-conditioned
-            rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
-            dense = np.zeros((n, n), dtype=complex)
-            for i in range(n):
-                dense[i, i] = diag[i]
-                dense[i, (i + 1) % n] = sup[i]
-                dense[i, (i - 1) % n] = sub[i]
-            x = solve_cyclic_tridiagonal(sub, diag, sup, rhs)
-            np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=0, atol=1e-12)
+        for n in (3, 4, 33, 64):
+            kernel, inverse = self.kernel_and_dense_inverse(p, n)
+            assert len(kernel) == n // 2 + 1
+            f = rng.normal(size=n) + 1j * rng.normal(size=n)
+            expected = inverse @ f
+            got = _apply_kernel(kernel, f)
+            # the dense inverse itself is accurate only to about cond * eps, here 1.8e-12
+            bound = np.linalg.cond(inverse) * np.finfo(float).eps
+            assert float(np.max(np.abs(got - expected))) <= bound * float(np.max(np.abs(expected)))
+
+    def test_massless_natural_units_kernel_is_a_single_site(self):
+        p = KGParams(m0=0.0, grid=GRID)
+        off, diag, _, _ = _stencil_constants(p)
+        assert off == 0.0
+        kernel = _inverse_kernel(off, diag, 16, p)
+        assert kernel.tolist() == [1.0 / diag]
 
     def test_singular_system_raises(self):
-        n = 4
+        # circulant with eigenvalue 0 for the constant mode: diag = -2*off
         with pytest.raises(SingularSystemError):
-            # circulant with eigenvalue 0 for the constant mode: diag = -2*off
-            solve_cyclic_tridiagonal(np.ones(n), np.full(n, -2.0), np.ones(n), np.ones(n))
+            _inverse_kernel(1.0, -2.0, 4, KGParams(m0=0.0, grid=GRID))
 
-    def test_short_system_rejected(self):
-        with pytest.raises(DomainError):
-            solve_cyclic_tridiagonal(np.ones(2), np.ones(2), np.ones(2), np.ones(2))
+    def test_extreme_grid_constants_are_singular_or_finite(self):
+        # beta = 1/(4 eps^2) overflows to inf, so the eigenvalues are NaN
+        with pytest.raises(SingularSystemError):
+            evolve(np.ones((2, 8)), 2, KGParams(m0=1.0, grid=GridSpec(eps=1e-160)))
+        # diag^2 - 4 off^2 would overflow, though diag and off are finite
+        out = evolve(np.ones((2, 8)), 2, KGParams(m0=1.0, grid=GridSpec(eps=1e-100, tau=1e-100)))
+        assert np.all(np.isfinite(out.psi))
+
+    def test_evolve_at_1024_sites_matches_a_dense_march(self):
+        p = KGParams(m0=3.4, grid=GRID)
+        n, steps = 1024, 16
+        off_a, diag_a, off_b, diag_b = _stencil_constants(p)
+        a, b = dense_circulant(off_a, diag_a, n), dense_circulant(off_b, diag_b, n)
+        a_inv = np.linalg.inv(a)
+        rng = np.random.default_rng(32)
+        reference = np.empty((steps + 2, n), dtype=complex)
+        reference[:2] = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        for k in range(1, steps + 1):
+            reference[k + 1] = a_inv @ -(b @ reference[k] + a @ reference[k - 1])
+        out = evolve(reference[:2], steps, p).psi
+        assert float(np.max(np.abs(out - reference))) <= 1e-12 * float(np.max(np.abs(reference)))
 
 
 class TestEvolve:

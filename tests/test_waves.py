@@ -25,7 +25,9 @@ from latticewave import (
     continuum_limit_error,
     eval_cayley,
     eval_exponential,
+    eval_wave,
     measure_group_velocity,
+    sample_wave,
 )
 from latticewave.waves import _unimodular_power
 
@@ -94,6 +96,30 @@ class TestCayleyWave:
     def test_power_helper_stays_unimodular_for_huge_exponents(self):
         z = (1 + 1j * math.pi / 3) / (1 - 1j * math.pi / 3)
         assert abs(abs(_unimodular_power(z, 10**9)) - 1.0) <= 1e-12
+
+
+
+class TestSampleWave:
+    @pytest.mark.parametrize("spec", [
+        WaveSpec(form=WaveForm.EXPONENTIAL, N=6, M=9, amplitude=0.5 - 0.25j),
+        WaveSpec(form=WaveForm.EXPONENTIAL, N=4, M=8),
+        WaveSpec(form=WaveForm.EXPONENTIAL, N=5, M=INFINITE, amplitude=-1.1 + 0.4j),
+        WaveSpec(form=WaveForm.EXPONENTIAL, N=10**30, M=12),
+        WaveSpec(form=WaveForm.CAYLEY, N=5, M=7),
+        WaveSpec(form=WaveForm.CAYLEY, N=3, M=INFINITE, amplitude=0.3 - 1.7j),
+        WaveSpec(form=WaveForm.CAYLEY, N=37, M=11, amplitude=2.0 + 1.0j),
+    ])
+    def test_every_site_is_bit_identical_to_eval_wave(self, spec):
+        for nt, nx in ((1, 1), (40, 70), (13, 3)):
+            psi = sample_wave(spec, nt, nx).psi
+            reference = np.array([[eval_wave(spec, n, j) for j in range(nx)] for n in range(nt)])
+            assert psi.shape == (nt, nx)
+            assert np.array_equal(psi.view(np.float64), reference.view(np.float64))
+            assert np.array_equal(np.signbit(psi.view(np.float64)), np.signbit(reference.view(np.float64)))
+
+    def test_empty_extent_rejected(self):
+        with pytest.raises(DomainError):
+            sample_wave(WaveSpec(form=WaveForm.CAYLEY, N=3, M=4), 0, 4)
 
 
 class TestContinuumLimit:
