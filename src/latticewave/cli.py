@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -28,7 +28,7 @@ from . import __version__
 from .acceptance import AS_PRINTED_CHOICES, format_report, run_acceptance
 from .dispersion import DispersionForm, quantization_check, solve_modes
 from .errors import ConfigError, DomainError, MeasurementError, SingularSystemError
-from .grid import FieldSlab, GridSpec, Infinite, INFINITE, slab_to_bytes
+from .grid import SLAB_CSV_COLUMNS, FieldSlab, GridSpec, Infinite, INFINITE, slab_to_bytes, slab_to_csv
 from .kg_lattice import KGParams, evolve, plane_wave_residual
 from .kinematics import (
     LatticeStep,
@@ -49,6 +49,7 @@ from .lorentz_int import (
 from .waves import BeatSpec, WaveForm, WaveSpec, beat_field, beat_velocities, measure_group_velocity, sample_wave
 
 OUTPUT_DIR_ENV = "LATTICEWAVE_OUTPUT_DIR"
+_SLAB_CSV_HEADER = ",".join(SLAB_CSV_COLUMNS)
 
 
 # --- parameter schema ---------------------------------------------------------
@@ -71,15 +72,20 @@ def _finite_float(value) -> float:
     return as_float
 
 
+def _integer(value) -> int:
+    """A number, or a string of one, with a finite integral value; never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError
+    as_float = _finite_float(value)
+    if as_float != int(as_float):
+        raise ValueError
+    return int(as_float)
+
+
 def _coerce(param: Param, value):
     try:
         if param.kind == "int":
-            if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-                raise ValueError
-            as_float = float(value)
-            if as_float != int(as_float):
-                raise ValueError
-            return int(as_float)
+            return _integer(value)
         if param.kind == "float":
             return _finite_float(value)
         if param.kind == "str":
@@ -97,19 +103,13 @@ def _coerce(param: Param, value):
                     return False
             raise ValueError
         if param.kind == "mode_m":
-            if isinstance(value, str) and value.lower() in ("inf", "infinite"):
+            if isinstance(value, Infinite) or (isinstance(value, str) and value.lower() in ("inf", "infinite")):
                 return INFINITE
-            if isinstance(value, Infinite):
-                return INFINITE
-            as_float = float(value)
-            if as_float != int(as_float):
-                raise ValueError
-            return int(as_float)
+            return _integer(value)
         if param.kind in ("vec3f", "vec3i"):
-            seq = list(value)
-            if len(seq) != 3:
+            if not isinstance(value, (list, tuple)) or len(value) != 3:
                 raise ValueError
-            return [int(x) if param.kind == "vec3i" else _finite_float(x) for x in seq]
+            return [_integer(x) if param.kind == "vec3i" else _finite_float(x) for x in value]
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"parameter {param.name!r}: cannot interpret {value!r} as {param.kind}") from None
     raise ConfigError(f"parameter {param.name!r} has unknown kind {param.kind}")
@@ -135,6 +135,9 @@ def _resolve_params(schema: list[Param], raw: dict) -> dict:
 
 GRID_KEYS = ("tau", "eps", "c", "hbar")
 FORMATS = ("csv", "json", "binary")
+# the JSON type each config key must have
+_CONFIG_KEYS = {"experiment": str, "grid": (dict, type(None)), "params": dict,
+               "output_path": (str, type(None)), "format": str, "seed": int}
 
 
 @dataclass
@@ -147,17 +150,10 @@ class RunConfig:
     seed: int
 
     def canonical_dict(self) -> dict:
-        def encode(v):
-            if isinstance(v, Infinite):
-                return "inf"
-            if isinstance(v, list):
-                return [encode(x) for x in v]
-            return v
-
         return {
             "experiment": self.experiment,
             "grid": {k: getattr(self.grid, k) for k in GRID_KEYS},
-            "params": {k: encode(v) for k, v in sorted(self.params.items())},
+            "params": _json_safe(self.params),
             "format": self.format,
             "seed": self.seed,
         }
@@ -181,7 +177,7 @@ def build_config(experiment: str, raw_params: dict, grid_fields: dict | None = N
     if unknown:
         raise ConfigError(f"unknown grid key(s): {sorted(unknown)}")
     try:
-        grid = GridSpec(**{k: float(v) for k, v in grid_fields.items()})
+        grid = GridSpec(**{k: _coerce(Param(k, "float", "grid constant"), v) for k, v in grid_fields.items()})
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
     params = _resolve_params(spec.schema, raw_params)
@@ -193,17 +189,19 @@ def build_config(experiment: str, raw_params: dict, grid_fields: dict | None = N
 
 def load_config(path: str | Path) -> RunConfig:
     try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    allowed = {"experiment", "grid", "params", "output_path", "format", "seed"}
-    unknown = set(raw) - allowed
+    unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
     if "experiment" not in raw:
         raise ConfigError("config needs an 'experiment' key")
+    for key, value in raw.items():
+        if not isinstance(value, _CONFIG_KEYS[key]):
+            raise ConfigError(f"config key {key!r} has the wrong JSON type: {value!r}")
     return build_config(
         experiment=raw["experiment"],
         raw_params=raw.get("params", {}),
@@ -266,45 +264,16 @@ def _provenance_lines(cfg: RunConfig, checks: tuple[str, ...], extra: dict | Non
         f"config: {json.dumps(cfg.canonical_dict(), sort_keys=True, separators=(',', ':'))}",
         f"checks: {', '.join(checks)}",
     ]
-    for key, value in (extra or {}).items():
-        lines.append(f"{key}: {_fmt_cell(value) if not isinstance(value, str) else value}")
+    lines.extend(f"{key}: {_fmt_cell(value)}" for key, value in (extra or {}).items())
     return lines
 
 
 def _render(cfg: RunConfig, result, checks: tuple[str, ...]) -> bytes:
-    if isinstance(result, SlabOutput):
-        if cfg.format == "binary":
-            # the binary layout carries its own 16-byte header; provenance
-            # lives in the config that produced it
-            return slab_to_bytes(result.slab)
-        lines = [f"# {line}" for line in _provenance_lines(cfg, checks, result.extra_meta)]
-        lines.append("n,j,re,im")
-        for n in range(result.slab.nt):
-            row = result.slab.psi[n]
-            for j in range(result.slab.nx):
-                lines.append(f"{n},{j},{repr(float(row[j].real))},{repr(float(row[j].imag))}")
-        return ("\n".join(lines) + "\n").encode()
-    if isinstance(result, TableOutput):
-        if cfg.format == "json":
-            payload = {
-                "meta": {
-                    "tool": "latticewave",
-                    "version": __version__,
-                    "config_hash": cfg.config_hash(),
-                    "config": cfg.canonical_dict(),
-                    "checks": list(checks),
-                },
-                "columns": list(result.columns),
-                "rows": [[_json_safe(v) for v in row] for row in result.rows],
-            }
-            return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
-        lines = [f"# {line}" for line in _provenance_lines(cfg, checks)]
-        lines.append(f"# columns: {result.column_doc}")
-        lines.append(",".join(result.columns))
-        for row in result.rows:
-            lines.append(",".join(_fmt_cell(v) for v in row))
-        return ("\n".join(lines) + "\n").encode()
-    if isinstance(result, JsonOutput):
+    if cfg.format == "binary":
+        # the binary layout carries its own 16-byte header; provenance
+        # lives in the config that produced it
+        return slab_to_bytes(result.slab)
+    if cfg.format == "json":
         payload = {
             "meta": {
                 "tool": "latticewave",
@@ -313,10 +282,19 @@ def _render(cfg: RunConfig, result, checks: tuple[str, ...]) -> bytes:
                 "config": cfg.canonical_dict(),
                 "checks": list(checks),
             },
-            "result": _json_safe(result.payload),
         }
+        if isinstance(result, TableOutput):
+            payload["columns"] = list(result.columns)
+            payload["rows"] = [[_json_safe(v) for v in row] for row in result.rows]
+        else:
+            payload["result"] = _json_safe(result.payload)
         return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
-    raise ConfigError(f"experiment produced unrenderable result {type(result)!r}")
+    if isinstance(result, SlabOutput):
+        return slab_to_csv(result.slab, _provenance_lines(cfg, checks, result.extra_meta))
+    lines = [f"# {line}" for line in _provenance_lines(cfg, checks, {"columns": result.column_doc})]
+    lines.append(",".join(result.columns))
+    lines.extend(",".join(_fmt_cell(v) for v in row) for row in result.rows)
+    return ("\n".join(lines) + "\n").encode()
 
 
 # --- experiments ------------------------------------------------------------------
@@ -380,7 +358,7 @@ def _run_wave_sample(cfg: RunConfig):
     # tolist() yields Python floats, whose repr the CSV cells use
     rows = [(n, j, z.real, z.imag) for n, row in enumerate(psi.tolist()) for j, z in enumerate(row)]
     return TableOutput(
-        columns=("n", "j", "re", "im"),
+        columns=SLAB_CSV_COLUMNS,
         rows=rows,
         column_doc="n = time index; j = space index; re, im = field value at (n, j)",
     )
@@ -389,8 +367,7 @@ def _run_wave_sample(cfg: RunConfig):
 def _run_beat_measure(cfg: RunConfig):
     p = cfg.params
     beat = BeatSpec(T1=p["t1"], T2=p["t2"], lam1=p["lam1"], lam2=p["lam2"])
-    grid = GridSpec(tau=cfg.grid.tau, eps=cfg.grid.eps, c=cfg.grid.c, hbar=cfg.grid.hbar,
-                    Nt=p["nt"], Nx=p["nx"])
+    grid = replace(cfg.grid, Nt=p["nt"], Nx=p["nx"])
     v_phase, v_group = beat_velocities(beat)
     slab = beat_field(beat, grid)
     measured = measure_group_velocity(slab, beat=beat)
@@ -421,6 +398,8 @@ def _run_kg_evolve(cfg: RunConfig):
     nx, steps = p["nx"], p["steps"]
     initial = sample_wave(spec, 2, nx).psi
     slab = evolve(initial, steps, KGParams(m0=p["m0"], grid=cfg.grid))
+    if not np.all(np.isfinite(slab.psi)):
+        raise DomainError("the march overflowed the float range for these grid constants")
     extra = {}
     if p["verify"]:
         exact = sample_wave(spec, steps + 2, nx).psi
@@ -498,7 +477,7 @@ _register(Experiment(
 
 _register(Experiment(
     name="wave-sample",
-    help="Sample a lattice plane wave over an Nt x Nx slab. CSV columns: n,j,re,im.",
+    help=f"Sample a lattice plane wave over an Nt x Nx slab. CSV columns: {_SLAB_CSV_HEADER}.",
     schema=[
         Param("form", "str", "wave form", choices=("exponential", "cayley")),
         Param("wave_n", "int", "time period N (steps)"),
@@ -514,7 +493,7 @@ _register(Experiment(
     name="beat-measure",
     help="Build a two-mode beat, report analytic phase/group velocities and the "
     "envelope-tracked group velocity; csv format exports the field itself "
-    "(columns n,j,re,im) with the measurements in the header.",
+    f"(columns {_SLAB_CSV_HEADER}) with the measurements in the header.",
     schema=[
         Param("t1", "float", "first mode period"),
         Param("t2", "float", "second mode period"),
@@ -547,7 +526,7 @@ _register(Experiment(
 _register(Experiment(
     name="kg-evolve",
     help="March the lattice wave equation from the first two closed-form slices of a "
-    "mode. Slab CSV columns: n,j,re,im; --verify adds the max deviation from the "
+    f"mode. Slab CSV columns: {_SLAB_CSV_HEADER}; --verify adds the max deviation from the "
     "closed form to the header (global comparison: exact only for spatially "
     "periodic modes, e.g. M dividing Nx or M = inf).",
     schema=[

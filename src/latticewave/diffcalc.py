@@ -54,33 +54,20 @@ class SampledSequence:
 def _apply_axis(a: np.ndarray, op: DiffOp, boundary: Boundary, axis: int) -> np.ndarray:
     if a.shape[axis] < 2:
         raise DomainError(f"difference operators need extent >= 2 along axis {axis}, got {a.shape[axis]}")
+    # every operator reads a (lower, upper) neighbour pair: (f[i], f[i+1])
+    # for forward ops, (f[i-1], f[i]) for backward ops; dropping one sample
+    # makes the two pairs the same index windows
     if boundary is Boundary.PERIODIC:
-        plus = np.roll(a, -1, axis=axis)
-        minus = np.roll(a, 1, axis=axis)
-        here = a
+        if op in (DiffOp.FORWARD_DIFF, DiffOp.FORWARD_AVG):
+            lower, upper = a, np.roll(a, -1, axis=axis)
+        else:
+            lower, upper = np.roll(a, 1, axis=axis), a
     else:
-        head = [slice(None)] * a.ndim
-        tail = [slice(None)] * a.ndim
-        head[axis] = slice(None, -1)
-        tail[axis] = slice(1, None)
-        # forward ops read (f[i], f[i+1]); backward ops read (f[i-1], f[i]).
-        # With one sample dropped both reduce to the same index windows.
-        here_fwd, plus = a[tuple(head)], a[tuple(tail)]
-        minus, here_bwd = a[tuple(head)], a[tuple(tail)]
-        if op is DiffOp.FORWARD_DIFF:
-            return plus - here_fwd
-        if op is DiffOp.BACKWARD_DIFF:
-            return here_bwd - minus
-        if op is DiffOp.FORWARD_AVG:
-            return (plus + here_fwd) / 2.0
-        return (here_bwd + minus) / 2.0
-    if op is DiffOp.FORWARD_DIFF:
-        return plus - here
-    if op is DiffOp.BACKWARD_DIFF:
-        return here - minus
-    if op is DiffOp.FORWARD_AVG:
-        return (plus + here) / 2.0
-    return (here + minus) / 2.0
+        lead = (slice(None),) * axis
+        lower, upper = a[lead + (slice(None, -1),)], a[lead + (slice(1, None),)]
+    if op in (DiffOp.FORWARD_DIFF, DiffOp.BACKWARD_DIFF):
+        return upper - lower
+    return (upper + lower) / 2.0
 
 
 def _apply_seq(f: SampledSequence, op: DiffOp) -> SampledSequence:

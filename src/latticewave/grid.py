@@ -139,7 +139,8 @@ class FieldSlab:
 # --- slab serialization -----------------------------------------------------
 #
 # CSV layout: optional leading '#' comment lines, a header row
-# "n,j,re,im", then one row per site in row-major order.
+# "n,j,re,im", then one row per site in row-major order whose float cells
+# are Python reprs; every line ends in '\n'.
 #
 # Binary layout: 16-byte header (magic b"KGL1", u32 Nt, u32 Nx,
 # u32 reserved = 0, all little-endian) followed by row-major complex
@@ -151,24 +152,28 @@ _HEADER = struct.Struct("<4sIII")
 SLAB_CSV_COLUMNS = ("n", "j", "re", "im")
 
 
+def slab_to_csv(slab: FieldSlab, header_lines: Iterable[str] = ()) -> bytes:
+    lines = [f"# {line}\n" for line in header_lines]
+    lines.append(",".join(SLAB_CSV_COLUMNS) + "\n")
+    # tolist() yields Python floats, whose repr the cells use
+    for n, (re_row, im_row) in enumerate(zip(slab.psi.real, slab.psi.imag)):
+        cells = zip(re_row.tolist(), im_row.tolist())
+        lines.extend(f"{n},{j},{re!r},{im!r}\n" for j, (re, im) in enumerate(cells))
+    return "".join(lines).encode()
+
+
 def save_slab_csv(slab: FieldSlab, path: str | Path, header_lines: Iterable[str] = ()) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(SLAB_CSV_COLUMNS)
-        for n in range(slab.nt):
-            row = slab.psi[n]
-            for j in range(slab.nx):
-                writer.writerow([n, j, repr(float(row[j].real)), repr(float(row[j].imag))])
+    Path(path).write_bytes(slab_to_csv(slab, header_lines))
 
 
 def load_slab_csv(path: str | Path, grid: GridSpec | None = None) -> FieldSlab:
     path = Path(path)
     entries: dict[tuple[int, int], complex] = {}
-    with path.open(newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+    try:
+        with path.open(encoding="utf-8", newline="") as fh:
+            rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DomainError(f"{path}: not a slab CSV ({exc})") from None
     if not rows or tuple(rows[0]) != SLAB_CSV_COLUMNS:
         raise DomainError(f"{path}: not a slab CSV (missing 'n,j,re,im' header row)")
     if len(rows) < 2:
@@ -181,6 +186,10 @@ def load_slab_csv(path: str | Path, grid: GridSpec | None = None) -> FieldSlab:
             entries[(n, j)] = complex(float(row[2]), float(row[3]))
         except ValueError:
             raise DomainError(f"{path}: slab CSV row {row!r} has a non-numeric cell") from None
+    if len(entries) != len(rows) - 1:
+        raise DomainError(f"{path}: slab CSV lists a site (n, j) more than once")
+    if min(map(min, entries)) < 0:
+        raise DomainError(f"{path}: slab CSV has a negative index")
     nt = 1 + max(k[0] for k in entries)
     nx = 1 + max(k[1] for k in entries)
     if len(entries) != nt * nx:

@@ -59,6 +59,24 @@ class KGParams:
         return (self.m0 * self.grid.c / self.grid.hbar) ** 2
 
 
+def _operator_coefficients(p: KGParams) -> tuple[float, float, float]:
+    """(1/(c tau)^2, 1/eps^2, mu^2): the coefficients of L, for the residual and the march.
+
+    When a square leaves the float range all three are inf; callers reject
+    non-finite coefficients.
+    """
+    grid = p.grid
+    try:
+        return 1.0 / (grid.c * grid.tau) ** 2, 1.0 / grid.eps**2, p.mass_term
+    except (OverflowError, ZeroDivisionError):
+        return math.inf, math.inf, math.inf
+
+
+def _constants_text(p: KGParams) -> str:
+    grid = p.grid
+    return f"m0={p.m0!r}, tau={grid.tau!r}, eps={grid.eps!r}, c={grid.c!r}, hbar={grid.hbar!r}"
+
+
 def _second_diff_space(a: np.ndarray) -> np.ndarray:
     return np.roll(a, -1, axis=1) - 2.0 * a + np.roll(a, 1, axis=1)
 
@@ -84,16 +102,15 @@ def apply_kg_operator(f: FieldSlab, p: KGParams) -> FieldSlab:
     psi = f.psi
     if psi.shape[0] < 3 or psi.shape[1] < 3:
         raise DomainError(f"operator needs extents >= 3 in both axes, got {psi.shape}")
-    grid = p.grid
-    inv_ct2 = 1.0 / (grid.c * grid.tau) ** 2
-    inv_eps2 = 1.0 / grid.eps**2
-    mu2 = p.mass_term
+    inv_ct2, inv_eps2, mu2 = coefficients = _operator_coefficients(p)
+    if not all(map(math.isfinite, coefficients)):
+        raise DomainError(f"the operator's coefficients leave the float range for {_constants_text(p)}")
     residual = (
         -inv_ct2 * _second_diff_time(_second_avg_space(psi))
         + inv_eps2 * _second_avg_time(_second_diff_space(psi))
         - mu2 * _second_avg_time(_second_avg_space(psi))
     )
-    return FieldSlab(psi=residual, grid=grid)
+    return FieldSlab(psi=residual, grid=p.grid)
 
 
 def plane_wave_residual(spec: WaveSpec, p: KGParams, extent: tuple[int, int] = (16, 16)) -> float:
@@ -144,16 +161,17 @@ def _stencil_constants(p: KGParams) -> tuple[float, float, float, float]:
     psi[n] operator is B = 2 (g A2_j + beta D2_j) with g = 1/(c tau)^2 -
     mu^2/4, and the psi[n-1] operator equals A.
     """
-    grid = p.grid
-    mu2 = p.mass_term
-    inv_ct2 = 1.0 / (grid.c * grid.tau) ** 2
-    beta = 1.0 / (4.0 * grid.eps**2)
+    inv_ct2, inv_eps2, mu2 = _operator_coefficients(p)
+    beta = inv_eps2 / 4.0
     alpha = -inv_ct2 - mu2 / 4.0
     g = inv_ct2 - mu2 / 4.0
     off_a = alpha / 4.0 + beta
     diag_a = alpha / 2.0 - 2.0 * beta
     off_b = g / 2.0 + 2.0 * beta
     diag_b = g - 4.0 * beta
+    # checked before numpy sees them: constants that overflowed count as singular
+    if not all(map(math.isfinite, (off_a, diag_a, off_b, diag_b))):
+        raise SingularSystemError(f"implicit step constants leave the float range for {_constants_text(p)}")
     return off_a, diag_a, off_b, diag_b
 
 
@@ -183,11 +201,7 @@ def _inverse_kernel(off: float, diag: float, n: int, p: KGParams) -> np.ndarray:
     scale = abs(off) * 2.0 + abs(diag)
     # written so that a NaN from overflowing constants counts as singular
     if not float(np.min(np.abs(eigs))) > 1e-14 * max(scale, 1.0):
-        grid = p.grid
-        raise SingularSystemError(
-            "implicit step matrix is singular for m0="
-            f"{p.m0!r}, tau={grid.tau!r}, eps={grid.eps!r}, c={grid.c!r}, hbar={grid.hbar!r}, Nx={n}"
-        )
+        raise SingularSystemError(f"implicit step matrix is singular for {_constants_text(p)}, Nx={n}")
     # diag^2 - 4 off^2 > 0 by dominance; factored so that it cannot overflow
     disc = math.sqrt(abs(diag - 2.0 * off)) * math.sqrt(abs(diag + 2.0 * off))
     # the root inside the unit circle, in the form that does not cancel

@@ -4,9 +4,10 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from latticewave import load_slab_binary, mass_from_rest_period, GridSpec, preserves_metric
-from latticewave.cli import build_config, main
+from latticewave import ConfigError, load_slab_binary, mass_from_rest_period, GridSpec, preserves_metric
+from latticewave.cli import EXPERIMENTS, GRID_KEYS, RunConfig, build_config, load_config, main
 
 CAYLEY_M0 = repr(2 * math.pi / math.sqrt(12))
 REST5_M0 = repr(mass_from_rest_period(5, GridSpec()))
@@ -196,6 +197,36 @@ class TestRunConfigs:
         assert main(argv) == 2
         assert not (tmp_path / "scan.csv").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        {"experiment": ["x"]},
+        {"grid": "abc"},
+        {"grid": {"tau": "abc"}},
+        {"grid": {"tau": None}},
+        {"params": ["form"]},
+        {"output_path": 5},
+        {"experiment": "quantization-check", "format": "json", "params": {"m0": 1.0, "dn": 1, "dj": [0.5, 0, 0]}},
+    ], ids=["experiment-list", "grid-string", "tau-string", "tau-null", "params-list", "output-path-int",
+            "fractional-vec3i"])
+    def test_malformed_structure_is_a_config_error(self, tmp_path, overrides):
+        assert main(["run", "--config", str(self.config(tmp_path, **overrides))]) == 2
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("raw", [b'{"experiment": "\xff"}', b"[" * 100000 + b"]" * 100000],
+                             ids=["non-utf8", "nested-too-deep"])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, raw):
+        path = tmp_path / "config.json"
+        path.write_bytes(raw)
+        assert main(["run", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("experiment", ["kg-evolve", "kg-residual"])
+    @pytest.mark.parametrize("grid_flags", [["--eps", "1e-300"], ["--tau", "1e300"], ["--eps", "1e160"]],
+                             ids=["eps-squared-underflows", "tau-squared-overflows", "eps-squared-overflows"])
+    def test_extreme_grid_constants_are_domain_errors(self, tmp_path, experiment, grid_flags):
+        out = tmp_path / "out"
+        assert main([experiment, "--form", "exponential", "--wave-n", "4", "--wave-m", "8", "--m0", "1",
+                     *grid_flags, "--output", str(out)]) == 3
+        assert not out.exists()
+
     def test_domain_error_exits_3(self, tmp_path):
         # spacelike step: dj too large for dn
         code = main([
@@ -261,3 +292,35 @@ class TestVerifyAll:
         code = main(["verify-all", "--seed", "0", "--as-printed", "tan-dispersion"])
         assert code == 1
         assert "[FAIL] criterion 6" in capsys.readouterr().out
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from([1, 2.5, "3", "inf", [0, 1, 0], [1.5, 0.0, 2.0]]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+VALID_BY_KIND = {"int": 3, "float": 0.5, "str": "1", "mode_m": "inf", "bool": True,
+                 "vec3f": [0.1, 0.0, 0.0], "vec3i": [1, 0, 0]}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_json_in_config_slots_gives_a_config_or_a_config_error(tmp_path, data):
+    name = data.draw(st.sampled_from(sorted(EXPERIMENTS)))
+    spec = EXPERIMENTS[name]
+    params = {p.name: p.choices[0] if p.choices else VALID_BY_KIND[p.kind] for p in spec.schema}
+    cfg = {"experiment": name, "grid": dict.fromkeys(GRID_KEYS, 1.0), "params": params,
+           "output_path": "out.txt", "format": spec.formats[0], "seed": 0}
+    slots = [(cfg, key) for key in cfg] + [(cfg["grid"], key) for key in GRID_KEYS] + [(params, key) for key in params]
+    for index in data.draw(st.sets(st.sampled_from(range(len(slots))), max_size=3)):
+        table, key = slots[index]
+        table[key] = data.draw(JSON_VALUES)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    try:
+        run_config = load_config(path)
+    except ConfigError:
+        return
+    assert isinstance(run_config, RunConfig)
+    assert len(run_config.config_hash()) == 64

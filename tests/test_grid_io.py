@@ -1,7 +1,10 @@
 """Shared lattice types and slab serialization round trips."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from latticewave import (
     Boundary,
@@ -14,6 +17,7 @@ from latticewave import (
     save_slab_binary,
     save_slab_csv,
 )
+from latticewave.grid import slab_to_csv
 
 
 def random_slab(nt=5, nx=7, seed=0):
@@ -26,6 +30,8 @@ def test_csv_round_trip_is_exact(tmp_path):
     slab = random_slab()
     path = tmp_path / "slab.csv"
     save_slab_csv(slab, path, header_lines=["test slab"])
+    assert path.read_bytes() == slab_to_csv(slab, ["test slab"])
+    assert b"\r" not in path.read_bytes()
     loaded = load_slab_csv(path)
     np.testing.assert_array_equal(loaded.psi, slab.psi)
 
@@ -73,16 +79,39 @@ def test_csv_missing_header_rejected(tmp_path):
         load_slab_csv(path)
 
 
-@pytest.mark.parametrize("text", [
-    "n,j,re,im\n",
-    "# comment\nn,j,re,im\n0,0,1.0\n",
-    "n,j,re,im\n0,0,abc,0.0\n",
-], ids=["header-only", "short-row", "non-numeric"])
-def test_csv_malformed_body_rejected(tmp_path, text):
+@pytest.mark.parametrize("raw", [
+    b"n,j,re,im\n",
+    b"# comment\nn,j,re,im\n0,0,1.0\n",
+    b"n,j,re,im\n0,0,abc,0.0\n",
+    b"n,j,re,im\n0,0,1.0,0.0\n0,0,2.0,0.0\n0,1,1,1\n",
+    b"n,j,re,im\n0,0,1,0\n0,1,1,0\n1,0,1,0\n-1,1,1,0\n",
+    b"n,j,re,im\n0,0,1.0,\xff\n",
+], ids=["header-only", "short-row", "non-numeric", "duplicate-site", "negative-index", "non-utf8"])
+def test_csv_malformed_body_rejected(tmp_path, raw):
     path = tmp_path / "bad.csv"
-    path.write_text(text)
+    path.write_bytes(raw)
     with pytest.raises(DomainError):
         load_slab_csv(path)
+
+
+CSV_CELLS = st.sampled_from(["0", "1", "2", "-1", "1.5", "nan", "1e999", "abc", "", " 1"])
+CSV_LIKE = st.lists(st.lists(CSV_CELLS, max_size=5).map(",".join), max_size=8).map(
+    lambda rows: ("n,j,re,im\n" + "\n".join(rows)).encode())
+BINARY_LIKE = st.tuples(st.integers(0, 3), st.integers(0, 3), st.binary(max_size=160)).map(
+    lambda t: struct.pack("<4sIII", b"KGL1", t[0], t[1], 0) + t[2])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=st.binary(max_size=200) | CSV_LIKE | BINARY_LIKE)
+def test_slab_loaders_give_a_slab_or_a_domain_error(tmp_path, raw):
+    path = tmp_path / "slab"
+    path.write_bytes(raw)
+    for load in (load_slab_csv, load_slab_binary):
+        try:
+            slab = load(path)
+        except DomainError:
+            continue
+        assert slab.nt >= 1 and slab.nx >= 1
 
 
 def test_grid_spec_validation():
