@@ -37,7 +37,6 @@ from .diffcalc import (
     forward_diff,
 )
 from .kinematics import (
-    FourVector,
     LatticeStep,
     ParticleState,
     boost_matrix,

@@ -204,8 +204,7 @@ def _criterion_5_beat_velocities(rng: np.random.Generator, as_printed: frozenset
         vp, vg = beat_velocities(bb)
         worst = max(worst, abs(vp * vg - cc**2) / cc**2)
     c.check("v_phase * v_group = c^2 on mass-shell mode pairs, relative", worst, 1e-10)
-    grid = GridSpec(Nt=256, Nx=1024)
-    measured = measure_group_velocity(beat_field(b, grid), beat=b)
+    measured = measure_group_velocity(beat_field(b, GRID, 256, 1024), beat=b)
     c.check("envelope-tracked group velocity vs dw/dk, relative (256x1024)", abs(measured - 0.625) / 0.625, 0.02)
     return c
 

@@ -90,11 +90,10 @@ def backward_avg(f: SampledSequence) -> SampledSequence:
     return _apply_seq(f, DiffOp.BACKWARD_AVG)
 
 
-def apply_1d(field: FieldSlab, axis: Axis, op: DiffOp) -> FieldSlab:
+def apply_1d(field: FieldSlab, axis: Axis, op: DiffOp, boundary: Boundary) -> FieldSlab:
     """Lift one of the four operators to a 2-D slab along one axis.
 
-    End handling follows ``field.grid.boundary``; in shrinking mode the
-    slab loses one slice along ``axis``.
+    In shrinking mode the slab loses one slice along ``axis``.
     """
     ax = 0 if axis is Axis.TIME_N else 1
-    return field.with_values(_apply_axis(field.psi, op, field.grid.boundary, axis=ax))
+    return field.with_values(_apply_axis(field.psi, op, boundary, axis=ax))

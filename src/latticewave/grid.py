@@ -81,31 +81,23 @@ class Axis(Enum):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Fundamental constants plus lattice extents; owns all unit conventions.
+    """The four lattice constants; owns all unit conventions.
 
-    ``h`` (the unreduced quantum of action, 2*pi*hbar) is always derived,
-    never stored.
+    Extents belong to the sampled field (a slab's shape is its array's
+    shape). ``h`` (the unreduced quantum of action, 2*pi*hbar) is always
+    derived, never stored.
     """
 
     tau: float = 1.0
     eps: float = 1.0
     c: float = 1.0
     hbar: float = 1.0
-    Nt: int = 64
-    Nx: int = 64
-    boundary: Boundary = Boundary.PERIODIC
 
     def __post_init__(self):
         for name in ("tau", "eps", "c", "hbar"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and value > 0 and math.isfinite(value)):
                 raise DomainError(f"GridSpec.{name} must be a finite positive number, got {value!r}")
-        for name in ("Nt", "Nx"):
-            value = getattr(self, name)
-            if not (isinstance(value, int) and value >= 1):
-                raise DomainError(f"GridSpec.{name} must be a positive integer, got {value!r}")
-        if not isinstance(self.boundary, Boundary):
-            raise DomainError(f"GridSpec.boundary must be a Boundary, got {self.boundary!r}")
 
     @property
     def h(self) -> float:
@@ -123,6 +115,8 @@ class FieldSlab:
         self.psi = np.asarray(self.psi, dtype=np.complex128)
         if self.psi.ndim != 2:
             raise DomainError(f"FieldSlab.psi must be 2-D (time, space), got shape {self.psi.shape}")
+        if 0 in self.psi.shape:
+            raise DomainError(f"FieldSlab.psi must cover at least one site per axis, got shape {self.psi.shape}")
 
     @property
     def nt(self) -> int:
@@ -166,7 +160,7 @@ def save_slab_csv(slab: FieldSlab, path: str | Path, header_lines: Iterable[str]
     Path(path).write_bytes(slab_to_csv(slab, header_lines))
 
 
-def load_slab_csv(path: str | Path, grid: GridSpec | None = None) -> FieldSlab:
+def load_slab_csv(path: str | Path, grid: GridSpec = GridSpec()) -> FieldSlab:
     path = Path(path)
     entries: dict[tuple[int, int], complex] = {}
     try:
@@ -197,7 +191,7 @@ def load_slab_csv(path: str | Path, grid: GridSpec | None = None) -> FieldSlab:
     psi = np.zeros((nt, nx), dtype=np.complex128)
     for (n, j), value in entries.items():
         psi[n, j] = value
-    return FieldSlab(psi=psi, grid=grid if grid is not None else GridSpec(Nt=nt, Nx=nx))
+    return FieldSlab(psi=psi, grid=grid)
 
 
 def slab_to_bytes(slab: FieldSlab) -> bytes:
@@ -210,7 +204,7 @@ def save_slab_binary(slab: FieldSlab, path: str | Path) -> None:
     Path(path).write_bytes(slab_to_bytes(slab))
 
 
-def load_slab_binary(path: str | Path, grid: GridSpec | None = None) -> FieldSlab:
+def load_slab_binary(path: str | Path, grid: GridSpec = GridSpec()) -> FieldSlab:
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < _HEADER.size:
@@ -222,4 +216,4 @@ def load_slab_binary(path: str | Path, grid: GridSpec | None = None) -> FieldSla
     if len(raw) != expected:
         raise DomainError(f"{path}: expected {expected} bytes for a {nt}x{nx} slab, got {len(raw)}")
     psi = np.frombuffer(raw[_HEADER.size:], dtype="<c16").reshape(nt, nx).astype(np.complex128)
-    return FieldSlab(psi=psi, grid=grid if grid is not None else GridSpec(Nt=nt, Nx=nx))
+    return FieldSlab(psi=psi, grid=grid)

@@ -1,10 +1,11 @@
 """Relativistic kinematics of plane waves and particles, continuum and lattice.
 
-Wave quantities are carried as (w/c, k) four-vectors and particle
-quantities as (E/c, p); both transform under the same metric-preserving
-boost matrix, which is the implementation. The printed scalar transform
-laws (first lines of the textbook formulas) and the printed magnitude
-formulas are provided separately as cross-checks, not as the transform.
+A plane wave (w, k) and a particle state (E, p) are boosted by stacking
+them into the arrays (w/c, k) and (E/c, p) and applying the same
+metric-preserving boost matrix, which is the implementation. The printed
+scalar transform laws (first lines of the textbook formulas) and the
+printed magnitude formulas are provided separately as cross-checks, not
+as the transform.
 
 The lattice side: a particle advancing dn time steps and dj space steps
 between consecutive events has
@@ -27,29 +28,6 @@ import numpy as np
 
 from .errors import DomainError
 from .grid import GridSpec, Infinite, INFINITE
-
-#: Minkowski form, signature (+, -, -, -).
-MINKOWSKI = np.diag([1.0, -1.0, -1.0, -1.0])
-
-
-@dataclass(frozen=True)
-class FourVector:
-    """A (t, x, y, z) four-vector; units set by context ((w/c, k) or (E/c, p))."""
-
-    t_component: float
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.t_component, self.x, self.y, self.z], dtype=float)
-
-    @staticmethod
-    def from_array(q: np.ndarray) -> "FourVector":
-        return FourVector(float(q[0]), float(q[1]), float(q[2]), float(q[3]))
-
-    def minkowski_sq(self) -> float:
-        return self.t_component**2 - self.x**2 - self.y**2 - self.z**2
 
 
 def _vec3(v: Sequence[float]) -> np.ndarray:

@@ -187,7 +187,7 @@ def _cayley_slab(spec: WaveSpec, nt: int, nx: int) -> np.ndarray:
     return psi
 
 
-def sample_wave(spec: WaveSpec, nt: int, nx: int, grid: GridSpec | None = None) -> FieldSlab:
+def sample_wave(spec: WaveSpec, nt: int, nx: int, grid: GridSpec = GridSpec()) -> FieldSlab:
     """Evaluate a mode on an nt x nx slab, bit-identical to eval_wave at every site."""
     if nt < 1 or nx < 1:
         raise DomainError("slab extents must be positive")
@@ -195,8 +195,7 @@ def sample_wave(spec: WaveSpec, nt: int, nx: int, grid: GridSpec | None = None) 
         psi = _exponential_slab(spec, nt, nx)
     else:
         psi = _cayley_slab(spec, nt, nx)
-    g = grid if grid is not None else GridSpec(Nt=nt, Nx=nx)
-    return FieldSlab(psi=psi, grid=g)
+    return FieldSlab(psi=psi, grid=grid)
 
 
 def continuum_limit_error(form: WaveForm, N: int, M: MaybeInfinite, n: int, j: int) -> float:
@@ -249,56 +248,52 @@ class BeatSpec:
         return 1.0 / self.lam1 + 1.0 / self.lam2
 
 
-def _beat_phases(b: BeatSpec, grid: GridSpec, nt: int, nx: int):
+def _beat_phases(grid: GridSpec, nt: int, nx: int):
     t = np.arange(nt) * grid.tau
     x = np.arange(nx) * grid.eps
     return t[:, None], x[None, :]
 
 
-def _require_envelope_coverage(b: BeatSpec, grid: GridSpec, periods: float) -> None:
+def _require_envelope_coverage(b: BeatSpec, grid: GridSpec, nt: int, nx: int, periods: float) -> None:
     # envelope 2 cos(pi(t a - x b)) has full period 2/|a| in t, 2/|b| in x
     a, bk = b.freq_diff, b.wavenum_diff
-    if a != 0.0 and grid.Nt * grid.tau < periods * 2.0 / abs(a):
+    if a != 0.0 and nt * grid.tau < periods * 2.0 / abs(a):
         raise DomainError(
-            f"time extent {grid.Nt * grid.tau} covers fewer than {periods} envelope periods ({2.0 / abs(a)} each)"
+            f"time extent {nt * grid.tau} covers fewer than {periods} envelope periods ({2.0 / abs(a)} each)"
         )
-    if bk != 0.0 and grid.Nx * grid.eps < periods * 2.0 / abs(bk):
+    if bk != 0.0 and nx * grid.eps < periods * 2.0 / abs(bk):
         raise DomainError(
-            f"space extent {grid.Nx * grid.eps} covers fewer than {periods} envelope periods ({2.0 / abs(bk)} each)"
+            f"space extent {nx * grid.eps} covers fewer than {periods} envelope periods ({2.0 / abs(bk)} each)"
         )
 
 
-def beat_field(b: BeatSpec, grid: GridSpec) -> FieldSlab:
-    """cos 2pi(t/T1 - x/lam1) + cos 2pi(t/T2 - x/lam2) over the grid.
+def beat_field(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> FieldSlab:
+    """cos 2pi(t/T1 - x/lam1) + cos 2pi(t/T2 - x/lam2) on an nt x nx slab.
 
     Real-valued by construction (stored in the complex slab); equals the
     product of the slow and fast cosine factors at every site.
     """
-    _require_envelope_coverage(b, grid, periods=2.0)
-    t, x = _beat_phases(b, grid, grid.Nt, grid.Nx)
+    _require_envelope_coverage(b, grid, nt, nx, periods=2.0)
+    t, x = _beat_phases(grid, nt, nx)
     psi = np.cos(2.0 * np.pi * (t / b.T1 - x / b.lam1)) + np.cos(2.0 * np.pi * (t / b.T2 - x / b.lam2))
     return FieldSlab(psi=psi.astype(np.complex128), grid=grid)
 
 
-def beat_envelope(b: BeatSpec, grid: GridSpec, nt: int | None = None, nx: int | None = None) -> np.ndarray:
+def beat_envelope(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> np.ndarray:
     """The slow factor 2 cos pi{t(1/T1 - 1/T2) - x(1/lam1 - 1/lam2)}."""
-    nt = grid.Nt if nt is None else nt
-    nx = grid.Nx if nx is None else nx
-    t, x = _beat_phases(b, grid, nt, nx)
+    t, x = _beat_phases(grid, nt, nx)
     return 2.0 * np.cos(np.pi * (t * b.freq_diff - x * b.wavenum_diff))
 
 
-def beat_carrier(b: BeatSpec, grid: GridSpec, nt: int | None = None, nx: int | None = None) -> np.ndarray:
+def beat_carrier(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> np.ndarray:
     """The fast factor cos pi{t(1/T1 + 1/T2) - x(1/lam1 + 1/lam2)}."""
-    nt = grid.Nt if nt is None else nt
-    nx = grid.Nx if nx is None else nx
-    t, x = _beat_phases(b, grid, nt, nx)
+    t, x = _beat_phases(grid, nt, nx)
     return np.cos(np.pi * (t * b.freq_sum - x * b.wavenum_sum))
 
 
-def beat_product_form(b: BeatSpec, grid: GridSpec) -> FieldSlab:
+def beat_product_form(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> FieldSlab:
     """The factored side of the beat identity: envelope times carrier."""
-    psi = beat_envelope(b, grid) * beat_carrier(b, grid)
+    psi = beat_envelope(b, grid, nt, nx) * beat_carrier(b, grid, nt, nx)
     return FieldSlab(psi=psi.astype(np.complex128), grid=grid)
 
 

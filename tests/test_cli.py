@@ -205,8 +205,10 @@ class TestRunConfigs:
         {"params": ["form"]},
         {"output_path": 5},
         {"experiment": "quantization-check", "format": "json", "params": {"m0": 1.0, "dn": 1, "dj": [0.5, 0, 0]}},
+        {"params": {"form": "cayley", "m0": True}},
+        {"grid": {"c": True}},
     ], ids=["experiment-list", "grid-string", "tau-string", "tau-null", "params-list", "output-path-int",
-            "fractional-vec3i"])
+            "fractional-vec3i", "m0-bool", "grid-c-bool"])
     def test_malformed_structure_is_a_config_error(self, tmp_path, overrides):
         assert main(["run", "--config", str(self.config(tmp_path, **overrides))]) == 2
         assert not (tmp_path / "out.csv").exists()

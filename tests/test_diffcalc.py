@@ -147,15 +147,16 @@ def test_telescoping_periodic_sum_vanishes():
 # --- 2-D lifts ----------------------------------------------------------------
 
 
-def make_slab(psi, boundary=Boundary.SHRINKING):
-    psi = np.asarray(psi, dtype=complex)
-    grid = GridSpec(Nt=psi.shape[0], Nx=psi.shape[1], boundary=boundary)
-    return FieldSlab(psi=psi, grid=grid)
+SHRINK = Boundary.SHRINKING
+
+
+def make_slab(psi):
+    return FieldSlab(psi=np.asarray(psi, dtype=complex), grid=GridSpec())
 
 
 def test_apply_1d_time_diff_of_time_constant_field():
     slab = make_slab(np.tile(np.arange(5.0), (4, 1)))
-    out = apply_1d(slab, Axis.TIME_N, DiffOp.FORWARD_DIFF)
+    out = apply_1d(slab, Axis.TIME_N, DiffOp.FORWARD_DIFF, SHRINK)
     assert out.psi.shape == (3, 5)
     np.testing.assert_array_equal(out.psi, 0)
 
@@ -163,7 +164,7 @@ def test_apply_1d_time_diff_of_time_constant_field():
 def test_apply_1d_space_avg_of_linear_field():
     """Forward space average of psi[n][j] = j is j + 1/2 (shrinking)."""
     psi = np.tile(np.arange(6.0), (3, 1))
-    out = apply_1d(make_slab(psi), Axis.SPACE_J, DiffOp.FORWARD_AVG)
+    out = apply_1d(make_slab(psi), Axis.SPACE_J, DiffOp.FORWARD_AVG, SHRINK)
     np.testing.assert_array_equal(out.psi, np.tile(np.arange(5.0) + 0.5, (3, 1)))
 
 
@@ -180,15 +181,10 @@ def test_apply_1d_separable_product_factorizes():
     def a2(v):  # forward avg of backward avg, shrinking
         return (v[2:] + 2 * v[1:-1] + v[:-2]) / 4
 
-    stepped = apply_1d(
-        apply_1d(
-            apply_1d(apply_1d(slab, Axis.TIME_N, DiffOp.FORWARD_DIFF), Axis.TIME_N, DiffOp.BACKWARD_DIFF),
-            Axis.SPACE_J,
-            DiffOp.FORWARD_AVG,
-        ),
-        Axis.SPACE_J,
-        DiffOp.BACKWARD_AVG,
-    )
+    stepped = slab
+    for axis, op in ((Axis.TIME_N, DiffOp.FORWARD_DIFF), (Axis.TIME_N, DiffOp.BACKWARD_DIFF),
+                     (Axis.SPACE_J, DiffOp.FORWARD_AVG), (Axis.SPACE_J, DiffOp.BACKWARD_AVG)):
+        stepped = apply_1d(stepped, axis, op, SHRINK)
     factored = np.outer(d2(a), a2(b))
     np.testing.assert_allclose(stepped.psi, factored, rtol=0, atol=1e-13)
 
@@ -196,12 +192,22 @@ def test_apply_1d_separable_product_factorizes():
 def test_time_and_space_operators_commute():
     rng = np.random.default_rng(5)
     slab = make_slab(rng.normal(size=(8, 9)) + 1j * rng.normal(size=(8, 9)))
-    ab = apply_1d(apply_1d(slab, Axis.TIME_N, DiffOp.FORWARD_DIFF), Axis.SPACE_J, DiffOp.FORWARD_AVG)
-    ba = apply_1d(apply_1d(slab, Axis.SPACE_J, DiffOp.FORWARD_AVG), Axis.TIME_N, DiffOp.FORWARD_DIFF)
+    ab = apply_1d(apply_1d(slab, Axis.TIME_N, DiffOp.FORWARD_DIFF, SHRINK), Axis.SPACE_J, DiffOp.FORWARD_AVG, SHRINK)
+    ba = apply_1d(apply_1d(slab, Axis.SPACE_J, DiffOp.FORWARD_AVG, SHRINK), Axis.TIME_N, DiffOp.FORWARD_DIFF, SHRINK)
     assert float(np.max(np.abs(ab.psi - ba.psi))) <= 1e-13
+
+
+def test_apply_1d_boundary_is_an_argument():
+    """The same slab keeps its shape under periodic ends and loses a slice under shrinking ones."""
+    rng = np.random.default_rng(8)
+    slab = make_slab(rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6)))
+    periodic = apply_1d(slab, Axis.SPACE_J, DiffOp.FORWARD_DIFF, Boundary.PERIODIC)
+    np.testing.assert_array_equal(periodic.psi, np.roll(slab.psi, -1, axis=1) - slab.psi)
+    shrinking = apply_1d(slab, Axis.SPACE_J, DiffOp.FORWARD_DIFF, SHRINK)
+    np.testing.assert_array_equal(shrinking.psi, periodic.psi[:, :-1])
 
 
 def test_apply_1d_extent_too_small():
     slab = make_slab(np.ones((1, 5)))
     with pytest.raises(DomainError):
-        apply_1d(slab, Axis.TIME_N, DiffOp.FORWARD_DIFF)
+        apply_1d(slab, Axis.TIME_N, DiffOp.FORWARD_DIFF, SHRINK)

@@ -1,5 +1,6 @@
 """Shared lattice types and slab serialization round trips."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from latticewave import (
-    Boundary,
     DomainError,
     FieldSlab,
     GridSpec,
@@ -23,7 +23,7 @@ from latticewave.grid import slab_to_csv
 def random_slab(nt=5, nx=7, seed=0):
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=(nt, nx)) + 1j * rng.normal(size=(nt, nx))
-    return FieldSlab(psi=psi, grid=GridSpec(Nt=nt, Nx=nx))
+    return FieldSlab(psi=psi, grid=GridSpec())
 
 
 def test_csv_round_trip_is_exact(tmp_path):
@@ -61,6 +61,16 @@ def test_binary_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 28)
     with pytest.raises(DomainError):
         load_slab_binary(path)
+
+
+@pytest.mark.parametrize("nt, nx", [(0, 5), (5, 0), (0, 0)])
+@pytest.mark.parametrize("grid", [None, GridSpec()], ids=["default-grid", "explicit-grid"])
+def test_binary_zero_extent_rejected(tmp_path, nt, nx, grid):
+    path = tmp_path / "empty.bin"
+    path.write_bytes(struct.pack("<4sIII", b"KGL1", nt, nx, 0))
+    kwargs = {} if grid is None else {"grid": grid}
+    with pytest.raises(DomainError):
+        load_slab_binary(path, **kwargs)
 
 
 def test_binary_truncated_rejected(tmp_path):
@@ -117,11 +127,10 @@ def test_slab_loaders_give_a_slab_or_a_domain_error(tmp_path, raw):
 def test_grid_spec_validation():
     with pytest.raises(DomainError):
         GridSpec(tau=0.0)
-    with pytest.raises(DomainError):
-        GridSpec(Nt=0)
-    with pytest.raises(DomainError):
-        GridSpec(boundary="periodic")  # must be the enum, not a bare string
-    assert GridSpec(boundary=Boundary.SHRINKING).boundary is Boundary.SHRINKING
+    # the grid holds the lattice constants only; extents are the slab's shape
+    assert [f.name for f in dataclasses.fields(GridSpec)] == ["tau", "eps", "c", "hbar"]
+    with pytest.raises(TypeError):
+        GridSpec(Nt=4)
 
 
 def test_infinite_is_a_singleton_tag():
@@ -138,3 +147,9 @@ def test_infinite_is_a_singleton_tag():
 def test_field_slab_must_be_2d():
     with pytest.raises(DomainError):
         FieldSlab(psi=np.zeros(5), grid=GridSpec())
+    with pytest.raises(DomainError):
+        FieldSlab(psi=np.zeros((0, 3)), grid=GridSpec())
+    with pytest.raises(DomainError):
+        FieldSlab(psi=np.zeros((3, 0)))
+    slab = FieldSlab(psi=np.zeros((2, 3)))
+    assert (slab.nt, slab.nx) == (2, 3)

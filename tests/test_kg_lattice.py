@@ -268,6 +268,16 @@ class TestEvolve:
             evolve(np.zeros((3, 8)), 4, KGParams(m0=1.0, grid=GRID))
         with pytest.raises(DomainError):
             evolve(np.zeros((2, 2)), 4, KGParams(m0=1.0, grid=GRID))
+        with pytest.raises(DomainError, match="finite"):
+            evolve(np.full((2, 8), np.nan), 4, KGParams(m0=1.0, grid=GRID))
+
+    def test_march_that_leaves_the_float_range_is_a_domain_error(self):
+        """Finite stencil constants near 1e308 overflow during the march; the
+        suite's RuntimeWarning filter also pins that no numpy warning leaks."""
+        spec, _ = EXP_48
+        p = KGParams(m0=1.0, grid=GridSpec(eps=1e-154, tau=1e-150))
+        with pytest.raises(DomainError, match="overflowed the float range"):
+            evolve(sample_wave(spec, 2, 16).psi, 16, p)
 
 
 def test_kg_params_validation():

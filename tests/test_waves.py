@@ -158,8 +158,7 @@ class TestContinuumLimit:
 class TestBeatField:
     def test_identical_modes_collapse_to_single_cosine(self):
         b = BeatSpec(T1=4.0, T2=4.0, lam1=3.0, lam2=3.0)
-        grid = GridSpec(Nt=16, Nx=16)
-        slab = beat_field(b, grid)
+        slab = beat_field(b, GridSpec(), 16, 16)
         t = np.arange(16)[:, None]
         x = np.arange(16)[None, :]
         expected = 2.0 * np.cos(2 * np.pi * (t / 4.0 - x / 3.0))
@@ -167,13 +166,13 @@ class TestBeatField:
 
     def test_origin_value_is_exactly_two(self):
         b = BeatSpec(T1=4.0, T2=6.0, lam1=3.0, lam2=5.0)
-        slab = beat_field(b, GridSpec(Nt=64, Nx=64))
+        slab = beat_field(b, GridSpec(), 64, 64)
         assert slab.psi[0, 0] == 2.0 + 0.0j
 
     def test_product_identity_on_random_spec(self):
         """Superposed cosines equal the slow-times-fast factored form sitewise."""
         rng = np.random.default_rng(21)
-        grid = GridSpec(Nt=64, Nx=256)
+        grid = GridSpec()
         for _ in range(5):
             while True:
                 T1, T2 = rng.uniform(2.0, 6.0, 2)
@@ -183,14 +182,17 @@ class TestBeatField:
                 if a >= 4.0 / 64 and bk >= 4.0 / 256:
                     break
             b = BeatSpec(T1=T1, T2=T2, lam1=lam1, lam2=lam2)
-            direct = beat_field(b, grid).psi
-            factored = beat_product_form(b, grid).psi
+            direct = beat_field(b, grid, 64, 256).psi
+            factored = beat_product_form(b, grid, 64, 256).psi
+            assert direct.shape == factored.shape == (64, 256)
             assert float(np.max(np.abs(direct - factored))) <= 1e-12
 
     def test_grid_too_small_rejected(self):
         b = BeatSpec(T1=4.0, T2=6.0, lam1=3.0, lam2=5.0)
         with pytest.raises(DomainError):
-            beat_field(b, GridSpec(Nt=8, Nx=8))
+            beat_field(b, GridSpec(), 8, 8)
+        with pytest.raises(DomainError):
+            beat_field(BeatSpec(T1=4.0, T2=4.0, lam1=3.0, lam2=3.0), GridSpec(), 0, 8)
 
 
 class TestBeatVelocities:
@@ -244,40 +246,37 @@ class TestMeasureGroupVelocity:
     BEAT = BeatSpec(T1=4.0, T2=6.0, lam1=3.0, lam2=5.0)
 
     def test_measured_matches_analytic_within_two_percent(self):
-        grid = GridSpec(Nt=128, Nx=512)
-        measured = measure_group_velocity(beat_field(self.BEAT, grid), beat=self.BEAT)
+        measured = measure_group_velocity(beat_field(self.BEAT, GridSpec(), 128, 512), beat=self.BEAT)
         assert measured == pytest.approx(0.625, rel=0.02)
 
     def test_standing_beat_measures_zero(self):
         b = BeatSpec(T1=4.0, T2=4.0, lam1=3.0, lam2=-3.0)
-        grid = GridSpec(Nt=64, Nx=64)
-        measured = measure_group_velocity(beat_field(b, grid), beat=b)
+        measured = measure_group_velocity(beat_field(b, GridSpec(), 64, 64), beat=b)
         assert abs(measured) <= 0.01
 
     def test_error_halves_or_better_with_doubled_resolution(self):
         errors = []
         for scale in (1, 2):
-            grid = GridSpec(tau=1.0 / scale, eps=1.0 / scale, Nt=128 * scale, Nx=256 * scale)
-            measured = measure_group_velocity(beat_field(self.BEAT, grid), beat=self.BEAT)
+            grid = GridSpec(tau=1.0 / scale, eps=1.0 / scale)
+            measured = measure_group_velocity(beat_field(self.BEAT, grid, 128 * scale, 256 * scale), beat=self.BEAT)
             errors.append(abs(measured - 0.625))
         assert errors[1] <= 0.5 * errors[0]
 
     def test_coarse_grained_fallback_tracks_without_the_analytic_envelope(self):
-        grid = GridSpec(Nt=128, Nx=512)
-        slab = beat_field(self.BEAT, grid)
+        grid = GridSpec()
+        slab = beat_field(self.BEAT, grid, 128, 512)
         window = max(1, round((2.0 / abs(self.BEAT.wavenum_sum)) / grid.eps))
         measured = measure_group_velocity(slab, carrier_window=window)
         assert measured == pytest.approx(0.625, rel=0.02)
 
     def test_flat_envelope_is_measurement_error(self):
         b = BeatSpec(T1=4.0, T2=4.0, lam1=3.0, lam2=3.0)
-        slab = beat_field(b, GridSpec(Nt=32, Nx=32))
+        slab = beat_field(b, GridSpec(), 32, 32)
         with pytest.raises(MeasurementError):
             measure_group_velocity(slab, beat=b)
 
     def test_too_few_envelope_periods_rejected(self):
-        grid = GridSpec(Nt=64, Nx=32)
-        slab = beat_field(self.BEAT, grid)
+        slab = beat_field(self.BEAT, GridSpec(), 64, 32)
         with pytest.raises(DomainError):
             measure_group_velocity(slab, beat=self.BEAT)
 
