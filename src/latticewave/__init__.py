@@ -14,6 +14,7 @@ from .errors import (
     LatticeWaveError,
     MeasurementError,
     SingularSystemError,
+    SizeLimitError,
 )
 from .grid import (
     Axis,
@@ -22,6 +23,7 @@ from .grid import (
     GridSpec,
     INFINITE,
     Infinite,
+    MAX_CELLS,
     load_slab_binary,
     load_slab_csv,
     save_slab_binary,

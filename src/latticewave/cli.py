@@ -6,7 +6,8 @@ the experiment exercises), so identical configs produce byte-identical
 files. Formats: CSV for tables, JSON for structured results, and the
 compact binary slab layout behind an explicit flag.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
+Exit codes: 0 success, 1 verification failure, 2 invalid configuration
+(including extents or mode bounds whose cell count exceeds grid.MAX_CELLS),
 3 domain error (the message names the violated precondition).
 """
 
@@ -27,7 +28,7 @@ import numpy as np
 from . import __version__
 from .acceptance import AS_PRINTED_CHOICES, format_report, run_acceptance
 from .dispersion import DispersionForm, quantization_check, solve_modes
-from .errors import ConfigError, DomainError, MeasurementError, SingularSystemError
+from .errors import ConfigError, DomainError, MeasurementError, SingularSystemError, SizeLimitError
 from .grid import SLAB_CSV_COLUMNS, FieldSlab, GridSpec, Infinite, INFINITE, slab_to_bytes, slab_to_csv
 from .kg_lattice import KGParams, evolve, plane_wave_residual
 from .kinematics import (
@@ -697,7 +698,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if all(r.passed for r in results) else 1
         cfg = _config_from_args(args)
         return run(cfg)
-    except ConfigError as exc:
+    except (ConfigError, SizeLimitError) as exc:
+        # every extent and mode bound the CLI passes on is a flag or config value
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, MeasurementError, SingularSystemError) as exc:

@@ -23,8 +23,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DomainError
-from .grid import GridSpec, Infinite, INFINITE, MaybeInfinite
+from .grid import GridSpec, Infinite, INFINITE, MaybeInfinite, check_size
 from .kinematics import LatticeStep, discrete_energy_momentum
 
 
@@ -69,6 +71,42 @@ def mode_wavenumber(M: MaybeInfinite, grid: GridSpec) -> float:
     return 2.0 * math.pi / (M * grid.eps)
 
 
+# Every relation is separable: residual = (time_term(N) - space_term(M)) - mass_term(m0).
+
+
+def _time_term(form: DispersionForm, N: int, grid: GridSpec, time_coeff: float = 4.0) -> float:
+    c, tau = grid.c, grid.tau
+    if form is DispersionForm.CAYLEY:
+        return (1.0 / c**2) * (1.0 / (N * tau)) ** 2
+    if form is DispersionForm.EXPONENTIAL:
+        return (time_coeff / (c**2 * tau**2)) * math.tan(math.pi / N) ** 2
+    if form is DispersionForm.CONTINUUM:
+        return (mode_frequency(N, grid) / c) ** 2
+    raise DomainError(f"unknown dispersion form {form!r}")
+
+
+def _space_term(form: DispersionForm, M: MaybeInfinite, grid: GridSpec) -> float:
+    eps = grid.eps
+    if form is DispersionForm.CAYLEY:
+        inv_wavelength = 0.0 if isinstance(M, Infinite) else 1.0 / (M * eps)
+        return inv_wavelength**2
+    if form is DispersionForm.EXPONENTIAL:
+        tan_m = 0.0 if isinstance(M, Infinite) else math.tan(math.pi / M)
+        return (4.0 / eps**2) * tan_m**2
+    if form is DispersionForm.CONTINUUM:
+        return mode_wavenumber(M, grid) ** 2
+    raise DomainError(f"unknown dispersion form {form!r}")
+
+
+def _mass_term(form: DispersionForm, m0: float, grid: GridSpec) -> float:
+    quantum = grid.h if form is DispersionForm.CAYLEY else grid.hbar
+    return (m0 * grid.c / quantum) ** 2
+
+
+def _out_of_range(exc: ArithmeticError) -> DomainError:
+    return DomainError(f"dispersion terms leave the float range for these grid constants ({exc})")
+
+
 def dispersion_residual(
     form: DispersionForm,
     N: int,
@@ -81,23 +119,11 @@ def dispersion_residual(
     _validate_mode(N, M)
     if m0 < 0:
         raise DomainError("m0 must be >= 0")
-    c, tau, eps = grid.c, grid.tau, grid.eps
-    if form is DispersionForm.CAYLEY:
-        inv_wavelength = 0.0 if isinstance(M, Infinite) else 1.0 / (M * eps)
-        return (1.0 / c**2) * (1.0 / (N * tau)) ** 2 - inv_wavelength**2 - (m0 * c / grid.h) ** 2
-    if form is DispersionForm.EXPONENTIAL:
-        time_coeff = 1.0 if as_printed else 4.0
-        tan_m = 0.0 if isinstance(M, Infinite) else math.tan(math.pi / M)
-        return (
-            (time_coeff / (c**2 * tau**2)) * math.tan(math.pi / N) ** 2
-            - (4.0 / eps**2) * tan_m**2
-            - (m0 * c / grid.hbar) ** 2
-        )
-    if form is DispersionForm.CONTINUUM:
-        w = mode_frequency(N, grid)
-        k = mode_wavenumber(M, grid)
-        return (w / c) ** 2 - k**2 - (m0 * c / grid.hbar) ** 2
-    raise DomainError(f"unknown dispersion form {form!r}")
+    time_coeff = 1.0 if as_printed else 4.0
+    try:
+        return _time_term(form, N, grid, time_coeff) - _space_term(form, M, grid) - _mass_term(form, m0, grid)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _out_of_range(exc) from None
 
 
 def solve_modes(
@@ -112,7 +138,10 @@ def solve_modes(
 
     Scans 2 <= N <= n_max and M in {2..m_max} plus INFINITE, sorted by
     (N, M) with INFINITE ordered after every finite M. Deterministic; an
-    empty list is a valid result.
+    empty list is a valid result. Each residual is bit-identical to
+    ``dispersion_residual``: the space terms are computed once per M with
+    the same scalar expressions, then one numpy row per N does the two
+    float64 subtractions in the same order.
     """
     if not (m0 >= 0):
         raise DomainError(f"m0 must be >= 0, got {m0!r}")
@@ -120,14 +149,21 @@ def solve_modes(
         raise DomainError("mode bounds must be >= 2")
     if not (tol >= 0):
         raise DomainError(f"tol must be >= 0, got {tol!r}")
-    found = []
+    check_size((n_max - 1) * m_max, "dispersion scan modes")
     wavelengths: list[MaybeInfinite] = list(range(2, m_max + 1)) + [INFINITE]
-    for N in range(2, n_max + 1):
-        for M in wavelengths:
-            residual = dispersion_residual(form, N, M, m0, grid)
-            if abs(residual) <= tol:
-                found.append(DispersionSolution(form=form, N=N, M=M, m0=m0, residual=residual))
-    found.sort(key=lambda s: (s.N, isinstance(s.M, Infinite), 0 if isinstance(s.M, Infinite) else s.M))
+    found = []
+    try:
+        space = np.array([_space_term(form, M, grid) for M in wavelengths])
+        mass = _mass_term(form, m0, grid)
+        # one row per N, over M ascending with INFINITE last: already sorted
+        with np.errstate(over="ignore", invalid="ignore"):
+            for N in range(2, n_max + 1):
+                row = (_time_term(form, N, grid) - space) - mass
+                hits = np.flatnonzero(np.abs(row) <= tol)
+                for k, residual in zip(hits.tolist(), row[hits].tolist()):
+                    found.append(DispersionSolution(form=form, N=N, M=wavelengths[k], m0=m0, residual=residual))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _out_of_range(exc) from None
     return found
 
 

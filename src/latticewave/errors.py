@@ -9,6 +9,10 @@ class DomainError(LatticeWaveError, ValueError):
     """A precondition on operation inputs was violated."""
 
 
+class SizeLimitError(DomainError):
+    """A requested array exceeds grid.MAX_CELLS; raised before allocating it."""
+
+
 class MeasurementError(LatticeWaveError):
     """A numerical measurement is unreliable for the given input (e.g. flat envelope)."""
 

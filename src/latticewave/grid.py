@@ -19,7 +19,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SizeLimitError
 
 
 class Infinite:
@@ -63,6 +63,18 @@ class Infinite:
 INFINITE = Infinite()
 
 MaybeInfinite = Union[int, Infinite]
+
+#: The most cells one call may allocate: slab sites (nt * nx) in sample_wave,
+#: the beat functions and evolve, and scanned modes ((n_max - 1) * m_max) in
+#: solve_modes. 2^22 is 16 times the largest run of the benchmark (256 x 1024
+#: sites, 511 x 512 modes) and a 64 MiB complex slab.
+MAX_CELLS = 1 << 22
+
+
+def check_size(count: int, what: str) -> None:
+    """Raise SizeLimitError, before any allocation, if count exceeds MAX_CELLS."""
+    if count > MAX_CELLS:
+        raise SizeLimitError(f"{what}: {count} exceeds the size cap of {MAX_CELLS}")
 
 
 class Boundary(Enum):
@@ -216,4 +228,7 @@ def load_slab_binary(path: str | Path, grid: GridSpec = GridSpec()) -> FieldSlab
     if len(raw) != expected:
         raise DomainError(f"{path}: expected {expected} bytes for a {nt}x{nx} slab, got {len(raw)}")
     psi = np.frombuffer(raw[_HEADER.size:], dtype="<c16").reshape(nt, nx).astype(np.complex128)
-    return FieldSlab(psi=psi, grid=grid)
+    try:
+        return FieldSlab(psi=psi, grid=grid)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None

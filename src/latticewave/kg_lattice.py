@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularSystemError
-from .grid import FieldSlab, GridSpec, Infinite, INFINITE
+from .grid import FieldSlab, GridSpec, Infinite, INFINITE, check_size
 from .waves import WaveForm, WaveSpec, sample_wave
 
 
@@ -247,6 +247,7 @@ def evolve(initial: np.ndarray, steps: int, p: KGParams) -> FieldSlab:
         raise DomainError("evolution needs Nx >= 3")
     if not (isinstance(steps, int) and steps >= 0):
         raise DomainError("steps must be a non-negative integer")
+    check_size((steps + 2) * nx, "slab sites")
     off_a, diag_a, off_b, diag_b = _stencil_constants(p)
     kernel = _inverse_kernel(off_a, diag_a, nx, p)
     slab = np.empty((steps + 2, nx), dtype=np.complex128)

@@ -47,15 +47,24 @@ _S4_PRINTED: Entries = ((2, 1, 1, 1), (-1, 0, -1, -1), (-1, -1, 0, 1), (-1, -1, 
 
 
 def _as_entries(m) -> Entries:
-    rows = tuple(tuple(int(x) for x in row) for row in m)
+    rows = tuple(tuple(map(int, row)) for row in m)
     if len(rows) != 4 or any(len(r) != 4 for r in rows):
         raise DomainError("expected a 4x4 integer matrix")
     return rows
 
 
 def _mat_mul(a: Entries, b: Entries) -> Entries:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4)) for i in range(4)
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = a
+    (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = b
+    return (
+        (a00 * b00 + a01 * b10 + a02 * b20 + a03 * b30, a00 * b01 + a01 * b11 + a02 * b21 + a03 * b31,
+         a00 * b02 + a01 * b12 + a02 * b22 + a03 * b32, a00 * b03 + a01 * b13 + a02 * b23 + a03 * b33),
+        (a10 * b00 + a11 * b10 + a12 * b20 + a13 * b30, a10 * b01 + a11 * b11 + a12 * b21 + a13 * b31,
+         a10 * b02 + a11 * b12 + a12 * b22 + a13 * b32, a10 * b03 + a11 * b13 + a12 * b23 + a13 * b33),
+        (a20 * b00 + a21 * b10 + a22 * b20 + a23 * b30, a20 * b01 + a21 * b11 + a22 * b21 + a23 * b31,
+         a20 * b02 + a21 * b12 + a22 * b22 + a23 * b32, a20 * b03 + a21 * b13 + a22 * b23 + a23 * b33),
+        (a30 * b00 + a31 * b10 + a32 * b20 + a33 * b30, a30 * b01 + a31 * b11 + a32 * b21 + a33 * b31,
+         a30 * b02 + a31 * b12 + a32 * b22 + a33 * b32, a30 * b03 + a31 * b13 + a32 * b23 + a33 * b33),
     )
 
 
@@ -68,12 +77,20 @@ def minkowski_square(v: Sequence[int]) -> int:
 def preserves_metric(m) -> bool:
     """True iff m^T eta m = eta holds exactly in integer arithmetic."""
     entries = m.entries if isinstance(m, IntLorentzMatrix) else _as_entries(m)
-    for i in range(4):
-        for j in range(i, 4):
-            gram = sum(ETA[r] * entries[r][i] * entries[r][j] for r in range(4))
-            if gram != (ETA[i] if i == j else 0):
-                return False
-    return True
+    # the ten Gram equations, column i against column j, one per pair i <= j
+    (t0, t1, t2, t3), (x0, x1, x2, x3), (y0, y1, y2, y3), (z0, z1, z2, z3) = entries
+    return (
+        t0 * t0 - x0 * x0 - y0 * y0 - z0 * z0 == 1
+        and t1 * t1 - x1 * x1 - y1 * y1 - z1 * z1 == -1
+        and t2 * t2 - x2 * x2 - y2 * y2 - z2 * z2 == -1
+        and t3 * t3 - x3 * x3 - y3 * y3 - z3 * z3 == -1
+        and t0 * t1 - x0 * x1 - y0 * y1 - z0 * z1 == 0
+        and t0 * t2 - x0 * x2 - y0 * y2 - z0 * z2 == 0
+        and t0 * t3 - x0 * x3 - y0 * y3 - z0 * z3 == 0
+        and t1 * t2 - x1 * x2 - y1 * y2 - z1 * z2 == 0
+        and t1 * t3 - x1 * x3 - y1 * y3 - z1 * z3 == 0
+        and t2 * t3 - x2 * x3 - y2 * y3 - z2 * z3 == 0
+    )
 
 
 def metric_gram_defect(m, i: int, j: int) -> int:
@@ -91,7 +108,7 @@ class IntLorentzMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _as_entries(self.entries))
-        if not preserves_metric(self.entries):
+        if not preserves_metric(self):
             raise DomainError("matrix does not preserve the Minkowski form")
 
     def __matmul__(self, other: "IntLorentzMatrix") -> "IntLorentzMatrix":
@@ -213,8 +230,8 @@ def enumerate_ball(max_word_len: int) -> list[IntLorentzMatrix]:
                     seen.add(q)
                     new.append(q)
         frontier = new
-    ordered = sorted(seen, key=lambda e: tuple(x for row in e for x in row))
-    return [IntLorentzMatrix(e) for e in ordered]
+    # rows have equal length, so tuple order is the flattened entry order
+    return [IntLorentzMatrix(e) for e in sorted(seen)]
 
 
 def act(m: IntLorentzMatrix, v: Sequence[int]) -> tuple[int, int, int, int]:
@@ -236,6 +253,18 @@ _PARITY_WORDS: tuple[tuple[str, ...], ...] = tuple(
         for mask in range(8)
     )
 )
+
+
+def _reduction_step(parity_word: tuple[str, ...]) -> Entries:
+    """S4 times the parity word's letters applied on the left, in word order."""
+    prefix = _IDENTITY
+    for letter in parity_word:
+        prefix = _mat_mul(_LETTER_MATRICES[letter], prefix)
+    return _mat_mul(_S4, prefix)
+
+
+# (parity word, S4 P) in _PARITY_WORDS order: one reduction step is one product
+_REDUCTION_STEPS = tuple((w, _reduction_step(w)) for w in _PARITY_WORDS)
 
 _signed_perm_words: dict[Entries, tuple[str, ...]] | None = None
 
@@ -265,6 +294,13 @@ def factorize(m: IntLorentzMatrix) -> GeneratorWord:
     remainder with unit time-time entry is a signed spatial permutation
     resolved by table lookup. The returned word evaluates back to ``m``
     exactly; neither minimality nor uniqueness is claimed.
+
+    The prefix is chosen from column 0 alone: the parity letters are
+    diagonal sign flips diag(1, s1, s2, s3), so the candidate S4 P L has
+    time-time entry 2 c00 + s1 c10 + s2 c20 + s3 c30 (row 0 of S4 P
+    against column 0 of the current matrix L). The first parity word in
+    lexicographic order for which that is below c00 is taken, and only
+    then is the one product S4 P L formed.
     """
     if not isinstance(m, IntLorentzMatrix):
         raise DomainError("factorize expects a certified IntLorentzMatrix")
@@ -277,21 +313,17 @@ def factorize(m: IntLorentzMatrix) -> GeneratorWord:
     steps = 0
     initial_tt = current[0][0]
     while current[0][0] > 1:
-        chosen = None
-        for parity_word in _PARITY_WORDS:
-            reduced = current
-            for letter in parity_word:
-                reduced = _mat_mul(_LETTER_MATRICES[letter], reduced)
-            candidate = _mat_mul(_S4, reduced)
-            if candidate[0][0] < current[0][0]:
-                chosen = (parity_word, candidate)
+        (c00, _, _, _), (c10, _, _, _), (c20, _, _, _), (c30, _, _, _) = current
+        for parity_word, step in _REDUCTION_STEPS:
+            r0, r1, r2, r3 = step[0]
+            if r0 * c00 + r1 * c10 + r2 * c20 + r3 * c30 < c00:
                 break
-        if chosen is None:
+        else:
             raise InternalInvariantError(
-                f"no parity prefix decreases the time-time entry {current[0][0]}; "
+                f"no parity prefix decreases the time-time entry {c00}; "
                 "this contradicts the reduction argument"
             )
-        parity_word, current = chosen
+        current = _mat_mul(step, current)
         word.extend(parity_word)
         word.append("S4")
         steps += 1

@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, MeasurementError
-from .grid import FieldSlab, GridSpec, Infinite, INFINITE, MaybeInfinite
+from .grid import FieldSlab, GridSpec, Infinite, INFINITE, MaybeInfinite, check_size
 
 
 class WaveForm(Enum):
@@ -191,6 +191,7 @@ def sample_wave(spec: WaveSpec, nt: int, nx: int, grid: GridSpec = GridSpec()) -
     """Evaluate a mode on an nt x nx slab, bit-identical to eval_wave at every site."""
     if nt < 1 or nx < 1:
         raise DomainError("slab extents must be positive")
+    check_size(nt * nx, "slab sites")
     if spec.form is WaveForm.EXPONENTIAL:
         psi = _exponential_slab(spec, nt, nx)
     else:
@@ -249,6 +250,7 @@ class BeatSpec:
 
 
 def _beat_phases(grid: GridSpec, nt: int, nx: int):
+    check_size(nt * nx, "slab sites")
     t = np.arange(nt) * grid.tau
     x = np.arange(nx) * grid.eps
     return t[:, None], x[None, :]

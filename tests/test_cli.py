@@ -229,6 +229,38 @@ class TestRunConfigs:
                      *grid_flags, "--output", str(out)]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("form", ["exponential", "cayley", "continuum"])
+    @pytest.mark.parametrize("grid_flags", [["--c", "1e200"], ["--eps", "1e-200"], ["--tau", "1e-200"]],
+                             ids=["c-squared-overflows", "eps-squared-underflows", "tau-squared-underflows"])
+    def test_extreme_grid_constants_in_a_scan_are_domain_errors(self, tmp_path, form, grid_flags):
+        out = tmp_path / "scan.csv"
+        assert main(["dispersion-scan", "--form", form, "--m0", "1", "--n-max", "4", "--m-max", "4",
+                     *grid_flags, "--output", str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["dispersion-scan", "--form", "cayley", "--m0", "1", "--n-max", "100000000", "--m-max", "100000000"],
+        ["dispersion-scan", "--form", "cayley", "--m0", "1", "--n-max", "2049", "--m-max", "2049"],
+        ["wave-sample", "--form", "cayley", "--wave-n", "3", "--wave-m", "4", "--nt", "100000000", "--nx", "100000000"],
+        ["kg-evolve", "--form", "exponential", "--wave-n", "4", "--wave-m", "8", "--m0", "1",
+         "--steps", "100000000", "--nx", "1024"],
+        ["kg-evolve", "--form", "exponential", "--wave-n", "4", "--wave-m", "8", "--m0", "1",
+         "--steps", "16", "--nx", "100000000"],
+        ["kg-residual", "--form", "cayley", "--wave-n", "3", "--wave-m", "4", "--m0", "1",
+         "--nt", "100000", "--nx", "100000"],
+        ["beat-measure", "--t1", "4", "--t2", "6", "--lam1", "3", "--lam2", "5", "--nt", "100000", "--nx", "100000"],
+    ], ids=["scan-1e8-squared", "scan-just-over", "wave-sample", "kg-evolve-steps", "kg-evolve-nx",
+            "kg-residual", "beat-measure"])
+    def test_sizes_over_the_cap_are_config_errors(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--output", str(out)]) == 2
+        assert not out.exists()
+
+    def test_config_size_over_the_cap_is_a_config_error(self, tmp_path):
+        path = self.config(tmp_path, params={"form": "cayley", "m0": 1.0, "n_max": 10**6, "m_max": 10**6})
+        assert main(["run", "--config", str(path)]) == 2
+        assert not (tmp_path / "out.csv").exists()
+
     def test_domain_error_exits_3(self, tmp_path):
         # spacelike step: dj too large for dn
         code = main([

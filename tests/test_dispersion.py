@@ -7,6 +7,7 @@ import pytest
 
 from latticewave import (
     DispersionForm,
+    DispersionSolution,
     DomainError,
     GridSpec,
     INFINITE,
@@ -22,6 +23,7 @@ from latticewave import (
 )
 
 GRID = GridSpec()
+GRIDS = [GRID, GridSpec(tau=0.625, eps=0.25, c=2.0, hbar=1.3)]
 
 
 class TestMassSpectrum:
@@ -188,3 +190,101 @@ class TestQuantizationCheck:
 def test_grid_spec_h_is_derived():
     grid = GridSpec(hbar=3.0)
     assert grid.h == pytest.approx(6 * math.pi, rel=1e-15)
+
+
+# --- differential tests: the separable scan against the scalar residual ----------
+
+
+def inline_residual(form, N, M, m0, grid, as_printed=False):
+    """Each relation written out as one expression, as in its docstring."""
+    c, tau, eps, hbar, h = grid.c, grid.tau, grid.eps, grid.hbar, grid.h
+    if form is DispersionForm.CAYLEY:
+        inv_wavelength = 0.0 if M is INFINITE else 1.0 / (M * eps)
+        return (1.0 / c**2) * (1.0 / (N * tau)) ** 2 - inv_wavelength**2 - (m0 * c / h) ** 2
+    if form is DispersionForm.EXPONENTIAL:
+        tan_m = 0.0 if M is INFINITE else math.tan(math.pi / M)
+        time_coeff = 1.0 if as_printed else 4.0
+        return (
+            (time_coeff / (c**2 * tau**2)) * math.tan(math.pi / N) ** 2
+            - (4.0 / eps**2) * tan_m**2
+            - (m0 * c / hbar) ** 2
+        )
+    k = 0.0 if M is INFINITE else 2.0 * math.pi / (M * eps)
+    return (2.0 * math.pi / (N * tau) / c) ** 2 - k**2 - (m0 * c / hbar) ** 2
+
+
+def oracle_scan(m0, form, n_max, m_max, tol, grid):
+    """A loop over dispersion_residual, sorted by (N, M) with INFINITE last."""
+    found = []
+    for N in range(2, n_max + 1):
+        for M in [*range(2, m_max + 1), INFINITE]:
+            residual = dispersion_residual(form, N, M, m0, grid)
+            if abs(residual) <= tol:
+                found.append(DispersionSolution(form=form, N=N, M=M, m0=m0, residual=residual))
+    found.sort(key=lambda s: (s.N, s.M is INFINITE, 0 if s.M is INFINITE else s.M))
+    return found
+
+
+@pytest.mark.parametrize("form", list(DispersionForm))
+@pytest.mark.parametrize("grid", GRIDS, ids=["natural", "scaled"])
+@pytest.mark.parametrize("as_printed", [False, True])
+def test_dispersion_residual_matches_the_inline_relations_bit_for_bit(form, grid, as_printed):
+    for m0 in (0.0, mass_from_rest_period(7, grid), 1.234):
+        for N in range(2, 14):
+            for M in [*range(2, 14), INFINITE]:
+                got = dispersion_residual(form, N, M, m0, grid, as_printed=as_printed)
+                want = inline_residual(form, N, M, m0, grid, as_printed=as_printed and form is DispersionForm.EXPONENTIAL)
+                assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("form", list(DispersionForm))
+@pytest.mark.parametrize("grid", GRIDS, ids=["natural", "scaled"])
+@pytest.mark.parametrize("m0_kind", ["zero", "spectrum", "generic"])
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 0.5])
+def test_solve_modes_matches_a_loop_over_dispersion_residual(form, grid, m0_kind, tol):
+    m0 = {"zero": 0.0, "spectrum": mass_from_rest_period(7, grid), "generic": 1.234}[m0_kind]
+    got = solve_modes(m0, form, 40, 33, tol, grid)
+    want = oracle_scan(m0, form, 40, 33, tol, grid)
+    assert got == want
+    # == takes -0.0 for 0.0; the CSV cells are reprs, so compare those too
+    assert [repr(s.residual) for s in got] == [repr(s.residual) for s in want]
+    assert all(type(s.residual) is float and type(s.N) is int for s in got)
+
+
+@pytest.mark.parametrize("form", list(DispersionForm))
+@pytest.mark.parametrize("grid", GRIDS, ids=["natural", "scaled"])
+def test_an_infinite_tolerance_scan_returns_every_residual_bit_for_bit(form, grid):
+    """Every mode of the table, out to M = 730: numpy's tan differs from math.tan
+    in the last bit at M = 408 and 726, so the space terms must stay scalar."""
+    got = solve_modes(1.234, form, 5, 730, math.inf, grid)
+    want = oracle_scan(1.234, form, 5, 730, math.inf, grid)
+    assert len(got) == 4 * 730
+    assert [repr(s.residual) for s in got] == [repr(s.residual) for s in want]
+    assert got == want
+
+
+@pytest.mark.parametrize("form", list(DispersionForm))
+def test_a_massless_scan_at_zero_tolerance_is_exactly_the_diagonal(form):
+    """Time and space terms cancel exactly at N = M in natural units, out to 730
+    (past M = 408 and 726, where numpy's tan is one ulp off math.tan)."""
+    solutions = solve_modes(0.0, form, 730, 730, 0.0, GRID)
+    assert [(s.N, s.M, s.residual) for s in solutions] == [(n, n, 0.0) for n in range(2, 731)]
+
+
+def test_the_differential_scans_find_modes():
+    """The cases above are not vacuous: exact, spectrum and wide-tolerance scans hit."""
+    massless = solve_modes(0.0, DispersionForm.CAYLEY, 40, 33, 0.0, GRID)
+    assert [(s.N, s.M) for s in massless] == [(n, n) for n in range(2, 34)]
+    rest = solve_modes(mass_from_rest_period(7, GRID), DispersionForm.CAYLEY, 40, 33, 1e-9, GRID)
+    assert [(s.N, s.M) for s in rest] == [(7, INFINITE)]
+    assert len(solve_modes(1.234, DispersionForm.EXPONENTIAL, 40, 33, 0.5, GRID)) == 39
+
+
+@pytest.mark.parametrize("form", list(DispersionForm))
+@pytest.mark.parametrize("grid", [GridSpec(c=1e200), GridSpec(eps=1e-200), GridSpec(tau=1e-200)],
+                         ids=["c-squared-overflows", "eps-squared-underflows", "tau-squared-underflows"])
+def test_terms_out_of_the_float_range_are_domain_errors(form, grid):
+    with pytest.raises(DomainError):
+        solve_modes(1.0, form, 4, 4, 1e-9, grid)
+    with pytest.raises(DomainError):
+        dispersion_residual(form, 2, 2, 1.0, grid)

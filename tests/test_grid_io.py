@@ -8,16 +8,28 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from latticewave import (
+    MAX_CELLS,
+    BeatSpec,
+    DispersionForm,
     DomainError,
     FieldSlab,
     GridSpec,
     INFINITE,
+    KGParams,
+    SizeLimitError,
+    WaveForm,
+    WaveSpec,
+    beat_field,
+    evolve,
     load_slab_binary,
     load_slab_csv,
     save_slab_binary,
+    sample_wave,
     save_slab_csv,
+    solve_modes,
 )
-from latticewave.grid import slab_to_csv
+from latticewave.grid import check_size, slab_to_csv
+from latticewave.waves import beat_envelope
 
 
 def random_slab(nt=5, nx=7, seed=0):
@@ -69,8 +81,10 @@ def test_binary_zero_extent_rejected(tmp_path, nt, nx, grid):
     path = tmp_path / "empty.bin"
     path.write_bytes(struct.pack("<4sIII", b"KGL1", nt, nx, 0))
     kwargs = {} if grid is None else {"grid": grid}
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as excinfo:
         load_slab_binary(path, **kwargs)
+    # like every other rejection by the loaders, the message names the file
+    assert str(excinfo.value).startswith(f"{path}: ")
 
 
 def test_binary_truncated_rejected(tmp_path):
@@ -153,3 +167,35 @@ def test_field_slab_must_be_2d():
         FieldSlab(psi=np.zeros((3, 0)))
     slab = FieldSlab(psi=np.zeros((2, 3)))
     assert (slab.nt, slab.nx) == (2, 3)
+
+
+class TestSizeCap:
+    """Oversized requests are refused by value, before anything is allocated."""
+
+    def test_cap_admits_exactly_max_cells(self):
+        check_size(MAX_CELLS, "cells")
+        with pytest.raises(SizeLimitError):
+            check_size(MAX_CELLS + 1, "cells")
+        assert issubclass(SizeLimitError, DomainError)
+
+    @pytest.mark.parametrize("nt, nx", [(MAX_CELLS + 1, 1), (1, MAX_CELLS + 1), (2049, 2048), (10**9, 10**9)])
+    @pytest.mark.parametrize("form", [WaveForm.CAYLEY, WaveForm.EXPONENTIAL])
+    def test_sample_wave(self, form, nt, nx):
+        with pytest.raises(SizeLimitError):
+            sample_wave(WaveSpec(form=form, N=4, M=8), nt, nx)
+
+    @pytest.mark.parametrize("beat_function", [beat_field, beat_envelope])
+    def test_beat_functions(self, beat_function):
+        with pytest.raises(SizeLimitError):
+            beat_function(BeatSpec(T1=4, T2=6, lam1=3, lam2=5), GridSpec(), 2049, 2048)
+
+    @pytest.mark.parametrize("steps, nx", [(MAX_CELLS // 3 - 1, 3), (2047, 2048)])
+    def test_evolve_counts_the_two_initial_slices(self, steps, nx):
+        initial = np.zeros((2, nx), dtype=np.complex128)
+        with pytest.raises(SizeLimitError):
+            evolve(initial, steps, KGParams(m0=1.0, grid=GridSpec()))
+
+    @pytest.mark.parametrize("n_max, m_max", [(2049, 2049), (MAX_CELLS + 2, 2), (10**8, 10**8)])
+    def test_solve_modes_counts_scanned_modes(self, n_max, m_max):
+        with pytest.raises(SizeLimitError):
+            solve_modes(1.0, DispersionForm.CAYLEY, n_max, m_max, 1e-9, GridSpec())

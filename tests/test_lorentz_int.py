@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from latticewave import (
     DomainError,
@@ -23,6 +24,7 @@ from latticewave import (
     word_from_json,
     word_to_json,
 )
+from latticewave.lorentz_int import _mat_mul
 
 ETA = (1, -1, -1, -1)
 
@@ -263,3 +265,100 @@ class TestSerialization:
     def test_non_group_matrix_rejected(self):
         with pytest.raises(DomainError):
             matrix_from_json([2] + [0] * 15)
+
+
+# --- differential tests: the unrolled arithmetic against direct oracles ----------
+
+
+INTEGERS = st.integers(min_value=-3, max_value=3) | st.integers(min_value=-(2**80), max_value=2**80)
+MATRICES = st.lists(INTEGERS, min_size=16, max_size=16).map(
+    lambda v: tuple(tuple(v[4 * i : 4 * i + 4]) for i in range(4))
+)
+ABOVE_2_64 = tuple(tuple(2**64 + 4 * i + j for j in range(4)) for i in range(4))
+
+
+@given(MATRICES, MATRICES)
+@example(ABOVE_2_64, ABOVE_2_64)
+@example(ABOVE_2_64, tuple(tuple(-x for x in row) for row in ABOVE_2_64))
+def test_mat_mul_matches_the_naive_triple_sum(a, b):
+    product = _mat_mul(a, b)
+    assert product == oracle_matmul(a, b)
+    assert all(type(x) is int for row in product for x in row)
+
+
+def oracle_factorize(entries):
+    """The full-product candidate search: every parity prefix and S4 multiplied out."""
+    p1, p2, p3 = (p.entries for p in parity_products())
+    letters = {"P1": p1, "P2": p2, "P3": p3}
+    s4 = generator("S4").entries
+    parity_words = sorted(
+        tuple(name for bit, name in zip((1, 2, 4), ("P1", "P2", "P3")) if mask & bit) for mask in range(8)
+    )
+    table = {IDENTITY.entries: ()}
+    queue = [(IDENTITY.entries, ())]
+    for m, word in queue:  # breadth first: the first word found is shortlex
+        for name in ("S1", "S2", "S3"):
+            q = oracle_matmul(m, generator(name).entries)
+            if q not in table:
+                table[q] = word + (name,)
+                queue.append((q, word + (name,)))
+    current, word = entries, ()
+    while current[0][0] > 1:
+        for parity_word in parity_words:
+            reduced = current
+            for name in parity_word:
+                reduced = oracle_matmul(letters[name], reduced)
+            candidate = oracle_matmul(s4, reduced)
+            if candidate[0][0] < current[0][0]:
+                break
+        else:
+            raise AssertionError("no parity prefix decreases the time-time entry")
+        word += parity_word + ("S4",)
+        current = candidate
+    return word + table[current]
+
+
+def test_factorize_matches_the_full_product_search_over_ball8():
+    ball = enumerate_ball(8)
+    assert [factorize(m).letters for m in ball] == [oracle_factorize(m.entries) for m in ball]
+
+
+def perturbations(entries):
+    rows = [list(row) for row in entries]
+    for i in range(4):
+        for j in range(4):
+            for delta in (-1, 1):
+                bumped = [row[:] for row in rows]
+                bumped[i][j] += delta
+                yield bumped
+    for j in range(4):  # negating a column keeps every Gram equation
+        yield [[-x if k == j else x for k, x in enumerate(row)] for row in rows]
+    yield [[2 * x for x in row] for row in rows]
+
+
+def single_equation_failures():
+    """Integer matrices that break exactly one Gram equation.
+
+    Doubling a column breaks only its diagonal equation; repeating spatial
+    column i in place of column j breaks only the (i, j) equation. A matrix
+    breaking only a (0, j) equation has no integer entries: its determinant
+    would be sqrt(1 + d^2) for the defect d.
+    """
+    identity = [list(row) for row in IDENTITY.entries]
+    for j in range(4):
+        yield [[2 * x if k == j else x for k, x in enumerate(row)] for row in identity]
+    for i in range(1, 4):
+        for j in range(i + 1, 4):
+            yield [[row[i] if k == j else x for k, x in enumerate(row)] for row in identity]
+
+
+def test_preserves_metric_agrees_with_the_gram_defects():
+    cases = [printed_s4(), *perturbations(printed_s4()), *single_equation_failures()]
+    for m in enumerate_ball(4):
+        cases.extend([m.entries, *perturbations(m.entries)])
+    verdicts = []
+    for m in cases:
+        expected = all(metric_gram_defect(m, i, j) == 0 for i in range(4) for j in range(i, 4))
+        assert preserves_metric(m) is expected
+        verdicts.append(expected)
+    assert any(verdicts) and not all(verdicts)
