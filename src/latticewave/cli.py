@@ -7,8 +7,9 @@ files. Formats: CSV for tables, JSON for structured results, and the
 compact binary slab layout behind an explicit flag.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration
-(including extents or mode bounds whose cell count exceeds grid.MAX_CELLS),
-3 domain error (the message names the violated precondition).
+(including extents or mode bounds whose cell count exceeds grid.MAX_CELLS,
+and an output path that cannot be written), 3 domain error (the message
+names the violated precondition, e.g. a derived value out of the float range).
 """
 
 from __future__ import annotations
@@ -358,14 +359,12 @@ def _run_lorentz_factorize(cfg: RunConfig):
 
 def _run_wave_sample(cfg: RunConfig):
     p = cfg.params
-    psi = sample_wave(_wave_spec_from(p), p["nt"], p["nx"]).psi
-    # tolist() yields Python floats, whose repr the CSV cells use
-    rows = [(n, j, z.real, z.imag) for n, row in enumerate(psi.tolist()) for j, z in enumerate(row)]
-    return TableOutput(
-        columns=SLAB_CSV_COLUMNS,
-        rows=rows,
-        column_doc="n = time index; j = space index; re, im = field value at (n, j)",
-    )
+    slab = sample_wave(_wave_spec_from(p), p["nt"], p["nx"])
+    column_doc = "n = time index; j = space index; re, im = field value at (n, j)"
+    if cfg.format == "csv":
+        return SlabOutput(slab=slab, extra_meta={"columns": column_doc})
+    rows = [(n, j, z.real, z.imag) for n, row in enumerate(slab.psi.tolist()) for j, z in enumerate(row)]
+    return TableOutput(columns=SLAB_CSV_COLUMNS, rows=rows, column_doc=column_doc)
 
 
 def _run_beat_measure(cfg: RunConfig):
@@ -577,14 +576,21 @@ _register(Experiment(
 # --- execution --------------------------------------------------------------------
 
 
-def _resolve_output_path(path: str | None) -> Path | None:
-    if path is None:
-        return None
-    p = Path(path)
+def _write_output(path: str, data: bytes) -> Path:
+    """Write data to path (relative paths honor $LATTICEWAVE_OUTPUT_DIR), creating its directory.
+
+    A path that cannot be written is a ConfigError.
+    """
+    target = Path(path)
     base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not p.is_absolute():
-        p = Path(base) / p
-    return p
+    if base and not target.is_absolute():
+        target = Path(base) / target
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {target}: {exc}") from None
+    return target
 
 
 def run(cfg: RunConfig) -> int:
@@ -592,12 +598,10 @@ def run(cfg: RunConfig) -> int:
     spec = EXPERIMENTS[cfg.experiment]
     result = spec.runner(cfg)
     rendered = _render(cfg, result, spec.checks)
-    target = _resolve_output_path(cfg.output_path)
-    if target is None:
+    if cfg.output_path is None:
         sys.stdout.buffer.write(rendered)
     else:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(rendered)
+        target = _write_output(cfg.output_path, rendered)
         print(f"wrote {target} ({len(rendered)} bytes, config {cfg.config_hash()[:12]})")
     if isinstance(result, SlabOutput) and "max-deviation-from-closed-form" in result.extra_meta:
         print(f"max deviation from closed form: {result.extra_meta['max-deviation-from-closed-form']:.6e}")
@@ -687,14 +691,12 @@ def main(argv: list[str] | None = None) -> int:
             report = format_report(results, verbose=not args.quiet)
             print(report)
             if args.output:
-                target = _resolve_output_path(args.output)
                 header = [
                     f"latticewave {__version__}",
                     f"seed: {args.seed}",
                     f"as-printed: {sorted(args.as_printed) or 'none'}",
                 ]
-                target.parent.mkdir(parents=True, exist_ok=True)
-                target.write_text("\n".join(f"# {h}" for h in header) + "\n" + report + "\n")
+                _write_output(args.output, ("\n".join(f"# {h}" for h in header) + "\n" + report + "\n").encode())
             return 0 if all(r.passed for r in results) else 1
         cfg = _config_from_args(args)
         return run(cfg)

@@ -186,9 +186,15 @@ def quantization_check(step: LatticeStep, m0: float, grid: GridSpec, tol: float)
     if tol < 0:
         raise DomainError("tol must be >= 0")
     state = discrete_energy_momentum(m0, step, grid)
-    n_real = grid.h / (grid.tau * state.E)
     p_mag = state.momentum_magnitude()
-    m_real: float | Infinite = INFINITE if p_mag == 0.0 else grid.h / (grid.eps * p_mag)
+    try:
+        n_real = grid.h / (grid.tau * state.E)
+        m_real: float | Infinite = INFINITE if p_mag == 0.0 else grid.h / (grid.eps * p_mag)
+        in_range = math.isfinite(n_real) and (isinstance(m_real, Infinite) or math.isfinite(m_real))
+    except ZeroDivisionError:
+        in_range = False
+    if not in_range:
+        raise DomainError(f"mode numbers h/(tau E), h/(eps |p|) leave the float range for m0 = {m0!r}")
     n_int = int(round(n_real)) if abs(n_real - round(n_real)) <= tol and round(n_real) >= 1 else None
     if isinstance(m_real, Infinite):
         m_int = None

@@ -173,8 +173,8 @@ def save_slab_csv(slab: FieldSlab, path: str | Path, header_lines: Iterable[str]
 
 
 def load_slab_csv(path: str | Path, grid: GridSpec = GridSpec()) -> FieldSlab:
+    """Read back exactly the layout slab_to_csv writes; anything else is a DomainError."""
     path = Path(path)
-    entries: dict[tuple[int, int], complex] = {}
     try:
         with path.open(encoding="utf-8", newline="") as fh:
             rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
@@ -184,26 +184,20 @@ def load_slab_csv(path: str | Path, grid: GridSpec = GridSpec()) -> FieldSlab:
         raise DomainError(f"{path}: not a slab CSV (missing 'n,j,re,im' header row)")
     if len(rows) < 2:
         raise DomainError(f"{path}: slab CSV has no data rows")
+    sites, values = [], []
     for row in rows[1:]:
         if len(row) != len(SLAB_CSV_COLUMNS):
             raise DomainError(f"{path}: slab CSV row {row!r} does not have {len(SLAB_CSV_COLUMNS)} cells")
         try:
-            n, j = int(row[0]), int(row[1])
-            entries[(n, j)] = complex(float(row[2]), float(row[3]))
+            sites.append((int(row[0]), int(row[1])))
+            values.append(complex(float(row[2]), float(row[3])))
         except ValueError:
             raise DomainError(f"{path}: slab CSV row {row!r} has a non-numeric cell") from None
-    if len(entries) != len(rows) - 1:
-        raise DomainError(f"{path}: slab CSV lists a site (n, j) more than once")
-    if min(map(min, entries)) < 0:
-        raise DomainError(f"{path}: slab CSV has a negative index")
-    nt = 1 + max(k[0] for k in entries)
-    nx = 1 + max(k[1] for k in entries)
-    if len(entries) != nt * nx:
-        raise DomainError(f"{path}: slab CSV does not cover a full {nt}x{nx} rectangle")
-    psi = np.zeros((nt, nx), dtype=np.complex128)
-    for (n, j), value in entries.items():
-        psi[n, j] = value
-    return FieldSlab(psi=psi, grid=grid)
+    # row k must be site (k // nx, k % nx) of a full rectangle
+    nx = 1 + max(j for _, j in sites)
+    if nx < 1 or len(sites) % nx or any(site != divmod(k, nx) for k, site in enumerate(sites)):
+        raise DomainError(f"{path}: slab CSV rows are not the sites of a full rectangle in row-major order")
+    return FieldSlab(psi=np.array(values, dtype=np.complex128).reshape(-1, nx), grid=grid)
 
 
 def slab_to_bytes(slab: FieldSlab) -> bytes:

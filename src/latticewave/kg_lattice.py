@@ -140,10 +140,10 @@ def calibrate_time_coefficient(N: int) -> float | Infinite:
     if not (isinstance(N, int) and N >= 2):
         raise DomainError(f"N must be an integer >= 2, got {N!r}")
     spec = WaveSpec(form=WaveForm.EXPONENTIAL, N=N, M=INFINITE)
-    values = sample_wave(spec, 8, 1).psi[:, 0]
-    n0 = 4
-    num = -(values[n0 + 1] - 2.0 * values[n0] + values[n0 - 1])
-    den = (values[n0 + 1] + 2.0 * values[n0] + values[n0 - 1]) / 4.0
+    # the operator's own time stencils at n = 4, from slices 3..5
+    window = sample_wave(spec, 8, 1).psi[3:6, 0]
+    num = -_second_diff_time(window)[0]
+    den = _second_avg_time(window)[0]
     if den == 0.0:
         return INFINITE
     return float((num / den).real)

@@ -141,7 +141,13 @@ class ParticleState:
         if m0 < 0:
             raise DomainError("rest mass must be >= 0")
         p = _vec3(p)
-        E = math.sqrt(float(p @ p) * c**2 + m0**2 * c**4)
+        try:
+            with np.errstate(over="ignore"):
+                E = math.sqrt(float(p @ p) * c**2 + m0**2 * c**4)
+        except OverflowError:
+            E = math.inf
+        if not math.isfinite(E):
+            raise DomainError(f"E^2 = |p|^2 c^2 + m0^2 c^4 leaves the float range for m0 = {m0!r}, c = {c!r}")
         if E == 0.0:
             raise DomainError("massless state needs nonzero momentum")
         return cls(E=E, p=p, m0=m0, u=p * c**2 / E)
@@ -192,6 +198,8 @@ def transform_particle(s: ParticleState, v: Sequence[float], c: float) -> Partic
     p_new = qp[1:].copy()
     if E_new <= 0:
         raise DomainError("boost produced non-positive energy; input state was invalid")
+    if not math.isfinite(E_new * E_new):
+        raise DomainError(f"boosted energy {E_new!r} squared leaves the float range")
     return ParticleState(E=E_new, p=p_new, m0=s.m0, u=p_new * c**2 / E_new)
 
 
@@ -286,11 +294,18 @@ def discrete_energy_momentum(m0: float, step: LatticeStep, grid: GridSpec) -> Pa
     if s <= 0:
         kind = "lightlike" if s == 0 else "spacelike"
         raise DomainError(f"step {step} is {kind} on this grid; a massive state needs (c dt)^2 > |dx|^2")
-    root = math.sqrt(float(s))
     m0_f = Fraction(m0)
     c = Fraction(grid.c)
-    E = float(m0_f * c * c * cdt) / root
-    p = np.array([float(m0_f * c * x) / root for x in dx])
+    try:
+        root = math.sqrt(float(s))
+        E = float(m0_f * c * c * cdt) / root
+        p = np.array([float(m0_f * c * x) / root for x in dx])
+        with np.errstate(over="ignore"):
+            in_range = E > 0.0 and math.isfinite(E * E) and math.isfinite(p @ p)
+    except (OverflowError, ZeroDivisionError):
+        in_range = False
+    if not in_range:
+        raise DomainError(f"step {step} at m0 = {m0!r}: E^2 or |p|^2 leaves the float range, or E underflows to 0")
     u = np.array([float(ui) for ui in step_velocity(step, grid)])
     return ParticleState(E=E, p=p, m0=m0, u=u)
 

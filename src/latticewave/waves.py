@@ -231,6 +231,9 @@ class BeatSpec:
             value = getattr(self, name)
             if not (math.isfinite(value) and value != 0.0):
                 raise DomainError(f"BeatSpec.{name} must be finite and nonzero, got {value!r}")
+        for name in ("freq_diff", "freq_sum", "wavenum_diff", "wavenum_sum"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"BeatSpec.{name} leaves the float range for {self}")
 
     @property
     def freq_diff(self) -> float:

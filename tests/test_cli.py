@@ -6,7 +6,23 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from latticewave import ConfigError, load_slab_binary, mass_from_rest_period, GridSpec, preserves_metric
+from latticewave import (
+    INFINITE,
+    BeatSpec,
+    ConfigError,
+    GridSpec,
+    KGParams,
+    WaveForm,
+    WaveSpec,
+    beat_field,
+    eval_wave,
+    evolve,
+    load_slab_binary,
+    load_slab_csv,
+    mass_from_rest_period,
+    preserves_metric,
+    sample_wave,
+)
 from latticewave.cli import EXPERIMENTS, GRID_KEYS, RunConfig, build_config, load_config, main
 
 CAYLEY_M0 = repr(2 * math.pi / math.sqrt(12))
@@ -140,6 +156,113 @@ class TestExperiments:
         result = read_json(out)["result"]
         assert result["v_group"] == pytest.approx(0.625, rel=1e-12)
         assert result["relative_error"] <= 0.02
+
+
+class TestSlabOutputs:
+    """Every slab the CLI writes reads back as exactly the library's field."""
+
+    @pytest.mark.parametrize("form, wave_m", [("cayley", 7), ("exponential", INFINITE)])
+    def test_wave_sample_csv_loads_back_as_sample_wave(self, tmp_path, form, wave_m):
+        out = tmp_path / "wave.csv"
+        assert main(["wave-sample", "--form", form, "--wave-n", "5", "--wave-m", str(wave_m).lower(),
+                     "--nt", "6", "--nx", "9", "--output", str(out)]) == 0
+        expected = sample_wave(WaveSpec(form=WaveForm(form), N=5, M=wave_m), 6, 9).psi
+        assert load_slab_csv(out).psi.tobytes() == expected.tobytes()
+
+    def test_kg_evolve_csv_loads_back_as_evolve(self, tmp_path):
+        out = tmp_path / "slab.csv"
+        assert main(["kg-evolve", "--form", "exponential", "--wave-n", "4", "--wave-m", "8", "--m0", "1",
+                     "--steps", "12", "--nx", "10", "--output", str(out)]) == 0
+        initial = sample_wave(WaveSpec(form=WaveForm.EXPONENTIAL, N=4, M=8), 2, 10).psi
+        expected = evolve(initial, 12, KGParams(m0=1.0, grid=GridSpec())).psi
+        assert load_slab_csv(out).psi.tobytes() == expected.tobytes()
+
+    def test_beat_measure_csv_loads_back_as_beat_field(self, tmp_path):
+        out = tmp_path / "beat.csv"
+        assert main(["beat-measure", "--t1", "4", "--t2", "6", "--lam1", "3", "--lam2", "5",
+                     "--nt", "64", "--nx", "128", "--format", "csv", "--output", str(out)]) == 0
+        expected = beat_field(BeatSpec(T1=4.0, T2=6.0, lam1=3.0, lam2=5.0), GridSpec(), 64, 128).psi
+        assert load_slab_csv(out).psi.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("form, wave_m", [("cayley", 7), ("exponential", INFINITE)])
+    def test_wave_sample_json_rows_are_eval_wave(self, tmp_path, form, wave_m):
+        out = tmp_path / "wave.json"
+        assert main(["wave-sample", "--form", form, "--wave-n", "5", "--wave-m", str(wave_m).lower(),
+                     "--nt", "6", "--nx", "9", "--format", "json", "--output", str(out)]) == 0
+        data = read_json(out)
+        spec = WaveSpec(form=WaveForm(form), N=5, M=wave_m)
+        assert data["columns"] == ["n", "j", "re", "im"]
+        assert data["rows"] == [[n, j, eval_wave(spec, n, j).real, eval_wave(spec, n, j).imag]
+                                for n in range(6) for j in range(9)]
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is a config error (exit 2), never a traceback."""
+
+    WAVE = ["wave-sample", "--form", "cayley", "--wave-n", "5", "--wave-m", "7", "--nt", "4", "--nx", "4"]
+
+    def test_output_is_a_directory(self, tmp_path, capsys):
+        assert main([*self.WAVE, "--output", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot write output {tmp_path}")
+
+    def test_output_under_a_regular_file(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        assert main([*self.WAVE, "--output", str(blocker / "wave.csv")]) == 2
+        assert blocker.read_text() == "kept\n"
+
+    def test_empty_output_path_in_a_config(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("LATTICEWAVE_OUTPUT_DIR", raising=False)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"experiment": "lorentz-enumerate", "params": {"max_word_len": 1},
+                                    "format": "json", "output_path": ""}))
+        assert main(["run", "--config", str(path)]) == 2
+
+    def test_verify_all_output_is_a_directory(self, tmp_path, capsys):
+        assert main(["verify-all", "--quiet", "--output", str(tmp_path)]) == 2
+        assert "config error: cannot write output" in capsys.readouterr().err
+
+
+DECADES = ("1e-320", "1e-300", "1e-160", "1e-20", "1", "1e20", "1e160", "1e300", "1e308")
+SWEEP = {
+    "quantization-m0": ["quantization-check", "--m0", "{x}", "--dn", "2", "--dj", "1", "0", "0"],
+    "quantization-tau": ["quantization-check", "--m0", "1", "--dn", "2", "--dj", "1", "0", "0", "--tau", "{x}"],
+    "boost-m0": ["kinematics-boost", "--m0", "{x}", "--p", "0.75", "0", "0", "--v", "0.5", "0", "0"],
+    "boost-p": ["kinematics-boost", "--m0", "1", "--p", "{x}", "0", "0", "--v", "0.5", "0", "0"],
+    "boost-c": ["kinematics-boost", "--m0", "1", "--p", "0.75", "0", "0", "--v", "0.5", "0", "0", "--c", "{x}"],
+    "beat-t1": ["beat-measure", "--t1", "{x}", "--t2", "6", "--lam1", "3", "--lam2", "5"],
+    "beat-lam1": ["beat-measure", "--t1", "4", "--t2", "6", "--lam1", "{x}", "--lam2", "5"],
+}
+
+
+@pytest.mark.parametrize("x", DECADES)
+@pytest.mark.parametrize("argv", list(SWEEP.values()), ids=list(SWEEP))
+def test_parameters_across_the_float_range_exit_cleanly(tmp_path, capsys, argv, x):
+    out = tmp_path / "out"
+    assert main([arg.format(x=x) for arg in argv] + ["--output", str(out)]) in (0, 2, 3)
+    text = capsys.readouterr().out + (out.read_text() if out.exists() else "")
+    assert "NaN" not in text and "Infinity" not in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["quantization-check", "--m0", "1e-320", "--dn", "2", "--dj", "1", "0", "0"],
+    ["quantization-check", "--m0", "1e308", "--dn", "2", "--dj", "1", "0", "0"],
+    ["quantization-check", "--m0", "1", "--tau", "1e160", "--dn", "2", "--dj", "1", "0", "0"],
+    ["quantization-check", "--m0", "1e160", "--dn", "2", "--dj", "1", "0", "0"],
+    ["beat-measure", "--t1", "1e-320", "--t2", "6", "--lam1", "3", "--lam2", "5"],
+    ["beat-measure", "--t1", "4", "--t2", "6", "--lam1", "1e-320", "--lam2", "5"],
+    ["kinematics-boost", "--m0", "1e160", "--p", "0.75", "0", "0", "--v", "0.5", "0", "0"],
+    ["kinematics-boost", "--m0", "1", "--c", "1e160", "--p", "0.75", "0", "0", "--v", "0.5", "0", "0"],
+    ["kinematics-boost", "--m0", "1", "--p", "1e160", "0", "0", "--v", "0.5", "0", "0"],
+    ["kinematics-boost", "--m0", "1", "--p", "1.2e154", "0", "0", "--v", "-0.5", "0", "0"],
+], ids=["quantization-m0-tiny", "quantization-m0-huge", "quantization-tau-huge", "quantization-p-squared",
+        "beat-t1-tiny", "beat-lam1-tiny", "boost-m0-huge", "boost-c-huge", "boost-p-huge", "boosted-energy-squared"])
+def test_derived_values_out_of_the_float_range_are_domain_errors(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--output", str(out)]) == 3
+    assert "the float range" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestRunConfigs:

@@ -186,6 +186,14 @@ class TestQuantizationCheck:
         with pytest.raises(DomainError):
             quantization_check(LatticeStep(dn=1, dj=(3, 0, 0)), 1.0, GRID, tol=1e-6)
 
+    @pytest.mark.parametrize("m0, step, grid", [
+        (1e-320, LatticeStep(dn=2, dj=(1, 0, 0)), GRID),
+        (1e-280, LatticeStep(dn=1), GridSpec(tau=1e-250, c=1e100)),
+    ], ids=["N-real-overflows", "tau-E-underflows"])
+    def test_mode_numbers_out_of_the_float_range_rejected(self, m0, step, grid):
+        with pytest.raises(DomainError, match="float range"):
+            quantization_check(step, m0, grid, tol=1e-9)
+
 
 def test_grid_spec_h_is_derived():
     grid = GridSpec(hbar=3.0)

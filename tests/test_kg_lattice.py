@@ -90,6 +90,13 @@ class TestPlaneWaveResidual:
 
 
 class TestCalibration:
+    def test_is_the_inline_stencil_ratio_bit_for_bit(self):
+        for n in range(3, 400):
+            values = sample_wave(WaveSpec(form=WaveForm.EXPONENTIAL, N=n, M=INFINITE), 8, 1).psi[:, 0]
+            num = -(values[5] - 2.0 * values[4] + values[3])
+            den = (values[5] + 2.0 * values[4] + values[3]) / 4.0
+            assert calibrate_time_coefficient(n) == float((num / den).real)
+
     def test_n4_gives_exactly_four(self):
         assert calibrate_time_coefficient(4) == pytest.approx(4.0, abs=1e-12)
 

@@ -203,6 +203,45 @@ class TestDeBroglie:
             assert (e_plus - e_minus) / (2 * h) == pytest.approx(s.speed(), rel=1e-8)
 
 
+class TestFloatRange:
+    """States whose energy or momentum squares leave the float range are domain errors."""
+
+    @pytest.mark.parametrize("p, m0, c", [
+        ([1e160, 0.0, 0.0], 1.0, 1.0),
+        ([0.75, 0.0, 0.0], 1e160, 1.0),
+        ([0.75, 0.0, 0.0], 1.0, 1e160),
+        ([math.inf, 0.0, 0.0], 1.0, 1.0),
+        ([math.nan, 0.0, 0.0], 1.0, 1.0),
+    ])
+    def test_from_momentum(self, p, m0, c):
+        with pytest.raises(DomainError, match="float range"):
+            ParticleState.from_momentum(p, m0, c)
+
+    @pytest.mark.parametrize("m0, step, grid", [
+        (1e160, LatticeStep(dn=2, dj=(1, 0, 0)), GridSpec()),
+        (1e308, LatticeStep(dn=2, dj=(1, 0, 0)), GridSpec()),
+        (1.0, LatticeStep(dn=2, dj=(1, 0, 0)), GridSpec(tau=1e160, eps=1e160)),
+        (1e-200, LatticeStep(dn=1), GridSpec(tau=1e-200)),
+        (5e-324, LatticeStep(dn=1), GridSpec(c=0.5)),
+    ], ids=["E-squared", "E-itself", "interval", "interval-underflows", "E-underflows"])
+    def test_discrete_energy_momentum(self, m0, step, grid):
+        with pytest.raises(DomainError, match="float range"):
+            discrete_energy_momentum(m0, step, grid)
+
+    def test_boosted_energy(self):
+        state = ParticleState.from_momentum([1.2e154, 0.0, 0.0], 1.0, 1.0)
+        with pytest.raises(DomainError, match="float range"):
+            transform_particle(state, [-0.5, 0.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize("p, m0, c", [([0.75, 0.0, 0.0], 1.0, 1.0), ([3e153, 1e-200, 0.0], 1e150, 1.0),
+                                          ([0.0, 0.0, 1e-150], 1e-100, 1e20)])
+    def test_in_range_states_are_the_formulas(self, p, m0, c):
+        state = ParticleState.from_momentum(p, m0, c)
+        p = np.asarray(p)
+        assert state.E == math.sqrt(float(p @ p) * c**2 + m0**2 * c**4)
+        assert state.u.tobytes() == (p * c**2 / state.E).tobytes()
+
+
 class TestDiscreteEnergyMomentum:
     def test_rest_step(self):
         s = discrete_energy_momentum(1.5, LatticeStep(dn=3), GridSpec())

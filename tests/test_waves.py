@@ -281,6 +281,14 @@ class TestMeasureGroupVelocity:
             measure_group_velocity(slab, beat=self.BEAT)
 
 
+@pytest.mark.parametrize("fields", [
+    {"T1": 1e-320}, {"lam1": 1e-320}, {"T1": 1e-308, "T2": 1e-308}, {"lam1": -1e-308, "lam2": 1e-308},
+], ids=["reciprocal-T1", "reciprocal-lam1", "frequency-sum", "wavenumber-difference"])
+def test_beat_spec_reciprocals_must_be_finite(fields):
+    with pytest.raises(DomainError, match="float range"):
+        BeatSpec(**{"T1": 4.0, "T2": 6.0, "lam1": 3.0, "lam2": 5.0, **fields})
+
+
 def test_wavespec_validation():
     with pytest.raises(DomainError):
         WaveSpec(form=WaveForm.CAYLEY, N=1, M=4)
