@@ -667,13 +667,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    spec = EXPERIMENTS[args.command]
-    raw_params = {}
-    for param in spec.schema:
-        value = getattr(args, param.name)
-        if value is None:
-            continue
-        raw_params[param.name] = value
+    names = [param.name for param in EXPERIMENTS[args.command].schema]
+    raw_params = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     grid_fields = {k: getattr(args, k) for k in GRID_KEYS}
     return build_config(args.command, raw_params, grid_fields,
                         output_path=args.output, fmt=args.format, seed=args.seed)
@@ -684,8 +679,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            cfg = load_config(args.config)
-            return run(cfg)
+            return run(load_config(args.config))
         if args.command == "verify-all":
             results = run_acceptance(seed=args.seed, as_printed=args.as_printed)
             report = format_report(results, verbose=not args.quiet)
@@ -698,8 +692,7 @@ def main(argv: list[str] | None = None) -> int:
                 ]
                 _write_output(args.output, ("\n".join(f"# {h}" for h in header) + "\n" + report + "\n").encode())
             return 0 if all(r.passed for r in results) else 1
-        cfg = _config_from_args(args)
-        return run(cfg)
+        return run(_config_from_args(args))
     except (ConfigError, SizeLimitError) as exc:
         # every extent and mode bound the CLI passes on is a flag or config value
         print(f"config error: {exc}", file=sys.stderr)

@@ -9,7 +9,6 @@ constants tau = eps = c = hbar = 1 put the lattice on the light cone
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from dataclasses import dataclass, field
@@ -46,9 +45,7 @@ class Infinite:
         return hash("latticewave.INFINITE")
 
     def __gt__(self, other) -> bool:
-        if isinstance(other, Infinite):
-            return False
-        return True
+        return not isinstance(other, Infinite)
 
     def __lt__(self, other) -> bool:
         return False
@@ -146,7 +143,12 @@ class FieldSlab:
 #
 # CSV layout: optional leading '#' comment lines, a header row
 # "n,j,re,im", then one row per site in row-major order whose float cells
-# are Python reprs; every line ends in '\n'.
+# are Python reprs; every line ends in '\n'. The loader reads UTF-8 lines
+# ending in '\n' or '\r\n' (any other '\r' is an error), skips empty
+# lines and lines whose first non-blank character is '#' wherever they
+# are, requires the header exactly, and parses each data row with numpy's
+# tokenizer as two int64 and two float cells: ASCII digits, an optional
+# sign, whitespace around a cell allowed, no quotes, no '_' digit groups.
 #
 # Binary layout: 16-byte header (magic b"KGL1", u32 Nt, u32 Nx,
 # u32 reserved = 0, all little-endian) followed by row-major complex
@@ -156,6 +158,7 @@ SLAB_MAGIC = b"KGL1"
 _HEADER = struct.Struct("<4sIII")
 
 SLAB_CSV_COLUMNS = ("n", "j", "re", "im")
+_CSV_ROW = np.dtype([("n", "<i8"), ("j", "<i8"), ("re", "<f8"), ("im", "<f8")])
 
 
 def slab_to_csv(slab: FieldSlab, header_lines: Iterable[str] = ()) -> bytes:
@@ -176,28 +179,29 @@ def load_slab_csv(path: str | Path, grid: GridSpec = GridSpec()) -> FieldSlab:
     """Read back exactly the layout slab_to_csv writes; anything else is a DomainError."""
     path = Path(path)
     try:
-        with path.open(encoding="utf-8", newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    except (UnicodeDecodeError, csv.Error) as exc:
+        text = path.read_bytes().decode("utf-8").replace("\r\n", "\n")
+    except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not a slab CSV ({exc})") from None
-    if not rows or tuple(rows[0]) != SLAB_CSV_COLUMNS:
+    if "\r" in text:
+        raise DomainError(f"{path}: not a slab CSV (a carriage return outside a '\\r\\n' line ending)")
+    lines = [line for line in text.split("\n") if line and not line.lstrip().startswith("#")]
+    if not lines or lines[0] != ",".join(SLAB_CSV_COLUMNS):
         raise DomainError(f"{path}: not a slab CSV (missing 'n,j,re,im' header row)")
-    if len(rows) < 2:
+    if len(lines) < 2:
         raise DomainError(f"{path}: slab CSV has no data rows")
-    sites, values = [], []
-    for row in rows[1:]:
-        if len(row) != len(SLAB_CSV_COLUMNS):
-            raise DomainError(f"{path}: slab CSV row {row!r} does not have {len(SLAB_CSV_COLUMNS)} cells")
-        try:
-            sites.append((int(row[0]), int(row[1])))
-            values.append(complex(float(row[2]), float(row[3])))
-        except ValueError:
-            raise DomainError(f"{path}: slab CSV row {row!r} has a non-numeric cell") from None
+    try:
+        rows = np.loadtxt(lines[1:], delimiter=",", comments=None, quotechar=None, dtype=_CSV_ROW, ndmin=1)
+    except ValueError as exc:
+        raise DomainError(f"{path}: slab CSV data rows must be two integers and two floats ({exc})") from None
     # row k must be site (k // nx, k % nx) of a full rectangle
-    nx = 1 + max(j for _, j in sites)
-    if nx < 1 or len(sites) % nx or any(site != divmod(k, nx) for k, site in enumerate(sites)):
+    nx = 1 + int(rows["j"].max())
+    k = np.arange(len(rows))
+    if nx < 1 or len(rows) % nx or (rows["n"] != k // nx).any() or (rows["j"] != k % nx).any():
         raise DomainError(f"{path}: slab CSV rows are not the sites of a full rectangle in row-major order")
-    return FieldSlab(psi=np.array(values, dtype=np.complex128).reshape(-1, nx), grid=grid)
+    # complex(re, im) per site: re + 1j*im would differ for inf, NaN and -0.0
+    psi = np.empty(len(rows), dtype=np.complex128)
+    psi.real, psi.imag = rows["re"], rows["im"]
+    return FieldSlab(psi=psi.reshape(-1, nx), grid=grid)
 
 
 def slab_to_bytes(slab: FieldSlab) -> bytes:

@@ -166,20 +166,21 @@ class ParticleState:
 
     def mass_shell_residual(self, c: float) -> float:
         """Relative residual of E^2 - |p|^2 c^2 = m0^2 c^4."""
-        lhs = self.E**2 - float(self.p @ self.p) * c**2
-        rhs = self.m0**2 * c**4
-        scale = abs(self.E**2) + abs(float(self.p @ self.p)) * c**2 + abs(rhs)
-        return abs(lhs - rhs) / scale if scale > 0 else abs(lhs - rhs)
+        try:
+            e2, p2c2, rhs = self.E**2, float(self.p @ self.p) * c**2, self.m0**2 * c**4
+        except OverflowError:
+            raise DomainError(f"E^2 or m0^2 c^4 leaves the float range for {self} at c = {c!r}") from None
+        scale = e2 + p2c2 + rhs  # three squares, so no abs() is needed
+        return abs(e2 - p2c2 - rhs) / scale if scale > 0 else abs(e2 - p2c2 - rhs)
 
     def validate(self, c: float, rtol: float = 1e-10) -> None:
         if self.m0 < 0:
             raise DomainError("rest mass must be >= 0")
         if self.E <= 0:
             raise DomainError("energy must be positive")
-        if self.mass_shell_residual(c) > rtol:
-            raise DomainError(
-                f"state off mass shell: relative residual {self.mass_shell_residual(c):.3e} > {rtol:.1e}"
-            )
+        residual = self.mass_shell_residual(c)
+        if not residual <= rtol:  # a NaN residual (|p|^2 past the float range) is off shell too
+            raise DomainError(f"state off mass shell: relative residual {residual:.3e} > {rtol:.1e}")
         expected_u = self.p * c**2 / self.E
         if float(np.max(np.abs(self.u - expected_u))) > rtol * max(c, self.speed()):
             raise DomainError("velocity inconsistent with p c^2 / E")
@@ -191,11 +192,7 @@ class ParticleState:
 def transform_particle(s: ParticleState, v: Sequence[float], c: float) -> ParticleState:
     """Boost a particle state via the four-vector (E/c, p); mass shell is preserved."""
     s.validate(c)
-    L = boost_matrix(v, c)
-    q = np.concatenate(([s.E / c], s.p))
-    qp = L @ q
-    E_new = float(qp[0] * c)
-    p_new = qp[1:].copy()
+    E_new, p_new = transform_wave(s.E, s.p, v, c)
     if E_new <= 0:
         raise DomainError("boost produced non-positive energy; input state was invalid")
     if not math.isfinite(E_new * E_new):

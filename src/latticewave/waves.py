@@ -252,8 +252,12 @@ class BeatSpec:
         return 1.0 / self.lam1 + 1.0 / self.lam2
 
 
-def _beat_phases(grid: GridSpec, nt: int, nx: int):
+def _beat_phases(b: BeatSpec, grid: GridSpec, nt: int, nx: int):
     check_size(nt * nx, "slab sites")
+    # every mode, envelope and carrier phase is at most 2 pi * cycles; 4 pi * cycles leaves a margin for rounding
+    cycles = (nt - 1) * grid.tau / min(abs(b.T1), abs(b.T2)) + (nx - 1) * grid.eps / min(abs(b.lam1), abs(b.lam2))
+    if not math.isfinite(4.0 * math.pi * cycles):
+        raise DomainError(f"beat phases over a {nt}x{nx} slab leave the float range for {b} on {grid}")
     t = np.arange(nt) * grid.tau
     x = np.arange(nx) * grid.eps
     return t[:, None], x[None, :]
@@ -279,20 +283,20 @@ def beat_field(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> FieldSlab:
     product of the slow and fast cosine factors at every site.
     """
     _require_envelope_coverage(b, grid, nt, nx, periods=2.0)
-    t, x = _beat_phases(grid, nt, nx)
+    t, x = _beat_phases(b, grid, nt, nx)
     psi = np.cos(2.0 * np.pi * (t / b.T1 - x / b.lam1)) + np.cos(2.0 * np.pi * (t / b.T2 - x / b.lam2))
     return FieldSlab(psi=psi.astype(np.complex128), grid=grid)
 
 
 def beat_envelope(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> np.ndarray:
     """The slow factor 2 cos pi{t(1/T1 - 1/T2) - x(1/lam1 - 1/lam2)}."""
-    t, x = _beat_phases(grid, nt, nx)
+    t, x = _beat_phases(b, grid, nt, nx)
     return 2.0 * np.cos(np.pi * (t * b.freq_diff - x * b.wavenum_diff))
 
 
 def beat_carrier(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> np.ndarray:
     """The fast factor cos pi{t(1/T1 + 1/T2) - x(1/lam1 + 1/lam2)}."""
-    t, x = _beat_phases(grid, nt, nx)
+    t, x = _beat_phases(b, grid, nt, nx)
     return np.cos(np.pi * (t * b.freq_sum - x * b.wavenum_sum))
 
 

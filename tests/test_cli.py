@@ -256,8 +256,12 @@ def test_parameters_across_the_float_range_exit_cleanly(tmp_path, capsys, argv, 
     ["kinematics-boost", "--m0", "1", "--c", "1e160", "--p", "0.75", "0", "0", "--v", "0.5", "0", "0"],
     ["kinematics-boost", "--m0", "1", "--p", "1e160", "0", "0", "--v", "0.5", "0", "0"],
     ["kinematics-boost", "--m0", "1", "--p", "1.2e154", "0", "0", "--v", "-0.5", "0", "0"],
+    ["beat-measure", "--t1", "1e-307", "--t2", "6", "--lam1", "3", "--lam2", "5"],
+    ["beat-measure", "--t1", "4", "--t2", "6", "--lam1", "3", "--lam2", "5", "--tau", "1e307"],
+    ["beat-measure", "--t1", "4", "--t2", "6", "--lam1", "3", "--lam2", "5", "--eps", "1e306"],
 ], ids=["quantization-m0-tiny", "quantization-m0-huge", "quantization-tau-huge", "quantization-p-squared",
-        "beat-t1-tiny", "beat-lam1-tiny", "boost-m0-huge", "boost-c-huge", "boost-p-huge", "boosted-energy-squared"])
+        "beat-t1-tiny", "beat-lam1-tiny", "boost-m0-huge", "boost-c-huge", "boost-p-huge", "boosted-energy-squared",
+        "beat-phases-t1", "beat-phases-tau", "beat-phases-eps"])
 def test_derived_values_out_of_the_float_range_are_domain_errors(tmp_path, capsys, argv):
     out = tmp_path / "out.json"
     assert main([*argv, "--output", str(out)]) == 3

@@ -123,13 +123,30 @@ SITE_ORDER_PROBLEMS = {
     SITE_ORDER_PROBLEMS["negative-index"],
     b"n,j,re,im\n0,0,1.0,\xff\n",
     SITE_ORDER_PROBLEMS["out-of-order"],
-], ids=["header-only", "short-row", "non-numeric", "duplicate-site", "negative-index", "non-utf8", "out-of-order"])
+    # csv.reader and float()/int() read the next four; slab_to_csv never writes them
+    b'n,j,re,im\n"0",0,1.0,0.0\n',
+    b"n,j,re,im\n0,0,1_0,0.0\n",
+    "n,j,re,im\n0,0,\u0661.5,0.0\n".encode(),
+    b"n,j,re,im\n0,0,1.0,0.0\r",
+    # only a whole line can be a comment
+    b"n,j,re,im\n0,0,1.0,0.0 # a comment after the cells\n",
+], ids=["header-only", "short-row", "non-numeric", "duplicate-site", "negative-index", "non-utf8", "out-of-order",
+        "quoted-cell", "underscore-digits", "non-ascii-digit", "lone-cr-line-end", "comment-after-cells"])
 def test_csv_malformed_body_rejected(tmp_path, raw):
     path = tmp_path / "bad.csv"
     path.write_bytes(raw)
     with pytest.raises(DomainError) as excinfo:
         load_slab_csv(path)
     assert str(excinfo.value).startswith(f"{path}: ")
+
+
+def test_crlf_file_with_a_comment_between_rows_loads_bit_for_bit(tmp_path):
+    slab = slab_from_parts(2, 2, [1.5, -0.0, math.inf, math.nan, -2.0, 0.0, 1e-300, -math.inf])
+    lines = slab_to_csv(slab, ["provenance"]).decode().splitlines()
+    lines.insert(4, "# a comment between data rows")
+    path = tmp_path / "crlf.csv"
+    path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+    assert load_slab_csv(path).psi.tobytes() == slab.psi.tobytes()
 
 
 def test_every_site_order_problem_gets_one_message(tmp_path):

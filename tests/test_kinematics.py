@@ -166,6 +166,12 @@ class TestTransformParticle:
                 s = transform_particle(s, v, 1.0)
             assert s.mass_shell_residual(1.0) <= 1e-10
 
+    def test_mass_shell_residual_is_the_relative_formula(self):
+        # every term below is exact in binary, so the comparison can be ==
+        s = ParticleState(E=2.0, p=[0.5, -1.0, 0.25], m0=1.5, u=[0.0, 0.0, 0.0])
+        e2, p2c2, m2c4 = 4.0, 1.3125 * 1.5**2, 1.5**2 * 1.5**4
+        assert s.mass_shell_residual(1.5) == abs(e2 - p2c2 - m2c4) / (e2 + p2c2 + m2c4)
+
     def test_invalid_state_rejected(self):
         bad = ParticleState(E=1.0, p=np.array([5.0, 0, 0]), m0=1.0, u=np.array([0.1, 0, 0]))
         with pytest.raises(DomainError):
@@ -232,6 +238,17 @@ class TestFloatRange:
         state = ParticleState.from_momentum([1.2e154, 0.0, 0.0], 1.0, 1.0)
         with pytest.raises(DomainError, match="float range"):
             transform_particle(state, [-0.5, 0.0, 0.0], 1.0)
+
+    def test_directly_built_state(self):
+        state = ParticleState(E=1e200, p=[0.0, 0.0, 0.0], m0=1e200, u=[0.0, 0.0, 0.0])
+        with pytest.raises(DomainError, match="float range"):
+            transform_particle(state, [0.5, 0.0, 0.0], 1.0)
+
+    def test_nan_mass_shell_residual_is_off_shell(self):
+        # |p|^2 overflows, so the residual is inf/inf = NaN, which no bound admits
+        state = ParticleState(E=1.0, p=[1e160, 0.0, 0.0], m0=0.0, u=[1e160, 0.0, 0.0])
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="off mass shell"):
+            state.validate(1.0)
 
     @pytest.mark.parametrize("p, m0, c", [([0.75, 0.0, 0.0], 1.0, 1.0), ([3e153, 1e-200, 0.0], 1e150, 1.0),
                                           ([0.0, 0.0, 1e-150], 1e-100, 1e20)])
