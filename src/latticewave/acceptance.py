@@ -107,6 +107,10 @@ def _criterion_1_transform_equivalence(rng: np.random.Generator, as_printed: fro
 def _criterion_2_discrete_mass_shell(rng: np.random.Generator, as_printed: frozenset) -> _Checker:
     c = _Checker()
     grid = GridSpec(tau=0.625, eps=0.25, c=2.0)
+    c2 = Fraction(grid.c) ** 2
+    c4 = c2 * c2
+    tau_num, tau_den = grid.tau.as_integer_ratio()
+    eps_num, eps_den = grid.eps.as_integer_ratio()
     worst = 0.0
     exact_ok = True
     count = 0
@@ -120,14 +124,16 @@ def _criterion_2_discrete_mass_shell(rng: np.random.Generator, as_printed: froze
         state = discrete_energy_momentum(m0, step, grid)
         worst = max(worst, state.mass_shell_residual(grid.c))
         m = Fraction(m0)
-        cf = Fraction(grid.c)
         E2, p2, u2 = energy_momentum_squared_exact(m, step, grid)
-        exact_ok &= E2 - p2 * cf * cf == m * m * cf**4
-        exact_ok &= step_velocity(step, grid) == tuple(
-            Fraction(d) * Fraction(grid.eps) / (dn * Fraction(grid.tau)) for d in dj
+        exact_ok &= E2 - p2 * c2 == m * m * c4
+        # u dt = dx, cross-multiplied: u_num dn tau = d eps u_den
+        u = step_velocity(step, grid)
+        exact_ok &= len(u) == 3 and all(
+            ui.numerator * dn * tau_num * eps_den == d * eps_num * tau_den * ui.denominator
+            for ui, d in zip(u, dj)
         )
-        if p2 > 0:
-            exact_ok &= u2 == p2 * cf**4 / E2
+        # u^2 = p^2 c^4 / E^2, with E^2 > 0 on a timelike step
+        exact_ok &= u2 * E2 == p2 * c4
         count += 1
     c.check("mass-shell relative residual over 1000 timelike steps", worst, 1e-12)
     c.require("u = dx/dt and the shell identity, exact in rational arithmetic", exact_ok)

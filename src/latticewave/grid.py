@@ -175,6 +175,35 @@ def save_slab_csv(slab: FieldSlab, path: str | Path, header_lines: Iterable[str]
     Path(path).write_bytes(slab_to_csv(slab, header_lines))
 
 
+def _parse_rows(rows: list[str]) -> np.ndarray:
+    return np.loadtxt(rows, delimiter=",", comments=None, quotechar=None, dtype=_CSV_ROW, ndmin=1)
+
+
+def _first_bad_row(text: str, lines: list[str]) -> tuple[int, str]:
+    """(1-based line number in the file, text) of the first data row the parser rejects.
+
+    ``lines`` are the header and data rows of ``text``, which failed to
+    parse as a whole. Rows parse independently, so a prefix of them fails
+    exactly when it holds a bad row; bisection over prefix lengths finds
+    the first one.
+    """
+    good, bad = 1, len(lines)  # lines[1:good] parse, lines[1:bad] fail
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            _parse_rows(lines[1:mid])
+            good = mid
+        except ValueError:
+            bad = mid
+    # skipped lines (empty or '#') never equal a header or data row, so each
+    # kept line is the next line of the file equal to it
+    all_lines = text.split("\n")
+    index = -1
+    for line in lines[:bad]:
+        index = all_lines.index(line, index + 1)
+    return index + 1, lines[bad - 1]
+
+
 def load_slab_csv(path: str | Path, grid: GridSpec = GridSpec()) -> FieldSlab:
     """Read back exactly the layout slab_to_csv writes; anything else is a DomainError."""
     path = Path(path)
@@ -190,9 +219,11 @@ def load_slab_csv(path: str | Path, grid: GridSpec = GridSpec()) -> FieldSlab:
     if len(lines) < 2:
         raise DomainError(f"{path}: slab CSV has no data rows")
     try:
-        rows = np.loadtxt(lines[1:], delimiter=",", comments=None, quotechar=None, dtype=_CSV_ROW, ndmin=1)
-    except ValueError as exc:
-        raise DomainError(f"{path}: slab CSV data rows must be two integers and two floats ({exc})") from None
+        rows = _parse_rows(lines[1:])
+    except ValueError:
+        lineno, line = _first_bad_row(text, lines)
+        raise DomainError(f"{path}: line {lineno}: slab CSV data rows must be two integers and two floats, "
+                          f"got {line[:80]!r}") from None
     # row k must be site (k // nx, k % nx) of a full rectangle
     nx = 1 + int(rows["j"].max())
     k = np.arange(len(rows))

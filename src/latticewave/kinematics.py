@@ -252,58 +252,77 @@ class LatticeStep:
     dj: tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self):
-        if not (isinstance(self.dn, int) and self.dn >= 1):
+        if not (_is_integer(self.dn) and self.dn >= 1):
             raise DomainError(f"dn must be a positive integer, got {self.dn!r}")
-        if len(self.dj) != 3 or not all(isinstance(d, int) for d in self.dj):
+        if len(self.dj) != 3 or not all(_is_integer(d) for d in self.dj):
             raise DomainError(f"dj must be three integers, got {self.dj!r}")
         object.__setattr__(self, "dj", tuple(self.dj))
 
 
-def _exact_interval(step: LatticeStep, grid: GridSpec) -> tuple[Fraction, tuple[Fraction, ...], Fraction]:
-    """(c*dt, dx vector, s = (c dt)^2 - |dx|^2) in exact rational arithmetic."""
-    tau = Fraction(grid.tau)
-    eps = Fraction(grid.eps)
-    c = Fraction(grid.c)
-    cdt = c * step.dn * tau
-    dx = tuple(Fraction(d) * eps for d in step.dj)
-    s = cdt * cdt - sum(x * x for x in dx)
-    return cdt, dx, s
+def _is_integer(value) -> bool:
+    """An int, never a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _mass_ratio(m0, what: str) -> tuple[int, int]:
+    """m0 as (numerator, denominator); a NaN or infinite m0 is a DomainError."""
+    try:
+        m = Fraction(m0)
+    except (ValueError, OverflowError):
+        raise DomainError(f"{what} needs a finite m0, got {m0!r}") from None
+    return m.numerator, m.denominator
+
+
+def _exact_interval(step: LatticeStep, grid: GridSpec) -> tuple:
+    """c, c dt, eps, |dj|^2 and s = (c dt)^2 - |dx|^2 in exact integer arithmetic.
+
+    Each rational is a pair (num, den) with den > 0; |dx|^2 = |dj|^2 eps^2.
+    """
+    cn, cd = grid.c.as_integer_ratio()
+    tn, td = grid.tau.as_integer_ratio()
+    en, ed = grid.eps.as_integer_ratio()
+    a, b = cn * step.dn * tn, cd * td
+    d2 = sum(d * d for d in step.dj)
+    s_num = (a * ed) ** 2 - d2 * (en * b) ** 2
+    return (cn, cd), (a, b), (en, ed), d2, (s_num, (b * ed) ** 2)
 
 
 def step_velocity(step: LatticeStep, grid: GridSpec) -> tuple[Fraction, Fraction, Fraction]:
     """u = dx/dt componentwise, exact whenever tau and eps are exact."""
-    tau = Fraction(grid.tau)
-    eps = Fraction(grid.eps)
-    dt = step.dn * tau
-    return tuple(Fraction(d) * eps / dt for d in step.dj)  # type: ignore[return-value]
+    tn, td = grid.tau.as_integer_ratio()
+    en, ed = grid.eps.as_integer_ratio()
+    den = ed * step.dn * tn
+    return tuple(Fraction(d * en * td, den) for d in step.dj)  # type: ignore[return-value]
 
 
 def discrete_energy_momentum(m0: float, step: LatticeStep, grid: GridSpec) -> ParticleState:
     """Energy and momentum of a massive particle hopping dn, dj per event.
 
-    Requires a strictly timelike step. The velocity u = dx/dt is computed
-    as an exact rational before conversion; E and p spend the single
-    square root on the interval.
+    Requires a strictly timelike step. E, p and the velocity u = dx/dt are
+    exact rationals rounded once (an int / int true division is correctly
+    rounded); E and p spend the single square root on the interval.
     """
     if m0 <= 0:
         raise DomainError("discrete energy-momentum needs m0 > 0 (the map degenerates at m0 = 0)")
-    cdt, dx, s = _exact_interval(step, grid)
-    if s <= 0:
-        kind = "lightlike" if s == 0 else "spacelike"
+    mn, md = _mass_ratio(m0, "discrete energy-momentum")
+    (cn, cd), (a, b), (en, ed), _, (s_num, s_den) = _exact_interval(step, grid)
+    if s_num <= 0:
+        kind = "lightlike" if s_num == 0 else "spacelike"
         raise DomainError(f"step {step} is {kind} on this grid; a massive state needs (c dt)^2 > |dx|^2")
-    m0_f = Fraction(m0)
-    c = Fraction(grid.c)
     try:
-        root = math.sqrt(float(s))
-        E = float(m0_f * c * c * cdt) / root
-        p = np.array([float(m0_f * c * x) / root for x in dx])
+        root = math.sqrt(s_num / s_den)
+        E = mn * cn * cn * a / (md * cd * cd * b) / root
+        pn, pd = mn * cn * en, md * cd * ed
+        p = np.array([pn * d / pd / root for d in step.dj])
         with np.errstate(over="ignore"):
             in_range = E > 0.0 and math.isfinite(E * E) and math.isfinite(p @ p)
     except (OverflowError, ZeroDivisionError):
         in_range = False
     if not in_range:
         raise DomainError(f"step {step} at m0 = {m0!r}: E^2 or |p|^2 leaves the float range, or E underflows to 0")
-    u = np.array([float(ui) for ui in step_velocity(step, grid)])
+    # u = c dx / (c dt)
+    un, ud = cn * en * b, cd * ed * a
+    u = np.array([un * d / ud for d in step.dj])
     return ParticleState(E=E, p=p, m0=m0, u=u)
 
 
@@ -311,15 +330,15 @@ def energy_momentum_squared_exact(
     m0: float | Fraction, step: LatticeStep, grid: GridSpec
 ) -> tuple[Fraction, Fraction, Fraction]:
     """(E^2, |p|^2, |u|^2) as exact rationals; the square root cancels in all three."""
-    cdt, dx, s = _exact_interval(step, grid)
-    if s <= 0:
+    mn, md = _mass_ratio(m0, "exact squares")
+    (cn, cd), (a, b), (en, ed), d2, (s_num, _) = _exact_interval(step, grid)
+    if s_num <= 0:
         raise DomainError("exact squares need a strictly timelike step")
-    m = Fraction(m0)
-    c = Fraction(grid.c)
-    dx2 = sum(x * x for x in dx)
-    E2 = m * m * c**4 * cdt * cdt / s
-    p2 = m * m * c * c * dx2 / s
-    u2 = dx2 * c * c / (cdt * cdt)
+    # s = s_num / (b ed)^2, so E^2 = m^2 c^4 (c dt)^2 / s and |p|^2 = m^2 c^2 |dx|^2 / s
+    m2c2_num, m2c2_den = (mn * cn) ** 2, (md * cd) ** 2
+    E2 = Fraction(m2c2_num * cn * cn * (a * ed) ** 2, m2c2_den * cd * cd * s_num)
+    p2 = Fraction(m2c2_num * d2 * (en * b) ** 2, m2c2_den * s_num)
+    u2 = Fraction(d2 * (cn * en * b) ** 2, (cd * ed * a) ** 2)
     return E2, p2, u2
 
 

@@ -432,6 +432,11 @@ def measure_group_velocity(
         positions[n] = measure_slice(env_sq[n], predicted)
         velocity_guess = positions[n] - positions[n - 1]
 
-    times = np.arange(nt) * grid.tau
-    slope = np.polyfit(times, positions * grid.eps, 1)[0]
-    return float(slope)
+    # fit in sites per step, then scale: fitting in physical units squares
+    # abscissae like n * tau inside polyfit, which overflows for large tau
+    velocity = float(np.polyfit(np.arange(nt), positions, 1)[0]) * grid.eps / grid.tau
+    if not math.isfinite(velocity):
+        raise DomainError(
+            f"group velocity {velocity!r} leaves the float range at eps = {grid.eps!r}, tau = {grid.tau!r}"
+        )
+    return velocity

@@ -269,6 +269,16 @@ def test_derived_values_out_of_the_float_range_are_domain_errors(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid_args", [["--tau", "1e160"], ["--eps", "1e304"]], ids=["tau-huge", "eps-huge"])
+def test_beat_measure_on_a_coarse_grid_reports_a_finite_velocity(tmp_path, grid_args):
+    # fitting against n * tau once overflowed here into a measured velocity of 0.0 or NaN
+    out = tmp_path / "out.json"
+    assert main(["beat-measure", "--t1", "4", "--t2", "6", "--lam1", "3", "--lam2", "5", *grid_args,
+                 "--format", "json", "--output", str(out)]) == 0
+    measured = read_json(out)["result"]["measured_v_group"]
+    assert math.isfinite(measured) and measured != 0.0
+
+
 class TestRunConfigs:
     def config(self, tmp_path, **overrides):
         cfg = {

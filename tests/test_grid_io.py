@@ -140,6 +140,20 @@ def test_csv_malformed_body_rejected(tmp_path, raw):
     assert str(excinfo.value).startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize("raw, lineno, row", [
+    (b"# provenance\n# more\nn,j,re,im\n0,0,1.0\n", 4, "0,0,1.0"),
+    (b"# provenance\r\n\r\nn,j,re,im\r\n0,0,1,0\r\n# note\r\n0,1,1_0,0\r\n0,2,x,0\r\n", 6, "0,1,1_0,0"),
+    (b"#\nn,j,re,im\n" + b"".join(b"0,%d,1,0\n" % j for j in range(100)) + b"  # aside\n0,100,1,0,0\n", 104, "0,100,1,0,0"),
+], ids=["short-row", "crlf-bad-cell", "long-row"])
+def test_csv_row_errors_name_the_line_of_the_file(tmp_path, raw, lineno, row):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(raw)
+    with pytest.raises(DomainError) as excinfo:
+        load_slab_csv(path)
+    assert str(excinfo.value).startswith(f"{path}: line {lineno}: ")
+    assert str(excinfo.value).endswith(f"got {row!r}")
+
+
 def test_crlf_file_with_a_comment_between_rows_loads_bit_for_bit(tmp_path):
     slab = slab_from_parts(2, 2, [1.5, -0.0, math.inf, math.nan, -2.0, 0.0, 1e-300, -math.inf])
     lines = slab_to_csv(slab, ["provenance"]).decode().splitlines()

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latticewave import (
     DomainError,
@@ -27,6 +28,7 @@ from latticewave import (
     transform_wave,
     transform_wave_scalar,
 )
+from latticewave.kinematics import _exact_interval
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -317,6 +319,134 @@ class TestDiscreteEnergyMomentum:
             expected = tuple(Fraction(d) * Fraction(grid.eps) / (dn * Fraction(grid.tau)) for d in dj)
             assert u == expected
             checked += 1
+
+
+class TestLatticeStep:
+    @pytest.mark.parametrize("dn, dj", [
+        (True, (0, 0, 0)),
+        (1, (True, 0, 0)),
+        (0, (0, 0, 0)),
+        (2.0, (0, 0, 0)),
+        (1, (0, 0.0, 0)),
+        (1, (0, 0)),
+    ], ids=["bool-dn", "bool-dj", "zero-dn", "float-dn", "float-dj", "two-dj"])
+    def test_rejected(self, dn, dj):
+        with pytest.raises(DomainError):
+            LatticeStep(dn=dn, dj=dj)
+
+
+@pytest.mark.parametrize("m0", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("function", [discrete_energy_momentum, energy_momentum_squared_exact])
+def test_non_finite_mass_is_a_domain_error(function, m0):
+    with pytest.raises(DomainError, match="m0"):
+        function(m0, LatticeStep(dn=2, dj=(1, 0, 0)), GridSpec())
+
+
+# --- the exact kinematics, differentially against Fractions throughout -------
+#
+# The oracle is the straightforward Fraction formulation of the lattice
+# kinematics: every intermediate is a Fraction and each float is
+# float(Fraction) / sqrt(float(s)).
+
+
+def oracle_exact_interval(step, grid):
+    tau, eps, c = Fraction(grid.tau), Fraction(grid.eps), Fraction(grid.c)
+    cdt = c * step.dn * tau
+    dx = tuple(Fraction(d) * eps for d in step.dj)
+    return cdt, dx, cdt * cdt - sum(x * x for x in dx)
+
+
+def oracle_step_velocity(step, grid):
+    dt = step.dn * Fraction(grid.tau)
+    return tuple(Fraction(d) * Fraction(grid.eps) / dt for d in step.dj)
+
+
+def oracle_discrete_energy_momentum(m0, step, grid):
+    if m0 <= 0:
+        raise DomainError("m0 <= 0")
+    cdt, dx, s = oracle_exact_interval(step, grid)
+    if s <= 0:
+        raise DomainError("not timelike")
+    m, c = Fraction(m0), Fraction(grid.c)
+    try:
+        root = math.sqrt(float(s))
+        E = float(m * c * c * cdt) / root
+        p = np.array([float(m * c * x) / root for x in dx])
+        with np.errstate(over="ignore"):
+            in_range = E > 0.0 and math.isfinite(E * E) and math.isfinite(p @ p)
+    except (OverflowError, ZeroDivisionError):
+        in_range = False
+    if not in_range:
+        raise DomainError("float range")
+    u = np.array([float(ui) for ui in oracle_step_velocity(step, grid)])
+    return E, p, u
+
+
+def oracle_energy_momentum_squared_exact(m0, step, grid):
+    cdt, dx, s = oracle_exact_interval(step, grid)
+    if s <= 0:
+        raise DomainError("not timelike")
+    m, c = Fraction(m0), Fraction(grid.c)
+    dx2 = sum(x * x for x in dx)
+    return m * m * c**4 * cdt * cdt / s, m * m * c * c * dx2 / s, dx2 * c * c / (cdt * cdt)
+
+
+def outcome(function, *args):
+    """The function's result, or the type of the exception it raised."""
+    try:
+        return function(*args)
+    except Exception as exc:  # the type is compared against the oracle's
+        return type(exc)
+
+
+MODERATE_CONSTANTS = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.integers(min_value=1, max_value=10**6),
+    st.sampled_from([0.1, 0.3, 1 / 3, 0.7, 1.9, 2.0]),
+)
+GRID_CONSTANTS = st.one_of(
+    MODERATE_CONSTANTS,
+    st.floats(min_value=1e-300, max_value=1e-290),
+    st.floats(min_value=1e290, max_value=1e300),
+    st.sampled_from([5e-324, 1.7976931348623157e308]),
+)
+GRIDS = st.one_of(
+    st.builds(GridSpec, tau=MODERATE_CONSTANTS, eps=MODERATE_CONSTANTS, c=MODERATE_CONSTANTS),
+    st.builds(GridSpec, tau=GRID_CONSTANTS, eps=GRID_CONSTANTS, c=GRID_CONSTANTS),
+)
+STEPS = st.builds(
+    LatticeStep,
+    dn=st.one_of(st.integers(1, 40), st.integers(1, 10**6)),
+    dj=st.tuples(*[st.integers(-(10**6), 10**6) | st.integers(-12, 12)] * 3),
+)
+MASSES = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.fractions(min_value=0, max_value=10**9),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(m0=MASSES, step=STEPS, grid=GRIDS)
+def test_integer_kinematics_match_the_fraction_oracle(m0, step, grid):
+    (cn, cd), (a, b), (en, ed), d2, (s_num, s_den) = _exact_interval(step, grid)
+    cdt, dx, s = oracle_exact_interval(step, grid)
+    assert Fraction(cn, cd) == Fraction(grid.c)
+    assert (Fraction(a, b), Fraction(en, ed) ** 2 * d2, Fraction(s_num, s_den)) == (cdt, sum(x * x for x in dx), s)
+
+    assert step_velocity(step, grid) == oracle_step_velocity(step, grid)
+
+    expected = outcome(oracle_energy_momentum_squared_exact, m0, step, grid)
+    assert outcome(energy_momentum_squared_exact, m0, step, grid) == expected
+
+    expected = outcome(oracle_discrete_energy_momentum, m0, step, grid)
+    state = outcome(discrete_energy_momentum, m0, step, grid)
+    if isinstance(expected, type):
+        assert state is expected
+    else:
+        E, p, u = expected
+        assert (state.E.hex(), state.p.tobytes(), state.u.tobytes()) == (E.hex(), p.tobytes(), u.tobytes())
+        assert state.m0 == m0
 
 
 class TestTotalDifference:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from latticewave import (
     BeatSpec,
     DomainError,
+    FieldSlab,
     GridSpec,
     INFINITE,
     MeasurementError,
@@ -268,6 +269,19 @@ class TestMeasureGroupVelocity:
         window = max(1, round((2.0 / abs(self.BEAT.wavenum_sum)) / grid.eps))
         measured = measure_group_velocity(slab, carrier_window=window)
         assert measured == pytest.approx(0.625, rel=0.02)
+
+    @pytest.mark.parametrize("tau, eps", [(1e160, 1.0), (1.0, 1e304), (0.5, 3.0)])
+    def test_fitted_in_sites_per_step_then_scaled(self, tau, eps):
+        # the coarse-grained envelope depends on psi alone, so the crests are the same sites
+        psi = beat_field(self.BEAT, GridSpec(), 128, 512).psi
+        sites_per_step = measure_group_velocity(FieldSlab(psi), carrier_window=2)
+        measured = measure_group_velocity(FieldSlab(psi, GridSpec(tau=tau, eps=eps)), carrier_window=2)
+        assert measured == sites_per_step * eps / tau != 0.0
+
+    def test_velocity_past_the_float_range_is_domain_error(self):
+        psi = beat_field(self.BEAT, GridSpec(), 128, 512).psi
+        with pytest.raises(DomainError, match="float range"):
+            measure_group_velocity(FieldSlab(psi, GridSpec(tau=1e-10, eps=1e308)), carrier_window=2)
 
     def test_flat_envelope_is_measurement_error(self):
         b = BeatSpec(T1=4.0, T2=4.0, lam1=3.0, lam2=3.0)
