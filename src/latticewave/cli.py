@@ -15,6 +15,7 @@ names the violated precondition, e.g. a derived value out of the float range).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -158,7 +159,7 @@ class RunConfig:
         return {
             "experiment": self.experiment,
             "grid": asdict(self.grid),
-            "params": _json_safe(self.params),
+            "params": {name: _json_leaf(value) for name, value in self.params.items()},
             "format": self.format,
             "seed": self.seed,
         }
@@ -238,28 +239,77 @@ class SlabOutput:
     extra_meta: dict
 
 
-def _fmt_cell(value) -> str:
+def _json_leaf(value):
+    """A non-container value as JSON holds it: INFINITE as "inf", numpy scalars as Python numbers."""
     if isinstance(value, Infinite):
         return "inf"
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    return value
+
+
+def _fmt_cell(value) -> str:
+    value = _json_leaf(value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
-def _json_safe(value):
-    if isinstance(value, Infinite):
-        return "inf"
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """The text of ``json.dumps(value, sort_keys=True, indent=2)`` with leaves passed through _json_leaf.
+
+    One recursive pass with the stdlib's layout: with ``indent`` the stdlib
+    runs its pure-Python encoder, which is several times slower. Dict keys
+    must be strings; any other type without a JSON form is a TypeError.
+    """
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
     if isinstance(value, np.ndarray):
-        return [_json_safe(v) for v in value.tolist()]
-    return value
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        if set(map(type, value)) == {int}:  # not bool: int.__repr__(True) is "1"
+            items = map(int.__repr__, value)
+        else:
+            items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [_json_string(key) + ": " + _json_text(v, inner) for key, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    leaf = _json_leaf(value)
+    if leaf is value:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return _json_text(leaf, indent)
 
 
 def _provenance_lines(cfg: RunConfig, checks: tuple[str, ...], extra: dict | None = None) -> list[str]:
@@ -289,11 +339,11 @@ def _render(cfg: RunConfig, result, checks: tuple[str, ...]) -> bytes:
             },
         }
         if isinstance(result, TableOutput):
-            payload["columns"] = list(result.columns)
-            payload["rows"] = [[_json_safe(v) for v in row] for row in result.rows]
+            payload["columns"] = result.columns
+            payload["rows"] = result.rows
         else:
-            payload["result"] = _json_safe(result.payload)
-        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+            payload["result"] = result.payload
+        return (_json_text(payload) + "\n").encode()
     if isinstance(result, SlabOutput):
         return slab_to_csv(result.slab, _provenance_lines(cfg, checks, result.extra_meta))
     lines = [f"# {line}" for line in _provenance_lines(cfg, checks, {"columns": result.column_doc})]
@@ -622,7 +672,9 @@ def _flag_name(param: Param) -> str:
     return "--" + param.name.replace("_", "-")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="latticewave",
         description="Numerical certification toolkit for wave mechanics on a space-time lattice.",
@@ -675,8 +727,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
             return run(load_config(args.config))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -105,8 +106,12 @@ class GridSpec:
     def __post_init__(self):
         for name in ("tau", "eps", "c", "hbar"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and value > 0 and math.isfinite(value)):
-                raise DomainError(f"GridSpec.{name} must be a finite positive number, got {value!r}")
+            # compared, not converted: an int past the float range must not raise OverflowError,
+            # nor be printed in full (repr refuses ints of more than 4300 digits)
+            if not (isinstance(value, (int, float)) and 0 < value <= sys.float_info.max):
+                too_long = isinstance(value, int) and value.bit_length() > 1024
+                shown = f"an int of {value.bit_length()} bits" if too_long else repr(value)
+                raise DomainError(f"GridSpec.{name} must be a finite positive number, got {shown}")
 
     @property
     def h(self) -> float:

@@ -20,6 +20,7 @@ overflow impossible.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -47,7 +48,12 @@ _S4_PRINTED: Entries = ((2, 1, 1, 1), (-1, 0, -1, -1), (-1, -1, 0, 1), (-1, -1, 
 
 
 def _as_entries(m) -> Entries:
-    rows = tuple(tuple(map(int, row)) for row in m)
+    """m's rows as int tuples. Entries must be integers (have ``__index__``); a float or a str
+    is a DomainError, never truncated or parsed."""
+    try:
+        rows = tuple([tuple(map(operator.index, row)) for row in m])
+    except TypeError:
+        raise DomainError(f"expected a 4x4 matrix of integers, got {m!r}") from None
     if len(rows) != 4 or any(len(r) != 4 for r in rows):
         raise DomainError("expected a 4x4 integer matrix")
     return rows
@@ -129,7 +135,8 @@ class IntLorentzMatrix:
         return _det4(self.entries)
 
     def flat(self) -> tuple[int, ...]:
-        return tuple(x for row in self.entries for x in row)
+        r0, r1, r2, r3 = self.entries
+        return (*r0, *r1, *r2, *r3)
 
 
 def _det3(m, r0, r1, r2, c0, c1, c2) -> int:
@@ -238,7 +245,10 @@ def act(m: IntLorentzMatrix, v: Sequence[int]) -> tuple[int, int, int, int]:
     """Exact matrix-vector action on an integer 4-vector."""
     if len(v) != 4:
         raise DomainError("expected a 4-vector")
-    vv = tuple(int(x) for x in v)
+    try:
+        vv = tuple(map(operator.index, v))
+    except TypeError:
+        raise DomainError(f"expected a 4-vector of integers, got {v!r}") from None
     e = m.entries
     return tuple(sum(e[i][k] * vv[k] for k in range(4)) for i in range(4))  # type: ignore[return-value]
 
@@ -347,7 +357,11 @@ def matrix_to_json(m: IntLorentzMatrix) -> list[int]:
 
 
 def matrix_from_json(values: Sequence[int]) -> IntLorentzMatrix:
-    values = [int(v) for v in values]
+    """The matrix of 16 row-major integers; any other entry is a DomainError."""
+    try:
+        values = list(map(operator.index, values))
+    except TypeError:
+        raise DomainError(f"expected 16 integers, got {values!r}") from None
     if len(values) != 16:
         raise DomainError(f"expected 16 integers, got {len(values)}")
     rows = tuple(tuple(values[4 * i : 4 * i + 4]) for i in range(4))

@@ -375,7 +375,9 @@ def measure_group_velocity(
     sites (one fast period). Crest positions are refined by quadratic
     interpolation around the discrete argmax, followed from slice to slice
     by nearest-candidate continuity, unwrapped, and fitted against time by
-    least squares.
+    least squares. With ``beat`` given, a slab that aliases the envelope
+    (crests under 2 sites apart, or a crest moving more than half the crest
+    spacing per step) is a MeasurementError.
     """
     nt, nx = field.nt, field.nx
     grid = field.grid
@@ -390,6 +392,17 @@ def measure_group_velocity(
         crest_sites = (2.0 / abs(beat.wavenum_diff)) / grid.eps / 2.0
         if nx * grid.eps < 3.0 * (2.0 / abs(beat.wavenum_diff)):
             raise DomainError("fewer than 3 envelope periods resolved across the slab")
+        # a slab coarser than the envelope aliases it: the tracked crests are not the envelope's
+        if crest_sites < 2.0:
+            raise MeasurementError(
+                f"envelope crests {crest_sites!r} sites apart are under-resolved; at least 2 sites are needed"
+            )
+        step_sites = abs(beat_group_velocity(beat)) * grid.tau / grid.eps
+        if step_sites > crest_sites / 2.0:
+            raise MeasurementError(
+                f"envelope crest moves {step_sites!r} sites per step, more than half its "
+                f"{crest_sites!r}-site spacing; its motion is aliased"
+            )
     else:
         if carrier_window is None or carrier_window < 1:
             raise DomainError("coarse-grained tracking needs carrier_window >= 1 (sites per fast period)")

@@ -3,8 +3,9 @@
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from latticewave import (
     INFINITE,
@@ -23,7 +24,7 @@ from latticewave import (
     preserves_metric,
     sample_wave,
 )
-from latticewave.cli import EXPERIMENTS, GRID_KEYS, RunConfig, build_config, load_config, main
+from latticewave.cli import EXPERIMENTS, GRID_KEYS, RunConfig, _json_text, build_config, build_parser, load_config, main
 
 CAYLEY_M0 = repr(2 * math.pi / math.sqrt(12))
 REST5_M0 = repr(mass_from_rest_period(5, GridSpec()))
@@ -269,14 +270,16 @@ def test_derived_values_out_of_the_float_range_are_domain_errors(tmp_path, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("grid_args", [["--tau", "1e160"], ["--eps", "1e304"]], ids=["tau-huge", "eps-huge"])
-def test_beat_measure_on_a_coarse_grid_reports_a_finite_velocity(tmp_path, grid_args):
-    # fitting against n * tau once overflowed here into a measured velocity of 0.0 or NaN
+@pytest.mark.parametrize("grid_args, reason", [(["--tau", "1e160"], "aliased"), (["--eps", "1e304"], "under-resolved")],
+                         ids=["tau-huge", "eps-huge"])
+def test_beat_measure_on_an_aliasing_grid_is_a_measurement_error(tmp_path, capsys, grid_args, reason):
+    # the envelope moves ~6e159 sites per step, or its crests are ~7.5e-304 sites apart;
+    # tracking it once reported a finite velocity with relative error 1.0
     out = tmp_path / "out.json"
     assert main(["beat-measure", "--t1", "4", "--t2", "6", "--lam1", "3", "--lam2", "5", *grid_args,
-                 "--format", "json", "--output", str(out)]) == 0
-    measured = read_json(out)["result"]["measured_v_group"]
-    assert math.isfinite(measured) and measured != 0.0
+                 "--format", "json", "--output", str(out)]) == 3
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestRunConfigs:
@@ -464,6 +467,19 @@ class TestVerifyAll:
         assert code == 1
         assert "[FAIL] criterion 6" in capsys.readouterr().out
 
+    def test_the_shared_parser_carries_nothing_between_calls(self, tmp_path, capsys):
+        # main parses with one parser per process; an --as-printed value or the --quiet flag
+        # must not leak into the next call, nor an appended variant into the append default
+        assert build_parser() is build_parser()
+        assert main(["verify-all", "--quiet", "--as-printed", "s4"]) == 1
+        assert main(["verify-all", "--output", str(tmp_path / "report.txt")]) == 0
+        assert build_parser().parse_args(["verify-all"]).as_printed == []
+        quiet, verbose = capsys.readouterr().out.split("9/10 criteria passed\n")
+        assert "[FAIL] criterion 8" in quiet and "\n    " not in quiet
+        assert verbose.endswith("10/10 criteria passed\n") and verbose.count("[PASS]") == 10
+        assert "\n    " in verbose and "[FAIL]" not in verbose
+        assert "# as-printed: none" in (tmp_path / "report.txt").read_text()
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
@@ -495,3 +511,64 @@ def test_any_json_in_config_slots_gives_a_config_or_a_config_error(tmp_path, dat
         return
     assert isinstance(run_config, RunConfig)
     assert len(run_config.config_hash()) == 64
+
+
+# --- the JSON renderer against the stdlib encoder -----------------------------------
+
+
+def oracle_json_safe(value):
+    """The normalization the CLI applied before handing a payload to json.dumps."""
+    if value is INFINITE:
+        return "inf"
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, dict):
+        return {k: oracle_json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [oracle_json_safe(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [oracle_json_safe(v) for v in value.tolist()]
+    return value
+
+
+def oracle_render(value) -> str:
+    return json.dumps(oracle_json_safe(value), sort_keys=True, indent=2)
+
+
+RENDER_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16])
+    | st.text(max_size=6) | st.sampled_from(["\u00e9\u2603\U0001f600", "\"\\\n\t\x00\x7f", ""])
+    | st.just(INFINITE)
+    | st.floats(width=64).map(np.float64) | st.floats(width=32).map(np.float32)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64) | st.integers(-128, 127).map(np.int8)
+    | st.integers(0, 2**64 - 1).map(np.uint64)
+)
+RENDER_VALUES = st.recursive(
+    RENDER_LEAVES,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+                   | st.lists(st.integers() | st.booleans(), max_size=6)
+                   | st.lists(st.floats(), max_size=6).map(np.array)
+                   | st.lists(st.lists(st.integers(-99, 99), min_size=2, max_size=2), max_size=3).map(
+                       lambda rows: np.array(rows, dtype=np.int64).reshape(-1, 2))),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(RENDER_VALUES)
+@example({"count": 2, "matrices": [[1, 0, 0, 0] * 4, [2, 1, 1, 1] * 4], "empty": [], "nothing": {}})
+@example({"flags": [1, True, 0, False], "mixed": (1, 2.5, "inf", None)})
+@example({"rows": [(0, 1, 0.5, -0.0), (1, 0, math.nan, math.inf)], "z\u00e9": {"b": 1, "a": [INFINITE]}})
+def test_the_json_renderer_writes_the_stdlib_text(value):
+    assert _json_text(value) == oracle_render(value)
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), object(), {1, 2}, b"bytes", 1j, {1: "int key"}],
+                         ids=["numpy-bool", "object", "set", "bytes", "complex", "int-key"])
+def test_the_json_renderer_rejects_values_without_a_json_form(value):
+    with pytest.raises(TypeError):
+        _json_text({"result": [value]})

@@ -266,6 +266,26 @@ class TestSerialization:
         with pytest.raises(DomainError):
             matrix_from_json([2] + [0] * 15)
 
+    def test_integer_entries_of_any_integer_type_are_accepted(self):
+        flat = matrix_to_json(generator("S4"))
+        assert matrix_from_json(np.array(flat, dtype=np.int64)).entries == generator("S4").entries
+        assert IntLorentzMatrix(np.eye(4, dtype=np.int32)).entries == IDENTITY.entries
+        assert act(IDENTITY, np.array([3, -1, 4, 1])) == (3, -1, 4, 1)
+
+
+NOT_INTEGERS = [1.9, 1.0, 1.5, "1", "x", None, 1 + 0j]
+
+
+@pytest.mark.parametrize("entry", NOT_INTEGERS, ids=repr)
+def test_a_non_integer_entry_is_a_domain_error_not_truncated(entry):
+    # int() once turned 1.9 into 1, so the truncated identity was certified
+    rows = [[entry, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    for build in (preserves_metric, IntLorentzMatrix, lambda m: metric_gram_defect(m, 0, 0),
+                  lambda m: matrix_from_json([x for row in m for x in row]),
+                  lambda m: act(IDENTITY, m[0])):
+        with pytest.raises(DomainError, match="integers"):
+            build(rows)
+
 
 # --- differential tests: the unrolled arithmetic against direct oracles ----------
 

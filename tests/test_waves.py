@@ -251,9 +251,26 @@ class TestMeasureGroupVelocity:
         assert measured == pytest.approx(0.625, rel=0.02)
 
     def test_standing_beat_measures_zero(self):
-        b = BeatSpec(T1=4.0, T2=4.0, lam1=3.0, lam2=-3.0)
+        b = BeatSpec(T1=4.0, T2=4.0, lam1=15.0, lam2=-15.0)
         measured = measure_group_velocity(beat_field(b, GridSpec(), 64, 64), beat=b)
         assert abs(measured) <= 0.01
+
+    @pytest.mark.parametrize("beat, grid, match", [
+        (BEAT, GridSpec(tau=1e160), "aliased"),
+        (BEAT, GridSpec(tau=6.1), "aliased"),
+        (BEAT, GridSpec(eps=1e304), "under-resolved"),
+        (BEAT, GridSpec(eps=3.8), "under-resolved"),
+        (BeatSpec(T1=4.0, T2=4.0, lam1=3.0, lam2=-3.0), GridSpec(), "under-resolved"),
+    ], ids=["tau-huge", "half-spacing-per-step", "eps-huge", "under-two-sites", "standing-1.5-sites"])
+    def test_aliased_envelope_is_measurement_error(self, beat, grid, match):
+        # crests 7.5 sites apart moving 0.625 sites per step at tau = eps = 1
+        with pytest.raises(MeasurementError, match=match):
+            measure_group_velocity(beat_field(beat, grid, 64, 512), beat=beat)
+
+    @pytest.mark.parametrize("grid", [GridSpec(tau=5.9), GridSpec(eps=3.75)], ids=["under-half-spacing", "two-sites"])
+    def test_envelope_just_inside_the_resolution_limits_is_measured(self, grid):
+        measured = measure_group_velocity(beat_field(self.BEAT, grid, 64, 512), beat=self.BEAT)
+        assert math.isfinite(measured)
 
     def test_error_halves_or_better_with_doubled_resolution(self):
         errors = []
