@@ -17,13 +17,14 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .diffcalc import SampledSequence, forward_avg, forward_diff
+from .diffcalc import DiffOp, apply_1d
 from .dispersion import DispersionForm, dispersion_residual, mass_from_rest_period, quantization_check, solve_modes
-from .grid import GridSpec, INFINITE
+from .grid import Axis, Boundary, FieldSlab, GridSpec, INFINITE
 from .kg_lattice import KGParams, evolve, plane_wave_residual
 from .kinematics import (
     LatticeStep,
     ParticleState,
+    boost_matrix,
     debroglie_map,
     discrete_energy_momentum,
     energy_momentum_squared_exact,
@@ -31,7 +32,9 @@ from .kinematics import (
     step_velocity,
     total_difference_mass_shell,
     transform_particle,
+    transform_particle_scalar,
     transform_wave,
+    transform_wave_scalar,
 )
 from .lorentz_int import (
     enumerate_ball,
@@ -73,7 +76,7 @@ class _Checker:
         self.details: list[str] = []
 
     def check(self, label: str, measured: float, bound: float) -> None:
-        ok = measured <= bound
+        ok = bool(measured <= bound)
         self.passed &= ok
         self.details.append(f"{label}: {measured:.3e} (bound {bound:.1e}) {'ok' if ok else 'FAILED'}")
 
@@ -89,18 +92,43 @@ class _Checker:
 GRID = GridSpec()
 
 
+def _uniform(r: np.ndarray, low: float, high: float) -> np.ndarray:
+    """rng.uniform(low, high) from rng.random() draws r, bit for bit."""
+    return low + (high - low) * r
+
+
+def _along_x(x: np.ndarray) -> np.ndarray:
+    """Stacked 3-vectors (x, 0, 0)."""
+    return np.stack([x, np.zeros_like(x), np.zeros_like(x)], axis=-1)
+
+
 def _criterion_1_transform_equivalence(rng: np.random.Generator, as_printed: frozenset) -> _Checker:
     c = _Checker()
-    worst = 0.0
-    for _ in range(1000):
-        s = ParticleState.from_momentum([rng.uniform(-3, 3), 0, 0], rng.uniform(0.05, 5.0), 1.0)
-        w, k = debroglie_map(s, 1.0)
-        v = [rng.uniform(-0.9, 0.9), 0, 0]
-        wp, kp = transform_wave(w, k, v, 1.0)
-        sp = transform_particle(s, v, 1.0)
-        scale = max(abs(sp.E), float(np.max(np.abs(sp.p))))
-        worst = max(worst, abs(wp - sp.E) / scale, float(np.max(np.abs(kp - sp.p))) / scale)
+    r = rng.random((1000, 3))  # per state p, m0, v: the draw order of one rng.uniform call each
+    s = ParticleState.from_momentum(_along_x(_uniform(r[:, 0], -3, 3)), _uniform(r[:, 1], 0.05, 5.0), 1.0)
+    v = _along_x(_uniform(r[:, 2], -0.9, 0.9))
+    wp, kp = transform_wave(*debroglie_map(s, 1.0), v, 1.0)
+    sp = transform_particle(s, v, 1.0)
+    scale = np.maximum(np.abs(sp.E), np.max(np.abs(sp.p), axis=-1))
+    worst = max(np.max(np.abs(wp - sp.E) / scale), np.max(np.max(np.abs(kp - sp.p), axis=-1) / scale))
     c.check("wave/particle boost agreement over 1000 states, relative", worst, 1e-12)
+    # at c = 2 and hbar = 0.5, with oblique momenta and boosts (|v| <= 1.1 sqrt(3) < c)
+    cc, hbar = 2.0, 0.5
+    s = ParticleState.from_momentum(rng.uniform(-3, 3, (1000, 3)), rng.uniform(0.05, 5.0, 1000), cc)
+    v = rng.uniform(-1.1, 1.1, (1000, 3))
+    w, k = debroglie_map(s, hbar)
+    wp, kp = transform_wave(w, k, v, cc)
+    sp = transform_particle(s, v, cc)
+    printed = np.maximum(np.abs(transform_wave_scalar(w, k, v, cc) - wp) / wp,
+                         np.abs(transform_particle_scalar(s, v, cc) - sp.E) / sp.E)
+    c.check("printed scalar w' and E' laws vs the four-vector boost at c = 2, oblique, relative",
+            np.max(printed), 1e-12)
+    L, eta = boost_matrix(v, cc), np.diag([1.0, -1.0, -1.0, -1.0])
+    c.check("L^T eta L = eta for each of those boosts, largest entry deviation",
+            np.max(np.abs(np.swapaxes(L, -1, -2) @ eta @ L - eta)), 1e-12)
+    scale = np.maximum(sp.E, np.max(np.abs(sp.p), axis=-1))
+    debroglie = np.maximum(np.abs(hbar * wp - sp.E), np.max(np.abs(hbar * kp - sp.p), axis=-1)) / scale
+    c.check("hbar w' = E' and hbar k' = p' for the boosted pairs at hbar = 0.5, relative", np.max(debroglie), 1e-12)
     return c
 
 
@@ -111,18 +139,16 @@ def _criterion_2_discrete_mass_shell(rng: np.random.Generator, as_printed: froze
     c4 = c2 * c2
     tau_num, tau_den = grid.tau.as_integer_ratio()
     eps_num, eps_den = grid.eps.as_integer_ratio()
-    worst = 0.0
+    states = []
     exact_ok = True
-    count = 0
-    while count < 1000:
+    while len(states) < 1000:
         dn = int(rng.integers(1, 40))
         dj = tuple(int(x) for x in rng.integers(-12, 13, 3))
         if (grid.c * dn * grid.tau) ** 2 <= sum((d * grid.eps) ** 2 for d in dj):
             continue
         m0 = float(rng.uniform(0.05, 5.0))
         step = LatticeStep(dn=dn, dj=dj)
-        state = discrete_energy_momentum(m0, step, grid)
-        worst = max(worst, state.mass_shell_residual(grid.c))
+        states.append(discrete_energy_momentum(m0, step, grid))
         m = Fraction(m0)
         E2, p2, u2 = energy_momentum_squared_exact(m, step, grid)
         exact_ok &= E2 - p2 * c2 == m * m * c4
@@ -134,41 +160,43 @@ def _criterion_2_discrete_mass_shell(rng: np.random.Generator, as_printed: froze
         )
         # u^2 = p^2 c^4 / E^2, with E^2 > 0 on a timelike step
         exact_ok &= u2 * E2 == p2 * c4
-        count += 1
-    c.check("mass-shell relative residual over 1000 timelike steps", worst, 1e-12)
+    stack = ParticleState(*map(np.array, zip(*((s.E, s.p, s.m0, s.u) for s in states))))
+    c.check("mass-shell relative residual over 1000 timelike steps", np.max(stack.mass_shell_residual(grid.c)), 1e-12)
     c.require("u = dx/dt and the shell identity, exact in rational arithmetic", exact_ok)
     return c
 
 
 def _criterion_3_product_identity(rng: np.random.Generator, as_printed: frozenset) -> _Checker:
     c = _Checker()
-    worst = 0.0
-    for _ in range(1000):
+    by_length: dict[int, list] = {}
+    for _ in range(1000):  # n decides how many normals follow, so f and g are drawn one pair at a time
         n = int(rng.integers(2, 64))
-        f = rng.normal(size=n) + 1j * rng.normal(size=n)
-        g = rng.normal(size=n) + 1j * rng.normal(size=n)
-        sf, sg, sfg = SampledSequence(f), SampledSequence(g), SampledSequence(f * g)
-        lhs = forward_diff(sfg).values
-        rhs = forward_diff(sf).values * forward_avg(sg).values + forward_avg(sf).values * forward_diff(sg).values
-        scale = max(1.0, float((np.abs(f) * np.abs(g)).max()))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
+        by_length.setdefault(n, []).append([rng.normal(size=n) + 1j * rng.normal(size=n) for _ in "fg"])
+
+    def rows(a: np.ndarray, op: DiffOp) -> np.ndarray:
+        return apply_1d(FieldSlab(psi=a), Axis.SPACE_J, op, Boundary.SHRINKING).psi
+
+    d, a = DiffOp.FORWARD_DIFF, DiffOp.FORWARD_AVG
+    worst = 0.0
+    for pairs in by_length.values():
+        f, g = np.array(pairs).transpose(1, 0, 2)
+        residual = rows(f * g, d) - (rows(f, d) * rows(g, a) + rows(f, a) * rows(g, d))
+        scale = np.maximum(1.0, np.max(np.abs(f) * np.abs(g), axis=1))
+        worst = max(worst, np.max(np.max(np.abs(residual), axis=1) / scale))
     c.check("discrete product rule, elementwise over 1000 sequences", worst, 1e-12)
     return c
 
 
 def _criterion_4_total_difference(rng: np.random.Generator, as_printed: frozenset) -> _Checker:
     c = _Checker()
-    worst23 = worst24 = 0.0
-    for _ in range(1000):
-        m0 = rng.uniform(0.1, 3.0)
-        a = ParticleState.from_momentum([rng.uniform(-3, 3), 0, 0], m0, 1.0)
-        b = ParticleState.from_momentum([rng.uniform(-3, 3), 0, 0], m0, 1.0)
-        r23, r24 = total_difference_mass_shell(a, b, 1.0)
-        scale = max(a.E, b.E)
-        worst23 = max(worst23, abs(r23) / scale**2)
-        worst24 = max(worst24, abs(r24) / scale)
-    c.check("total-difference shell residual over 1000 pairs", worst23, 1e-10)
-    c.check("dE = u_avg dp with the average-velocity convention", worst24, 1e-10)
+    r = rng.random((1000, 3))  # per pair m0, p_a, p_b: the draw order of one rng.uniform call each
+    m0 = _uniform(r[:, 0], 0.1, 3.0)
+    a = ParticleState.from_momentum(_along_x(_uniform(r[:, 1], -3, 3)), m0, 1.0)
+    b = ParticleState.from_momentum(_along_x(_uniform(r[:, 2], -3, 3)), m0, 1.0)
+    r23, r24 = total_difference_mass_shell(a, b, 1.0)
+    scale = np.maximum(a.E, b.E)
+    c.check("total-difference shell residual over 1000 pairs", np.max(np.abs(r23) / scale**2), 1e-10)
+    c.check("dE = u_avg dp with the average-velocity convention", np.max(np.abs(r24) / scale), 1e-10)
     worst_inv = 0.0
     for _ in range(200):
         grid = GRID
@@ -186,6 +214,21 @@ def _criterion_4_total_difference(rng: np.random.Generator, as_printed: frozense
         "distinct-momentum pair (p = 0.75, 1.0): invariant = "
         f"{four_difference_invariant(a, b, 1.0):.6f} (spacelike, nonzero by construction; documented)"
     )
+    # at c = 2: 1000 pairs with distinct oblique momenta on one massive shell each, and a boost per pair
+    cc = 2.0
+    m0 = rng.uniform(0.1, 3.0, 1000)
+    a = ParticleState.from_momentum(rng.uniform(-3, 3, (1000, 3)), m0, cc)
+    b = ParticleState.from_momentum(rng.uniform(-3, 3, (1000, 3)), m0, cc)
+    v = rng.uniform(-1.1, 1.1, (1000, 3))
+    invariant = four_difference_invariant(a, b, cc)
+    boosted = four_difference_invariant(transform_particle(a, v, cc), transform_particle(b, v, cc), cc)
+    scale = np.maximum(a.E, b.E) ** 2 / cc**2
+    c.check("difference invariant unchanged by a boost at c = 2, relative to (E/c)^2",
+            np.max(np.abs(boosted - invariant) / scale), 1e-10)
+    c.require("difference invariant < 0 for distinct momenta on a common massive shell", bool(np.all(invariant < 0)),
+              f"largest {np.max(invariant):.3e}")
+    _, r24 = total_difference_mass_shell(a, b, cc)
+    c.check("dE = u_avg dp at c = 2 with oblique momenta", np.max(np.abs(r24) / np.maximum(a.E, b.E)), 1e-10)
     return c
 
 

@@ -15,6 +15,7 @@ names the violated precondition, e.g. a derived value out of the float range).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -643,18 +644,30 @@ def _write_output(path: str, data: bytes) -> Path:
     return target
 
 
+@contextlib.contextmanager
+def _stdout_may_close():
+    """Stop writing to stdout quietly once its reader has gone (``latticewave ... | head``)."""
+    try:
+        yield
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit, which would raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def run(cfg: RunConfig) -> int:
     """Execute one experiment and write its output; returns the exit code."""
     spec = EXPERIMENTS[cfg.experiment]
     result = spec.runner(cfg)
     rendered = _render(cfg, result, spec.checks)
-    if cfg.output_path is None:
-        sys.stdout.buffer.write(rendered)
-    else:
-        target = _write_output(cfg.output_path, rendered)
-        print(f"wrote {target} ({len(rendered)} bytes, config {cfg.config_hash()[:12]})")
-    if isinstance(result, SlabOutput) and "max-deviation-from-closed-form" in result.extra_meta:
-        print(f"max deviation from closed form: {result.extra_meta['max-deviation-from-closed-form']:.6e}")
+    with _stdout_may_close():
+        if cfg.output_path is None:
+            sys.stdout.buffer.write(rendered)
+        else:
+            target = _write_output(cfg.output_path, rendered)
+            print(f"wrote {target} ({len(rendered)} bytes, config {cfg.config_hash()[:12]})")
+        if isinstance(result, SlabOutput) and "max-deviation-from-closed-form" in result.extra_meta:
+            print(f"max deviation from closed form: {result.extra_meta['max-deviation-from-closed-form']:.6e}")
     return 0
 
 
@@ -734,7 +747,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify-all":
             results = run_acceptance(seed=args.seed, as_printed=args.as_printed)
             report = format_report(results, verbose=not args.quiet)
-            print(report)
+            with _stdout_may_close():
+                print(report)
             if args.output:
                 header = [
                     f"latticewave {__version__}",

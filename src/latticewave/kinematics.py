@@ -15,6 +15,11 @@ between consecutive events has
 
 with dt = dn*tau, dx = dj*eps, so p c^2 / E = dx/dt = u holds exactly in
 rational arithmetic whenever the inputs do.
+
+The boosts, the printed scalar transforms and the continuum states also
+take stacks: E, w, m0 of shape (...) and 3-vectors of shape (..., 3). One
+state is the shape-() case, and each row of a stack gets the bits of its
+one-row call.
 """
 
 from __future__ import annotations
@@ -31,10 +36,24 @@ from .grid import GridSpec, Infinite, INFINITE
 
 
 def _vec3(v: Sequence[float]) -> np.ndarray:
-    a = np.asarray(v, dtype=float).reshape(-1)
-    if a.shape != (3,):
-        raise DomainError(f"expected a 3-vector, got shape {a.shape}")
+    """One 3-vector, shape (3,), or a stack of them, shape (..., 3)."""
+    a = np.asarray(v, dtype=float)
+    if a.shape[-1:] != (3,):
+        raise DomainError(f"expected a 3-vector or a stack of them, got shape {a.shape}")
     return a
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b row by row; stacked @ gives the bits of the 1-D a @ b on every row."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _square(x):
+    """x**2 by libm pow, as Python's ** takes it, for a float and a stack alike.
+
+    numpy's ** on an array is x*x, which differs in the last bit for about one value in a thousand.
+    """
+    return np.float_power(np.asarray(x, dtype=float), 2)
 
 
 def boost_matrix(v: Sequence[float], c: float) -> np.ndarray:
@@ -46,23 +65,23 @@ def boost_matrix(v: Sequence[float], c: float) -> np.ndarray:
     if c <= 0:
         raise DomainError("c must be positive")
     beta = v / c
-    b2 = float(beta @ beta)
-    if b2 >= 1.0:
-        raise DomainError(f"boost velocity |v| = {math.sqrt(b2) * c!r} must be < c = {c!r}")
-    g = 1.0 / math.sqrt(1.0 - b2)
-    L = np.eye(4)
-    L[0, 0] = g
-    L[0, 1:] = -g * beta
-    L[1:, 0] = -g * beta
-    if b2 > 0.0:
-        L[1:, 1:] += (g - 1.0) / b2 * np.outer(beta, beta)
+    b2 = _dot(beta, beta)
+    if np.any(b2 >= 1.0):
+        raise DomainError(f"boost velocity |v| = {float(np.sqrt(np.nanmax(b2)) * c)!r} must be < c = {c!r}")
+    g = 1.0 / np.sqrt(1.0 - b2)
+    L = np.empty(b2.shape + (4, 4))
+    L[..., 0, 0] = g
+    L[..., 0, 1:] = L[..., 1:, 0] = -g[..., None] * beta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spatial = ((g - 1.0) / b2)[..., None, None] * (beta[..., :, None] * beta[..., None, :])
+    L[..., 1:, 1:] = np.eye(3) + np.where((b2 > 0.0)[..., None, None], spatial, 0.0)
     return L
 
 
 def phase_velocity(w: float, k: Sequence[float]) -> Union[float, Infinite]:
-    """w/|k|; INFINITE for a zero wavenumber (rest-frame wave)."""
+    """w/|k| for one wave; INFINITE for a zero wavenumber (rest-frame wave)."""
     k = _vec3(k)
-    k_mag = float(np.linalg.norm(k))
+    k_mag = float(np.sqrt(_dot(k, k)))
     if k_mag == 0.0:
         return INFINITE
     return w / k_mag
@@ -70,11 +89,17 @@ def phase_velocity(w: float, k: Sequence[float]) -> Union[float, Infinite]:
 
 def transform_wave(w: float, k: Sequence[float], v: Sequence[float], c: float) -> tuple[float, np.ndarray]:
     """Boost a plane wave (w, k) via the four-vector (w/c, k)."""
-    k = _vec3(k)
-    L = boost_matrix(v, c)
-    q = np.concatenate(([w / c], k))
-    qp = L @ q
-    return float(qp[0] * c), qp[1:].copy()
+    q = np.concatenate((np.expand_dims(np.divide(w, c), -1), _vec3(k)), axis=-1)
+    qp = (boost_matrix(v, c) @ q[..., None])[..., 0]
+    return qp[..., 0] * c, qp[..., 1:]
+
+
+def _gamma(v: np.ndarray, c: float) -> np.ndarray:
+    """1/sqrt(1 - |v|^2/c^2) for the printed scalar laws, which do not use boost_matrix."""
+    b2 = _dot(v, v) / c**2
+    if np.any(b2 >= 1.0):
+        raise DomainError("boost velocity must satisfy |v| < c")
+    return 1.0 / np.sqrt(1.0 - b2)
 
 
 def transform_wave_scalar(w: float, k: Sequence[float], v: Sequence[float], c: float) -> float:
@@ -84,19 +109,13 @@ def transform_wave_scalar(w: float, k: Sequence[float], v: Sequence[float], c: f
     domain error here (the four-vector route handles it fine).
     """
     k = _vec3(k)
-    v = _vec3(v)
-    k_mag = float(np.linalg.norm(k))
-    if k_mag == 0.0:
-        if w == 0.0:
-            return 0.0
+    k_mag = np.sqrt(_dot(k, k))
+    if np.any((k_mag == 0.0) & (np.asarray(w) != 0.0)):
         raise DomainError("scalar frequency transform needs finite v_phi; k = 0 with w != 0")
-    vphi = w / k_mag
-    n = k / k_mag
-    b2 = float(v @ v) / c**2
-    if b2 >= 1.0:
-        raise DomainError("boost velocity must satisfy |v| < c")
-    g = 1.0 / math.sqrt(1.0 - b2)
-    return g * w * (1.0 - float(v @ n) / vphi)
+    v = _vec3(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wp = _gamma(v, c) * w * (1.0 - _dot(v, k / k_mag[..., None]) / (w / k_mag))
+    return np.where(k_mag == 0.0, 0.0, wp)[()]
 
 
 def printed_wave_number_magnitude(w: float, k: Sequence[float], v: Sequence[float], c: float) -> float:
@@ -123,7 +142,7 @@ def printed_wave_number_magnitude(w: float, k: Sequence[float], v: Sequence[floa
 
 @dataclass
 class ParticleState:
-    """On-shell kinematic state (E, p, m0, u) with u = p c^2 / E."""
+    """On-shell kinematic state (E, p, m0, u) with u = p c^2 / E; a stack of them, or one."""
 
     E: float
     p: np.ndarray
@@ -138,19 +157,19 @@ class ParticleState:
 
     @classmethod
     def from_momentum(cls, p: Sequence[float], m0: float, c: float) -> "ParticleState":
-        if m0 < 0:
+        if np.any(m0 < 0):
             raise DomainError("rest mass must be >= 0")
         p = _vec3(p)
         try:
-            with np.errstate(over="ignore"):
-                E = math.sqrt(float(p @ p) * c**2 + m0**2 * c**4)
+            with np.errstate(over="ignore", invalid="ignore"):
+                E = np.sqrt(_dot(p, p) * c**2 + _square(m0) * c**4)
         except OverflowError:
             E = math.inf
-        if not math.isfinite(E):
+        if not np.all(np.isfinite(E)):
             raise DomainError(f"E^2 = |p|^2 c^2 + m0^2 c^4 leaves the float range for m0 = {m0!r}, c = {c!r}")
-        if E == 0.0:
+        if np.any(E == 0.0):
             raise DomainError("massless state needs nonzero momentum")
-        return cls(E=E, p=p, m0=m0, u=p * c**2 / E)
+        return cls(E=E, p=p, m0=m0, u=p * c**2 / np.expand_dims(E, -1))
 
     @classmethod
     def at_rest(cls, m0: float, c: float) -> "ParticleState":
@@ -159,33 +178,36 @@ class ParticleState:
         return cls(E=m0 * c**2, p=np.zeros(3), m0=m0, u=np.zeros(3))
 
     def momentum_magnitude(self) -> float:
-        return float(np.linalg.norm(self.p))
+        return float(np.sqrt(_dot(self.p, self.p)))  # one state only: float() rejects a stack
 
     def speed(self) -> float:
-        return float(np.linalg.norm(self.u))
+        return float(np.sqrt(_dot(self.u, self.u)))
 
     def mass_shell_residual(self, c: float) -> float:
         """Relative residual of E^2 - |p|^2 c^2 = m0^2 c^4."""
-        try:
-            e2, p2c2, rhs = self.E**2, float(self.p @ self.p) * c**2, self.m0**2 * c**4
-        except OverflowError:
-            raise DomainError(f"E^2 or m0^2 c^4 leaves the float range for {self} at c = {c!r}") from None
-        scale = e2 + p2c2 + rhs  # three squares, so no abs() is needed
-        return abs(e2 - p2c2 - rhs) / scale if scale > 0 else abs(e2 - p2c2 - rhs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                e2, p2c2, rhs = _square(self.E), _dot(self.p, self.p) * c**2, _square(self.m0) * c**4
+            except OverflowError:
+                e2 = rhs = math.inf
+            if not np.isfinite(np.maximum(e2, rhs)).all():
+                raise DomainError(f"E^2 or m0^2 c^4 leaves the float range for {self} at c = {c!r}")
+            scale = e2 + p2c2 + rhs  # three squares, so no abs() is needed
+            return abs(e2 - p2c2 - rhs) / np.where(scale > 0, scale, 1.0)
 
     def validate(self, c: float, rtol: float = 1e-10) -> None:
-        if self.m0 < 0:
+        if np.any(self.m0 < 0):
             raise DomainError("rest mass must be >= 0")
-        if self.E <= 0:
+        if np.any(self.E <= 0):
             raise DomainError("energy must be positive")
         residual = self.mass_shell_residual(c)
-        if not residual <= rtol:  # a NaN residual (|p|^2 past the float range) is off shell too
-            raise DomainError(f"state off mass shell: relative residual {residual:.3e} > {rtol:.1e}")
-        expected_u = self.p * c**2 / self.E
-        if float(np.max(np.abs(self.u - expected_u))) > rtol * max(c, self.speed()):
+        if not np.all(residual <= rtol):  # a NaN residual (|p|^2 past the float range) is off shell too
+            raise DomainError(f"state off mass shell: relative residual {np.max(residual):.3e} > {rtol:.1e}")
+        speed = np.sqrt(_dot(self.u, self.u))
+        expected_u = self.p * c**2 / np.expand_dims(self.E, -1)
+        if np.any(np.max(np.abs(self.u - expected_u), axis=-1) > rtol * np.fmax(c, speed)):
             raise DomainError("velocity inconsistent with p c^2 / E")
-        speed = self.speed()
-        if self.m0 > 0 and speed >= c * (1 + rtol):
+        if np.any((self.m0 > 0) & (speed >= c * (1 + rtol))):
             raise DomainError("massive state must move slower than light")
 
 
@@ -193,21 +215,18 @@ def transform_particle(s: ParticleState, v: Sequence[float], c: float) -> Partic
     """Boost a particle state via the four-vector (E/c, p); mass shell is preserved."""
     s.validate(c)
     E_new, p_new = transform_wave(s.E, s.p, v, c)
-    if E_new <= 0:
+    if np.any(E_new <= 0):
         raise DomainError("boost produced non-positive energy; input state was invalid")
-    if not math.isfinite(E_new * E_new):
-        raise DomainError(f"boosted energy {E_new!r} squared leaves the float range")
-    return ParticleState(E=E_new, p=p_new, m0=s.m0, u=p_new * c**2 / E_new)
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(E_new * E_new)):
+            raise DomainError("boosted energy squared leaves the float range")
+    return ParticleState(E=E_new, p=p_new, m0=s.m0, u=p_new * c**2 / np.expand_dims(E_new, -1))
 
 
 def transform_particle_scalar(s: ParticleState, v: Sequence[float], c: float) -> float:
     """The printed scalar energy transform E' = gamma E (1 - v.u / c^2)."""
     v = _vec3(v)
-    b2 = float(v @ v) / c**2
-    if b2 >= 1.0:
-        raise DomainError("boost velocity must satisfy |v| < c")
-    g = 1.0 / math.sqrt(1.0 - b2)
-    return g * s.E * (1.0 - float(v @ s.u) / c**2)
+    return _gamma(v, c) * s.E * (1.0 - _dot(v, s.u) / c**2)
 
 
 def printed_momentum_magnitude(s: ParticleState, v: Sequence[float], c: float) -> float:
@@ -360,16 +379,16 @@ def total_difference_mass_shell(
     """
     s.validate(c, rtol)
     s_next.validate(c, rtol)
-    scale = max(abs(s.m0), abs(s_next.m0), 1.0)
-    if abs(s.m0 - s_next.m0) > rtol * scale:
+    scale = np.maximum(np.maximum(abs(s.m0), abs(s_next.m0)), 1.0)
+    if np.any(abs(s.m0 - s_next.m0) > rtol * scale):
         raise DomainError(
             f"states lie on different mass shells: m0 = {s.m0!r} vs {s_next.m0!r}"
         )
     dE = s_next.E - s.E
     dp = s_next.p - s.p
-    residual23 = (2.0 * s.E * dE + dE**2) / c**2 - 2.0 * float(s.p @ dp) - float(dp @ dp)
-    u_avg = c**2 * (s.p + s_next.p) / (s.E + s_next.E)
-    residual24 = dE - float(u_avg @ dp)
+    residual23 = (2.0 * s.E * dE + _square(dE)) / c**2 - 2.0 * _dot(s.p, dp) - _dot(dp, dp)
+    u_avg = c**2 * (s.p + s_next.p) / np.expand_dims(s.E + s_next.E, -1)
+    residual24 = dE - _dot(u_avg, dp)
     return residual23, residual24
 
 
@@ -382,4 +401,4 @@ def four_difference_invariant(s: ParticleState, s_next: ParticleState, c: float)
     """
     dE = s_next.E - s.E
     dp = s_next.p - s.p
-    return dE**2 / c**2 - float(dp @ dp)
+    return _square(dE) / c**2 - _dot(dp, dp)

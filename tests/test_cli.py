@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -572,3 +575,22 @@ def test_the_json_renderer_writes_the_stdlib_text(value):
 def test_the_json_renderer_rejects_values_without_a_json_form(value):
     with pytest.raises(TypeError):
         _json_text({"result": [value]})
+
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify-all", "--quiet", "--output", "{tmp}/report.txt"], 0),
+    (["verify-all", "--as-printed", "s4", "--output", "{tmp}/report.txt"], 1),
+    (["lorentz-enumerate", "--max-word-len", "3"], 0),
+], ids=["verify-all", "verify-all-failing", "json-to-stdout"])
+def test_a_reader_that_closed_stdout_ends_the_run_quietly(tmp_path, argv, code):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # gone before the first byte is written, as `| head` is after its lines
+    try:
+        proc = subprocess.run([sys.executable, "-m", "latticewave.cli", *(a.format(tmp=tmp_path) for a in argv)],
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, b"")
+    if "--output" in argv:  # the report file is written all the same
+        assert "criteria passed" in (tmp_path / "report.txt").read_text()

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from latticewave import (
     DomainError,
@@ -495,6 +495,19 @@ class TestTotalDifference:
             assert abs(r23) <= 1e-10 * max(a.E, b.E) ** 2
             assert abs(r24) <= 1e-10 * max(a.E, b.E)
 
+    def test_residuals_vanish_at_c_2_with_oblique_momenta(self):
+        # u_avg = c^2 (p + p')/(E + E'): without its c^2 the dE residual is of order dE itself
+        rng = np.random.default_rng(13)
+        c = 2.0
+        for _ in range(200):
+            m0 = rng.uniform(0.1, 3.0)
+            a = ParticleState.from_momentum(rng.uniform(-3, 3, 3), m0, c)
+            b = ParticleState.from_momentum(rng.uniform(-3, 3, 3), m0, c)
+            r23, r24 = total_difference_mass_shell(a, b, c)
+            scale = max(a.E, b.E)
+            assert abs(r23) <= 1e-12 * scale**2 / c**2
+            assert abs(r24) <= 1e-12 * scale
+
     def test_different_shells_rejected(self):
         a = ParticleState.from_momentum([0.5, 0, 0], 1.0, 1.0)
         b = ParticleState.from_momentum([0.5, 0, 0], 2.0, 1.0)
@@ -516,3 +529,41 @@ def test_transform_equivalence_of_wave_and_particle_pairs():
         scale = max(abs(sp.E), float(np.max(np.abs(sp.p))))
         assert abs(wp - sp.E / hbar) <= 1e-12 * scale
         assert float(np.max(np.abs(kp - sp.p / hbar))) <= 1e-12 * scale
+
+
+# --- stacks: every row of a batched call is the one-row call -------------------
+
+ROW_FLOATS = st.floats(min_value=-100, max_value=100).map(lambda x: 0.0 if abs(x) < 1e-100 else x)
+ROWS = st.lists(st.tuples(st.tuples(ROW_FLOATS, ROW_FLOATS, ROW_FLOATS), st.floats(min_value=1e-3, max_value=100),
+                          st.tuples(*[st.floats(min_value=-0.57, max_value=0.57)] * 3)), min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=ROWS, c=st.sampled_from([1.0, 2.0, 0.3]) | st.floats(min_value=0.1, max_value=10))
+# at these masses libm pow(m0, 2) and m0 * m0 give E one ulp apart
+@example(rows=[((1.0, 0.0, 0.0), 10.557927, (0.5, 0.0, 0.0)), ((1.0, 0.0, 0.0), 6.751627, (0.0, 0.25, 0.0))], c=1.0)
+def test_stacked_rows_are_the_one_row_calls(rows, c):
+    """Oblique momenta and boosts (|v| < c); a stack must carry each row's bits exactly."""
+    assume(all(any(row[0]) for row in rows))  # the printed w' law needs k != 0
+    p, m0, v = (np.array(column) for column in zip(*rows))
+    v = v * c
+    L = boost_matrix(v, c)
+    s = ParticleState.from_momentum(p, m0, c)
+    wp, kp = transform_wave(s.E, s.p, v, c)
+    sp = transform_particle(s, v, c)
+    w_printed, e_printed = transform_wave_scalar(s.E, s.p, v, c), transform_particle_scalar(s, v, c)
+    r23, r24 = total_difference_mass_shell(s, sp, c)
+    invariant = four_difference_invariant(s, sp, c)
+    for i, (p_i, m0_i, v_i) in enumerate(rows):
+        v_i = list(np.array(v_i) * c)
+        assert L[i].tobytes() == boost_matrix(v_i, c).tobytes()
+        one = ParticleState.from_momentum(list(p_i), m0_i, c)
+        assert (s.E[i], s.p[i].tobytes(), s.u[i].tobytes()) == (one.E, one.p.tobytes(), one.u.tobytes())
+        w_i, k_i = transform_wave(one.E, one.p, v_i, c)
+        assert (wp[i], kp[i].tobytes()) == (w_i, k_i.tobytes())
+        one_p = transform_particle(one, v_i, c)
+        assert (sp.E[i], sp.p[i].tobytes(), sp.u[i].tobytes()) == (one_p.E, one_p.p.tobytes(), one_p.u.tobytes())
+        assert (w_printed[i], e_printed[i]) == (transform_wave_scalar(one.E, one.p, v_i, c),
+                                                transform_particle_scalar(one, v_i, c))
+        assert (r23[i], r24[i]) == total_difference_mass_shell(one, one_p, c)
+        assert invariant[i] == four_difference_invariant(one, one_p, c)
