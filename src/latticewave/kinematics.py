@@ -14,12 +14,17 @@ between consecutive events has
     p = m0 c  dx     / sqrt((c dt)^2 - |dx|^2),
 
 with dt = dn*tau, dx = dj*eps, so p c^2 / E = dx/dt = u holds exactly in
-rational arithmetic whenever the inputs do.
+rational arithmetic whenever the inputs do. The lattice functions work on
+integer ratios: c, tau, eps and m0 are read as exact ratios of Python
+ints, and E, p and u are each rounded once from them.
 
-The boosts, the printed scalar transforms and the continuum states also
-take stacks: E, w, m0 of shape (...) and 3-vectors of shape (..., 3). One
-state is the shape-() case, and each row of a stack gets the bits of its
-one-row call.
+Everything here takes stacks: E, w, m0 and dn of shape (...), 3-vectors
+and dj of shape (..., 3). One state or one step is the shape-() case, and
+each row of a stack gets the bits of its one-row call. A stacked lattice
+step keeps its integers in numpy object arrays of Python ints, so they
+stay exact; an error on a stack names its first offending row. The exact
+rationals of one step come back as Fractions (``step_velocity``,
+``energy_momentum_squared_exact``).
 """
 
 from __future__ import annotations
@@ -265,17 +270,34 @@ def debroglie_map(s: ParticleState, hbar: float) -> tuple[float, np.ndarray]:
 
 @dataclass(frozen=True)
 class LatticeStep:
-    """Integer displacement between consecutive lattice events."""
+    """Integer displacement between consecutive lattice events, or a stack of them.
+
+    One step has an int dn and a tuple dj. A stack has dn of shape (...) and
+    dj of shape (..., 3), held as object arrays of Python ints.
+    """
 
     dn: int
     dj: tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self):
-        if not (_is_integer(self.dn) and self.dn >= 1):
-            raise DomainError(f"dn must be a positive integer, got {self.dn!r}")
-        if len(self.dj) != 3 or not all(_is_integer(d) for d in self.dj):
+        dn, not_int = _integers(self.dn)
+        bad = _first(not_int | (np.where(not_int, 1, dn) < 1))
+        if bad is not None:
+            raise DomainError(f"dn must be a positive integer, got {dn[bad]!r}{_at(bad)}")
+        dj, not_int = _integers(self.dj)
+        if dj.shape != dn.shape + (3,):
             raise DomainError(f"dj must be three integers, got {self.dj!r}")
-        object.__setattr__(self, "dj", tuple(self.dj))
+        bad = _first(not_int.any(axis=-1))
+        if bad is not None:
+            raise DomainError(f"dj must be three integers, got {tuple(dj[bad])!r}{_at(bad)}")
+        if dn.ndim == 0:  # one step: an int and a tuple
+            dn, dj = dn[()], tuple(dj)
+        object.__setattr__(self, "dn", dn)
+        object.__setattr__(self, "dj", dj)
+
+    def _row(self, index: tuple) -> "LatticeStep":
+        """The one step at ``index`` of a stack; one step is its own row."""
+        return self if np.ndim(self.dn) == 0 else LatticeStep(dn=self.dn[index], dj=tuple(self.dj[index]))
 
 
 def _is_integer(value) -> bool:
@@ -283,82 +305,151 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _mass_ratio(m0, what: str) -> tuple[int, int]:
-    """m0 as (numerator, denominator); a NaN or infinite m0 is a DomainError."""
+def _integers(x) -> tuple[np.ndarray, np.ndarray]:
+    """x as an object array of Python ints, and the mask of its entries that are not ints (a bool is not)."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "iu":
+        return x.astype(object), np.zeros(x.shape, dtype=bool)
+    a = np.asarray(x, dtype=object)
+    return a, np.array([not _is_integer(v) for v in a.flat], dtype=bool).reshape(a.shape)
+
+
+def _first(bad) -> tuple | None:
+    """The index of the first True entry of a mask (() for one step), or None when there is none."""
+    bad = np.asarray(bad)
+    if not bad.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+
+
+def _at(index: tuple) -> str:
+    """The end of a message on a stack, naming its row; one step needs no name."""
+    return f" (row {index[0] if len(index) == 1 else index})" if index else ""
+
+
+def _mass_ratio(m0, what: str) -> tuple:
+    """m0 as (numerator, denominator), stacked like m0; a NaN or infinite m0 is a DomainError."""
+    pairs = []
+    for m in np.ravel(m0).tolist():
+        try:
+            pairs.append(m.as_integer_ratio() if isinstance(m, float) else Fraction(m).as_integer_ratio())
+        except (ValueError, OverflowError):
+            bad = tuple(int(i) for i in np.unravel_index(len(pairs), np.shape(m0)))
+            raise DomainError(f"{what} needs a finite m0, got {m!r}{_at(bad)}") from None
+    pairs = np.array(pairs, dtype=object).reshape(np.shape(m0) + (2,))
+    return pairs[..., 0][()], pairs[..., 1][()]
+
+
+def _divide(num, den) -> np.ndarray:
+    """num / den entry by entry as int / int true division, correctly rounded whether or not the
+    ratio is reduced; +-inf where the quotient leaves the float range."""
     try:
-        m = Fraction(m0)
-    except (ValueError, OverflowError):
-        raise DomainError(f"{what} needs a finite m0, got {m0!r}") from None
-    return m.numerator, m.denominator
+        return np.asarray(num / den, dtype=float)
+    except OverflowError:  # only on the way to a DomainError: the overflowing entries one at a time
+        return np.asarray(np.frompyfunc(_quotient, 2, 1)(num, den), dtype=float)
+
+
+def _quotient(n: int, d: int) -> float:
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if (n > 0) == (d > 0) else -math.inf
+
+
+def _last_axis(x) -> np.ndarray:
+    """Integers x with a trailing axis, to scale the 3-vectors of a stack; a Python int stays one."""
+    return np.expand_dims(np.asarray(x, dtype=object), -1)
 
 
 def _exact_interval(step: LatticeStep, grid: GridSpec) -> tuple:
     """c, c dt, eps, |dj|^2 and s = (c dt)^2 - |dx|^2 in exact integer arithmetic.
 
     Each rational is a pair (num, den) with den > 0; |dx|^2 = |dj|^2 eps^2.
+    For a stacked step, c dt, |dj|^2 and s are object arrays of Python ints
+    of the shape of dn.
     """
     cn, cd = grid.c.as_integer_ratio()
     tn, td = grid.tau.as_integer_ratio()
     en, ed = grid.eps.as_integer_ratio()
+    dj = np.asarray(step.dj, dtype=object)
     a, b = cn * step.dn * tn, cd * td
-    d2 = sum(d * d for d in step.dj)
+    d2 = (dj * dj).sum(axis=-1)
     s_num = (a * ed) ** 2 - d2 * (en * b) ** 2
     return (cn, cd), (a, b), (en, ed), d2, (s_num, (b * ed) ** 2)
 
 
-def step_velocity(step: LatticeStep, grid: GridSpec) -> tuple[Fraction, Fraction, Fraction]:
-    """u = dx/dt componentwise, exact whenever tau and eps are exact."""
-    tn, td = grid.tau.as_integer_ratio()
-    en, ed = grid.eps.as_integer_ratio()
-    den = ed * step.dn * tn
-    return tuple(Fraction(d * en * td, den) for d in step.dj)  # type: ignore[return-value]
+def _velocity_ratio(step: LatticeStep, grid: GridSpec) -> tuple:
+    """(num, den) with u = num dj / den: the velocity c dx / (c dt) as an unreduced integer ratio."""
+    (cn, cd), (a, b), (en, ed), _, _ = _exact_interval(step, grid)
+    return cn * en * b, cd * ed * a
 
 
-def discrete_energy_momentum(m0: float, step: LatticeStep, grid: GridSpec) -> ParticleState:
-    """Energy and momentum of a massive particle hopping dn, dj per event.
+def _exact_squares(m0, step: LatticeStep, grid: GridSpec) -> tuple:
+    """(E^2, |p|^2, |u|^2) as unreduced integer ratios (num, den), stacked like the step.
 
-    Requires a strictly timelike step. E, p and the velocity u = dx/dt are
-    exact rationals rounded once (an int / int true division is correctly
-    rounded); E and p spend the single square root on the interval.
+    The square root cancels in all three; every denominator is > 0.
     """
-    if m0 <= 0:
-        raise DomainError("discrete energy-momentum needs m0 > 0 (the map degenerates at m0 = 0)")
-    mn, md = _mass_ratio(m0, "discrete energy-momentum")
-    (cn, cd), (a, b), (en, ed), _, (s_num, s_den) = _exact_interval(step, grid)
-    if s_num <= 0:
-        kind = "lightlike" if s_num == 0 else "spacelike"
-        raise DomainError(f"step {step} is {kind} on this grid; a massive state needs (c dt)^2 > |dx|^2")
-    try:
-        root = math.sqrt(s_num / s_den)
-        E = mn * cn * cn * a / (md * cd * cd * b) / root
-        pn, pd = mn * cn * en, md * cd * ed
-        p = np.array([pn * d / pd / root for d in step.dj])
-        with np.errstate(over="ignore"):
-            in_range = E > 0.0 and math.isfinite(E * E) and math.isfinite(p @ p)
-    except (OverflowError, ZeroDivisionError):
-        in_range = False
-    if not in_range:
-        raise DomainError(f"step {step} at m0 = {m0!r}: E^2 or |p|^2 leaves the float range, or E underflows to 0")
-    # u = c dx / (c dt)
-    un, ud = cn * en * b, cd * ed * a
-    u = np.array([un * d / ud for d in step.dj])
-    return ParticleState(E=E, p=p, m0=m0, u=u)
+    mn, md = _mass_ratio(m0, "exact squares")
+    (cn, cd), (a, b), (en, ed), d2, (s_num, _) = _exact_interval(step, grid)
+    bad = _first(s_num <= 0)
+    if bad is not None:
+        raise DomainError(f"exact squares need a strictly timelike step{_at(bad)}")
+    # s = s_num / (b ed)^2, so E^2 = m^2 c^4 (c dt)^2 / s and |p|^2 = m^2 c^2 |dx|^2 / s
+    m2c2_num, m2c2_den = (mn * cn) ** 2, (md * cd) ** 2
+    E2 = (m2c2_num * cn * cn * (a * ed) ** 2, m2c2_den * cd * cd * s_num)
+    p2 = (m2c2_num * d2 * (en * b) ** 2, m2c2_den * s_num)
+    un, ud = _velocity_ratio(step, grid)
+    return E2, p2, (d2 * un * un, ud * ud)
+
+
+def step_velocity(step: LatticeStep, grid: GridSpec) -> tuple[Fraction, Fraction, Fraction]:
+    """u = dx/dt componentwise for one step, exact whenever tau and eps are exact."""
+    num, den = _velocity_ratio(step, grid)
+    return tuple(Fraction(num * d, den) for d in step.dj)  # type: ignore[return-value]
 
 
 def energy_momentum_squared_exact(
     m0: float | Fraction, step: LatticeStep, grid: GridSpec
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """(E^2, |p|^2, |u|^2) as exact rationals; the square root cancels in all three."""
-    mn, md = _mass_ratio(m0, "exact squares")
-    (cn, cd), (a, b), (en, ed), d2, (s_num, _) = _exact_interval(step, grid)
-    if s_num <= 0:
-        raise DomainError("exact squares need a strictly timelike step")
-    # s = s_num / (b ed)^2, so E^2 = m^2 c^4 (c dt)^2 / s and |p|^2 = m^2 c^2 |dx|^2 / s
-    m2c2_num, m2c2_den = (mn * cn) ** 2, (md * cd) ** 2
-    E2 = Fraction(m2c2_num * cn * cn * (a * ed) ** 2, m2c2_den * cd * cd * s_num)
-    p2 = Fraction(m2c2_num * d2 * (en * b) ** 2, m2c2_den * s_num)
-    u2 = Fraction(d2 * (cn * en * b) ** 2, (cd * ed * a) ** 2)
-    return E2, p2, u2
+    """(E^2, |p|^2, |u|^2) of one step as exact rationals; the square root cancels in all three."""
+    return tuple(Fraction(num, den) for num, den in _exact_squares(m0, step, grid))  # type: ignore[return-value]
+
+
+def discrete_energy_momentum(m0, step: LatticeStep, grid: GridSpec) -> ParticleState:
+    """Energy and momentum of a massive particle hopping dn, dj per event.
+
+    Requires a strictly timelike step. E, p and the velocity u = dx/dt are
+    exact rationals rounded once (an int / int true division is correctly
+    rounded); E and p spend the single square root on the interval. A
+    stacked step with m0 of the shape of dn gives a stacked state whose rows
+    have the bits of their one-step calls.
+    """
+    bad = _first(np.asarray(m0) <= 0)
+    if bad is not None:
+        raise DomainError(f"discrete energy-momentum needs m0 > 0 (the map degenerates at m0 = 0){_at(bad)}")
+    mn, md = _mass_ratio(m0, "discrete energy-momentum")
+    (cn, cd), (a, b), (en, ed), _, (s_num, s_den) = _exact_interval(step, grid)
+    bad = _first(s_num <= 0)
+    if bad is not None:
+        kind = "lightlike" if np.asarray(s_num)[bad] == 0 else "spacelike"
+        raise DomainError(
+            f"step {step._row(bad)} is {kind} on this grid; a massive state needs (c dt)^2 > |dx|^2{_at(bad)}"
+        )
+    dj = np.asarray(step.dj, dtype=object)
+    un, ud = _velocity_ratio(step, grid)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        root = np.sqrt(_divide(s_num, s_den))
+        E = _divide(cn * cn * mn * a, cd * cd * b * md) / root
+        p = _divide(_last_axis(cn * en * mn) * dj, _last_axis(cd * ed * md)) / np.expand_dims(root, -1)
+        in_range = (E > 0.0) & np.isfinite(E * E) & np.isfinite(_dot(p, p))
+    bad = _first(~in_range)
+    if bad is not None:
+        raise DomainError(
+            f"step {step._row(bad)} at m0 = {np.broadcast_to(np.asarray(m0, dtype=object), in_range.shape)[bad]!r}: "
+            f"E^2 or |p|^2 leaves the float range, or E underflows to 0{_at(bad)}"
+        )
+    # u = c dx / (c dt)
+    u = _divide(_last_axis(un) * dj, _last_axis(ud))
+    return ParticleState(E=float(E) if E.ndim == 0 else E, p=p, m0=m0, u=u)
 
 
 # --- the total-difference mass-shell argument --------------------------------

@@ -1,6 +1,7 @@
 """Boosts, the de Broglie map, lattice energy-momentum, total differences."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -447,6 +448,78 @@ def test_integer_kinematics_match_the_fraction_oracle(m0, step, grid):
         E, p, u = expected
         assert (state.E.hex(), state.p.tobytes(), state.u.tobytes()) == (E.hex(), p.tobytes(), u.tobytes())
         assert state.m0 == m0
+
+
+# --- a stacked step is its rows, bit for bit --------------------------------
+
+# the checks of discrete_energy_momentum, in the order it runs them, by a phrase of each message
+CHECK_ORDER = ("needs m0 > 0", "needs a finite m0", "on this grid", "float range")
+
+
+def check_of(message):
+    return next(check for check in CHECK_ORDER if check in message)
+
+
+def outcome_or_message(function, *args):
+    """The function's result, or the message of the DomainError it raised."""
+    try:
+        return function(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+# c tau > 12 sqrt(3) eps: every step of TIMELIKE_LEANING_STEPS is timelike on these grids
+NON_DYADIC_GRIDS = st.sampled_from([GridSpec(tau=0.1, eps=0.1, c=100 / 3), GridSpec(tau=0.7, eps=0.03, c=1.9)])
+STACK_GRIDS = st.one_of(GRIDS, NON_DYADIC_GRIDS, NON_DYADIC_GRIDS)
+TIMELIKE_LEANING_STEPS = st.builds(LatticeStep, dn=st.integers(1, 10**6), dj=st.tuples(*[st.integers(-12, 12)] * 3))
+STACK_STEPS = st.one_of(STEPS, *[TIMELIKE_LEANING_STEPS] * 4)
+MODERATE_MASSES = st.floats(min_value=1e-3, max_value=1e3)
+# mostly moderate masses, some near either end of the float range (E^2 overflows past about 1e154)
+STACK_MASSES = st.one_of(
+    MODERATE_MASSES, MODERATE_MASSES, MODERATE_MASSES, MODERATE_MASSES,
+    st.floats(min_value=5e-324, max_value=1e-290),
+    st.floats(min_value=1e140, max_value=1e160),
+)
+BAD_MASSES = st.sampled_from([0.0, -1.0, math.nan, math.inf])
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=st.lists(st.tuples(STACK_STEPS, STACK_MASSES), min_size=1, max_size=6), grid=STACK_GRIDS,
+       bad_mass=st.none() | st.tuples(st.integers(0, 17), BAD_MASSES))  # a row past the end: no bad mass
+@example(rows=[(LatticeStep(dn=7, dj=(-3, 2, 0)), 0.3), (LatticeStep(dn=5, dj=(1, -1, 1)), 1e-300),
+               (LatticeStep(dn=40, dj=(-12, 12, -12)), 1e150)], grid=GridSpec(tau=0.1, eps=0.3, c=1 / 3),
+         bad_mass=None)
+@example(rows=[(LatticeStep(dn=3, dj=(1, 0, 0)), 1.0), (LatticeStep(dn=1, dj=(-1, 0, 0)), 1.0),
+               (LatticeStep(dn=1, dj=(2, 0, 0)), 1.0)], grid=GridSpec(), bad_mass=None)
+def test_stacked_lattice_state_is_its_rows(rows, grid, bad_mass):
+    if bad_mass and bad_mass[0] < len(rows):
+        rows[bad_mass[0]] = (rows[bad_mass[0]][0], bad_mass[1])
+    steps, masses = zip(*rows)
+    stack = LatticeStep(dn=np.array([s.dn for s in steps]), dj=np.array([s.dj for s in steps]))
+    one_row = [outcome_or_message(discrete_energy_momentum, m0, step, grid) for step, m0 in rows]
+    errors = [(CHECK_ORDER.index(check_of(r)), i) for i, r in enumerate(one_row) if isinstance(r, str)]
+    if errors:
+        # the stack runs each check over all rows, in order, and names the first row that fails it
+        _, i = min(errors)
+        with pytest.raises(DomainError) as exc:
+            discrete_energy_momentum(np.array(masses), stack, grid)
+        assert str(exc.value) == f"{one_row[i]} (row {i})"
+        return
+    state = discrete_energy_momentum(np.array(masses), stack, grid)
+    for i, one in enumerate(one_row):
+        assert (one.E.hex(), one.p.tobytes(), one.u.tobytes()) == (
+            state.E[i].hex(), state.p[i].tobytes(), state.u[i].tobytes())
+
+
+@pytest.mark.parametrize("dn, dj, message", [
+    ([1, 2, 0], [(0, 0, 0)] * 3, r"dn must be a positive integer, got 0 \(row 2\)"),
+    ([1, True], [(0, 0, 0)] * 2, r"dn must be a positive integer, got True \(row 1\)"),
+    ([1, 2], [(0, 0, 0), (0, False, 0)], r"dj must be three integers, got \(0, False, 0\) \(row 1\)"),
+    ([1, 2], [(0, 0, 0)], "dj must be three integers"),
+])
+def test_stacked_step_rejections_name_the_first_bad_row(dn, dj, message):
+    with pytest.raises(DomainError, match=message):
+        LatticeStep(dn=dn, dj=dj)
 
 
 class TestTotalDifference:

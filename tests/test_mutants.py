@@ -12,7 +12,11 @@ import pytest
 from latticewave import acceptance, kg_lattice, kinematics
 from latticewave.acceptance import run_criterion
 
-ORIGINAL = {name: getattr(kinematics, name) for name in ("boost_matrix", "four_difference_invariant", "transform_wave")}
+ORIGINAL = {
+    name: getattr(kinematics, name)
+    for name in ("boost_matrix", "four_difference_invariant", "transform_wave", "discrete_energy_momentum",
+                 "_exact_squares", "_velocity_ratio")
+}
 ORIGINAL_KERNEL, ORIGINAL_CONSTANTS = kg_lattice._inverse_kernel, kg_lattice._stencil_constants
 
 
@@ -59,6 +63,30 @@ def transform_wave_without_c_on_w(w, k, v, c):
     return wp / c, kp
 
 
+def energy_with_one_c_too_few(m0, step, grid):
+    s = ORIGINAL["discrete_energy_momentum"](m0, step, grid)
+    return kinematics.ParticleState(E=s.E / grid.c, p=s.p, m0=s.m0, u=s.u)
+
+
+def exact_energy_with_one_c_too_few(m0, step, grid):
+    (E2, E2_den), p2, u2 = ORIGINAL["_exact_squares"](m0, step, grid)
+    cn, cd = grid.c.as_integer_ratio()
+    return (E2 * cd * cd, E2_den * cn * cn), p2, u2
+
+
+def velocity_with_tau_for_eps(step, grid):
+    num, den = ORIGINAL["_velocity_ratio"](step, grid)
+    (tn, td), (en, ed) = grid.tau.as_integer_ratio(), grid.eps.as_integer_ratio()
+    return num * tn * ed, den * en * td
+
+
+def p_squared_without_dj_squared(m0, step, grid):
+    E2, _, u2 = ORIGINAL["_exact_squares"](m0, step, grid)
+    mn, md = kinematics._mass_ratio(m0, "exact squares")
+    (cn, cd), (a, b), (en, ed), _, (s_num, _) = kinematics._exact_interval(step, grid)
+    return E2, ((mn * cn * en * b) ** 2, (md * cd) ** 2 * s_num), u2
+
+
 def kernel_cut_at_2_pow_minus_24(off, diag, n, p):
     kernel = ORIGINAL_KERNEL(off, diag, n, p)
     return kernel[: np.count_nonzero(np.abs(kernel) > 2.0**-24 * abs(kernel[0]))]
@@ -81,6 +109,10 @@ FAULTS = [
     ("invariant-without-1/c2", kinematics, "four_difference_invariant", invariant_without_inverse_c2, 4),
     ("debroglie-w-times-hbar", kinematics, "debroglie_map", debroglie_w_times_hbar, 1),
     ("transform-wave-without-c", kinematics, "transform_wave", transform_wave_without_c_on_w, 1),
+    ("energy-one-c-too-few", kinematics, "discrete_energy_momentum", energy_with_one_c_too_few, 2),
+    ("exact-energy-one-c-too-few", kinematics, "_exact_squares", exact_energy_with_one_c_too_few, 2),
+    ("velocity-tau-for-eps", kinematics, "_velocity_ratio", velocity_with_tau_for_eps, 2),
+    ("p-squared-without-dj-squared", kinematics, "_exact_squares", p_squared_without_dj_squared, 2),
     ("evolve-kernel-cut-2^-24", kg_lattice, "_inverse_kernel", kernel_cut_at_2_pow_minus_24, 9),
     ("evolve-b-mass-sign", kg_lattice, "_stencil_constants", mass_term_of_b_with_wrong_sign, 9),
 ]
