@@ -108,7 +108,7 @@ class GridSpec:
             value = getattr(self, name)
             # compared, not converted: an int past the float range must not raise OverflowError,
             # nor be printed in full (repr refuses ints of more than 4300 digits)
-            if not (isinstance(value, (int, float)) and 0 < value <= sys.float_info.max):
+            if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0 < value <= sys.float_info.max):
                 too_long = isinstance(value, int) and value.bit_length() > 1024
                 shown = f"an int of {value.bit_length()} bits" if too_long else repr(value)
                 raise DomainError(f"GridSpec.{name} must be a finite positive number, got {shown}")

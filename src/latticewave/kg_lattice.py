@@ -26,7 +26,10 @@ symmetric tridiagonal circulant. That matrix is strictly diagonally
 dominant, so its inverse kernel is known in closed form and decays
 geometrically; the step applies the band of the kernel above 2^-60 of its
 peak as a fixed-order sum, which keeps the update exactly
-translation-equivariant and bit-for-bit deterministic. With m0 = 0 in
+translation-equivariant and bit-for-bit deterministic. The band is applied
+in stacked passes over blocks of offsets, one add, one multiply and one
+ordered reduce per block, with a fixed bound on the block's memory
+however wide the band grows (up to Nx/2 for a heavy mass). With m0 = 0 in
 natural units the band is a single site and the march is explicit.
 """
 
@@ -50,8 +53,8 @@ class KGParams:
     grid: GridSpec
 
     def __post_init__(self):
-        if not (self.m0 >= 0 and math.isfinite(self.m0)):
-            raise DomainError(f"m0 must be finite and >= 0, got {self.m0!r}")
+        if isinstance(self.m0, (bool, np.bool_)) or not (self.m0 >= 0 and math.isfinite(self.m0)):
+            raise DomainError(f"m0 must be a finite number >= 0, got {self.m0!r}")
 
     @property
     def mass_term(self) -> float:
@@ -175,7 +178,9 @@ def _stencil_constants(p: KGParams) -> tuple[float, float, float, float]:
 
 
 def _apply_symmetric_circulant(off: float, diag: float, f: np.ndarray) -> np.ndarray:
-    return off * (np.roll(f, -1) + np.roll(f, 1)) + diag * f
+    """off (f[j + 1] + f[j - 1]) + diag f[j], indices mod n, from one wrap-padded copy of f."""
+    padded = np.concatenate((f[-1:], f, f[:1]))
+    return off * (padded[2:] + padded[:-2]) + diag * f
 
 
 def _circulant_eigenvalues(off: float, diag: float, n: int) -> np.ndarray:
@@ -192,9 +197,10 @@ def _inverse_kernel(off: float, diag: float, n: int, p: KGParams) -> np.ndarray:
     which simplifies to sign(diag)/disc and so also holds at off = 0,
     where the kernel is [1/diag]. The step matrix is strictly
     diagonally dominant, so |r| < 1 and k decays geometrically; offsets
-    with |k[m]| <= 2^-60 |k[0]| are dropped. When the band reaches n/2
+    with |k[m]| <= 2^-60 |k[0]| are dropped, and ``_fold_band`` folds the
+    rest in blocks of offsets, in order of m. When the band reaches n/2
     every offset is kept; for even n the entry at n/2 is halved, because
-    ``_apply_kernel`` adds it for both neighbors f[j - n/2] = f[j + n/2].
+    ``_fold_band`` adds it for both neighbors f[j - n/2] = f[j + n/2].
     """
     eigs = _circulant_eigenvalues(off, diag, n)
     scale = abs(off) * 2.0 + abs(diag)
@@ -214,17 +220,57 @@ def _inverse_kernel(off: float, diag: float, n: int, p: KGParams) -> np.ndarray:
     return kernel
 
 
-def _apply_kernel(kernel: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """x[j] = k[0] f[j] + sum_m k[m] (f[j - m] + f[j + m]), m = 1..w, indices mod n.
+#: complex values per block of the band in ``_fold_band`` (512 KiB)
+_BLOCK_VALUES = 2**15
 
-    The sum runs in the same order at every site, which keeps the result
-    exactly equivariant under cyclic shifts of f.
+
+def _band_stack(w: int, n: int) -> np.ndarray:
+    """Scratch for ``_fold_band``: the running sum in row 0, then a block of offsets.
+
+    A block holds about _BLOCK_VALUES values, but at least 4 offsets, so
+    that at a large n the reduce does not re-read the running sum every
+    offset or two, and at most the w offsets of the band.
+    """
+    return np.empty((max(1, min(w, max(4, _BLOCK_VALUES // n))) + 1, n), dtype=np.complex128)
+
+
+def _fold_band(kernel: np.ndarray, f: np.ndarray, stack: np.ndarray, out: np.ndarray) -> None:
+    """out[j] = k[0] f[j] + sum_m k[m] (f[j - m] + f[j + m]), m = 1..w, indices mod n, for complex f.
+
+    The band is folded in blocks of offsets a..b-1, as many as ``stack``
+    has rows below its first, so the scratch memory does not grow with w n.
+    Each block is one stacked pass: one add forms the rows
+    f[j - m] + f[j + m] from windows of a wrap-padded copy of f, one
+    multiply scales them by k[m], and one reduce over the stack's first
+    axis adds them, in order of m, to the running sum in its row 0. So
+    every site sums k[0] f[j] + k[1] (...) + k[2] (...) + ... in the same
+    order, which keeps the result exactly equivariant under cyclic shifts
+    of f, and bit for bit that of the per-offset sum
+    ``x += k[m] * (f[j - m] + f[j + m])``: k[m] is the first operand of the
+    multiply, because numpy's complex product rounds a signed zero or an
+    underflow by its operand order, and the reduce starts from -0, because
+    its default start +0 would turn a sum of -0s into +0.
     """
     n, w = len(f), len(kernel) - 1
-    padded = np.concatenate((f[n - w:], f, f[:w]))
-    out = kernel[0] * f
-    for m in range(1, w + 1):
-        out += kernel[m] * (padded[w - m : w - m + n] + padded[w + m : w + m + n])
+    padded = np.concatenate((f[n - w :], f, f[:w]))
+    # row i is padded[i : i + n], so f[j - m] is row w - m and f[j + m] is row w + m
+    windows = np.ndarray((2 * w + 1, n), dtype=padded.dtype, buffer=padded, strides=padded.strides * 2)
+    np.multiply(kernel[0], f, out=stack[0] if w else out)
+    rows = len(stack) - 1
+    for a in range(1, w + 1, rows):
+        b = min(a + rows, w + 1)
+        sums = stack[1 : b - a + 1]
+        np.add(windows[w - b + 1 : w - a + 1][::-1], windows[w + a : w + b], out=sums)
+        np.multiply(kernel[a:b, None], sums, out=sums)
+        np.add.reduce(stack[: b - a + 1], axis=0, out=out, initial=complex(-0.0, -0.0))
+        if b <= w:
+            stack[0] = out
+
+
+def _apply_kernel(kernel: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The kernel's band applied to f once: ``_fold_band`` with scratch of its own."""
+    out = np.empty(len(f), dtype=np.complex128)
+    _fold_band(kernel, f, _band_stack(len(kernel) - 1, len(f)), out)
     return out
 
 
@@ -245,14 +291,16 @@ def evolve(initial: np.ndarray, steps: int, p: KGParams) -> FieldSlab:
     nx = initial.shape[1]
     if nx < 3:
         raise DomainError("evolution needs Nx >= 3")
-    if not (isinstance(steps, int) and steps >= 0):
-        raise DomainError("steps must be a non-negative integer")
+    if not (isinstance(steps, int) and not isinstance(steps, bool) and steps >= 0):
+        raise DomainError(f"steps must be a non-negative integer, got {steps!r}")
     check_size((steps + 2) * nx, "slab sites")
     off_a, diag_a, off_b, diag_b = _stencil_constants(p)
     kernel = _inverse_kernel(off_a, diag_a, nx, p)
     slab = np.empty((steps + 2, nx), dtype=np.complex128)
     slab[0] = initial[0]
     slab[1] = initial[1]
+    # allocated once: a fresh block per step can cost more in page faults than its arithmetic
+    stack = _band_stack(len(kernel) - 1, nx)
     # an overflow turns into inf/NaN and is caught once, after the march
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, steps + 1):
@@ -260,7 +308,7 @@ def evolve(initial: np.ndarray, steps: int, p: KGParams) -> FieldSlab:
                 _apply_symmetric_circulant(off_b, diag_b, slab[n])
                 + _apply_symmetric_circulant(off_a, diag_a, slab[n - 1])
             )
-            slab[n + 1] = _apply_kernel(kernel, rhs)
+            _fold_band(kernel, rhs, stack, slab[n + 1])
     if not np.all(np.isfinite(slab)):
         raise DomainError("the march overflowed the float range for these grid constants")
     return FieldSlab(psi=slab, grid=p.grid)

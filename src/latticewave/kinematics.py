@@ -327,7 +327,14 @@ def _at(index: tuple) -> str:
 
 
 def _mass_ratio(m0, what: str) -> tuple:
-    """m0 as (numerator, denominator), stacked like m0; a NaN or infinite m0 is a DomainError."""
+    """m0 as (numerator, denominator), stacked like m0.
+
+    An m0 <= 0 is a DomainError, checked over the whole stack first; then a
+    NaN or infinite m0 is one.
+    """
+    bad = _first(np.asarray(m0) <= 0)
+    if bad is not None:
+        raise DomainError(f"{what} needs m0 > 0 (the map degenerates at m0 = 0){_at(bad)}")
     pairs = []
     for m in np.ravel(m0).tolist():
         try:
@@ -423,9 +430,6 @@ def discrete_energy_momentum(m0, step: LatticeStep, grid: GridSpec) -> ParticleS
     stacked step with m0 of the shape of dn gives a stacked state whose rows
     have the bits of their one-step calls.
     """
-    bad = _first(np.asarray(m0) <= 0)
-    if bad is not None:
-        raise DomainError(f"discrete energy-momentum needs m0 > 0 (the map degenerates at m0 = 0){_at(bad)}")
     mn, md = _mass_ratio(m0, "discrete energy-momentum")
     (cn, cd), (a, b), (en, ed), _, (s_num, s_den) = _exact_interval(step, grid)
     bad = _first(s_num <= 0)

@@ -316,8 +316,9 @@ def test_slab_loaders_give_a_slab_or_a_domain_error(tmp_path, raw):
 def test_grid_spec_validation():
     with pytest.raises(DomainError):
         GridSpec(tau=0.0)
-    # an int past the float range once raised OverflowError from math.isfinite
-    for value in (10**400, -(10**400), 2**1024, 10**5000, float("nan"), float("inf")):
+    # an int past the float range once raised OverflowError from math.isfinite;
+    # a bool is no number, as LatticeStep and KGParams rule
+    for value in (10**400, -(10**400), 2**1024, 10**5000, float("nan"), float("inf"), True):
         with pytest.raises(DomainError, match="finite positive number"):
             GridSpec(tau=value)
     assert GridSpec(eps=10**300).eps == 10**300

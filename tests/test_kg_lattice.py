@@ -1,9 +1,11 @@
 """The lattice wave operator, its plane-wave certification, and evolution."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from latticewave import (
     DomainError,
@@ -20,7 +22,7 @@ from latticewave import (
     plane_wave_residual,
     sample_wave,
 )
-from latticewave.kg_lattice import _apply_kernel, _inverse_kernel, _stencil_constants
+from latticewave.kg_lattice import _BLOCK_VALUES, _apply_kernel, _inverse_kernel, _stencil_constants
 
 GRID = GridSpec()
 
@@ -290,3 +292,138 @@ class TestEvolve:
 def test_kg_params_validation():
     with pytest.raises(DomainError):
         KGParams(m0=-1.0, grid=GRID)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_a_bool_is_neither_a_mass_nor_a_step_count(flag):
+    with pytest.raises(DomainError, match="m0 must be"):
+        KGParams(m0=flag, grid=GRID)
+    with pytest.raises(DomainError, match="steps must be"):
+        evolve(np.ones((2, 8)), flag, KGParams(m0=1.0, grid=GRID))
+
+
+# --- the stacked march against the march as first written --------------------
+
+
+def oracle_apply_kernel(kernel: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The band as first written: one kernel offset at a time."""
+    n, w = len(f), len(kernel) - 1
+    padded = np.concatenate((f[n - w :], f, f[:w]))
+    out = kernel[0] * f
+    for m in range(1, w + 1):
+        out += kernel[m] * (padded[w - m : w - m + n] + padded[w + m : w + m + n])
+    return out
+
+
+def oracle_evolve(initial: np.ndarray, steps: int, p: KGParams) -> FieldSlab:
+    """evolve as first written: neighbours by np.roll, and the band one kernel offset at a time."""
+    initial = np.asarray(initial, dtype=np.complex128)
+    nx = initial.shape[1]
+    off_a, diag_a, off_b, diag_b = _stencil_constants(p)
+    kernel = _inverse_kernel(off_a, diag_a, nx, p)
+
+    def circulant(off, diag, f):
+        return off * (np.roll(f, -1) + np.roll(f, 1)) + diag * f
+
+    slab = np.empty((steps + 2, nx), dtype=np.complex128)
+    slab[:2] = initial
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, steps + 1):
+            rhs = -(circulant(off_b, diag_b, slab[n]) + circulant(off_a, diag_a, slab[n - 1]))
+            slab[n + 1] = oracle_apply_kernel(kernel, rhs)
+    if not np.all(np.isfinite(slab)):
+        raise DomainError("the march overflowed the float range for these grid constants")
+    return FieldSlab(psi=slab, grid=p.grid)
+
+
+def march_bytes(march, initial, steps, p):
+    """The march's slab as bytes, or the type and message of the DomainError it raised."""
+    try:
+        return march(initial, steps, p).psi.tobytes()
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+# zeros of both signs, subnormals, the edge of the normal range and values near overflow
+SPECIAL_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e300, -1.7e308])
+MARCH_GRIDS = [GRID, GridSpec(eps=0.01), GridSpec(tau=0.7, eps=0.3, c=1.9)]
+
+
+def initial_data(seed: int, nx: int, kind: str) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(2, nx)) + 1j * rng.normal(size=(2, nx))
+    if kind == "special":
+        return rng.choice(SPECIAL_VALUES[:5], (2, nx)) + 1j * rng.choice(SPECIAL_VALUES[:5], (2, nx))
+    if kind == "mixed":
+        special = rng.choice(SPECIAL_VALUES, (2, nx)) + 1j * rng.choice(SPECIAL_VALUES, (2, nx))
+        return np.where(rng.random((2, nx)) < 0.3, special, data)
+    return data * {"normal": 1.0, "subnormal": 1e-310, "huge": 1e306}[kind]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nx=st.integers(3, 300),
+    m0=st.sampled_from([0.0, 1e-3, 1.7, 3.4, 100.0]),
+    grid=st.sampled_from(MARCH_GRIDS),
+    kind=st.sampled_from(["normal", "special", "mixed", "subnormal", "huge"]),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(0, 8),
+)
+@example(nx=3, m0=1.7, grid=GRID, kind="special", seed=0, steps=8)
+@example(nx=300, m0=100.0, grid=GRID, kind="mixed", seed=1, steps=4)  # even Nx, band at Nx/2
+@example(nx=299, m0=1.0, grid=GridSpec(eps=0.01), kind="special", seed=2, steps=4)  # odd Nx, band at (Nx-1)/2
+@example(nx=16, m0=0.0, grid=GRID, kind="huge", seed=3, steps=8)
+def test_evolve_is_the_per_offset_march_bit_for_bit(nx, m0, grid, kind, seed, steps):
+    p = KGParams(m0=m0, grid=grid)
+    initial = initial_data(seed, nx, kind)
+    assert march_bytes(evolve, initial, steps, p) == march_bytes(oracle_evolve, initial, steps, p)
+
+
+def test_the_band_keeps_every_signed_zero_and_underflow_of_the_per_offset_sum():
+    """Zeros of both signs and subnormals, where numpy's complex product depends on its operand
+    order and a reduce started from +0 loses a -0; 2000 short vectors, each a fresh draw."""
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        nx = int(rng.integers(3, 17))
+        p = KGParams(m0=float(rng.choice([0.0, 1.7, 3.4])), grid=GRID)
+        off, diag, _, _ = _stencil_constants(p)
+        kernel = _inverse_kernel(off, diag, nx, p)
+        f = rng.choice(SPECIAL_VALUES[:5], nx) + 1j * rng.choice(SPECIAL_VALUES[:5], nx)
+        assert _apply_kernel(kernel, f).tobytes() == oracle_apply_kernel(kernel, f).tobytes()
+
+
+def test_a_march_that_overflows_raises_on_both_sides():
+    initial = initial_data(4, 40, "mixed")
+    assert np.max(np.abs(initial.real)) == 1.7e308
+    p = KGParams(m0=1.7, grid=GRID)
+    expected = march_bytes(oracle_evolve, initial, 8, p)
+    assert expected == (DomainError, "the march overflowed the float range for these grid constants")
+    assert march_bytes(evolve, initial, 8, p) == expected
+
+
+def test_a_band_wider_than_one_block_is_the_per_offset_march():
+    p, nx = KGParams(m0=100.0, grid=GRID), 1024
+    off, diag, _, _ = _stencil_constants(p)
+    w = len(_inverse_kernel(off, diag, nx, p)) - 1
+    assert w == nx // 2 and w > 4 * (_BLOCK_VALUES // nx)
+    initial = initial_data(5, nx, "normal")
+    direct = evolve(initial, 6, p).psi
+    assert direct.tobytes() == oracle_evolve(initial, 6, p).psi.tobytes()
+    # and the blocked band stays exactly translation-equivariant
+    assert np.array_equal(evolve(np.roll(initial, 37, axis=1), 6, p).psi, np.roll(direct, 37, axis=1))
+
+
+def test_a_step_of_a_wide_band_needs_memory_independent_of_its_width():
+    """w = 4096 offsets at Nx = 8192: the band stacked whole would take w Nx complex values (512 MiB)."""
+    p, nx = KGParams(m0=1e4, grid=GRID), 2**13
+    off, diag, _, _ = _stencil_constants(p)
+    assert len(_inverse_kernel(off, diag, nx, p)) - 1 == nx // 2
+    initial = initial_data(6, nx, "normal")
+    tracemalloc.start()
+    try:
+        evolve(initial, 1, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the three-row slab, the padded right-hand side and one block, with room to spare
+    assert peak <= 16 * 2**20

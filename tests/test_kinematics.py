@@ -29,7 +29,7 @@ from latticewave import (
     transform_wave,
     transform_wave_scalar,
 )
-from latticewave.kinematics import _exact_interval
+from latticewave.kinematics import _exact_interval, _exact_squares
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -437,7 +437,8 @@ def test_integer_kinematics_match_the_fraction_oracle(m0, step, grid):
 
     assert step_velocity(step, grid) == oracle_step_velocity(step, grid)
 
-    expected = outcome(oracle_energy_momentum_squared_exact, m0, step, grid)
+    # the Fraction oracle squares any mass; the library needs m0 > 0, like discrete_energy_momentum
+    expected = outcome(oracle_energy_momentum_squared_exact, m0, step, grid) if m0 > 0 else DomainError
     assert outcome(energy_momentum_squared_exact, m0, step, grid) == expected
 
     expected = outcome(oracle_discrete_energy_momentum, m0, step, grid)
@@ -448,6 +449,13 @@ def test_integer_kinematics_match_the_fraction_oracle(m0, step, grid):
         E, p, u = expected
         assert (state.E.hex(), state.p.tobytes(), state.u.tobytes()) == (E.hex(), p.tobytes(), u.tobytes())
         assert state.m0 == m0
+
+
+@pytest.mark.parametrize("m0", [0.0, -0.0, -2.0, 0, Fraction(-1, 3)])
+@pytest.mark.parametrize("entry", [_exact_squares, energy_momentum_squared_exact, discrete_energy_momentum])
+def test_every_exact_entry_point_needs_a_positive_mass(entry, m0):
+    with pytest.raises(DomainError, match=re.escape("needs m0 > 0")):
+        entry(m0, LatticeStep(3, (1, 0, 0)), GridSpec())
 
 
 # --- a stacked step is its rows, bit for bit --------------------------------
