@@ -267,25 +267,13 @@ def _criterion_6_plane_wave_certification(rng: np.random.Generator, as_printed: 
         1e-12,
     )
     if printed:
-        # the published asymmetric time coefficient: mass from tan^2(pi/N) = mu^2
-        m0_rest = math.tan(math.pi / 4)
-        m0_48 = math.sqrt(math.tan(math.pi / 4) ** 2 - 4 * math.tan(math.pi / 8) ** 2)
         c.note("running with the as-printed asymmetric tan coefficient; failure expected")
-    else:
-        m0_rest = 2.0 * math.tan(math.pi / 4)
-        m0_48 = math.sqrt(4 * math.tan(math.pi / 4) ** 2 - 4 * math.tan(math.pi / 8) ** 2)
-    c.check(
-        "exponential rest mode (N=4, M=inf) residual on 32x32",
-        plane_wave_residual(
-            WaveSpec(form=WaveForm.EXPONENTIAL, N=4, M=INFINITE), KGParams(m0=m0_rest, grid=grid), (32, 32)
-        ),
-        1e-12,
-    )
-    c.check(
-        "exponential traveling mode (N=4, M=8) residual on 32x32",
-        plane_wave_residual(WaveSpec(form=WaveForm.EXPONENTIAL, N=4, M=8), KGParams(m0=m0_48, grid=grid), (32, 32)),
-        1e-12,
-    )
+    for mode, M in (("rest mode (N=4, M=inf)", INFINITE), ("traveling mode (N=4, M=8)", 8)):
+        # the mass on dispersion's own tan relation: at m0 = 0 its residual is mu^2, which is m0^2 on GRID
+        m0 = math.sqrt(dispersion_residual(DispersionForm.EXPONENTIAL, 4, M, 0.0, grid, as_printed=printed))
+        spec = WaveSpec(form=WaveForm.EXPONENTIAL, N=4, M=M)
+        residual = plane_wave_residual(spec, KGParams(m0=m0, grid=grid), (32, 32))
+        c.check(f"exponential {mode} residual on 32x32", residual, 1e-12)
     if not printed:
         off_shell = plane_wave_residual(
             WaveSpec(form=WaveForm.EXPONENTIAL, N=4, M=INFINITE), KGParams(m0=1.0, grid=grid), (32, 32)

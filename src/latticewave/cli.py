@@ -32,7 +32,7 @@ from . import __version__
 from .acceptance import AS_PRINTED_CHOICES, format_report, run_acceptance
 from .dispersion import DispersionForm, quantization_check, solve_modes
 from .errors import ConfigError, DomainError, MeasurementError, SingularSystemError, SizeLimitError
-from .grid import SLAB_CSV_COLUMNS, FieldSlab, GridSpec, Infinite, INFINITE, slab_to_bytes, slab_to_csv
+from .grid import SLAB_CSV_COLUMNS, FieldSlab, GridSpec, Infinite, INFINITE, is_integer, slab_to_bytes, slab_to_csv
 from .kg_lattice import KGParams, evolve, plane_wave_residual
 from .kinematics import (
     LatticeStep,
@@ -147,7 +147,7 @@ _CONFIG_KEYS = {"experiment": str, "grid": (dict, type(None)), "params": dict,
                "output_path": (str, type(None)), "format": str, "seed": int}
 
 
-@dataclass
+@dataclass(frozen=True)  # frozen: config_text is made once
 class RunConfig:
     experiment: str
     grid: GridSpec
@@ -165,9 +165,13 @@ class RunConfig:
             "seed": self.seed,
         }
 
+    @functools.cached_property
+    def config_text(self) -> str:
+        """The canonical config as compact sorted JSON: config_hash hashes it, a CSV's config line shows it."""
+        return json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
+
     def config_hash(self) -> str:
-        canon = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()
+        return hashlib.sha256(self.config_text.encode()).hexdigest()
 
 
 def build_config(experiment: str, raw_params: dict, grid_fields: dict | None = None,
@@ -188,7 +192,7 @@ def build_config(experiment: str, raw_params: dict, grid_fields: dict | None = N
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
     params = _resolve_params(spec.schema, raw_params)
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not is_integer(seed):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
     return RunConfig(experiment=experiment, grid=grid, params=params,
                      output_path=output_path, format=fmt, seed=seed)
@@ -317,7 +321,7 @@ def _provenance_lines(cfg: RunConfig, checks: tuple[str, ...], extra: dict | Non
     lines = [
         f"latticewave {__version__}",
         f"config-hash: {cfg.config_hash()}",
-        f"config: {json.dumps(cfg.canonical_dict(), sort_keys=True, separators=(',', ':'))}",
+        f"config: {cfg.config_text}",
         f"checks: {', '.join(checks)}",
     ]
     lines.extend(f"{key}: {_fmt_cell(value)}" for key, value in (extra or {}).items())

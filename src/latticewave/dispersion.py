@@ -12,7 +12,9 @@ term: that is what the lattice operator actually certifies (see
 kg_lattice.calibrate_time_coefficient, whose stencil ratio is exactly
 4 tan^2(pi/N)). The asymmetric variant with coefficient 1 on the time
 term is available behind ``as_printed=True`` and is expected to fail
-residual tests; it is retained to document the discrepancy.
+residual tests; it is retained to document the discrepancy. Acceptance
+criterion 6 is its caller: it takes its exponential masses from this
+relation at m0 = 0, as printed under its ``tan-dispersion`` variant.
 
 M = INFINITE means zero wavenumber throughout (1/(M eps) = 0).
 """
@@ -26,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .grid import GridSpec, Infinite, INFINITE, MaybeInfinite, check_size
+from .grid import GridSpec, Infinite, INFINITE, MaybeInfinite, check_mode, check_size, is_integer
 from .kinematics import LatticeStep, discrete_energy_momentum
 
 
@@ -49,16 +51,9 @@ class DispersionSolution:
 
 def mass_from_rest_period(N: int, grid: GridSpec) -> float:
     """Rest mass of the mode with time period N and zero wavenumber: h/(c^2 N tau)."""
-    if not (isinstance(N, int) and N >= 1):
+    if not (is_integer(N) and N >= 1):
         raise DomainError(f"rest period N must be an integer >= 1, got {N!r}")
     return grid.h / (grid.c**2 * N * grid.tau)
-
-
-def _validate_mode(N: int, M: MaybeInfinite) -> None:
-    if not (isinstance(N, int) and N >= 2):
-        raise DomainError(f"N must be an integer >= 2, got {N!r}")
-    if not isinstance(M, Infinite) and not (isinstance(M, int) and M >= 2):
-        raise DomainError(f"M must be an integer >= 2 or INFINITE, got {M!r}")
 
 
 def mode_frequency(N: int, grid: GridSpec) -> float:
@@ -116,7 +111,7 @@ def dispersion_residual(
     as_printed: bool = False,
 ) -> float:
     """Signed residual of the applicable relation; reported as-is."""
-    _validate_mode(N, M)
+    check_mode(N, M)
     if m0 < 0:
         raise DomainError("m0 must be >= 0")
     time_coeff = 1.0 if as_printed else 4.0

@@ -75,6 +75,19 @@ def check_size(count: int, what: str) -> None:
         raise SizeLimitError(f"{what}: {count} exceeds the size cap of {MAX_CELLS}")
 
 
+def is_integer(value) -> bool:
+    """An int, never a bool: the package's one test of an integer argument."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_mode(N: int, M: MaybeInfinite) -> None:
+    """Raise DomainError unless N is an integer >= 2 and M an integer >= 2 or INFINITE."""
+    if not (is_integer(N) and N >= 2):
+        raise DomainError(f"N must be an integer >= 2, got {N!r}")
+    if not isinstance(M, Infinite) and not (is_integer(M) and M >= 2):
+        raise DomainError(f"M must be an integer >= 2 or INFINITE, got {M!r}")
+
+
 class Boundary(Enum):
     """How difference operators treat sequence ends."""
 

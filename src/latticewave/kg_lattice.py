@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularSystemError
-from .grid import FieldSlab, GridSpec, Infinite, INFINITE, check_size
+from .grid import FieldSlab, GridSpec, Infinite, INFINITE, check_size, is_integer
 from .waves import WaveForm, WaveSpec, sample_wave
 
 
@@ -138,10 +138,8 @@ def calibrate_time_coefficient(N: int) -> float | Infinite:
     Analytically equal to 4 tan^2(pi/N); this is the oracle fixing the
     coefficient of the tan^2 time term in the exponential dispersion
     relation. At N = 2 the second average annihilates the alternating
-    mode and the ratio is reported as symbolic INFINITE.
+    mode and the ratio is reported as symbolic INFINITE; WaveSpec checks N.
     """
-    if not (isinstance(N, int) and N >= 2):
-        raise DomainError(f"N must be an integer >= 2, got {N!r}")
     spec = WaveSpec(form=WaveForm.EXPONENTIAL, N=N, M=INFINITE)
     # the operator's own time stencils at n = 4, from slices 3..5
     window = sample_wave(spec, 8, 1).psi[3:6, 0]
@@ -291,7 +289,7 @@ def evolve(initial: np.ndarray, steps: int, p: KGParams) -> FieldSlab:
     nx = initial.shape[1]
     if nx < 3:
         raise DomainError("evolution needs Nx >= 3")
-    if not (isinstance(steps, int) and not isinstance(steps, bool) and steps >= 0):
+    if not (is_integer(steps) and steps >= 0):
         raise DomainError(f"steps must be a non-negative integer, got {steps!r}")
     check_size((steps + 2) * nx, "slab sites")
     off_a, diag_a, off_b, diag_b = _stencil_constants(p)

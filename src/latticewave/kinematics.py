@@ -37,7 +37,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DomainError
-from .grid import GridSpec, Infinite, INFINITE
+from .grid import GridSpec, Infinite, INFINITE, is_integer
 
 
 def _vec3(v: Sequence[float]) -> np.ndarray:
@@ -300,17 +300,12 @@ class LatticeStep:
         return self if np.ndim(self.dn) == 0 else LatticeStep(dn=self.dn[index], dj=tuple(self.dj[index]))
 
 
-def _is_integer(value) -> bool:
-    """An int, never a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _integers(x) -> tuple[np.ndarray, np.ndarray]:
     """x as an object array of Python ints, and the mask of its entries that are not ints (a bool is not)."""
     if isinstance(x, np.ndarray) and x.dtype.kind in "iu":
         return x.astype(object), np.zeros(x.shape, dtype=bool)
     a = np.asarray(x, dtype=object)
-    return a, np.array([not _is_integer(v) for v in a.flat], dtype=bool).reshape(a.shape)
+    return a, np.array([not is_integer(v) for v in a.flat], dtype=bool).reshape(a.shape)
 
 
 def _first(bad) -> tuple | None:

@@ -20,12 +20,14 @@ overflow impossible.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InternalInvariantError
+from .grid import is_integer
 
 Entries = tuple[tuple[int, int, int, int], ...]
 
@@ -222,7 +224,7 @@ def enumerate_ball(max_word_len: int) -> list[IntLorentzMatrix]:
     Deduplicated by exact entries and returned in lexicographic entry
     order, so the output is identical across runs and platforms.
     """
-    if not (isinstance(max_word_len, int) and max_word_len >= 0):
+    if not (is_integer(max_word_len) and max_word_len >= 0):
         raise DomainError("max_word_len must be a non-negative integer")
     if max_word_len > MAX_BALL_WORD_LEN:
         raise DomainError(f"max_word_len {max_word_len} exceeds safety bound {MAX_BALL_WORD_LEN}")
@@ -276,24 +278,20 @@ def _reduction_step(parity_word: tuple[str, ...]) -> Entries:
 # (parity word, S4 P) in _PARITY_WORDS order: one reduction step is one product
 _REDUCTION_STEPS = tuple((w, _reduction_step(w)) for w in _PARITY_WORDS)
 
-_signed_perm_words: dict[Entries, tuple[str, ...]] | None = None
 
-
+@functools.cache
 def _signed_permutation_words() -> dict[Entries, tuple[str, ...]]:
     """Shortlex word over {S1, S2, S3} for each of the 48 signed permutations."""
-    global _signed_perm_words
-    if _signed_perm_words is None:
-        table: dict[Entries, tuple[str, ...]] = {_IDENTITY: ()}
-        queue = deque([(_IDENTITY, ())])
-        while queue:
-            m, word = queue.popleft()
-            for letter in ("S1", "S2", "S3"):
-                q = _mat_mul(m, _GENERATORS[letter])
-                if q not in table:
-                    table[q] = word + (letter,)
-                    queue.append((q, word + (letter,)))
-        _signed_perm_words = table
-    return _signed_perm_words
+    table: dict[Entries, tuple[str, ...]] = {_IDENTITY: ()}
+    queue = deque([(_IDENTITY, ())])
+    while queue:
+        m, word = queue.popleft()
+        for letter in ("S1", "S2", "S3"):
+            q = _mat_mul(m, _GENERATORS[letter])
+            if q not in table:
+                table[q] = word + (letter,)
+                queue.append((q, word + (letter,)))
+    return table
 
 
 def factorize(m: IntLorentzMatrix) -> GeneratorWord:

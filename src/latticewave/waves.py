@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, MeasurementError
-from .grid import FieldSlab, GridSpec, Infinite, INFINITE, MaybeInfinite, check_size
+from .grid import FieldSlab, GridSpec, Infinite, INFINITE, MaybeInfinite, check_mode, check_size
 
 
 class WaveForm(Enum):
@@ -49,10 +49,7 @@ class WaveSpec:
     def __post_init__(self):
         if not isinstance(self.form, WaveForm):
             raise DomainError(f"form must be a WaveForm, got {self.form!r}")
-        if not (isinstance(self.N, int) and self.N >= 2):
-            raise DomainError(f"N must be an integer >= 2, got {self.N!r}")
-        if not isinstance(self.M, Infinite) and not (isinstance(self.M, int) and self.M >= 2):
-            raise DomainError(f"M must be an integer >= 2 or INFINITE, got {self.M!r}")
+        check_mode(self.N, self.M)
 
 
 def _unimodular_power(z: complex, exponent: int) -> complex:
@@ -263,8 +260,9 @@ def _beat_phases(b: BeatSpec, grid: GridSpec, nt: int, nx: int):
     return t[:, None], x[None, :]
 
 
-def _require_envelope_coverage(b: BeatSpec, grid: GridSpec, nt: int, nx: int, periods: float) -> None:
-    # envelope 2 cos(pi(t a - x b)) has full period 2/|a| in t, 2/|b| in x
+def _require_envelope_coverage(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> None:
+    # envelope 2 cos(pi(t a - x b)) has full period 2/|a| in t, 2/|b| in x; two of them must fit
+    periods = 2.0
     a, bk = b.freq_diff, b.wavenum_diff
     if a != 0.0 and nt * grid.tau < periods * 2.0 / abs(a):
         raise DomainError(
@@ -282,7 +280,7 @@ def beat_field(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> FieldSlab:
     Real-valued by construction (stored in the complex slab); equals the
     product of the slow and fast cosine factors at every site.
     """
-    _require_envelope_coverage(b, grid, nt, nx, periods=2.0)
+    _require_envelope_coverage(b, grid, nt, nx)
     t, x = _beat_phases(b, grid, nt, nx)
     psi = np.cos(2.0 * np.pi * (t / b.T1 - x / b.lam1)) + np.cos(2.0 * np.pi * (t / b.T2 - x / b.lam2))
     return FieldSlab(psi=psi.astype(np.complex128), grid=grid)

@@ -44,6 +44,9 @@ class TestMassSpectrum:
     def test_invalid_period(self):
         with pytest.raises(DomainError):
             mass_from_rest_period(0, GRID)
+        # a bool is no period: True would be N = 1
+        with pytest.raises(DomainError, match="rest period N must be an integer"):
+            mass_from_rest_period(True, GRID)
 
 
 class TestDispersionResidual:

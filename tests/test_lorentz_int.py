@@ -178,6 +178,11 @@ class TestEnumerateBall:
         with pytest.raises(DomainError):
             enumerate_ball(60)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_a_bool_is_no_word_length(self, flag):
+        with pytest.raises(DomainError, match="max_word_len must be a non-negative integer"):
+            enumerate_ball(flag)
+
 
 class TestFactorize:
     def test_identity_gives_empty_word(self):

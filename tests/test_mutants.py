@@ -9,7 +9,7 @@ criterion passes without the fault.
 import numpy as np
 import pytest
 
-from latticewave import acceptance, kg_lattice, kinematics
+from latticewave import acceptance, dispersion, kg_lattice, kinematics
 from latticewave.acceptance import run_criterion
 
 ORIGINAL = {
@@ -18,6 +18,7 @@ ORIGINAL = {
                  "_exact_squares", "_velocity_ratio")
 }
 ORIGINAL_KERNEL, ORIGINAL_CONSTANTS = kg_lattice._inverse_kernel, kg_lattice._stencil_constants
+ORIGINAL_TIME_TERM = dispersion._time_term
 
 
 def gamma_squared_time_entry(v, c):
@@ -99,6 +100,11 @@ def mass_term_of_b_with_wrong_sign(p):
     return off_a, diag_a, off_b + mu2 / 4.0, diag_b + mu2 / 2.0
 
 
+def exponential_time_coefficient_2(form, N, grid, time_coeff=4.0):
+    # the symmetric coefficient 4 becomes 2; the as-printed coefficient 1 stays
+    return ORIGINAL_TIME_TERM(form, N, grid, 2.0 if time_coeff == 4.0 else time_coeff)
+
+
 FAULTS = [
     # (id, module, function name, faulty replacement, criterion that must fail)
     ("boost-gamma-squared", kinematics, "boost_matrix", gamma_squared_time_entry, 1),
@@ -115,6 +121,7 @@ FAULTS = [
     ("p-squared-without-dj-squared", kinematics, "_exact_squares", p_squared_without_dj_squared, 2),
     ("evolve-kernel-cut-2^-24", kg_lattice, "_inverse_kernel", kernel_cut_at_2_pow_minus_24, 9),
     ("evolve-b-mass-sign", kg_lattice, "_stencil_constants", mass_term_of_b_with_wrong_sign, 9),
+    ("dispersion-time-coefficient-2", dispersion, "_time_term", exponential_time_coefficient_2, 6),
 ]
 
 
