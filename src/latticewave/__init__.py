@@ -72,6 +72,7 @@ from .waves import (
     eval_wave,
     measure_group_velocity,
     sample_wave,
+    track_beat_velocity,
 )
 from .dispersion import (
     DispersionForm,

@@ -182,10 +182,18 @@ _CSV_ROW = np.dtype([("n", "<i8"), ("j", "<i8"), ("re", "<f8"), ("im", "<f8")])
 def slab_to_csv(slab: FieldSlab, header_lines: Iterable[str] = ()) -> bytes:
     lines = [f"# {line}\n" for line in header_lines]
     lines.append(",".join(SLAB_CSV_COLUMNS) + "\n")
-    # tolist() yields Python floats, whose repr the cells use
+    # each row of the slab is one join over its 8 * nx cells, "n" "," "j" "," re "," im "\n" per site, which is
+    # the layout above byte for byte. The j, comma and newline cells are the same in every row, so they are
+    # filled once; a row's tolist() yields Python floats, whose repr the re and im cells use
+    nx = slab.nx
+    cells = [","] * (8 * nx)
+    cells[2::8] = map(str, range(nx))
+    cells[7::8] = ["\n"] * nx
     for n, (re_row, im_row) in enumerate(zip(slab.psi.real, slab.psi.imag)):
-        cells = zip(re_row.tolist(), im_row.tolist())
-        lines.extend(f"{n},{j},{re!r},{im!r}\n" for j, (re, im) in enumerate(cells))
+        cells[0::8] = [str(n)] * nx
+        cells[4::8] = map(repr, re_row.tolist())
+        cells[6::8] = map(repr, im_row.tolist())
+        lines.append("".join(cells))
     return "".join(lines).encode()
 
 
@@ -231,7 +239,8 @@ def load_slab_csv(path: str | Path, grid: GridSpec = GridSpec()) -> FieldSlab:
         raise DomainError(f"{path}: not a slab CSV ({exc})") from None
     if "\r" in text:
         raise DomainError(f"{path}: not a slab CSV (a carriage return outside a '\\r\\n' line ending)")
-    lines = [line for line in text.split("\n") if line and not line.lstrip().startswith("#")]
+    # a line without '#' cannot start with one, so most lines skip the lstrip
+    lines = [line for line in text.split("\n") if line and ("#" not in line or not line.lstrip().startswith("#"))]
     if not lines or lines[0] != ",".join(SLAB_CSV_COLUMNS):
         raise DomainError(f"{path}: not a slab CSV (missing 'n,j,re,im' header row)")
     if len(lines) < 2:

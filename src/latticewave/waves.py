@@ -332,7 +332,7 @@ def _refine_peak(row: np.ndarray, j: int) -> float:
     if denom == 0.0:
         return float(j)
     delta = 0.5 * (ym - yp) / denom
-    return j + float(np.clip(delta, -0.5, 0.5))
+    return j + float(min(max(delta, -0.5), 0.5))
 
 
 def _coarse_envelope_sq(psi: np.ndarray, window: int) -> np.ndarray:
@@ -361,6 +361,37 @@ def _crest_spacing_sites(env_sq_row: np.ndarray) -> float:
     return nx / mode
 
 
+def track_beat_velocity(beat: BeatSpec, grid: GridSpec, nt: int, nx: int) -> float:
+    """The envelope-tracked group velocity of ``beat`` on an nt x nx slab of ``grid``.
+
+    Needs no sampled field: the analytically known slow factor supplies the
+    envelope. A slab that aliases it (crests under 2 sites apart, or a crest
+    moving more than half the crest spacing per step) is a MeasurementError.
+    """
+    if nt < 4:
+        raise DomainError("group-velocity measurement needs at least 4 time slices")
+    if beat.wavenum_diff == 0.0:
+        raise MeasurementError(
+            "envelope has no spatial structure (equal mode wavenumbers); nothing to track"
+        )
+    env_sq = beat_envelope(beat, grid, nt, nx) ** 2
+    crest_sites = (2.0 / abs(beat.wavenum_diff)) / grid.eps / 2.0
+    if nx * grid.eps < 3.0 * (2.0 / abs(beat.wavenum_diff)):
+        raise DomainError("fewer than 3 envelope periods resolved across the slab")
+    # a slab coarser than the envelope aliases it: the tracked crests are not the envelope's
+    if crest_sites < 2.0:
+        raise MeasurementError(
+            f"envelope crests {crest_sites!r} sites apart are under-resolved; at least 2 sites are needed"
+        )
+    step_sites = abs(beat_group_velocity(beat)) * grid.tau / grid.eps
+    if step_sites > crest_sites / 2.0:
+        raise MeasurementError(
+            f"envelope crest moves {step_sites!r} sites per step, more than half its "
+            f"{crest_sites!r}-site spacing; its motion is aliased"
+        )
+    return _track_crests(env_sq, crest_sites, grid)
+
+
 def measure_group_velocity(
     field: FieldSlab,
     beat: BeatSpec | None = None,
@@ -368,48 +399,30 @@ def measure_group_velocity(
 ) -> float:
     """Track the envelope crest across time slices; return its fitted velocity.
 
-    With ``beat`` given, the analytically known slow factor supplies the
-    envelope; otherwise |psi|^2 is coarse-grained over ``carrier_window``
-    sites (one fast period). Crest positions are refined by quadratic
-    interpolation around the discrete argmax, followed from slice to slice
-    by nearest-candidate continuity, unwrapped, and fitted against time by
-    least squares. With ``beat`` given, a slab that aliases the envelope
-    (crests under 2 sites apart, or a crest moving more than half the crest
-    spacing per step) is a MeasurementError.
+    With ``beat`` given, only the field's shape and grid are read: the result
+    is ``track_beat_velocity(beat, field.grid, field.nt, field.nx)``.
+    Otherwise |psi|^2 is coarse-grained over ``carrier_window`` sites (one
+    fast period). Crest positions are refined by quadratic interpolation
+    around the discrete argmax, followed from slice to slice by
+    nearest-candidate continuity, unwrapped, and fitted against time by
+    least squares.
     """
-    nt, nx = field.nt, field.nx
-    grid = field.grid
-    if nt < 4:
-        raise DomainError("group-velocity measurement needs at least 4 time slices")
     if beat is not None:
-        if beat.wavenum_diff == 0.0:
-            raise MeasurementError(
-                "envelope has no spatial structure (equal mode wavenumbers); nothing to track"
-            )
-        env_sq = beat_envelope(beat, grid, nt, nx) ** 2
-        crest_sites = (2.0 / abs(beat.wavenum_diff)) / grid.eps / 2.0
-        if nx * grid.eps < 3.0 * (2.0 / abs(beat.wavenum_diff)):
-            raise DomainError("fewer than 3 envelope periods resolved across the slab")
-        # a slab coarser than the envelope aliases it: the tracked crests are not the envelope's
-        if crest_sites < 2.0:
-            raise MeasurementError(
-                f"envelope crests {crest_sites!r} sites apart are under-resolved; at least 2 sites are needed"
-            )
-        step_sites = abs(beat_group_velocity(beat)) * grid.tau / grid.eps
-        if step_sites > crest_sites / 2.0:
-            raise MeasurementError(
-                f"envelope crest moves {step_sites!r} sites per step, more than half its "
-                f"{crest_sites!r}-site spacing; its motion is aliased"
-            )
-    else:
-        if carrier_window is None or carrier_window < 1:
-            raise DomainError("coarse-grained tracking needs carrier_window >= 1 (sites per fast period)")
-        env_sq = _coarse_envelope_sq(field.psi, carrier_window)
-        contrast = env_sq.max() - env_sq.min()
-        if contrast <= 1e-9 * max(env_sq.max(), 1e-300):
-            raise MeasurementError("envelope is flat; group velocity is not measurable")
-        crest_sites = _crest_spacing_sites(env_sq[0])
+        return track_beat_velocity(beat, field.grid, field.nt, field.nx)
+    if field.nt < 4:
+        raise DomainError("group-velocity measurement needs at least 4 time slices")
+    if carrier_window is None or carrier_window < 1:
+        raise DomainError("coarse-grained tracking needs carrier_window >= 1 (sites per fast period)")
+    env_sq = _coarse_envelope_sq(field.psi, carrier_window)
+    contrast = env_sq.max() - env_sq.min()
+    if contrast <= 1e-9 * max(env_sq.max(), 1e-300):
+        raise MeasurementError("envelope is flat; group velocity is not measurable")
+    return _track_crests(env_sq, _crest_spacing_sites(env_sq[0]), field.grid)
 
+
+def _track_crests(env_sq: np.ndarray, crest_sites: float, grid: GridSpec) -> float:
+    """The fitted velocity of a crest of the squared envelope ``env_sq``, ``crest_sites`` apart."""
+    nt, nx = env_sq.shape
     # The slab is not periodic in general (the envelope period need not
     # divide the extent), so tracking stays away from the edges: start on
     # a crest near the center and, when the followed crest drifts toward

@@ -7,6 +7,7 @@ report.
 """
 
 import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -186,6 +187,19 @@ def test_batched_criteria_print_the_per_sample_lines(cid, seed):
     if cid == 2:  # the oracle is the whole of criterion 2
         assert len(result.details) == len(expected.details)
     assert result.passed and expected.passed
+
+
+def test_criterion_5_tracks_the_beat_without_sampling_its_field():
+    """Criterion 5 samples no 256 x 1024 beat field, which alone is 4 MiB of complex values."""
+    tracemalloc.start()
+    try:
+        result = run_criterion(5, seed=SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    # the squared envelope and its intermediates, with room to spare
+    assert peak <= 6 * 2**20
 
 
 # SHA-256 of the verbose report that `latticewave verify-all --seed S [--as-printed V]` prints

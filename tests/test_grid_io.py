@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import math
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +292,58 @@ def test_every_written_slab_loads_back_bit_for_bit(tmp_path, slab):
     loaded = load_slab_csv(path)
     assert loaded.psi.tobytes() == slab.psi.tobytes()
     assert slab_to_csv(loaded, ["provenance"]) == path.read_bytes()
+
+
+def oracle_slab_to_csv(slab, header_lines=()):
+    """The per-cell writer: one f-string per site."""
+    lines = [f"# {line}\n" for line in header_lines]
+    lines.append("n,j,re,im\n")
+    for n, (re_row, im_row) in enumerate(zip(slab.psi.real, slab.psi.imag)):
+        cells = zip(re_row.tolist(), im_row.tolist())
+        lines.extend(f"{n},{j},{re!r},{im!r}\n" for j, (re, im) in enumerate(cells))
+    return "".join(lines).encode()
+
+
+# both sides of repr's switches to exponent form (at 1e16 and below 1e-4), subnormals and the float extremes
+REPR_EDGES = st.sampled_from([
+    1e16, 9999999999999998.0, 1.0000000000000002e16, 1e-4, 9.999999999999999e-05, 1.0000000000000003e-4,
+    5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, sys.float_info.max, 1e-5, 123456.789,
+]).flatmap(lambda x: st.sampled_from([x, -x]))
+WRITER_FLOATS = FLOATS | REPR_EDGES
+HEADER_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+@st.composite
+def writer_slabs(draw):
+    nt, nx = draw(st.sampled_from([(1, 1), (1, 7), (7, 1)]) | st.tuples(st.integers(1, 12), st.integers(1, 12)))
+    return slab_from_parts(nt, nx, draw(st.lists(WRITER_FLOATS, min_size=2 * nt * nx, max_size=2 * nt * nx)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(slab=writer_slabs(), header_lines=st.lists(HEADER_TEXT, max_size=3))
+@example(slab=slab_from_parts(1, 1, [-0.0, math.nan]), header_lines=[])
+@example(slab=slab_from_parts(257, 3, [float(k) * 1e-5 for k in range(2 * 257 * 3)]), header_lines=["a", "b"])
+def test_writer_matches_the_per_cell_oracle_byte_for_byte(slab, header_lines):
+    assert slab_to_csv(slab, header_lines) == oracle_slab_to_csv(slab, header_lines)
+
+
+@pytest.mark.parametrize("middle, lineno", [
+    ("   ", 3),
+    (" \t# note", None),
+    ("\u3000# x", None),
+    ("0,1,1.0,2.0#x", 3),
+], ids=["blank-only-line", "indented-comment", "ideographic-space-comment", "hash-after-the-cells"])
+def test_loader_verdicts_on_blank_and_hash_lines(tmp_path, middle, lineno):
+    # a line is skipped when empty or when its first non-blank character is '#'; everything else is data
+    path = tmp_path / "slab.csv"
+    path.write_bytes(f"n,j,re,im\n0,0,1.0,2.0\n{middle}\n0,1,1.0,2.0\n".encode())
+    if lineno is None:
+        assert load_slab_csv(path).psi.tolist() == [[1 + 2j, 1 + 2j]]
+    else:
+        with pytest.raises(DomainError) as excinfo:
+            load_slab_csv(path)
+        assert str(excinfo.value).startswith(f"{path}: line {lineno}: ")
+        assert str(excinfo.value).endswith(f"got {middle!r}")
 
 
 CSV_CELLS = st.sampled_from(["0", "1", "2", "-1", "1.5", "nan", "1e999", "abc", "", " 1"])

@@ -29,6 +29,7 @@ from latticewave import (
     eval_wave,
     measure_group_velocity,
     sample_wave,
+    track_beat_velocity,
 )
 from latticewave.waves import _unimodular_power
 
@@ -245,6 +246,17 @@ class TestBeatVelocities:
 
 class TestMeasureGroupVelocity:
     BEAT = BeatSpec(T1=4.0, T2=6.0, lam1=3.0, lam2=5.0)
+    # (beat, grid, message) measured on 64 x 512 slabs whose envelope the sampling aliases
+    ALIASED = [
+        (BEAT, GridSpec(tau=1e160), "aliased"),
+        (BEAT, GridSpec(tau=6.1), "aliased"),
+        (BEAT, GridSpec(eps=1e304), "under-resolved"),
+        (BEAT, GridSpec(eps=3.8), "under-resolved"),
+        (BeatSpec(T1=4.0, T2=4.0, lam1=3.0, lam2=-3.0), GridSpec(), "under-resolved"),
+    ]
+    ALIASED_IDS = ["tau-huge", "half-spacing-per-step", "eps-huge", "under-two-sites", "standing-1.5-sites"]
+    # (beat, nt, nx) the measurement refuses on the default grid: too few envelope periods, a flat envelope
+    UNCOVERED = [(BEAT, 64, 32), (BeatSpec(T1=4.0, T2=4.0, lam1=3.0, lam2=3.0), 32, 32)]
 
     def test_measured_matches_analytic_within_two_percent(self):
         measured = measure_group_velocity(beat_field(self.BEAT, GridSpec(), 128, 512), beat=self.BEAT)
@@ -255,13 +267,7 @@ class TestMeasureGroupVelocity:
         measured = measure_group_velocity(beat_field(b, GridSpec(), 64, 64), beat=b)
         assert abs(measured) <= 0.01
 
-    @pytest.mark.parametrize("beat, grid, match", [
-        (BEAT, GridSpec(tau=1e160), "aliased"),
-        (BEAT, GridSpec(tau=6.1), "aliased"),
-        (BEAT, GridSpec(eps=1e304), "under-resolved"),
-        (BEAT, GridSpec(eps=3.8), "under-resolved"),
-        (BeatSpec(T1=4.0, T2=4.0, lam1=3.0, lam2=-3.0), GridSpec(), "under-resolved"),
-    ], ids=["tau-huge", "half-spacing-per-step", "eps-huge", "under-two-sites", "standing-1.5-sites"])
+    @pytest.mark.parametrize("beat, grid, match", ALIASED, ids=ALIASED_IDS)
     def test_aliased_envelope_is_measurement_error(self, beat, grid, match):
         # crests 7.5 sites apart moving 0.625 sites per step at tau = eps = 1
         with pytest.raises(MeasurementError, match=match):
@@ -301,15 +307,38 @@ class TestMeasureGroupVelocity:
             measure_group_velocity(FieldSlab(psi, GridSpec(tau=1e-10, eps=1e308)), carrier_window=2)
 
     def test_flat_envelope_is_measurement_error(self):
-        b = BeatSpec(T1=4.0, T2=4.0, lam1=3.0, lam2=3.0)
-        slab = beat_field(b, GridSpec(), 32, 32)
+        b, nt, nx = self.UNCOVERED[1]
+        slab = beat_field(b, GridSpec(), nt, nx)
         with pytest.raises(MeasurementError):
             measure_group_velocity(slab, beat=b)
 
     def test_too_few_envelope_periods_rejected(self):
-        slab = beat_field(self.BEAT, GridSpec(), 64, 32)
+        b, nt, nx = self.UNCOVERED[0]
+        slab = beat_field(b, GridSpec(), nt, nx)
         with pytest.raises(DomainError):
-            measure_group_velocity(slab, beat=self.BEAT)
+            measure_group_velocity(slab, beat=b)
+
+    @pytest.mark.parametrize("beat", [
+        BEAT, BeatSpec(T1=4.0, T2=4.0, lam1=15.0, lam2=-15.0), BeatSpec(T1=5.0, T2=7.0, lam1=4.0, lam2=9.0),
+    ], ids=["traveling", "standing", "slower"])
+    @pytest.mark.parametrize("grid", [GridSpec(), GridSpec(tau=0.5, eps=0.5)], ids=["unit", "half"])
+    def test_beat_tracking_needs_no_field(self, beat, grid):
+        measured = track_beat_velocity(beat, grid, 256, 512)
+        assert measured == measure_group_velocity(beat_field(beat, grid, 256, 512), beat=beat)
+        assert measured == pytest.approx(beat_group_velocity(beat), abs=0.02)
+
+    @pytest.mark.parametrize("beat, grid, nt, nx", [
+        *((beat, grid, 64, 512) for beat, grid, _ in ALIASED),
+        *((beat, GridSpec(), nt, nx) for beat, nt, nx in UNCOVERED),
+    ], ids=[*ALIASED_IDS, "too-few-periods", "flat-envelope"])
+    def test_beat_tracking_refuses_what_the_field_measurement_refuses(self, beat, grid, nt, nx):
+        slab = beat_field(beat, grid, nt, nx)
+        with pytest.raises((DomainError, MeasurementError)) as from_field:
+            measure_group_velocity(slab, beat=beat)
+        with pytest.raises((DomainError, MeasurementError)) as from_beat:
+            track_beat_velocity(beat, grid, nt, nx)
+        assert type(from_beat.value) is type(from_field.value)
+        assert str(from_beat.value) == str(from_field.value)
 
 
 @pytest.mark.parametrize("fields", [
