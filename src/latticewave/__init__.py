@@ -87,7 +87,6 @@ from .lorentz_int import (
     GeneratorWord,
     IDENTITY,
     IntLorentzMatrix,
-    act,
     enumerate_ball,
     eval_word,
     factorize,
@@ -95,11 +94,9 @@ from .lorentz_int import (
     matrix_from_json,
     matrix_to_json,
     metric_gram_defect,
-    minkowski_square,
     parity_products,
     preserves_metric,
     printed_s4,
-    word_from_json,
     word_to_json,
 )
 from .kg_lattice import (

@@ -14,8 +14,16 @@ corrected matrix is what ``generator("S4")`` returns. The verbatim table
 entry stays available via ``printed_s4()`` for the documented failing
 check.
 
-Everything here is exact integer arithmetic; Python integers make
-overflow impossible.
+Everything here is exact integer arithmetic. One matrix holds Python
+integers, which cannot overflow; an entry must have ``__index__`` (numpy
+integers do), and a bool is no integer entry. The ball is enumerated as a
+stack of int64 rows under a checked bound: no entry of
+ball(MAX_BALL_WORD_LEN) = ball(12) exceeds 19 in magnitude, and every
+depth's frontier is checked against that bound before it is multiplied
+(InternalInvariantError past it). A generator column has absolute sum at
+most 5, so a product entry is at most 5 * 19 = 95: no int64 sum of four
+products comes near 2^63, and the entries offset by +128 fit one byte
+each, the rows' deduplication and sort keys.
 """
 
 from __future__ import annotations
@@ -25,6 +33,8 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DomainError, InternalInvariantError
 from .grid import is_integer
@@ -40,6 +50,9 @@ ALPHABET = GENERATOR_LETTERS + PARITY_LETTERS
 #: Safety bound for ball enumeration word length.
 MAX_BALL_WORD_LEN = 12
 
+# The largest entry magnitude in ball(MAX_BALL_WORD_LEN); enumerate_ball checks every depth against it.
+_BALL_ENTRY_BOUND = 19
+
 _IDENTITY: Entries = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 _S1: Entries = ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1))
@@ -49,11 +62,18 @@ _S4: Entries = ((2, 1, 1, 1), (-1, 0, -1, -1), (-1, -1, 0, -1), (-1, -1, -1, 0))
 _S4_PRINTED: Entries = ((2, 1, 1, 1), (-1, 0, -1, -1), (-1, -1, 0, 1), (-1, -1, -1, 0))
 
 
+def _index_all(values) -> tuple[int, ...]:
+    """values as Python ints, each read once through ``__index__``; a bool is a TypeError too."""
+    if bool in map(type, values):
+        raise TypeError("a bool is no integer entry")
+    return tuple(map(operator.index, values))
+
+
 def _as_entries(m) -> Entries:
-    """m's rows as int tuples. Entries must be integers (have ``__index__``); a float or a str
-    is a DomainError, never truncated or parsed."""
+    """m's rows as int tuples. Entries must be integers (have ``__index__``); a float, a str or
+    a bool is a DomainError, never truncated or parsed."""
     try:
-        rows = tuple([tuple(map(operator.index, row)) for row in m])
+        rows = tuple([_index_all(row) for row in m])
     except TypeError:
         raise DomainError(f"expected a 4x4 matrix of integers, got {m!r}") from None
     if len(rows) != 4 or any(len(r) != 4 for r in rows):
@@ -74,12 +94,6 @@ def _mat_mul(a: Entries, b: Entries) -> Entries:
         (a30 * b00 + a31 * b10 + a32 * b20 + a33 * b30, a30 * b01 + a31 * b11 + a32 * b21 + a33 * b31,
          a30 * b02 + a31 * b12 + a32 * b22 + a33 * b32, a30 * b03 + a31 * b13 + a32 * b23 + a33 * b33),
     )
-
-
-def minkowski_square(v: Sequence[int]) -> int:
-    if len(v) != 4:
-        raise DomainError("expected a 4-vector")
-    return v[0] * v[0] - v[1] * v[1] - v[2] * v[2] - v[3] * v[3]
 
 
 def preserves_metric(m) -> bool:
@@ -139,6 +153,15 @@ class IntLorentzMatrix:
     def flat(self) -> tuple[int, ...]:
         r0, r1, r2, r3 = self.entries
         return (*r0, *r1, *r2, *r3)
+
+
+def _from_flat(a: Sequence[int]) -> IntLorentzMatrix:
+    """The matrix of 16 row-major Python ints, wrapped without a second pass over them; the
+    caller has indexed them, and certifies the Gram equations before it hands the matrix out."""
+    m = object.__new__(IntLorentzMatrix)
+    object.__setattr__(m, "entries", ((a[0], a[1], a[2], a[3]), (a[4], a[5], a[6], a[7]),
+                                      (a[8], a[9], a[10], a[11]), (a[12], a[13], a[14], a[15])))
+    return m
 
 
 def _det3(m, r0, r1, r2, c0, c1, c2) -> int:
@@ -218,41 +241,62 @@ def eval_word(word: GeneratorWord | Iterable[str]) -> IntLorentzMatrix:
     return IntLorentzMatrix(m)
 
 
+_GENERATOR_STACK = np.array([_S1, _S2, _S3, _S4], dtype=np.int64)
+_ETA_MATRIX = np.diag(np.array(ETA, dtype=np.int64))
+
+
+def _row_keys(stack: np.ndarray) -> np.ndarray:
+    """One 16-byte key per row of 16 entries within +-127: the entries offset by +128.
+
+    The bytes' memcmp order is the rows' signed lexicographic order.
+    """
+    return (stack + 128).astype(np.uint8).view("V16").ravel()
+
+
+def _require_entry_bound(frontier: np.ndarray, depth: int) -> None:
+    """Raise unless every entry of the depth's frontier is within _BALL_ENTRY_BOUND, the bound
+    that keeps the frontier's products exact in int64 and within the byte keys."""
+    peak = int(np.abs(frontier).max(initial=0))
+    if peak > _BALL_ENTRY_BOUND:
+        raise InternalInvariantError(
+            f"ball entry of magnitude {peak} at depth {depth} exceeds the bound {_BALL_ENTRY_BOUND} "
+            "under which the int64 enumeration is exact"
+        )
+
+
 def enumerate_ball(max_word_len: int) -> list[IntLorentzMatrix]:
     """All products of at most max_word_len generators, breadth-first.
 
-    Deduplicated by exact entries and returned in lexicographic entry
-    order, so the output is identical across runs and platforms.
+    Each depth multiplies the stacked int64 frontier by the four generators
+    at once and keeps the products whose entries the seen set lacks. The
+    ball is returned in lexicographic entry order, so the output is
+    identical across runs and platforms, and certified once, by one
+    stacked check of the Gram equations.
     """
     if not (is_integer(max_word_len) and max_word_len >= 0):
         raise DomainError("max_word_len must be a non-negative integer")
     if max_word_len > MAX_BALL_WORD_LEN:
         raise DomainError(f"max_word_len {max_word_len} exceeds safety bound {MAX_BALL_WORD_LEN}")
-    seen: set[Entries] = {_IDENTITY}
-    frontier: list[Entries] = [_IDENTITY]
-    for _depth in range(max_word_len):
-        new: list[Entries] = []
-        for m in frontier:
-            for g in (_S1, _S2, _S3, _S4):
-                q = _mat_mul(m, g)
-                if q not in seen:
-                    seen.add(q)
-                    new.append(q)
-        frontier = new
-    # rows have equal length, so tuple order is the flattened entry order
-    return [IntLorentzMatrix(e) for e in sorted(seen)]
-
-
-def act(m: IntLorentzMatrix, v: Sequence[int]) -> tuple[int, int, int, int]:
-    """Exact matrix-vector action on an integer 4-vector."""
-    if len(v) != 4:
-        raise DomainError("expected a 4-vector")
-    try:
-        vv = tuple(map(operator.index, v))
-    except TypeError:
-        raise DomainError(f"expected a 4-vector of integers, got {v!r}") from None
-    e = m.entries
-    return tuple(sum(e[i][k] * vv[k] for k in range(4)) for i in range(4))  # type: ignore[return-value]
+    frontier = np.array([_IDENTITY], dtype=np.int64).reshape(1, 16)
+    seen = set(_row_keys(frontier).tolist())
+    depths = [frontier]
+    for depth in range(1, max_word_len + 1):
+        # row 4 i + g is frontier[i] times generator g
+        products = (frontier.reshape(-1, 1, 4, 4) @ _GENERATOR_STACK).reshape(-1, 16)
+        fresh = []
+        for i, key in enumerate(_row_keys(products).tolist()):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
+        frontier = products[fresh]
+        _require_entry_bound(frontier, depth)
+        depths.append(frontier)
+    stack = np.concatenate(depths)
+    stack = stack[np.argsort(_row_keys(stack))]
+    m = stack.reshape(-1, 4, 4)
+    if not (m.transpose(0, 2, 1) @ _ETA_MATRIX @ m == _ETA_MATRIX).all():
+        raise InternalInvariantError("a ball element does not preserve the Minkowski form")
+    return [_from_flat(a) for a in stack.tolist()]
 
 
 # --- factorization into the generator normal form -----------------------------
@@ -355,20 +399,19 @@ def matrix_to_json(m: IntLorentzMatrix) -> list[int]:
 
 
 def matrix_from_json(values: Sequence[int]) -> IntLorentzMatrix:
-    """The matrix of 16 row-major integers; any other entry is a DomainError."""
+    """The matrix of 16 row-major integers, each read once; any other entry, a bool included,
+    is a DomainError."""
     try:
-        values = list(map(operator.index, values))
+        flat = _index_all(values)
     except TypeError:
         raise DomainError(f"expected 16 integers, got {values!r}") from None
-    if len(values) != 16:
-        raise DomainError(f"expected 16 integers, got {len(values)}")
-    rows = tuple(tuple(values[4 * i : 4 * i + 4]) for i in range(4))
-    return IntLorentzMatrix(rows)
+    if len(flat) != 16:
+        raise DomainError(f"expected 16 integers, got {len(flat)}")
+    m = _from_flat(flat)
+    if not preserves_metric(m):
+        raise DomainError("matrix does not preserve the Minkowski form")
+    return m
 
 
 def word_to_json(word: GeneratorWord) -> list[str]:
     return list(word.letters)
-
-
-def word_from_json(letters: Sequence[str]) -> GeneratorWord:
-    return GeneratorWord(tuple(letters))

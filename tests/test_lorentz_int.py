@@ -9,7 +9,7 @@ from latticewave import (
     GeneratorWord,
     IDENTITY,
     IntLorentzMatrix,
-    act,
+    InternalInvariantError,
     enumerate_ball,
     eval_word,
     factorize,
@@ -17,14 +17,13 @@ from latticewave import (
     matrix_from_json,
     matrix_to_json,
     metric_gram_defect,
-    minkowski_square,
     parity_products,
     preserves_metric,
     printed_s4,
-    word_from_json,
     word_to_json,
 )
-from latticewave.lorentz_int import _mat_mul
+from latticewave import lorentz_int
+from latticewave.lorentz_int import _mat_mul, _require_entry_bound
 
 ETA = (1, -1, -1, -1)
 
@@ -38,6 +37,10 @@ def oracle_gram(m, i, j):
     return sum(ETA[r] * m[r][i] * m[r][j] for r in range(4))
 
 
+def oracle_act(m, v):
+    return tuple(sum(m[i][k] * v[k] for k in range(4)) for i in range(4))
+
+
 class TestGenerators:
     def test_s3_is_z_reflection_and_involution(self):
         s3 = generator("S3")
@@ -45,10 +48,10 @@ class TestGenerators:
         assert (s3 @ s3).entries == IDENTITY.entries
 
     def test_s1_swaps_first_two_spatial_axes(self):
-        assert act(generator("S1"), (9, 1, 2, 3)) == (9, 2, 1, 3)
+        assert oracle_act(generator("S1").entries, (9, 1, 2, 3)) == (9, 2, 1, 3)
 
     def test_s2_swaps_last_two_spatial_axes(self):
-        assert act(generator("S2"), (9, 1, 2, 3)) == (9, 1, 3, 2)
+        assert oracle_act(generator("S2").entries, (9, 1, 2, 3)) == (9, 1, 3, 2)
 
     def test_all_generators_preserve_metric_exactly(self):
         for name in ("S1", "S2", "S3", "S4"):
@@ -238,24 +241,6 @@ class TestFactorize:
             factorize(IntLorentzMatrix(time_reversal))
 
 
-class TestAct:
-    def test_identity_action(self):
-        assert act(IDENTITY, (3, -1, 4, 1)) == (3, -1, 4, 1)
-
-    def test_s4_on_time_unit_vector(self):
-        image = act(generator("S4"), (1, 0, 0, 0))
-        assert image == (2, -1, -1, -1)
-        assert minkowski_square(image) == 1
-
-    def test_minkowski_square_preserved(self):
-        rng = np.random.default_rng(17)
-        ball = enumerate_ball(4)
-        for _ in range(100):
-            m = ball[int(rng.integers(0, len(ball)))]
-            v = tuple(int(x) for x in rng.integers(-9, 10, 4))
-            assert minkowski_square(act(m, v)) == minkowski_square(v)
-
-
 class TestSerialization:
     def test_matrix_round_trip(self):
         m = eval_word(["S4", "S1", "S4"])
@@ -263,22 +248,43 @@ class TestSerialization:
         assert len(packed) == 16 and all(isinstance(x, int) for x in packed)
         assert matrix_from_json(packed).entries == m.entries
 
-    def test_word_round_trip(self):
-        word = GeneratorWord(("P1", "S4", "S2"))
-        assert word_from_json(word_to_json(word)) == word
+    def test_word_to_json_lists_the_letters(self):
+        assert word_to_json(GeneratorWord(("P1", "S4", "S2"))) == ["P1", "S4", "S2"]
 
     def test_non_group_matrix_rejected(self):
         with pytest.raises(DomainError):
             matrix_from_json([2] + [0] * 15)
 
-    def test_integer_entries_of_any_integer_type_are_accepted(self):
-        flat = matrix_to_json(generator("S4"))
-        assert matrix_from_json(np.array(flat, dtype=np.int64)).entries == generator("S4").entries
-        assert IntLorentzMatrix(np.eye(4, dtype=np.int32)).entries == IDENTITY.entries
-        assert act(IDENTITY, np.array([3, -1, 4, 1])) == (3, -1, 4, 1)
+    @pytest.mark.parametrize("dtype, matrix", [(np.int8, "S4"), (np.int32, "S4"), (np.int64, "S4"),
+                                               (object, "S4"), (np.uint8, "identity")])
+    def test_integer_entries_of_any_integer_type_are_accepted(self, dtype, matrix):
+        flat = matrix_to_json(generator("S4") if matrix == "S4" else IDENTITY)
+        for m in (matrix_from_json(np.array(flat, dtype=dtype)),
+                  IntLorentzMatrix(np.array(flat, dtype=dtype).reshape(4, 4))):
+            assert m.flat() == tuple(flat)
+            assert all(type(x) is int for x in m.flat())
+
+    def test_one_pass_matrix_equals_the_checked_constructor(self):
+        m = matrix_from_json(matrix_to_json(generator("S4")))
+        assert m == generator("S4") and hash(m) == hash(generator("S4"))
+        assert type(m.entries) is tuple and all(type(row) is tuple for row in m.entries)
+
+    @pytest.mark.parametrize("flat", [
+        [bool(x) for x in matrix_to_json(IDENTITY)],
+        [True] + matrix_to_json(IDENTITY)[1:],
+        [*matrix_to_json(IDENTITY)[:15], True],
+        np.eye(4, dtype=bool).ravel(),
+    ], ids=["16 bools", "first entry True", "last entry True", "numpy bool array"])
+    def test_a_bool_entry_is_a_domain_error_naming_the_input(self, flat):
+        # the 16 bools spelling the identity once loaded as the identity
+        with pytest.raises(DomainError, match=r"expected 16 integers, got .*True"):
+            matrix_from_json(flat)
+        rows = [list(flat[4 * i: 4 * i + 4]) for i in range(4)]
+        with pytest.raises(DomainError, match=r"expected a 4x4 matrix of integers, got .*True"):
+            IntLorentzMatrix(rows)
 
 
-NOT_INTEGERS = [1.9, 1.0, 1.5, "1", "x", None, 1 + 0j]
+NOT_INTEGERS = [1.9, 1.0, 1.5, "1", "x", None, 1 + 0j, True, False, np.True_]
 
 
 @pytest.mark.parametrize("entry", NOT_INTEGERS, ids=repr)
@@ -286,8 +292,7 @@ def test_a_non_integer_entry_is_a_domain_error_not_truncated(entry):
     # int() once turned 1.9 into 1, so the truncated identity was certified
     rows = [[entry, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     for build in (preserves_metric, IntLorentzMatrix, lambda m: metric_gram_defect(m, 0, 0),
-                  lambda m: matrix_from_json([x for row in m for x in row]),
-                  lambda m: act(IDENTITY, m[0])):
+                  lambda m: matrix_from_json([x for row in m for x in row])):
         with pytest.raises(DomainError, match="integers"):
             build(rows)
 
@@ -309,6 +314,73 @@ def test_mat_mul_matches_the_naive_triple_sum(a, b):
     product = _mat_mul(a, b)
     assert product == oracle_matmul(a, b)
     assert all(type(x) is int for row in product for x in row)
+
+
+def oracle_ball(max_word_len):
+    """The tuple breadth-first search: one Python-int product per frontier element and generator."""
+    generators = [generator(name).entries for name in ("S1", "S2", "S3", "S4")]
+    seen = {IDENTITY.entries}
+    frontier = [IDENTITY.entries]
+    for _depth in range(max_word_len):
+        new = []
+        for m in frontier:
+            for g in generators:
+                q = _mat_mul(m, g)
+                if q not in seen:
+                    seen.add(q)
+                    new.append(q)
+        frontier = new
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("max_word_len", range(lorentz_int.MAX_BALL_WORD_LEN + 1))
+def test_enumerate_ball_matches_the_tuple_search(max_word_len):
+    ball = enumerate_ball(max_word_len)
+    assert [m.entries for m in ball] == oracle_ball(max_word_len)
+    assert all(type(x) is int for m in ball for x in m.flat())
+    assert all(type(m.entries) is tuple and all(type(row) is tuple for row in m.entries) for m in ball)
+
+
+def test_the_largest_entry_of_the_full_ball_is_the_stated_bound():
+    peak = max(abs(x) for m in enumerate_ball(lorentz_int.MAX_BALL_WORD_LEN) for x in m.flat())
+    assert peak == lorentz_int._BALL_ENTRY_BOUND == 19
+
+
+def test_ball_elements_equal_and_hash_like_checked_matrices():
+    for m in enumerate_ball(3):
+        checked = IntLorentzMatrix(m.entries)
+        assert m == checked and hash(m) == hash(checked)
+
+
+@pytest.mark.parametrize("peak", [20, -20, 127, 2**40])
+def test_the_entry_bound_guard_raises_past_the_bound(peak):
+    frontier = np.zeros((3, 16), dtype=np.int64)
+    frontier[1, 5] = peak
+    with pytest.raises(InternalInvariantError, match=f"magnitude {abs(peak)} at depth 7 exceeds the bound 19"):
+        _require_entry_bound(frontier, 7)
+
+
+def test_the_entry_bound_guard_passes_at_the_bound():
+    frontier = np.full((2, 16), -19, dtype=np.int64)
+    frontier[0] = 19
+    _require_entry_bound(frontier, 12)
+    _require_entry_bound(np.zeros((0, 16), dtype=np.int64), 12)
+
+
+@pytest.mark.parametrize("bound, depth, peak", [(18, 12, 19), (14, 11, 15), (4, 5, 5)])
+def test_enumerate_ball_checks_every_depth_against_the_bound(monkeypatch, bound, depth, peak):
+    # the largest entry first exceeds `bound` at word length `depth`, where it is `peak`
+    monkeypatch.setattr(lorentz_int, "_BALL_ENTRY_BOUND", bound)
+    enumerate_ball(depth - 1)
+    with pytest.raises(InternalInvariantError, match=f"magnitude {peak} at depth {depth} exceeds the bound {bound}"):
+        enumerate_ball(lorentz_int.MAX_BALL_WORD_LEN)
+
+
+def test_the_stacked_gram_check_rejects_a_non_group_generator(monkeypatch):
+    stack = np.array([*(generator(n).entries for n in ("S1", "S2", "S3")), printed_s4()], dtype=np.int64)
+    monkeypatch.setattr(lorentz_int, "_GENERATOR_STACK", stack)
+    with pytest.raises(InternalInvariantError, match="does not preserve the Minkowski form"):
+        enumerate_ball(1)
 
 
 def oracle_factorize(entries):
