@@ -70,6 +70,7 @@ from .waves import (
     eval_cayley,
     eval_exponential,
     eval_wave,
+    measure_beat_velocity,
     measure_group_velocity,
     sample_wave,
     track_beat_velocity,
@@ -87,6 +88,7 @@ from .lorentz_int import (
     GeneratorWord,
     IDENTITY,
     IntLorentzMatrix,
+    ball_stack,
     enumerate_ball,
     eval_word,
     factorize,

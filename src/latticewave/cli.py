@@ -43,14 +43,14 @@ from .kinematics import (
     transform_wave,
 )
 from .lorentz_int import (
-    enumerate_ball,
+    ball_stack,
     eval_word,
     factorize,
     matrix_from_json,
     matrix_to_json,
     word_to_json,
 )
-from .waves import BeatSpec, WaveForm, WaveSpec, beat_field, beat_velocities, measure_group_velocity, sample_wave
+from .waves import BeatSpec, WaveForm, WaveSpec, beat_field, beat_velocities, measure_beat_velocity, sample_wave
 
 OUTPUT_DIR_ENV = "LATTICEWAVE_OUTPUT_DIR"
 _SLAB_CSV_HEADER = ",".join(SLAB_CSV_COLUMNS)
@@ -275,6 +275,17 @@ def _json_float(value: float) -> str:
     return float.__repr__(value)
 
 
+def _int_array_template(shape: tuple[int, ...], indent: str) -> str:
+    """The ``%d`` template of an integer array of ``shape`` in the layout of ``_json_text``."""
+    if not shape:
+        return "%d"
+    if not shape[0]:
+        return "[]"
+    inner = indent + "  "
+    item = _int_array_template(shape[1:], inner)
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + indent + "]"
+
+
 def _json_text(value, indent: str = "\n") -> str:
     """The text of ``json.dumps(value, sort_keys=True, indent=2)`` with leaves passed through _json_leaf.
 
@@ -295,7 +306,9 @@ def _json_text(value, indent: str = "\n") -> str:
     if isinstance(value, float):
         return _json_float(value)
     if isinstance(value, np.ndarray):
-        value = value.tolist()
+        if value.dtype.kind in "iu":  # one format over the whole array
+            return _int_array_template(value.shape, indent) % tuple(value.ravel().tolist())
+        return _json_text(value.tolist(), indent)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -389,10 +402,10 @@ def _run_dispersion_scan(cfg: RunConfig):
 
 
 def _run_lorentz_enumerate(cfg: RunConfig):
-    ball = enumerate_ball(cfg.params["max_word_len"])
+    ball = ball_stack(cfg.params["max_word_len"])
     return JsonOutput(payload={"ball_word_length": cfg.params["max_word_len"],
                                "count": len(ball),
-                               "matrices": [matrix_to_json(m) for m in ball]})
+                               "matrices": ball})
 
 
 def _run_lorentz_factorize(cfg: RunConfig):
@@ -426,8 +439,7 @@ def _run_beat_measure(cfg: RunConfig):
     p = cfg.params
     beat = BeatSpec(T1=p["t1"], T2=p["t2"], lam1=p["lam1"], lam2=p["lam2"])
     v_phase, v_group = beat_velocities(beat)
-    slab = beat_field(beat, cfg.grid, p["nt"], p["nx"])
-    measured = measure_group_velocity(slab, beat=beat)
+    measured = measure_beat_velocity(beat, cfg.grid, p["nt"], p["nx"])
     results = {
         "v_phase": v_phase,
         "v_group": v_group,
@@ -436,7 +448,7 @@ def _run_beat_measure(cfg: RunConfig):
     }
     if cfg.format == "csv":
         # export the beat field itself, measurements in the header
-        return SlabOutput(slab=slab, extra_meta=results)
+        return SlabOutput(slab=beat_field(beat, cfg.grid, p["nt"], p["nx"]), extra_meta=results)
     return JsonOutput(payload=results)
 
 

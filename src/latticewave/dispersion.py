@@ -121,6 +121,10 @@ def dispersion_residual(
         raise _out_of_range(exc) from None
 
 
+# values of N per block of a mode scan: a block's temporaries are 64 rows of m_max floats (256 KiB at 512)
+_SCAN_BLOCK = 64
+
+
 def solve_modes(
     m0: float,
     form: DispersionForm,
@@ -134,9 +138,10 @@ def solve_modes(
     Scans 2 <= N <= n_max and M in {2..m_max} plus INFINITE, sorted by
     (N, M) with INFINITE ordered after every finite M. Deterministic; an
     empty list is a valid result. Each residual is bit-identical to
-    ``dispersion_residual``: the space terms are computed once per M with
-    the same scalar expressions, then one numpy row per N does the two
-    float64 subtractions in the same order.
+    ``dispersion_residual``: the time and space terms are computed once per
+    N and per M with the same scalar expressions, then one numpy block of
+    _SCAN_BLOCK values of N at a time does the two float64 subtractions in
+    the same order.
     """
     if not (m0 >= 0):
         raise DomainError(f"m0 must be >= 0, got {m0!r}")
@@ -150,13 +155,14 @@ def solve_modes(
     try:
         space = np.array([_space_term(form, M, grid) for M in wavelengths])
         mass = _mass_term(form, m0, grid)
-        # one row per N, over M ascending with INFINITE last: already sorted
+        # rows N ascending, columns M ascending with INFINITE last: np.nonzero's C order is sorted
         with np.errstate(over="ignore", invalid="ignore"):
-            for N in range(2, n_max + 1):
-                row = (_time_term(form, N, grid) - space) - mass
-                hits = np.flatnonzero(np.abs(row) <= tol)
-                for k, residual in zip(hits.tolist(), row[hits].tolist()):
-                    found.append(DispersionSolution(form=form, N=N, M=wavelengths[k], m0=m0, residual=residual))
+            for start in range(2, n_max + 1, _SCAN_BLOCK):
+                periods = range(start, min(start + _SCAN_BLOCK, n_max + 1))
+                block = (np.array([_time_term(form, N, grid) for N in periods])[:, None] - space) - mass
+                rows, cols = np.nonzero(np.abs(block) <= tol)
+                for r, k, residual in zip(rows.tolist(), cols.tolist(), block[rows, cols].tolist()):
+                    found.append(DispersionSolution(form=form, N=periods[r], M=wavelengths[k], m0=m0, residual=residual))
     except (OverflowError, ZeroDivisionError) as exc:
         raise _out_of_range(exc) from None
     return found

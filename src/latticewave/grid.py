@@ -75,6 +75,12 @@ def check_size(count: int, what: str) -> None:
         raise SizeLimitError(f"{what}: {count} exceeds the size cap of {MAX_CELLS}")
 
 
+def check_extent(shape: tuple[int, ...]) -> None:
+    """Raise DomainError if a slab of ``shape`` would have no site on some axis."""
+    if 0 in shape:
+        raise DomainError(f"FieldSlab.psi must cover at least one site per axis, got shape {shape}")
+
+
 def is_integer(value) -> bool:
     """An int, never a bool: the package's one test of an integer argument."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -142,8 +148,7 @@ class FieldSlab:
         self.psi = np.asarray(self.psi, dtype=np.complex128)
         if self.psi.ndim != 2:
             raise DomainError(f"FieldSlab.psi must be 2-D (time, space), got shape {self.psi.shape}")
-        if 0 in self.psi.shape:
-            raise DomainError(f"FieldSlab.psi must cover at least one site per axis, got shape {self.psi.shape}")
+        check_extent(self.psi.shape)
 
     @property
     def nt(self) -> int:
@@ -234,11 +239,13 @@ def load_slab_csv(path: str | Path, grid: GridSpec = GridSpec()) -> FieldSlab:
     """Read back exactly the layout slab_to_csv writes; anything else is a DomainError."""
     path = Path(path)
     try:
-        text = path.read_bytes().decode("utf-8").replace("\r\n", "\n")
+        text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not a slab CSV ({exc})") from None
     if "\r" in text:
-        raise DomainError(f"{path}: not a slab CSV (a carriage return outside a '\\r\\n' line ending)")
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            raise DomainError(f"{path}: not a slab CSV (a carriage return outside a '\\r\\n' line ending)")
     # a line without '#' cannot start with one, so most lines skip the lstrip
     lines = [line for line in text.split("\n") if line and ("#" not in line or not line.lstrip().startswith("#"))]
     if not lines or lines[0] != ",".join(SLAB_CSV_COLUMNS):

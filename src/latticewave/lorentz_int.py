@@ -50,7 +50,7 @@ ALPHABET = GENERATOR_LETTERS + PARITY_LETTERS
 #: Safety bound for ball enumeration word length.
 MAX_BALL_WORD_LEN = 12
 
-# The largest entry magnitude in ball(MAX_BALL_WORD_LEN); enumerate_ball checks every depth against it.
+# The largest entry magnitude in ball(MAX_BALL_WORD_LEN); ball_stack checks every depth against it.
 _BALL_ENTRY_BOUND = 19
 
 _IDENTITY: Entries = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -116,7 +116,10 @@ def preserves_metric(m) -> bool:
 
 
 def metric_gram_defect(m, i: int, j: int) -> int:
-    """The Minkowski inner product of columns i and j minus its required value."""
+    """The Minkowski inner product of columns i and j minus its required value; i and j are
+    integers in 0..3."""
+    if not (is_integer(i) and is_integer(j) and 0 <= i <= 3 and 0 <= j <= 3):
+        raise DomainError(f"column indices must be integers in 0..3, got {i!r} and {j!r}")
     entries = m.entries if isinstance(m, IntLorentzMatrix) else _as_entries(m)
     gram = sum(ETA[r] * entries[r][i] * entries[r][j] for r in range(4))
     return gram - (ETA[i] if i == j else 0)
@@ -230,6 +233,13 @@ class GeneratorWord:
         return len(self.letters)
 
 
+def _word_from_letters(letters: tuple[str, ...]) -> GeneratorWord:
+    """The word of a tuple of letters taken from ALPHABET, wrapped without re-checking each one."""
+    word = object.__new__(GeneratorWord)
+    object.__setattr__(word, "letters", letters)
+    return word
+
+
 def eval_word(word: GeneratorWord | Iterable[str]) -> IntLorentzMatrix:
     """Left-to-right product of the word's letter matrices."""
     letters = word.letters if isinstance(word, GeneratorWord) else tuple(word)
@@ -264,12 +274,12 @@ def _require_entry_bound(frontier: np.ndarray, depth: int) -> None:
         )
 
 
-def enumerate_ball(max_word_len: int) -> list[IntLorentzMatrix]:
-    """All products of at most max_word_len generators, breadth-first.
+def ball_stack(max_word_len: int) -> np.ndarray:
+    """All products of at most max_word_len generators as a (k, 16) int64 stack of row-major entries.
 
-    Each depth multiplies the stacked int64 frontier by the four generators
-    at once and keeps the products whose entries the seen set lacks. The
-    ball is returned in lexicographic entry order, so the output is
+    Breadth-first: each depth multiplies the stacked frontier by the four
+    generators at once and keeps the products whose entries the seen set
+    lacks. The rows are in lexicographic entry order, so the stack is
     identical across runs and platforms, and certified once, by one
     stacked check of the Gram equations.
     """
@@ -296,7 +306,12 @@ def enumerate_ball(max_word_len: int) -> list[IntLorentzMatrix]:
     m = stack.reshape(-1, 4, 4)
     if not (m.transpose(0, 2, 1) @ _ETA_MATRIX @ m == _ETA_MATRIX).all():
         raise InternalInvariantError("a ball element does not preserve the Minkowski form")
-    return [_from_flat(a) for a in stack.tolist()]
+    return stack
+
+
+def enumerate_ball(max_word_len: int) -> list[IntLorentzMatrix]:
+    """The matrices of ``ball_stack(max_word_len)``, in its order."""
+    return [_from_flat(a) for a in ball_stack(max_word_len).tolist()]
 
 
 # --- factorization into the generator normal form -----------------------------
@@ -319,7 +334,7 @@ def _reduction_step(parity_word: tuple[str, ...]) -> Entries:
     return _mat_mul(_S4, prefix)
 
 
-# (parity word, S4 P) in _PARITY_WORDS order: one reduction step is one product
+# (parity word, S4 P) in _PARITY_WORDS order; factorize reads the signs s1, s2, s3 of P from row 0, (2, s1, s2, s3)
 _REDUCTION_STEPS = tuple((w, _reduction_step(w)) for w in _PARITY_WORDS)
 
 
@@ -338,6 +353,18 @@ def _signed_permutation_words() -> dict[Entries, tuple[str, ...]]:
     return table
 
 
+def _reduce(rows: Entries, s1: int, s2: int, s3: int) -> Entries:
+    """S4 P L for the rows of L and P = diag(1, s1, s2, s3): with a = row 0, b, c, d = rows 1-3
+    times s1, s2, s3 and t = a + b + c + d, the rows a + t, b - t, c - t, d - t."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+    b0, b1, b2, b3 = s1 * b0, s1 * b1, s1 * b2, s1 * b3
+    c0, c1, c2, c3 = s2 * c0, s2 * c1, s2 * c2, s2 * c3
+    d0, d1, d2, d3 = s3 * d0, s3 * d1, s3 * d2, s3 * d3
+    t0, t1, t2, t3 = a0 + b0 + c0 + d0, a1 + b1 + c1 + d1, a2 + b2 + c2 + d2, a3 + b3 + c3 + d3
+    return ((a0 + t0, a1 + t1, a2 + t2, a3 + t3), (b0 - t0, b1 - t1, b2 - t2, b3 - t3),
+            (c0 - t0, c1 - t1, c2 - t2, c3 - t3), (d0 - t0, d1 - t1, d2 - t2, d3 - t3))
+
+
 def factorize(m: IntLorentzMatrix) -> GeneratorWord:
     """A word in the normal form (parity block, S4)* (signed permutation).
 
@@ -347,12 +374,12 @@ def factorize(m: IntLorentzMatrix) -> GeneratorWord:
     resolved by table lookup. The returned word evaluates back to ``m``
     exactly; neither minimality nor uniqueness is claimed.
 
-    The prefix is chosen from column 0 alone: the parity letters are
-    diagonal sign flips diag(1, s1, s2, s3), so the candidate S4 P L has
-    time-time entry 2 c00 + s1 c10 + s2 c20 + s3 c30 (row 0 of S4 P
-    against column 0 of the current matrix L). The first parity word in
-    lexicographic order for which that is below c00 is taken, and only
-    then is the one product S4 P L formed.
+    A step is S4 P L in closed form (``_reduce``). The parity letters are
+    diagonal sign flips P = diag(1, s1, s2, s3), and row 0 of S4 P is
+    (2, s1, s2, s3). The prefix is chosen from column 0 alone: the first
+    parity word in lexicographic order with t0 = a0 + s1 b0 + s2 c0 + s3 d0
+    negative (column 0 of L is a0, b0, c0, d0), so that the new time-time
+    entry a0 + t0 is below a0, is taken, and only then is the step formed.
     """
     if not isinstance(m, IntLorentzMatrix):
         raise DomainError("factorize expects a certified IntLorentzMatrix")
@@ -365,17 +392,17 @@ def factorize(m: IntLorentzMatrix) -> GeneratorWord:
     steps = 0
     initial_tt = current[0][0]
     while current[0][0] > 1:
-        (c00, _, _, _), (c10, _, _, _), (c20, _, _, _), (c30, _, _, _) = current
+        (a0, _, _, _), (b0, _, _, _), (c0, _, _, _), (d0, _, _, _) = current
         for parity_word, step in _REDUCTION_STEPS:
-            r0, r1, r2, r3 = step[0]
-            if r0 * c00 + r1 * c10 + r2 * c20 + r3 * c30 < c00:
+            _, s1, s2, s3 = step[0]
+            if a0 + s1 * b0 + s2 * c0 + s3 * d0 < 0:  # t0 < 0: the new time-time entry a0 + t0 is below a0
                 break
         else:
             raise InternalInvariantError(
-                f"no parity prefix decreases the time-time entry {c00}; "
+                f"no parity prefix decreases the time-time entry {a0}; "
                 "this contradicts the reduction argument"
             )
-        current = _mat_mul(step, current)
+        current = _reduce(current, s1, s2, s3)
         word.extend(parity_word)
         word.append("S4")
         steps += 1
@@ -387,7 +414,7 @@ def factorize(m: IntLorentzMatrix) -> GeneratorWord:
     if tail is None:
         raise InternalInvariantError("reduced matrix is not a signed spatial permutation")
     word.extend(tail)
-    return GeneratorWord(tuple(word))
+    return _word_from_letters(tuple(word))
 
 
 # --- serialization -----------------------------------------------------------

@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, MeasurementError
-from .grid import FieldSlab, GridSpec, Infinite, INFINITE, MaybeInfinite, check_mode, check_size
+from .grid import FieldSlab, GridSpec, Infinite, INFINITE, MaybeInfinite, check_extent, check_mode, check_size
 
 
 class WaveForm(Enum):
@@ -284,6 +284,15 @@ def beat_field(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> FieldSlab:
     t, x = _beat_phases(b, grid, nt, nx)
     psi = np.cos(2.0 * np.pi * (t / b.T1 - x / b.lam1)) + np.cos(2.0 * np.pi * (t / b.T2 - x / b.lam2))
     return FieldSlab(psi=psi.astype(np.complex128), grid=grid)
+
+
+def measure_beat_velocity(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> float:
+    """``measure_group_velocity(beat_field(b, grid, nt, nx), beat=b)`` without sampling the field:
+    beat_field's checks, in its order, then ``track_beat_velocity``."""
+    _require_envelope_coverage(b, grid, nt, nx)
+    t, x = _beat_phases(b, grid, nt, nx)
+    check_extent((t.shape[0], x.shape[1]))
+    return track_beat_velocity(b, grid, nt, nx)
 
 
 def beat_envelope(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> np.ndarray:

@@ -9,21 +9,27 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from latticewave import (
     INFINITE,
     BeatSpec,
     ConfigError,
+    DomainError,
     GridSpec,
     KGParams,
+    MeasurementError,
+    SizeLimitError,
     WaveForm,
     WaveSpec,
     beat_field,
+    beat_velocities,
     eval_wave,
     evolve,
     load_slab_binary,
     load_slab_csv,
     mass_from_rest_period,
+    measure_group_velocity,
     preserves_metric,
     sample_wave,
 )
@@ -271,6 +277,43 @@ def test_derived_values_out_of_the_float_range_are_domain_errors(tmp_path, capsy
     assert main([*argv, "--output", str(out)]) == 3
     assert "the float range" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--t1", "4", "--t2", "6", "--lam1", "3", "--lam2", "5"],
+    ["--t1", "-4", "--t2", "6", "--lam1", "3", "--lam2", "-5", "--nt", "128", "--nx", "2048", "--tau", "0.5",
+     "--eps", "0.25"],
+    ["--t1", "4", "--t2", "4", "--lam1", "3", "--lam2", "5", "--nt", "0"],
+    ["--t1", "4", "--t2", "4", "--lam1", "3", "--lam2", "5", "--nt", "3"],
+    ["--t1", "4", "--t2", "6", "--lam1", "3", "--lam2", "5", "--nt", "4"],
+    ["--t1", "4", "--t2", "6", "--lam1", "3", "--lam2", "5", "--nx", "-1"],
+    ["--t1", "4", "--t2", "6", "--lam1", "3", "--lam2", "5", "--nt", "100000", "--nx", "100000"],
+    ["--t1", "4", "--t2", "6", "--lam1", "3", "--lam2", "5", "--tau", "1e160"],
+    ["--t1", "1e-307", "--t2", "6", "--lam1", "3", "--lam2", "5"],
+], ids=["default", "scaled", "empty-slab", "three-slices", "short-slab", "negative-nx", "too-large", "aliased",
+        "phases-out-of-range"])
+def test_beat_measure_json_is_the_measurement_of_the_sampled_field(tmp_path, capsys, argv):
+    """The JSON result, or the exit code and message, of measuring the sampled beat_field."""
+    out = tmp_path / "beat.json"
+    code = main(["beat-measure", *argv, "--format", "json", "--output", str(out)])
+    flags = dict(zip(argv[::2], argv[1::2]))
+    beat = BeatSpec(*(float(flags[f]) for f in ("--t1", "--t2", "--lam1", "--lam2")))
+    grid = GridSpec(tau=float(flags.get("--tau", 1.0)), eps=float(flags.get("--eps", 1.0)))
+    v_phase, v_group = beat_velocities(beat)
+    try:
+        measured = measure_group_velocity(beat_field(beat, grid, int(flags.get("--nt", 256)),
+                                                     int(flags.get("--nx", 1024))), beat=beat)
+    except SizeLimitError as exc:
+        assert (code, capsys.readouterr().err, out.exists()) == (2, f"config error: {exc}\n", False)
+        return
+    except (DomainError, MeasurementError) as exc:
+        assert (code, capsys.readouterr().err, out.exists()) == (3, f"domain error: {exc}\n", False)
+        return
+    assert code == 0
+    # "result" is the last key of the payload, so the file ends with its text
+    assert out.read_text().endswith(json.dumps({"result": {
+        "v_phase": v_phase, "v_group": v_group, "measured_v_group": measured,
+        "relative_error": abs(measured - v_group) / abs(v_group)}}, sort_keys=True, indent=2)[1:] + "\n")
 
 
 @pytest.mark.parametrize("grid_args, reason", [(["--tau", "1e160"], "aliased"), (["--eps", "1e304"], "under-resolved")],
@@ -594,3 +637,26 @@ def test_a_reader_that_closed_stdout_ends_the_run_quietly(tmp_path, argv, code):
     assert (proc.returncode, proc.stderr) == (code, b"")
     if "--output" in argv:  # the report file is written all the same
         assert "criteria passed" in (tmp_path / "report.txt").read_text()
+
+
+INTEGER_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(hnp.arrays(st.sampled_from(INTEGER_DTYPES), hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4)))
+@example(np.zeros((0, 3), dtype=np.int64))
+@example(np.zeros((3, 0), dtype=np.uint8))
+@example(np.array(-(2**63), dtype=np.int64))
+@example(np.array([[2**64 - 1, 0]], dtype=np.uint64))
+def test_an_integer_array_renders_as_the_stdlib_text_of_its_list(a):
+    for value in (a, a.T, {"result": {"matrices": a}}):
+        plain = {"result": {"matrices": a.tolist()}} if isinstance(value, dict) else value.tolist()
+        assert _json_text(value) == json.dumps(plain, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("a", [np.array([[True, False], [False, True]]), np.array(True), np.array([0.5, -0.0, math.nan])],
+                         ids=["bool", "bool-0d", "float"])
+def test_bool_and_float_arrays_render_through_their_lists(a):
+    assert _json_text({"a": a}) == json.dumps({"a": a.tolist()}, sort_keys=True, indent=2)
+    if a.dtype == bool:
+        assert "true" in _json_text(a) and "1" not in _json_text(a)

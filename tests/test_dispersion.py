@@ -21,6 +21,7 @@ from latticewave import (
     quantization_check,
     solve_modes,
 )
+from latticewave import dispersion
 
 GRID = GridSpec()
 GRIDS = [GRID, GridSpec(tau=0.625, eps=0.25, c=2.0, hbar=1.3)]
@@ -299,3 +300,51 @@ def test_terms_out_of_the_float_range_are_domain_errors(form, grid):
         solve_modes(1.0, form, 4, 4, 1e-9, grid)
     with pytest.raises(DomainError):
         dispersion_residual(form, 2, 2, 1.0, grid)
+
+
+def parent_solve_modes(m0, form, n_max, m_max, tol, grid):
+    """solve_modes as it was before the block scan: one numpy row per N (argument checks left out)."""
+    wavelengths = list(range(2, m_max + 1)) + [INFINITE]
+    found = []
+    try:
+        space = np.array([dispersion._space_term(form, M, grid) for M in wavelengths])
+        mass = dispersion._mass_term(form, m0, grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for N in range(2, n_max + 1):
+                row = (dispersion._time_term(form, N, grid) - space) - mass
+                hits = np.flatnonzero(np.abs(row) <= tol)
+                for k, residual in zip(hits.tolist(), row[hits].tolist()):
+                    found.append(DispersionSolution(form=form, N=N, M=wavelengths[k], m0=m0, residual=residual))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise dispersion._out_of_range(exc) from None
+    return found
+
+
+@pytest.mark.parametrize("form", list(DispersionForm))
+@pytest.mark.parametrize("grid", GRIDS, ids=["natural", "scaled"])
+def test_the_block_scan_is_the_per_row_scan_bit_for_bit(form, grid):
+    block = dispersion._SCAN_BLOCK
+    n_max = 1 + 3 * block + 5  # N runs over three full blocks and part of a fourth
+    got = solve_modes(0.05, form, n_max, 37, 0.1, grid)
+    want = parent_solve_modes(0.05, form, n_max, 37, 0.1, grid)
+    assert [repr(s.residual) for s in got] == [repr(s.residual) for s in want]
+    assert got == want
+    # hits on both sides of every block edge, and in every row INFINITE comes last
+    edges = range(2 + block, n_max + 1, block)
+    assert {s.N for s in got} >= {N for edge in edges for N in (edge - 1, edge)}
+    for N in {s.N for s in got}:
+        row = [s.M for s in got if s.N == N]
+        finite = [M for M in row if M is not INFINITE]
+        assert finite == sorted(finite) and row[: len(finite)] == finite
+
+
+@pytest.mark.parametrize("form", list(DispersionForm))
+@pytest.mark.parametrize("grid", [GridSpec(c=1e200), GridSpec(c=1e-200), GridSpec(eps=1e-200), GridSpec(tau=1e-200)],
+                         ids=["c-squared-overflows", "c-squared-underflows", "eps-squared-underflows",
+                              "tau-squared-underflows"])
+def test_the_block_scan_raises_the_per_row_scans_domain_error(form, grid):
+    with pytest.raises(DomainError) as want:
+        parent_solve_modes(1.0, form, 200, 4, 1e-9, grid)
+    with pytest.raises(DomainError) as got:
+        solve_modes(1.0, form, 200, 4, 1e-9, grid)
+    assert str(got.value) == str(want.value)

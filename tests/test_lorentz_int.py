@@ -10,6 +10,7 @@ from latticewave import (
     IDENTITY,
     IntLorentzMatrix,
     InternalInvariantError,
+    ball_stack,
     enumerate_ball,
     eval_word,
     factorize,
@@ -23,7 +24,7 @@ from latticewave import (
     word_to_json,
 )
 from latticewave import lorentz_int
-from latticewave.lorentz_int import _mat_mul, _require_entry_bound
+from latticewave.lorentz_int import _REDUCTION_STEPS, _mat_mul, _reduce, _require_entry_bound
 
 ETA = (1, -1, -1, -1)
 
@@ -459,3 +460,50 @@ def test_preserves_metric_agrees_with_the_gram_defects():
         assert preserves_metric(m) is expected
         verdicts.append(expected)
     assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("max_word_len", [0, 1, 5, lorentz_int.MAX_BALL_WORD_LEN])
+def test_ball_stack_is_the_flat_entries_of_enumerate_ball(max_word_len):
+    stack = ball_stack(max_word_len)
+    assert stack.dtype == np.int64 and stack.shape == (len(oracle_ball(max_word_len)), 16)
+    assert stack.tolist() == [list(m.flat()) for m in enumerate_ball(max_word_len)]
+
+
+def parent_factorize(m):
+    """factorize as it was before the closed-form step: each step one _mat_mul by S4 P."""
+    current = m.entries
+    word = []
+    while current[0][0] > 1:
+        (c00, _, _, _), (c10, _, _, _), (c20, _, _, _), (c30, _, _, _) = current
+        for parity_word, step in _REDUCTION_STEPS:
+            r0, r1, r2, r3 = step[0]
+            if r0 * c00 + r1 * c10 + r2 * c20 + r3 * c30 < c00:
+                break
+        else:
+            raise AssertionError("no parity prefix decreases the time-time entry")
+        current = _mat_mul(step, current)
+        word.extend(parity_word)
+        word.append("S4")
+    return GeneratorWord(tuple(word) + lorentz_int._signed_permutation_words()[current])
+
+
+def test_factorize_matches_the_per_product_steps_over_the_full_ball():
+    for m in enumerate_ball(lorentz_int.MAX_BALL_WORD_LEN):
+        word = factorize(m)
+        assert type(word) is GeneratorWord and type(word.letters) is tuple
+        assert word == parent_factorize(m)
+
+
+@pytest.mark.parametrize("step", [step for _, step in _REDUCTION_STEPS],
+                         ids=["".join(word) or "empty" for word, _ in _REDUCTION_STEPS])
+def test_the_closed_form_step_is_the_product_by_s4_p(step):
+    _, s1, s2, s3 = step[0]
+    for m in enumerate_ball(4):
+        assert _reduce(m.entries, s1, s2, s3) == _mat_mul(step, m.entries)
+
+
+@pytest.mark.parametrize("i, j", [(True, 3), (0, False), (-4, 3), (-1, 0), (4, 3), (0, 4), (1.0, 2), (0, "1"), (None, 0)],
+                         ids=repr)
+def test_metric_gram_defect_takes_only_column_indices_in_0_to_3(i, j):
+    with pytest.raises(DomainError, match="column indices must be integers in 0..3"):
+        metric_gram_defect(printed_s4(), i, j)

@@ -15,6 +15,7 @@ from latticewave import (
     GridSpec,
     INFINITE,
     MeasurementError,
+    SizeLimitError,
     WaveForm,
     WaveSpec,
     beat_field,
@@ -27,6 +28,7 @@ from latticewave import (
     eval_cayley,
     eval_exponential,
     eval_wave,
+    measure_beat_velocity,
     measure_group_velocity,
     sample_wave,
     track_beat_velocity,
@@ -356,3 +358,40 @@ def test_wavespec_validation():
         WaveSpec(form=WaveForm.CAYLEY, N=4, M=1)
     with pytest.raises(DomainError):
         BeatSpec(T1=0.0, T2=1.0, lam1=1.0, lam2=2.0)
+
+
+def outcome(call):
+    """The value of call(), or the type and message of what it raised."""
+    try:
+        return ("value", call())
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+DEFAULT_BEAT = BeatSpec(T1=4.0, T2=6.0, lam1=3.0, lam2=5.0)
+BEAT_SLABS = [
+    (DEFAULT_BEAT, GridSpec(), 256, 1024),
+    (DEFAULT_BEAT, GridSpec(), 64, 128),
+    *((DEFAULT_BEAT, GridSpec(), nt, 1024) for nt in (-3, 0, 1, 3, 4, 5)),
+    *((DEFAULT_BEAT, GridSpec(), 256, nx) for nx in (-1, 0, 1, 7, 20)),
+    (DEFAULT_BEAT, GridSpec(), 100_000, 100_000),
+    *((BeatSpec(T1=4.0, T2=4.0, lam1=3.0, lam2=5.0), GridSpec(), nt, 1024) for nt in (-2, 0, 3, 64)),
+    *((BeatSpec(T1=4.0, T2=6.0, lam1=3.0, lam2=3.0), GridSpec(), 64, nx) for nx in (0, 5, 128)),
+    (BeatSpec(T1=1e-307, T2=6.0, lam1=3.0, lam2=5.0), GridSpec(), 256, 1024),
+    (DEFAULT_BEAT, GridSpec(tau=1e307), 256, 1024),
+    (DEFAULT_BEAT, GridSpec(tau=1e160), 256, 1024),
+    (DEFAULT_BEAT, GridSpec(eps=1e304), 256, 1024),
+    (BeatSpec(T1=-4.0, T2=6.0, lam1=3.0, lam2=-5.0), GridSpec(tau=0.5, eps=0.25), 128, 2048),
+]
+
+
+@pytest.mark.parametrize("beat, grid, nt, nx", BEAT_SLABS)
+def test_measure_beat_velocity_is_the_measurement_of_the_sampled_field(beat, grid, nt, nx):
+    """The same value, or the same error type and message in the same order, without the field."""
+    want = outcome(lambda: measure_group_velocity(beat_field(beat, grid, nt, nx), beat=beat))
+    assert outcome(lambda: measure_beat_velocity(beat, grid, nt, nx)) == want
+
+
+def test_the_beat_slab_cases_reach_every_outcome():
+    kinds = {outcome(lambda: measure_beat_velocity(*case))[0] for case in BEAT_SLABS}
+    assert kinds == {"value", DomainError, MeasurementError, SizeLimitError}
