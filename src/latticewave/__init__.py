@@ -29,15 +29,7 @@ from .grid import (
     save_slab_binary,
     save_slab_csv,
 )
-from .diffcalc import (
-    DiffOp,
-    SampledSequence,
-    apply_1d,
-    backward_avg,
-    backward_diff,
-    forward_avg,
-    forward_diff,
-)
+from .diffcalc import DiffOp, apply_1d
 from .kinematics import (
     LatticeStep,
     ParticleState,
@@ -47,8 +39,6 @@ from .kinematics import (
     energy_momentum_squared_exact,
     four_difference_invariant,
     phase_velocity,
-    printed_momentum_magnitude,
-    printed_wave_number_magnitude,
     step_velocity,
     total_difference_mass_shell,
     transform_particle,
@@ -65,15 +55,12 @@ from .waves import (
     beat_phase_velocity,
     beat_product_form,
     beat_velocities,
-    cayley_phase_increments,
     continuum_limit_error,
     eval_cayley,
     eval_exponential,
     eval_wave,
     measure_beat_velocity,
-    measure_group_velocity,
     sample_wave,
-    track_beat_velocity,
 )
 from .dispersion import (
     DispersionForm,

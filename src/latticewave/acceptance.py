@@ -45,14 +45,7 @@ from .lorentz_int import (
     preserves_metric,
     printed_s4,
 )
-from .waves import (
-    BeatSpec,
-    WaveForm,
-    WaveSpec,
-    beat_velocities,
-    sample_wave,
-    track_beat_velocity,
-)
+from .waves import BeatSpec, WaveForm, WaveSpec, beat_velocities, measure_beat_velocity, sample_wave
 
 AS_PRINTED_CHOICES = ("s4", "tan-dispersion")
 
@@ -250,7 +243,7 @@ def _criterion_5_beat_velocities(rng: np.random.Generator, as_printed: frozenset
         vp, vg = beat_velocities(bb)
         worst = max(worst, abs(vp * vg - cc**2) / cc**2)
     c.check("v_phase * v_group = c^2 on mass-shell mode pairs, relative", worst, 1e-10)
-    measured = track_beat_velocity(b, GRID, 256, 1024)
+    measured = measure_beat_velocity(b, GRID, 256, 1024)
     c.check("envelope-tracked group velocity vs dw/dk, relative (256x1024)", abs(measured - 0.625) / 0.625, 0.02)
     return c
 

@@ -80,8 +80,18 @@ def _finite_float(value) -> float:
 
 
 def _integer(value) -> int:
-    """A number, or a string of one, with a finite integral value."""
-    if not isinstance(value, (int, float, str)):
+    """A number, or a string of one, with an integral value that a float holds exactly.
+
+    An int, and a string that int() parses, are read exactly, never through a float.
+    """
+    if isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            value = int(value)
+    if is_integer(value):
+        if float(value) != value:  # OverflowError past the float range
+            raise ValueError
+        return value
+    if not isinstance(value, (float, str)):
         raise ValueError
     as_float = _finite_float(value)
     if as_float != int(as_float):

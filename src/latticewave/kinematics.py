@@ -3,9 +3,8 @@
 A plane wave (w, k) and a particle state (E, p) are boosted by stacking
 them into the arrays (w/c, k) and (E/c, p) and applying the same
 metric-preserving boost matrix, which is the implementation. The printed
-scalar transform laws (first lines of the textbook formulas) and the
-printed magnitude formulas are provided separately as cross-checks, not
-as the transform.
+scalar transform laws (first lines of the textbook formulas) are provided
+separately as cross-checks, not as the transform.
 
 The lattice side: a particle advancing dn time steps and dj space steps
 between consecutive events has
@@ -86,7 +85,11 @@ def boost_matrix(v: Sequence[float], c: float) -> np.ndarray:
 def phase_velocity(w: float, k: Sequence[float]) -> Union[float, Infinite]:
     """w/|k| for one wave; INFINITE for a zero wavenumber (rest-frame wave)."""
     k = _vec3(k)
-    k_mag = float(np.sqrt(_dot(k, k)))
+    with np.errstate(over="ignore", under="ignore"):
+        k2 = _dot(k, k)
+    if (np.isinf(k2) or (k2 == 0.0 and k.any())) and np.isfinite(k).all():
+        raise DomainError(f"|k|^2 leaves the float range for k = {k.tolist()!r}")
+    k_mag = float(np.sqrt(k2))
     if k_mag == 0.0:
         return INFINITE
     return w / k_mag
@@ -123,28 +126,6 @@ def transform_wave_scalar(w: float, k: Sequence[float], v: Sequence[float], c: f
     return np.where(k_mag == 0.0, 0.0, wp)[()]
 
 
-def printed_wave_number_magnitude(w: float, k: Sequence[float], v: Sequence[float], c: float) -> float:
-    """The printed closed-form |k'| expression, evaluated verbatim.
-
-    Reproduces the boost result for v parallel or perpendicular to k; kept
-    as a recorded cross-check because the general oblique case is suspect
-    in print.
-    """
-    k = _vec3(k)
-    v = _vec3(v)
-    k_mag = float(np.linalg.norm(k))
-    if k_mag == 0.0:
-        raise DomainError("printed wave-number magnitude needs k != 0")
-    vphi = w / k_mag
-    n = k / k_mag
-    v2 = float(v @ v)
-    vn = float(v @ n)
-    if v2 >= c**2:
-        raise DomainError("boost velocity must satisfy |v| < c")
-    inner = 1.0 - v2 / c**2 + v2 * vphi**2 / c**4 + vn**2 / c**2 - 2.0 * vn * vphi / c**2
-    return k_mag * math.sqrt(inner) / math.sqrt(1.0 - v2 / c**2)
-
-
 @dataclass
 class ParticleState:
     """On-shell kinematic state (E, p, m0, u) with u = p c^2 / E; a stack of them, or one."""
@@ -172,21 +153,14 @@ class ParticleState:
             E = math.inf
         if not np.all(np.isfinite(E)):
             raise DomainError(f"E^2 = |p|^2 c^2 + m0^2 c^4 leaves the float range for m0 = {m0!r}, c = {c!r}")
-        if np.any(E == 0.0):
+        if np.any((np.asarray(m0) == 0) & ~p.any(axis=-1)):
             raise DomainError("massless state needs nonzero momentum")
+        if np.any(E == 0.0):
+            raise DomainError(f"E = sqrt(|p|^2 c^2 + m0^2 c^4) underflows to 0 for m0 = {m0!r}, c = {c!r}")
         return cls(E=E, p=p, m0=m0, u=p * c**2 / np.expand_dims(E, -1))
-
-    @classmethod
-    def at_rest(cls, m0: float, c: float) -> "ParticleState":
-        if m0 <= 0:
-            raise DomainError("a rest state needs m0 > 0")
-        return cls(E=m0 * c**2, p=np.zeros(3), m0=m0, u=np.zeros(3))
 
     def momentum_magnitude(self) -> float:
         return float(np.sqrt(_dot(self.p, self.p)))  # one state only: float() rejects a stack
-
-    def speed(self) -> float:
-        return float(np.sqrt(_dot(self.u, self.u)))
 
     def mass_shell_residual(self, c: float) -> float:
         """Relative residual of E^2 - |p|^2 c^2 = m0^2 c^4."""
@@ -234,35 +208,15 @@ def transform_particle_scalar(s: ParticleState, v: Sequence[float], c: float) ->
     return _gamma(v, c) * s.E * (1.0 - _dot(v, s.u) / c**2)
 
 
-def printed_momentum_magnitude(s: ParticleState, v: Sequence[float], c: float) -> float:
-    """The printed closed-form |p'| expression, evaluated verbatim (u != 0).
-
-    Matches the boost result for v parallel or perpendicular to p; recorded,
-    not trusted, for oblique configurations.
-    """
-    v = _vec3(v)
-    p_mag = s.momentum_magnitude()
-    u_mag = s.speed()
-    if u_mag == 0.0:
-        raise DomainError("printed momentum magnitude needs a moving state (u != 0)")
-    v2 = float(v @ v)
-    if v2 >= c**2:
-        raise DomainError("boost velocity must satisfy |v| < c")
-    vp = float(v @ s.p)
-    inner = (
-        p_mag**2 * (1.0 - v2 / c**2)
-        + p_mag**2 * v2 / u_mag**2
-        + vp**2 / c**2
-        - 2.0 * p_mag * vp / u_mag
-    )
-    return math.sqrt(inner) / math.sqrt(1.0 - v2 / c**2)
-
-
 def debroglie_map(s: ParticleState, hbar: float) -> tuple[float, np.ndarray]:
     """The wave associated to a particle: w = E/hbar, k = p/hbar."""
     if hbar <= 0:
         raise DomainError("hbar must be positive")
-    return s.E / hbar, s.p / hbar
+    with np.errstate(over="ignore"):
+        w, k = s.E / hbar, s.p / hbar
+    if not (np.isfinite(w).all() and np.isfinite(k).all()) or np.any((w == 0) & (s.E != 0)):
+        raise DomainError(f"w = E/hbar or k = p/hbar leaves the float range at hbar = {hbar!r}")
+    return w, k
 
 
 # --- lattice steps -----------------------------------------------------------

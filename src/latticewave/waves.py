@@ -138,13 +138,6 @@ def eval_wave(spec: WaveSpec, n: int, j: int) -> complex:
     return eval_cayley(spec, n, j)
 
 
-def cayley_phase_increments(spec: WaveSpec) -> tuple[float, float]:
-    """Exact phase advance per time step and per site: (2 atan(pi/N), -2 atan(pi/M))."""
-    per_step = 2.0 * math.atan(math.pi / spec.N)
-    per_site = 0.0 if isinstance(spec.M, Infinite) else -2.0 * math.atan(math.pi / spec.M)
-    return per_step, per_site
-
-
 def _exponential_slab(spec: WaveSpec, nt: int, nx: int) -> np.ndarray:
     # the value at (n, j) depends only on (n mod N, j mod M), and within that
     # tile only on the phase residue: evaluate each residue once, then gather
@@ -286,15 +279,6 @@ def beat_field(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> FieldSlab:
     return FieldSlab(psi=psi.astype(np.complex128), grid=grid)
 
 
-def measure_beat_velocity(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> float:
-    """``measure_group_velocity(beat_field(b, grid, nt, nx), beat=b)`` without sampling the field:
-    beat_field's checks, in its order, then ``track_beat_velocity``."""
-    _require_envelope_coverage(b, grid, nt, nx)
-    t, x = _beat_phases(b, grid, nt, nx)
-    check_extent((t.shape[0], x.shape[1]))
-    return track_beat_velocity(b, grid, nt, nx)
-
-
 def beat_envelope(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> np.ndarray:
     """The slow factor 2 cos pi{t(1/T1 - 1/T2) - x(1/lam1 - 1/lam2)}."""
     t, x = _beat_phases(b, grid, nt, nx)
@@ -344,93 +328,47 @@ def _refine_peak(row: np.ndarray, j: int) -> float:
     return j + float(min(max(delta, -0.5), 0.5))
 
 
-def _coarse_envelope_sq(psi: np.ndarray, window: int) -> np.ndarray:
-    """Per-slice circular moving average of |psi|^2 over one carrier period."""
-    power = np.abs(psi) ** 2
-    kernel = np.ones(window) / window
-    nt, nx = power.shape
-    out = np.empty_like(power)
-    for n in range(nt):
-        padded = np.concatenate([power[n], power[n][: window - 1]])
-        smoothed = np.convolve(padded, kernel, mode="valid")
-        # center the window on each site
-        out[n] = np.roll(smoothed, window // 2)
-    return out
+def measure_beat_velocity(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> float:
+    """The envelope-tracked group velocity of ``b`` on an nt x nx slab of ``grid``.
 
-
-def _crest_spacing_sites(env_sq_row: np.ndarray) -> float:
-    """Dominant spatial period of the squared envelope via circular autocorrelation."""
-    centered = env_sq_row - env_sq_row.mean()
-    nx = len(centered)
-    spectrum = np.abs(np.fft.rfft(centered)) ** 2
-    spectrum[0] = 0.0
-    mode = int(np.argmax(spectrum))
-    if mode == 0:
-        raise MeasurementError("envelope is flat; no crest spacing to resolve")
-    return nx / mode
-
-
-def track_beat_velocity(beat: BeatSpec, grid: GridSpec, nt: int, nx: int) -> float:
-    """The envelope-tracked group velocity of ``beat`` on an nt x nx slab of ``grid``.
-
-    Needs no sampled field: the analytically known slow factor supplies the
+    Refuses what ``beat_field`` refuses, with its errors in its order, but
+    samples no field: the analytically known slow factor supplies the
     envelope. A slab that aliases it (crests under 2 sites apart, or a crest
     moving more than half the crest spacing per step) is a MeasurementError.
     """
+    _require_envelope_coverage(b, grid, nt, nx)
+    t, x = _beat_phases(b, grid, nt, nx)
+    check_extent((t.shape[0], x.shape[1]))  # the shape of beat_field's slab, 0 for a negative extent
     if nt < 4:
         raise DomainError("group-velocity measurement needs at least 4 time slices")
-    if beat.wavenum_diff == 0.0:
+    if b.wavenum_diff == 0.0:
         raise MeasurementError(
             "envelope has no spatial structure (equal mode wavenumbers); nothing to track"
         )
-    env_sq = beat_envelope(beat, grid, nt, nx) ** 2
-    crest_sites = (2.0 / abs(beat.wavenum_diff)) / grid.eps / 2.0
-    if nx * grid.eps < 3.0 * (2.0 / abs(beat.wavenum_diff)):
+    crest_sites = (2.0 / abs(b.wavenum_diff)) / grid.eps / 2.0
+    if nx * grid.eps < 3.0 * (2.0 / abs(b.wavenum_diff)):
         raise DomainError("fewer than 3 envelope periods resolved across the slab")
     # a slab coarser than the envelope aliases it: the tracked crests are not the envelope's
     if crest_sites < 2.0:
         raise MeasurementError(
             f"envelope crests {crest_sites!r} sites apart are under-resolved; at least 2 sites are needed"
         )
-    step_sites = abs(beat_group_velocity(beat)) * grid.tau / grid.eps
+    step_sites = abs(beat_group_velocity(b)) * grid.tau / grid.eps
     if step_sites > crest_sites / 2.0:
         raise MeasurementError(
             f"envelope crest moves {step_sites!r} sites per step, more than half its "
             f"{crest_sites!r}-site spacing; its motion is aliased"
         )
-    return _track_crests(env_sq, crest_sites, grid)
-
-
-def measure_group_velocity(
-    field: FieldSlab,
-    beat: BeatSpec | None = None,
-    carrier_window: int | None = None,
-) -> float:
-    """Track the envelope crest across time slices; return its fitted velocity.
-
-    With ``beat`` given, only the field's shape and grid are read: the result
-    is ``track_beat_velocity(beat, field.grid, field.nt, field.nx)``.
-    Otherwise |psi|^2 is coarse-grained over ``carrier_window`` sites (one
-    fast period). Crest positions are refined by quadratic interpolation
-    around the discrete argmax, followed from slice to slice by
-    nearest-candidate continuity, unwrapped, and fitted against time by
-    least squares.
-    """
-    if beat is not None:
-        return track_beat_velocity(beat, field.grid, field.nt, field.nx)
-    if field.nt < 4:
-        raise DomainError("group-velocity measurement needs at least 4 time slices")
-    if carrier_window is None or carrier_window < 1:
-        raise DomainError("coarse-grained tracking needs carrier_window >= 1 (sites per fast period)")
-    env_sq = _coarse_envelope_sq(field.psi, carrier_window)
-    contrast = env_sq.max() - env_sq.min()
-    if contrast <= 1e-9 * max(env_sq.max(), 1e-300):
-        raise MeasurementError("envelope is flat; group velocity is not measurable")
-    return _track_crests(env_sq, _crest_spacing_sites(env_sq[0]), field.grid)
+    return _track_crests(beat_envelope(b, grid, nt, nx) ** 2, crest_sites, grid)
 
 
 def _track_crests(env_sq: np.ndarray, crest_sites: float, grid: GridSpec) -> float:
-    """The fitted velocity of a crest of the squared envelope ``env_sq``, ``crest_sites`` apart."""
+    """The fitted velocity of a crest of the squared envelope ``env_sq``, ``crest_sites`` apart.
+
+    Crest positions are refined by quadratic interpolation around the
+    discrete argmax, followed from slice to slice by nearest-candidate
+    continuity, and fitted against the step index by least squares.
+    """
     nt, nx = env_sq.shape
     # The slab is not periodic in general (the envelope period need not
     # divide the extent), so tracking stays away from the edges: start on

@@ -1,0 +1,40 @@
+"""Shared test fixtures."""
+
+import pytest
+
+from latticewave import DomainError, MeasurementError, beat_field, beat_group_velocity
+from latticewave.waves import _track_crests, beat_envelope
+
+
+def _sampled_beat_measurement(beat, grid, nt, nx):
+    """The reference for measure_beat_velocity: sample the whole beat_field, then track its beat.
+
+    Every check and message, in order, of the measurement that read the
+    sampled slab's shape and grid; the tracking itself is ``_track_crests``.
+    """
+    slab = beat_field(beat, grid, nt, nx)
+    nt, nx, grid = slab.nt, slab.nx, slab.grid
+    if nt < 4:
+        raise DomainError("group-velocity measurement needs at least 4 time slices")
+    if beat.wavenum_diff == 0.0:
+        raise MeasurementError("envelope has no spatial structure (equal mode wavenumbers); nothing to track")
+    env_sq = beat_envelope(beat, grid, nt, nx) ** 2
+    crest_sites = (2.0 / abs(beat.wavenum_diff)) / grid.eps / 2.0
+    if nx * grid.eps < 3.0 * (2.0 / abs(beat.wavenum_diff)):
+        raise DomainError("fewer than 3 envelope periods resolved across the slab")
+    if crest_sites < 2.0:
+        raise MeasurementError(
+            f"envelope crests {crest_sites!r} sites apart are under-resolved; at least 2 sites are needed"
+        )
+    step_sites = abs(beat_group_velocity(beat)) * grid.tau / grid.eps
+    if step_sites > crest_sites / 2.0:
+        raise MeasurementError(
+            f"envelope crest moves {step_sites!r} sites per step, more than half its "
+            f"{crest_sites!r}-site spacing; its motion is aliased"
+        )
+    return _track_crests(env_sq, crest_sites, grid)
+
+
+@pytest.fixture
+def sampled_beat_measurement():
+    return _sampled_beat_measurement

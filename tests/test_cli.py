@@ -29,7 +29,6 @@ from latticewave import (
     load_slab_binary,
     load_slab_csv,
     mass_from_rest_period,
-    measure_group_velocity,
     preserves_metric,
     sample_wave,
 )
@@ -241,6 +240,7 @@ SWEEP = {
     "boost-m0": ["kinematics-boost", "--m0", "{x}", "--p", "0.75", "0", "0", "--v", "0.5", "0", "0"],
     "boost-p": ["kinematics-boost", "--m0", "1", "--p", "{x}", "0", "0", "--v", "0.5", "0", "0"],
     "boost-c": ["kinematics-boost", "--m0", "1", "--p", "0.75", "0", "0", "--v", "0.5", "0", "0", "--c", "{x}"],
+    "boost-hbar": ["kinematics-boost", "--m0", "1", "--p", "0.75", "0", "0", "--v", "0.5", "0", "0", "--hbar", "{x}"],
     "beat-t1": ["beat-measure", "--t1", "{x}", "--t2", "6", "--lam1", "3", "--lam2", "5"],
     "beat-lam1": ["beat-measure", "--t1", "4", "--t2", "6", "--lam1", "{x}", "--lam2", "5"],
 }
@@ -266,17 +266,65 @@ def test_parameters_across_the_float_range_exit_cleanly(tmp_path, capsys, argv, 
     ["kinematics-boost", "--m0", "1", "--c", "1e160", "--p", "0.75", "0", "0", "--v", "0.5", "0", "0"],
     ["kinematics-boost", "--m0", "1", "--p", "1e160", "0", "0", "--v", "0.5", "0", "0"],
     ["kinematics-boost", "--m0", "1", "--p", "1.2e154", "0", "0", "--v", "-0.5", "0", "0"],
+    ["kinematics-boost", "--m0", "1", "--p", "1", "0", "0", "--v", "0.5", "0", "0", "--hbar", "1e-320"],
+    ["kinematics-boost", "--m0", "1", "--p", "1", "0", "0", "--v", "0.5", "0", "0", "--hbar", "1e-300"],
     ["beat-measure", "--t1", "1e-307", "--t2", "6", "--lam1", "3", "--lam2", "5"],
     ["beat-measure", "--t1", "4", "--t2", "6", "--lam1", "3", "--lam2", "5", "--tau", "1e307"],
     ["beat-measure", "--t1", "4", "--t2", "6", "--lam1", "3", "--lam2", "5", "--eps", "1e306"],
 ], ids=["quantization-m0-tiny", "quantization-m0-huge", "quantization-tau-huge", "quantization-p-squared",
         "beat-t1-tiny", "beat-lam1-tiny", "boost-m0-huge", "boost-c-huge", "boost-p-huge", "boosted-energy-squared",
-        "beat-phases-t1", "beat-phases-tau", "beat-phases-eps"])
+        "boost-hbar-tiny", "boost-wavenumber-squared", "beat-phases-t1", "beat-phases-tau", "beat-phases-eps"])
 def test_derived_values_out_of_the_float_range_are_domain_errors(tmp_path, capsys, argv):
     out = tmp_path / "out.json"
     assert main([*argv, "--output", str(out)]) == 3
     assert "the float range" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("m0, p, c, message", [
+    ("1", "1", "1e-200", "E = sqrt(|p|^2 c^2 + m0^2 c^4) underflows to 0 for m0 = 1.0, c = 1e-200"),
+    ("0", "0", "1", "massless state needs nonzero momentum"),
+], ids=["energy-underflows", "massless-at-rest"])
+def test_a_zero_energy_says_why(tmp_path, capsys, m0, p, c, message):
+    out = tmp_path / "out.json"
+    argv = ["kinematics-boost", "--m0", m0, "--p", p, "0", "0", "--v", "0.5", "0", "0", "--c", c]
+    assert main([*argv, "--output", str(out)]) == 3
+    assert capsys.readouterr().err == f"domain error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["quantization-check", "--m0", "1", "--dn", "9007199254740993", "--dj", "1", "0", "0"],
+    ["quantization-check", "--m0", "1", "--dn", "3", "--dj", "9007199254740993", "0", "0"],
+    ["wave-sample", "--form", "cayley", "--wave-n", "1" * 401, "--wave-m", "5"],
+], ids=["dn-2-53-plus-1", "dj-2-53-plus-1", "wave-n-401-digits"])
+def test_integer_flags_a_float_cannot_hold_are_config_errors(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: parameter ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("params", [
+    {"m0": 1, "dn": 9007199254740993, "dj": [1, 0, 0]},
+    {"m0": 1, "dn": "9007199254740993", "dj": [1, 0, 0]},
+    {"m0": 1, "dn": 3, "dj": [9007199254740993, 0, 0]},
+], ids=["int", "int-string", "vec3i-entry"])
+def test_config_integers_a_float_cannot_hold_are_config_errors(tmp_path, params):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"experiment": "quantization-check", "params": params, "format": "json"}))
+    assert main(["run", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("dn, expected", [
+    (5, 5), ("5", 5), ("5.0", 5), (5.0, 5), ("1e3", 1000),
+    (2**53, 2**53), (str(2**53), 2**53), (2**60 + 2**8, 2**60 + 2**8), (str(2**60 + 2**8), 2**60 + 2**8),
+], ids=["int", "int-string", "float-string", "float", "exponent-string", "2-53", "2-53-string", "2-60-plus-2-8",
+        "2-60-plus-2-8-string"])
+def test_integer_parameters_are_read_exactly(dn, expected):
+    cfg = build_config("quantization-check", {"m0": 1.0, "dn": dn, "dj": [dn, 0, 0]}, fmt="json")
+    assert (cfg.params["dn"], cfg.params["dj"][0]) == (expected, expected)
+    assert type(cfg.params["dn"]) is int and type(cfg.params["dj"][0]) is int
 
 
 @pytest.mark.parametrize("argv", [
@@ -292,7 +340,7 @@ def test_derived_values_out_of_the_float_range_are_domain_errors(tmp_path, capsy
     ["--t1", "1e-307", "--t2", "6", "--lam1", "3", "--lam2", "5"],
 ], ids=["default", "scaled", "empty-slab", "three-slices", "short-slab", "negative-nx", "too-large", "aliased",
         "phases-out-of-range"])
-def test_beat_measure_json_is_the_measurement_of_the_sampled_field(tmp_path, capsys, argv):
+def test_beat_measure_json_is_the_measurement_of_the_sampled_field(tmp_path, capsys, argv, sampled_beat_measurement):
     """The JSON result, or the exit code and message, of measuring the sampled beat_field."""
     out = tmp_path / "beat.json"
     code = main(["beat-measure", *argv, "--format", "json", "--output", str(out)])
@@ -301,8 +349,7 @@ def test_beat_measure_json_is_the_measurement_of_the_sampled_field(tmp_path, cap
     grid = GridSpec(tau=float(flags.get("--tau", 1.0)), eps=float(flags.get("--eps", 1.0)))
     v_phase, v_group = beat_velocities(beat)
     try:
-        measured = measure_group_velocity(beat_field(beat, grid, int(flags.get("--nt", 256)),
-                                                     int(flags.get("--nx", 1024))), beat=beat)
+        measured = sampled_beat_measurement(beat, grid, int(flags.get("--nt", 256)), int(flags.get("--nx", 1024)))
     except SizeLimitError as exc:
         assert (code, capsys.readouterr().err, out.exists()) == (2, f"config error: {exc}\n", False)
         return

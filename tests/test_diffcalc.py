@@ -12,17 +12,16 @@ from latticewave import (
     DomainError,
     FieldSlab,
     GridSpec,
-    SampledSequence,
     apply_1d,
-    backward_avg,
-    backward_diff,
-    forward_avg,
-    forward_diff,
 )
 
+D, B, A, V = DiffOp.FORWARD_DIFF, DiffOp.BACKWARD_DIFF, DiffOp.FORWARD_AVG, DiffOp.BACKWARD_AVG
 
-def seq(values, boundary=Boundary.SHRINKING):
-    return SampledSequence(values=np.asarray(values, dtype=complex), boundary=boundary)
+
+def seq(values, op, boundary=Boundary.SHRINKING):
+    """One operator on a sequence, applied by apply_1d to a one-row slab; the row comes back."""
+    row = FieldSlab(psi=np.asarray(values, dtype=complex)[None, :])
+    return apply_1d(row, Axis.SPACE_J, op, boundary).psi[0]
 
 
 finite_complex = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
@@ -30,72 +29,69 @@ complex_lists = st.lists(finite_complex, min_size=2, max_size=40)
 
 
 def test_forward_diff_by_hand():
-    np.testing.assert_array_equal(forward_diff(seq([1, 3, 6])).values, [2, 3])
+    np.testing.assert_array_equal(seq([1, 3, 6], D), [2, 3])
 
 
 def test_forward_diff_of_constant_is_zero():
-    np.testing.assert_array_equal(forward_diff(seq([5 + 2j] * 3)).values, [0, 0])
+    np.testing.assert_array_equal(seq([5 + 2j] * 3, D), [0, 0])
 
 
 def test_forward_diff_periodic_complex():
     """Wrapping forward difference of [1, i, -1, -i] against a direct loop."""
     f = [1, 1j, -1, -1j]
     expected = [f[(i + 1) % 4] - f[i] for i in range(4)]
-    result = forward_diff(seq(f, Boundary.PERIODIC)).values
+    result = seq(f, D, Boundary.PERIODIC)
     np.testing.assert_array_equal(result, expected)
     np.testing.assert_array_equal(result, [-1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j])
 
 
 def test_backward_diff_by_hand():
-    np.testing.assert_array_equal(backward_diff(seq([1, 3, 6])).values, [2, 3])
+    np.testing.assert_array_equal(seq([1, 3, 6], B), [2, 3])
 
 
 def test_backward_diff_periodic():
-    np.testing.assert_array_equal(
-        backward_diff(seq([0, 1, 0, -1], Boundary.PERIODIC)).values, [1, 1, -1, -1]
-    )
+    np.testing.assert_array_equal(seq([0, 1, 0, -1], B, Boundary.PERIODIC), [1, 1, -1, -1])
 
 
 @given(complex_lists.filter(lambda v: len(v) >= 3))
 def test_backward_of_forward_is_centered_second_difference(values):
     f = np.asarray(values)
-    second = backward_diff(forward_diff(seq(f))).values
+    second = seq(seq(f, D), B)
     centered = f[2:] - 2 * f[1:-1] + f[:-2]
     np.testing.assert_allclose(second, centered, rtol=0, atol=1e-9 * max(1.0, np.abs(f).max()))
 
 
 def test_forward_avg_by_hand():
-    np.testing.assert_array_equal(forward_avg(seq([2, 4])).values, [3])
+    np.testing.assert_array_equal(seq([2, 4], A), [3])
 
 
 def test_forward_avg_of_constant():
-    np.testing.assert_array_equal(forward_avg(seq([7 - 1j] * 4)).values, [7 - 1j] * 3)
+    np.testing.assert_array_equal(seq([7 - 1j] * 4, A), [7 - 1j] * 3)
 
 
 def test_avg_composition_is_three_point_smoother():
-    """forward_avg(backward_avg(f)) == (f[i+1] + 2 f[i] + f[i-1]) / 4 on random data."""
+    """A(V f) == (f[i+1] + 2 f[i] + f[i-1]) / 4 on random data."""
     rng = np.random.default_rng(11)
     f = rng.normal(size=12) + 1j * rng.normal(size=12)
-    composed = forward_avg(backward_avg(seq(f))).values
+    composed = seq(seq(f, V), A)
     direct = (f[2:] + 2 * f[1:-1] + f[:-2]) / 4
     np.testing.assert_allclose(composed, direct, rtol=0, atol=1e-15)
 
 
 def test_shrinking_length_drops_by_one_per_application():
-    s = seq(np.arange(6.0))
-    for op in (forward_diff, backward_diff, forward_avg, backward_avg):
-        assert len(op(s)) == 5
-    assert len(forward_diff(forward_diff(s))) == 4
+    f = np.arange(6.0)
+    for op in DiffOp:
+        assert len(seq(f, op)) == 5
+    assert len(seq(seq(f, D), D)) == 4
 
 
 def test_periodic_length_preserved():
-    s = seq(np.arange(6.0), Boundary.PERIODIC)
-    assert len(forward_diff(s)) == 6
+    assert len(seq(np.arange(6.0), D, Boundary.PERIODIC)) == 6
 
 
 def test_too_short_raises():
     with pytest.raises(DomainError):
-        forward_diff(seq([1.0]))
+        seq([1.0], D)
 
 
 @given(complex_lists)
@@ -105,11 +101,8 @@ def test_product_identity(values):
     rng = np.random.default_rng(len(values))
     f = np.asarray(values)
     g = rng.normal(size=len(f)) + 1j * rng.normal(size=len(f))
-    lhs = forward_diff(seq(f * g)).values
-    rhs = (
-        forward_diff(seq(f)).values * forward_avg(seq(g)).values
-        + forward_avg(seq(f)).values * forward_diff(seq(g)).values
-    )
+    lhs = seq(f * g, D)
+    rhs = seq(f, D) * seq(g, A) + seq(f, A) * seq(g, D)
     scale = max(1.0, float((np.abs(f) * np.abs(g)).max()))
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12 * scale)
 
@@ -120,19 +113,12 @@ def test_product_identity(values):
     finite_complex,
     st.sampled_from(list(DiffOp)),
 )
-def test_linearity(n, alpha, beta, op_kind):
+def test_linearity(n, alpha, beta, op):
     rng = np.random.default_rng(n)
     f = rng.normal(size=n) + 1j * rng.normal(size=n)
     g = rng.normal(size=n) + 1j * rng.normal(size=n)
-    ops = {
-        DiffOp.FORWARD_DIFF: forward_diff,
-        DiffOp.BACKWARD_DIFF: backward_diff,
-        DiffOp.FORWARD_AVG: forward_avg,
-        DiffOp.BACKWARD_AVG: backward_avg,
-    }
-    op = ops[op_kind]
-    lhs = op(seq(alpha * f + beta * g)).values
-    rhs = alpha * op(seq(f)).values + beta * op(seq(g)).values
+    lhs = seq(alpha * f + beta * g, op)
+    rhs = alpha * seq(f, op) + beta * seq(g, op)
     scale = max(1.0, (abs(alpha) + abs(beta)) * 3.0)
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-9 * scale)
 
@@ -140,7 +126,7 @@ def test_linearity(n, alpha, beta, op_kind):
 def test_telescoping_periodic_sum_vanishes():
     rng = np.random.default_rng(3)
     f = rng.normal(size=17) + 1j * rng.normal(size=17)
-    total = forward_diff(seq(f, Boundary.PERIODIC)).values.sum()
+    total = seq(f, D, Boundary.PERIODIC).sum()
     assert abs(total) <= 1e-13 * np.abs(f).sum()
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from latticewave import (
+    DispersionForm,
     DomainError,
     FieldSlab,
     GridSpec,
@@ -18,6 +19,7 @@ from latticewave import (
     WaveSpec,
     apply_kg_operator,
     calibrate_time_coefficient,
+    dispersion_residual,
     evolve,
     plane_wave_residual,
     sample_wave,
@@ -76,6 +78,14 @@ class TestPlaneWaveResidual:
     def test_exponential_traveling_mode_on_shell(self):
         spec, m0 = EXP_48
         assert plane_wave_residual(spec, KGParams(m0=m0, grid=GRID), extent=(16, 16)) <= 1e-12
+
+    @pytest.mark.parametrize("grid", [GridSpec(c=2.0), GridSpec(tau=0.7, eps=1.3, c=2.0, hbar=0.3)],
+                             ids=["c-2", "all-constants"])
+    def test_exponential_mode_on_the_dispersion_shell_at_non_unit_constants(self, grid):
+        # the mass the dispersion relation itself gives: a constant dropped from the operator breaks the match
+        m0 = math.sqrt(dispersion_residual(DispersionForm.EXPONENTIAL, 4, 8, 0.0, grid)) * grid.hbar / grid.c
+        spec = WaveSpec(form=WaveForm.EXPONENTIAL, N=4, M=8)
+        assert plane_wave_residual(spec, KGParams(m0=m0, grid=grid), extent=(16, 16)) <= 1e-12
 
     def test_printed_asymmetric_mass_misses_by_a_lot(self):
         """Mass from the as-printed tan relation (m0 = tan(pi/4) = 1 at rest)

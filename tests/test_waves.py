@@ -23,17 +23,14 @@ from latticewave import (
     beat_phase_velocity,
     beat_product_form,
     beat_velocities,
-    cayley_phase_increments,
     continuum_limit_error,
     eval_cayley,
     eval_exponential,
     eval_wave,
     measure_beat_velocity,
-    measure_group_velocity,
     sample_wave,
-    track_beat_velocity,
 )
-from latticewave.waves import _unimodular_power
+from latticewave.waves import _track_crests, _unimodular_power, beat_envelope
 
 
 class TestExponentialWave:
@@ -80,7 +77,7 @@ class TestCayleyWave:
     def test_phase_linear_in_both_indices(self):
         """Unwrapped phases fit straight lines with the advertised slopes."""
         spec = WaveSpec(form=WaveForm.CAYLEY, N=9, M=6)
-        per_step, per_site = cayley_phase_increments(spec)
+        per_step, per_site = 2 * math.atan(math.pi / 9), -2 * math.atan(math.pi / 6)
         ns = np.arange(0, 120)
         phases_t = np.unwrap([cmath.phase(eval_cayley(spec, int(n), 0)) for n in ns])
         fit_t = np.polyfit(ns, phases_t, 1)
@@ -261,84 +258,74 @@ class TestMeasureGroupVelocity:
     UNCOVERED = [(BEAT, 64, 32), (BeatSpec(T1=4.0, T2=4.0, lam1=3.0, lam2=3.0), 32, 32)]
 
     def test_measured_matches_analytic_within_two_percent(self):
-        measured = measure_group_velocity(beat_field(self.BEAT, GridSpec(), 128, 512), beat=self.BEAT)
+        measured = measure_beat_velocity(self.BEAT, GridSpec(), 128, 512)
         assert measured == pytest.approx(0.625, rel=0.02)
 
     def test_standing_beat_measures_zero(self):
         b = BeatSpec(T1=4.0, T2=4.0, lam1=15.0, lam2=-15.0)
-        measured = measure_group_velocity(beat_field(b, GridSpec(), 64, 64), beat=b)
+        measured = measure_beat_velocity(b, GridSpec(), 64, 64)
         assert abs(measured) <= 0.01
 
     @pytest.mark.parametrize("beat, grid, match", ALIASED, ids=ALIASED_IDS)
     def test_aliased_envelope_is_measurement_error(self, beat, grid, match):
         # crests 7.5 sites apart moving 0.625 sites per step at tau = eps = 1
         with pytest.raises(MeasurementError, match=match):
-            measure_group_velocity(beat_field(beat, grid, 64, 512), beat=beat)
+            measure_beat_velocity(beat, grid, 64, 512)
 
     @pytest.mark.parametrize("grid", [GridSpec(tau=5.9), GridSpec(eps=3.75)], ids=["under-half-spacing", "two-sites"])
     def test_envelope_just_inside_the_resolution_limits_is_measured(self, grid):
-        measured = measure_group_velocity(beat_field(self.BEAT, grid, 64, 512), beat=self.BEAT)
+        measured = measure_beat_velocity(self.BEAT, grid, 64, 512)
         assert math.isfinite(measured)
 
     def test_error_halves_or_better_with_doubled_resolution(self):
         errors = []
         for scale in (1, 2):
             grid = GridSpec(tau=1.0 / scale, eps=1.0 / scale)
-            measured = measure_group_velocity(beat_field(self.BEAT, grid, 128 * scale, 256 * scale), beat=self.BEAT)
+            measured = measure_beat_velocity(self.BEAT, grid, 128 * scale, 256 * scale)
             errors.append(abs(measured - 0.625))
         assert errors[1] <= 0.5 * errors[0]
 
-    def test_coarse_grained_fallback_tracks_without_the_analytic_envelope(self):
-        grid = GridSpec()
-        slab = beat_field(self.BEAT, grid, 128, 512)
-        window = max(1, round((2.0 / abs(self.BEAT.wavenum_sum)) / grid.eps))
-        measured = measure_group_velocity(slab, carrier_window=window)
-        assert measured == pytest.approx(0.625, rel=0.02)
-
     @pytest.mark.parametrize("tau, eps", [(1e160, 1.0), (1.0, 1e304), (0.5, 3.0)])
     def test_fitted_in_sites_per_step_then_scaled(self, tau, eps):
-        # the coarse-grained envelope depends on psi alone, so the crests are the same sites
-        psi = beat_field(self.BEAT, GridSpec(), 128, 512).psi
-        sites_per_step = measure_group_velocity(FieldSlab(psi), carrier_window=2)
-        measured = measure_group_velocity(FieldSlab(psi, GridSpec(tau=tau, eps=eps)), carrier_window=2)
-        assert measured == sites_per_step * eps / tau != 0.0
+        # the grid only scales the fit: the squared envelope fixes the crest sites
+        env_sq = beat_envelope(self.BEAT, GridSpec(), 128, 512) ** 2
+        sites_per_step = _track_crests(env_sq, 7.5, GridSpec())
+        assert _track_crests(env_sq, 7.5, GridSpec(tau=tau, eps=eps)) == sites_per_step * eps / tau != 0.0
 
     def test_velocity_past_the_float_range_is_domain_error(self):
-        psi = beat_field(self.BEAT, GridSpec(), 128, 512).psi
+        env_sq = beat_envelope(self.BEAT, GridSpec(), 128, 512) ** 2
         with pytest.raises(DomainError, match="float range"):
-            measure_group_velocity(FieldSlab(psi, GridSpec(tau=1e-10, eps=1e308)), carrier_window=2)
+            _track_crests(env_sq, 7.5, GridSpec(tau=1e-10, eps=1e308))
 
     def test_flat_envelope_is_measurement_error(self):
         b, nt, nx = self.UNCOVERED[1]
-        slab = beat_field(b, GridSpec(), nt, nx)
         with pytest.raises(MeasurementError):
-            measure_group_velocity(slab, beat=b)
+            measure_beat_velocity(b, GridSpec(), nt, nx)
 
     def test_too_few_envelope_periods_rejected(self):
         b, nt, nx = self.UNCOVERED[0]
-        slab = beat_field(b, GridSpec(), nt, nx)
         with pytest.raises(DomainError):
-            measure_group_velocity(slab, beat=b)
+            measure_beat_velocity(b, GridSpec(), nt, nx)
 
     @pytest.mark.parametrize("beat", [
         BEAT, BeatSpec(T1=4.0, T2=4.0, lam1=15.0, lam2=-15.0), BeatSpec(T1=5.0, T2=7.0, lam1=4.0, lam2=9.0),
     ], ids=["traveling", "standing", "slower"])
     @pytest.mark.parametrize("grid", [GridSpec(), GridSpec(tau=0.5, eps=0.5)], ids=["unit", "half"])
-    def test_beat_tracking_needs_no_field(self, beat, grid):
-        measured = track_beat_velocity(beat, grid, 256, 512)
-        assert measured == measure_group_velocity(beat_field(beat, grid, 256, 512), beat=beat)
+    def test_beat_tracking_needs_no_field(self, beat, grid, sampled_beat_measurement):
+        measured = measure_beat_velocity(beat, grid, 256, 512)
+        assert measured == sampled_beat_measurement(beat, grid, 256, 512)
         assert measured == pytest.approx(beat_group_velocity(beat), abs=0.02)
 
     @pytest.mark.parametrize("beat, grid, nt, nx", [
         *((beat, grid, 64, 512) for beat, grid, _ in ALIASED),
         *((beat, GridSpec(), nt, nx) for beat, nt, nx in UNCOVERED),
     ], ids=[*ALIASED_IDS, "too-few-periods", "flat-envelope"])
-    def test_beat_tracking_refuses_what_the_field_measurement_refuses(self, beat, grid, nt, nx):
-        slab = beat_field(beat, grid, nt, nx)
+    def test_beat_tracking_refuses_what_the_field_measurement_refuses(self, beat, grid, nt, nx,
+                                                                      sampled_beat_measurement):
         with pytest.raises((DomainError, MeasurementError)) as from_field:
-            measure_group_velocity(slab, beat=beat)
+            sampled_beat_measurement(beat, grid, nt, nx)
         with pytest.raises((DomainError, MeasurementError)) as from_beat:
-            track_beat_velocity(beat, grid, nt, nx)
+            measure_beat_velocity(beat, grid, nt, nx)
         assert type(from_beat.value) is type(from_field.value)
         assert str(from_beat.value) == str(from_field.value)
 
@@ -386,9 +373,9 @@ BEAT_SLABS = [
 
 
 @pytest.mark.parametrize("beat, grid, nt, nx", BEAT_SLABS)
-def test_measure_beat_velocity_is_the_measurement_of_the_sampled_field(beat, grid, nt, nx):
+def test_measure_beat_velocity_is_the_measurement_of_the_sampled_field(beat, grid, nt, nx, sampled_beat_measurement):
     """The same value, or the same error type and message in the same order, without the field."""
-    want = outcome(lambda: measure_group_velocity(beat_field(beat, grid, nt, nx), beat=beat))
+    want = outcome(lambda: sampled_beat_measurement(beat, grid, nt, nx))
     assert outcome(lambda: measure_beat_velocity(beat, grid, nt, nx)) == want
 
 
