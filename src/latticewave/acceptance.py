@@ -19,7 +19,8 @@ import numpy as np
 
 from .diffcalc import DiffOp, apply_1d
 from .dispersion import DispersionForm, dispersion_residual, mass_from_rest_period, quantization_check, solve_modes
-from .grid import Axis, Boundary, FieldSlab, GridSpec, INFINITE
+from .errors import ConfigError
+from .grid import Axis, Boundary, FieldSlab, GridSpec, INFINITE, is_integer
 from .kg_lattice import KGParams, evolve, plane_wave_residual
 from .kinematics import (
     LatticeStep,
@@ -425,6 +426,8 @@ def run_criterion(cid: int, seed: int = 0, as_printed: Iterable[str] = ()) -> Cr
     unknown = printed - set(AS_PRINTED_CHOICES)
     if unknown:
         raise ValueError(f"unknown as-printed selector(s): {sorted(unknown)}")
+    if not (is_integer(seed) and seed >= 0):
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     for num, title, fn in _CRITERIA:
         if num == cid:
             rng = np.random.default_rng(seed + cid)

@@ -492,14 +492,16 @@ def _run_kinematics_boost(cfg: RunConfig):
     boosted = transform_particle(state, p["v"], c)
     w, k = debroglie_map(state, hbar)
     wp, kp = transform_wave(w, list(k), p["v"], c)
-    equivalence = max(abs(wp - boosted.E / hbar), float(np.max(np.abs(kp - boosted.p / hbar))))
+    difference = max(abs(wp - boosted.E / hbar), float(np.max(np.abs(kp - boosted.p / hbar))))
+    # relative to the boosted wave's largest component, as criterion 1 scales it (1 if the wave underflows to 0)
+    scale = max(abs(wp), float(np.max(np.abs(kp)))) or 1.0
     return JsonOutput(payload={
         "input": {"E": state.E, "p": list(state.p), "u": list(state.u), "m0": state.m0},
         "boosted": {"E": boosted.E, "p": list(boosted.p), "u": list(boosted.u)},
         "wave": {"w": w, "k": list(k), "w_boosted": wp, "k_boosted": list(kp),
                  "phase_velocity": phase_velocity(w, k)},
         "checks": {"mass_shell_residual": boosted.mass_shell_residual(c),
-                   "wave_particle_equivalence_residual": equivalence},
+                   "wave_particle_equivalence_residual": difference / scale},
     })
 
 

@@ -51,5 +51,5 @@ def apply_1d(field: FieldSlab, axis: Axis, op: DiffOp, boundary: Boundary) -> Fi
         lead = (slice(None),) * ax
         lower, upper = a[lead + (slice(None, -1),)], a[lead + (slice(1, None),)]
     if op in (DiffOp.FORWARD_DIFF, DiffOp.BACKWARD_DIFF):
-        return field.with_values(upper - lower)
-    return field.with_values((upper + lower) / 2.0)
+        return FieldSlab(psi=upper - lower)
+    return FieldSlab(psi=(upper + lower) / 2.0)

@@ -56,16 +56,6 @@ def mass_from_rest_period(N: int, grid: GridSpec) -> float:
     return grid.h / (grid.c**2 * N * grid.tau)
 
 
-def mode_frequency(N: int, grid: GridSpec) -> float:
-    return 2.0 * math.pi / (N * grid.tau)
-
-
-def mode_wavenumber(M: MaybeInfinite, grid: GridSpec) -> float:
-    if isinstance(M, Infinite):
-        return 0.0
-    return 2.0 * math.pi / (M * grid.eps)
-
-
 # Every relation is separable: residual = (time_term(N) - space_term(M)) - mass_term(m0).
 
 
@@ -76,7 +66,7 @@ def _time_term(form: DispersionForm, N: int, grid: GridSpec, time_coeff: float =
     if form is DispersionForm.EXPONENTIAL:
         return (time_coeff / (c**2 * tau**2)) * math.tan(math.pi / N) ** 2
     if form is DispersionForm.CONTINUUM:
-        return (mode_frequency(N, grid) / c) ** 2
+        return (2.0 * math.pi / (N * tau) / c) ** 2
     raise DomainError(f"unknown dispersion form {form!r}")
 
 
@@ -89,7 +79,8 @@ def _space_term(form: DispersionForm, M: MaybeInfinite, grid: GridSpec) -> float
         tan_m = 0.0 if isinstance(M, Infinite) else math.tan(math.pi / M)
         return (4.0 / eps**2) * tan_m**2
     if form is DispersionForm.CONTINUUM:
-        return mode_wavenumber(M, grid) ** 2
+        wavenumber = 0.0 if isinstance(M, Infinite) else 2.0 * math.pi / (M * eps)
+        return wavenumber**2
     raise DomainError(f"unknown dispersion form {form!r}")
 
 

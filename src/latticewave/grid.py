@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Union
@@ -25,8 +25,7 @@ from .errors import DomainError, SizeLimitError
 class Infinite:
     """Symbolic infinity: zero-wavenumber modes, rest-frame phase velocity.
 
-    A deliberate first-class tag, not an IEEE overflow value. Compares
-    greater than every real number; the only instance is ``INFINITE``.
+    A deliberate first-class tag, not an IEEE overflow value; the only instance is ``INFINITE``.
     """
 
     _instance = None
@@ -44,18 +43,6 @@ class Infinite:
 
     def __hash__(self) -> int:
         return hash("latticewave.INFINITE")
-
-    def __gt__(self, other) -> bool:
-        return not isinstance(other, Infinite)
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __ge__(self, other) -> bool:
-        return True
-
-    def __le__(self, other) -> bool:
-        return isinstance(other, Infinite)
 
 
 INFINITE = Infinite()
@@ -139,10 +126,9 @@ class GridSpec:
 
 @dataclass
 class FieldSlab:
-    """Complex field psi[n][j] over time index n and space index j."""
+    """Complex field psi[n][j] over time index n and space index j; a slab is its array and nothing else."""
 
     psi: np.ndarray
-    grid: GridSpec = field(default_factory=GridSpec)
 
     def __post_init__(self):
         self.psi = np.asarray(self.psi, dtype=np.complex128)
@@ -157,9 +143,6 @@ class FieldSlab:
     @property
     def nx(self) -> int:
         return self.psi.shape[1]
-
-    def with_values(self, psi: np.ndarray) -> "FieldSlab":
-        return FieldSlab(psi=psi, grid=self.grid)
 
 
 # --- slab serialization -----------------------------------------------------
@@ -235,7 +218,7 @@ def _first_bad_row(text: str, lines: list[str]) -> tuple[int, str]:
     return index + 1, lines[bad - 1]
 
 
-def load_slab_csv(path: str | Path, grid: GridSpec = GridSpec()) -> FieldSlab:
+def load_slab_csv(path: str | Path) -> FieldSlab:
     """Read back exactly the layout slab_to_csv writes; anything else is a DomainError."""
     path = Path(path)
     try:
@@ -266,7 +249,7 @@ def load_slab_csv(path: str | Path, grid: GridSpec = GridSpec()) -> FieldSlab:
     # complex(re, im) per site: re + 1j*im would differ for inf, NaN and -0.0
     psi = np.empty(len(rows), dtype=np.complex128)
     psi.real, psi.imag = rows["re"], rows["im"]
-    return FieldSlab(psi=psi.reshape(-1, nx), grid=grid)
+    return FieldSlab(psi=psi.reshape(-1, nx))
 
 
 def slab_to_bytes(slab: FieldSlab) -> bytes:
@@ -279,7 +262,7 @@ def save_slab_binary(slab: FieldSlab, path: str | Path) -> None:
     Path(path).write_bytes(slab_to_bytes(slab))
 
 
-def load_slab_binary(path: str | Path, grid: GridSpec = GridSpec()) -> FieldSlab:
+def load_slab_binary(path: str | Path) -> FieldSlab:
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < _HEADER.size:
@@ -292,6 +275,6 @@ def load_slab_binary(path: str | Path, grid: GridSpec = GridSpec()) -> FieldSlab
         raise DomainError(f"{path}: expected {expected} bytes for a {nt}x{nx} slab, got {len(raw)}")
     psi = np.frombuffer(raw[_HEADER.size:], dtype="<c16").reshape(nt, nx).astype(np.complex128)
     try:
-        return FieldSlab(psi=psi, grid=grid)
+        return FieldSlab(psi=psi)
     except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from None

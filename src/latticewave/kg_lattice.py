@@ -113,7 +113,7 @@ def apply_kg_operator(f: FieldSlab, p: KGParams) -> FieldSlab:
         + inv_eps2 * _second_avg_time(_second_diff_space(psi))
         - mu2 * _second_avg_time(_second_avg_space(psi))
     )
-    return FieldSlab(psi=residual, grid=p.grid)
+    return FieldSlab(psi=residual)
 
 
 def plane_wave_residual(spec: WaveSpec, p: KGParams, extent: tuple[int, int] = (16, 16)) -> float:
@@ -127,7 +127,7 @@ def plane_wave_residual(spec: WaveSpec, p: KGParams, extent: tuple[int, int] = (
     nt, nx = extent
     if nt < 8 or nx < 8:
         raise DomainError(f"plane-wave certification needs extent >= 8x8, got {extent}")
-    slab = sample_wave(spec, nt, nx, grid=p.grid)
+    slab = sample_wave(spec, nt, nx)
     residual = apply_kg_operator(slab, p)
     return float(np.max(np.abs(residual.psi[:, 1:-1])))
 
@@ -309,4 +309,4 @@ def evolve(initial: np.ndarray, steps: int, p: KGParams) -> FieldSlab:
             _fold_band(kernel, rhs, stack, slab[n + 1])
     if not np.all(np.isfinite(slab)):
         raise DomainError("the march overflowed the float range for these grid constants")
-    return FieldSlab(psi=slab, grid=p.grid)
+    return FieldSlab(psi=slab)

@@ -29,7 +29,8 @@ rationals of one step come back as Fractions (``step_velocity``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -37,6 +38,9 @@ import numpy as np
 
 from .errors import DomainError
 from .grid import GridSpec, Infinite, INFINITE, is_integer
+
+#: The relative tolerance of the mass shell: a state's shell residual and velocity, and two states' common m0.
+SHELL_RTOL = 1e-10
 
 
 def _vec3(v: Sequence[float]) -> np.ndarray:
@@ -83,11 +87,14 @@ def boost_matrix(v: Sequence[float], c: float) -> np.ndarray:
 
 
 def phase_velocity(w: float, k: Sequence[float]) -> Union[float, Infinite]:
-    """w/|k| for one wave; INFINITE for a zero wavenumber (rest-frame wave)."""
+    """w/|k| for one wave; INFINITE for a zero wavenumber (rest-frame wave).
+
+    A finite k != 0 whose |k|^2 overflows or is subnormal (its root keeps too few digits) is a DomainError.
+    """
     k = _vec3(k)
     with np.errstate(over="ignore", under="ignore"):
         k2 = _dot(k, k)
-    if (np.isinf(k2) or (k2 == 0.0 and k.any())) and np.isfinite(k).all():
+    if (np.isinf(k2) or (k2 < sys.float_info.min and k.any())) and np.isfinite(k).all():
         raise DomainError(f"|k|^2 leaves the float range for k = {k.tolist()!r}")
     k_mag = float(np.sqrt(k2))
     if k_mag == 0.0:
@@ -133,12 +140,10 @@ class ParticleState:
     E: float
     p: np.ndarray
     m0: float
-    u: np.ndarray = field(default=None)  # type: ignore[assignment]
+    u: np.ndarray
 
     def __post_init__(self):
         self.p = _vec3(self.p)
-        if self.u is None:
-            raise DomainError("ParticleState.u is required; use from_momentum to derive it")
         self.u = _vec3(self.u)
 
     @classmethod
@@ -174,19 +179,19 @@ class ParticleState:
             scale = e2 + p2c2 + rhs  # three squares, so no abs() is needed
             return abs(e2 - p2c2 - rhs) / np.where(scale > 0, scale, 1.0)
 
-    def validate(self, c: float, rtol: float = 1e-10) -> None:
+    def validate(self, c: float) -> None:
         if np.any(self.m0 < 0):
             raise DomainError("rest mass must be >= 0")
         if np.any(self.E <= 0):
             raise DomainError("energy must be positive")
         residual = self.mass_shell_residual(c)
-        if not np.all(residual <= rtol):  # a NaN residual (|p|^2 past the float range) is off shell too
-            raise DomainError(f"state off mass shell: relative residual {np.max(residual):.3e} > {rtol:.1e}")
+        if not np.all(residual <= SHELL_RTOL):  # a NaN residual (|p|^2 past the float range) is off shell too
+            raise DomainError(f"state off mass shell: relative residual {np.max(residual):.3e} > {SHELL_RTOL:.1e}")
         speed = np.sqrt(_dot(self.u, self.u))
         expected_u = self.p * c**2 / np.expand_dims(self.E, -1)
-        if np.any(np.max(np.abs(self.u - expected_u), axis=-1) > rtol * np.fmax(c, speed)):
+        if np.any(np.max(np.abs(self.u - expected_u), axis=-1) > SHELL_RTOL * np.fmax(c, speed)):
             raise DomainError("velocity inconsistent with p c^2 / E")
-        if np.any((self.m0 > 0) & (speed >= c * (1 + rtol))):
+        if np.any((self.m0 > 0) & (speed >= c * (1 + SHELL_RTOL))):
             raise DomainError("massive state must move slower than light")
 
 
@@ -408,9 +413,7 @@ def discrete_energy_momentum(m0, step: LatticeStep, grid: GridSpec) -> ParticleS
 # --- the total-difference mass-shell argument --------------------------------
 
 
-def total_difference_mass_shell(
-    s: ParticleState, s_next: ParticleState, c: float, rtol: float = 1e-10
-) -> tuple[float, float]:
+def total_difference_mass_shell(s: ParticleState, s_next: ParticleState, c: float) -> tuple[float, float]:
     """Residuals of the discrete mass-shell difference identities.
 
     residual23 = {2 E dE + dE^2}/c^2 - 2 p.dp - |dp|^2, the total
@@ -421,10 +424,10 @@ def total_difference_mass_shell(
     u_avg = c^2 (p + p')/(E + E'); the exact discrete counterpart of
     dE = u dp.
     """
-    s.validate(c, rtol)
-    s_next.validate(c, rtol)
+    s.validate(c)
+    s_next.validate(c)
     scale = np.maximum(np.maximum(abs(s.m0), abs(s_next.m0)), 1.0)
-    if np.any(abs(s.m0 - s_next.m0) > rtol * scale):
+    if np.any(abs(s.m0 - s_next.m0) > SHELL_RTOL * scale):
         raise DomainError(
             f"states lie on different mass shells: m0 = {s.m0!r} vs {s_next.m0!r}"
         )

@@ -177,7 +177,7 @@ def _cayley_slab(spec: WaveSpec, nt: int, nx: int) -> np.ndarray:
     return psi
 
 
-def sample_wave(spec: WaveSpec, nt: int, nx: int, grid: GridSpec = GridSpec()) -> FieldSlab:
+def sample_wave(spec: WaveSpec, nt: int, nx: int) -> FieldSlab:
     """Evaluate a mode on an nt x nx slab, bit-identical to eval_wave at every site."""
     if nt < 1 or nx < 1:
         raise DomainError("slab extents must be positive")
@@ -186,7 +186,7 @@ def sample_wave(spec: WaveSpec, nt: int, nx: int, grid: GridSpec = GridSpec()) -
         psi = _exponential_slab(spec, nt, nx)
     else:
         psi = _cayley_slab(spec, nt, nx)
-    return FieldSlab(psi=psi, grid=grid)
+    return FieldSlab(psi=psi)
 
 
 def continuum_limit_error(form: WaveForm, N: int, M: MaybeInfinite, n: int, j: int) -> float:
@@ -276,7 +276,7 @@ def beat_field(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> FieldSlab:
     _require_envelope_coverage(b, grid, nt, nx)
     t, x = _beat_phases(b, grid, nt, nx)
     psi = np.cos(2.0 * np.pi * (t / b.T1 - x / b.lam1)) + np.cos(2.0 * np.pi * (t / b.T2 - x / b.lam2))
-    return FieldSlab(psi=psi.astype(np.complex128), grid=grid)
+    return FieldSlab(psi=psi.astype(np.complex128))
 
 
 def beat_envelope(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> np.ndarray:
@@ -294,7 +294,7 @@ def beat_carrier(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> np.ndarray:
 def beat_product_form(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> FieldSlab:
     """The factored side of the beat identity: envelope times carrier."""
     psi = beat_envelope(b, grid, nt, nx) * beat_carrier(b, grid, nt, nx)
-    return FieldSlab(psi=psi.astype(np.complex128), grid=grid)
+    return FieldSlab(psi=psi.astype(np.complex128))
 
 
 def beat_phase_velocity(b: BeatSpec) -> float:

@@ -10,10 +10,10 @@ def _sampled_beat_measurement(beat, grid, nt, nx):
     """The reference for measure_beat_velocity: sample the whole beat_field, then track its beat.
 
     Every check and message, in order, of the measurement that read the
-    sampled slab's shape and grid; the tracking itself is ``_track_crests``.
+    sampled slab's shape; the tracking itself is ``_track_crests``.
     """
     slab = beat_field(beat, grid, nt, nx)
-    nt, nx, grid = slab.nt, slab.nx, slab.grid
+    nt, nx = slab.nt, slab.nx
     if nt < 4:
         raise DomainError("group-velocity measurement needs at least 4 time slices")
     if beat.wavenum_diff == 0.0:

@@ -16,6 +16,7 @@ import pytest
 from latticewave import (
     Axis,
     Boundary,
+    ConfigError,
     DiffOp,
     FieldSlab,
     ParticleState,
@@ -69,6 +70,15 @@ def test_as_printed_tan_dispersion_fails_the_residual_check():
 def test_unknown_as_printed_selector_rejected():
     with pytest.raises(ValueError):
         run_criterion(8, seed=SEED, as_printed={"mystery"})
+
+
+@pytest.mark.parametrize("seed", [-1, -2, True, 1.0, "0"])
+def test_a_seed_that_is_not_an_integer_at_least_0_is_a_config_error(seed):
+    # -1 would otherwise seed criterion 1 with 0, and -2 reach numpy's own ValueError
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+        run_criterion(1, seed=seed)
+    with pytest.raises(ConfigError):
+        run_acceptance(seed=seed)
 
 
 # --- criteria 1 to 4 one sample at a time, as the oracle of the batched criteria -------------

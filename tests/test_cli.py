@@ -156,6 +156,26 @@ class TestExperiments:
         assert result["boosted"]["E"] == pytest.approx(1.0, abs=1e-14)
         assert result["checks"]["wave_particle_equivalence_residual"] <= 1e-12
 
+    @pytest.mark.parametrize("hbar", ["1e-20", "0.3", "1e20", "1e150"])
+    def test_kinematics_boost_equivalence_is_relative(self, tmp_path, hbar):
+        # w' and k' scale with 1/hbar; their agreement with E'/hbar and p'/hbar, relative to the wave, does not
+        out = tmp_path / "boost.json"
+        assert main(["kinematics-boost", "--m0", "1", "--p", "0.75", "0", "0", "--v", "0.5", "0", "0",
+                     "--hbar", hbar, "--output", str(out)]) == 0
+        result = read_json(out)["result"]
+        assert result["checks"]["wave_particle_equivalence_residual"] <= 1e-15
+        # |k|^2 = 5.6e-301 at hbar = 1e150 is still a normal float, so the phase velocity keeps its digits
+        assert result["wave"]["phase_velocity"] == pytest.approx(5 / 3, rel=1e-15)
+
+    def test_kinematics_boost_equivalence_of_a_wave_boosted_to_0(self, tmp_path):
+        # w = E/hbar = 5e-324, and w/c rounds to 0 at c = 2: with no component to scale by, the difference stands
+        out = tmp_path / "boost.json"
+        assert main(["kinematics-boost", "--m0", "1e-16", "--p", "0", "0", "0", "--v", "0.5", "0", "0",
+                     "--c", "2", "--hbar", "8e307", "--output", str(out)]) == 0
+        result = read_json(out)["result"]
+        assert (result["wave"]["w_boosted"], result["wave"]["k_boosted"]) == (0.0, [0.0, 0.0, 0.0])
+        assert result["checks"]["wave_particle_equivalence_residual"] == 5e-324
+
     def test_beat_measure(self, tmp_path):
         out = tmp_path / "beat.json"
         assert main([
@@ -268,12 +288,14 @@ def test_parameters_across_the_float_range_exit_cleanly(tmp_path, capsys, argv, 
     ["kinematics-boost", "--m0", "1", "--p", "1.2e154", "0", "0", "--v", "-0.5", "0", "0"],
     ["kinematics-boost", "--m0", "1", "--p", "1", "0", "0", "--v", "0.5", "0", "0", "--hbar", "1e-320"],
     ["kinematics-boost", "--m0", "1", "--p", "1", "0", "0", "--v", "0.5", "0", "0", "--hbar", "1e-300"],
+    ["kinematics-boost", "--m0", "1", "--p", "0.75", "0", "0", "--v", "0.5", "0", "0", "--hbar", "1e160"],
     ["beat-measure", "--t1", "1e-307", "--t2", "6", "--lam1", "3", "--lam2", "5"],
     ["beat-measure", "--t1", "4", "--t2", "6", "--lam1", "3", "--lam2", "5", "--tau", "1e307"],
     ["beat-measure", "--t1", "4", "--t2", "6", "--lam1", "3", "--lam2", "5", "--eps", "1e306"],
 ], ids=["quantization-m0-tiny", "quantization-m0-huge", "quantization-tau-huge", "quantization-p-squared",
         "beat-t1-tiny", "beat-lam1-tiny", "boost-m0-huge", "boost-c-huge", "boost-p-huge", "boosted-energy-squared",
-        "boost-hbar-tiny", "boost-wavenumber-squared", "beat-phases-t1", "beat-phases-tau", "beat-phases-eps"])
+        "boost-hbar-tiny", "boost-wavenumber-squared", "boost-wavenumber-subnormal-square", "beat-phases-t1",
+        "beat-phases-tau", "beat-phases-eps"])
 def test_derived_values_out_of_the_float_range_are_domain_errors(tmp_path, capsys, argv):
     out = tmp_path / "out.json"
     assert main([*argv, "--output", str(out)]) == 3
@@ -554,6 +576,14 @@ class TestVerifyAll:
         stdout = capsys.readouterr().out
         assert "[FAIL] criterion 8" in stdout
         assert "Gram defect = 2" in stdout
+
+    @pytest.mark.parametrize("seed", ["-1", "-2"])
+    def test_a_negative_seed_is_a_config_error(self, tmp_path, capsys, seed):
+        out = tmp_path / "report.txt"
+        assert main(["verify-all", "--seed", seed, "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: seed must be an integer >= 0, got {seed}\n"
+        assert captured.out == "" and not out.exists()
 
     def test_as_printed_tan_dispersion_reports_documented_failure(self, capsys):
         code = main(["verify-all", "--seed", "0", "--as-printed", "tan-dispersion"])

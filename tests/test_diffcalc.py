@@ -137,7 +137,7 @@ SHRINK = Boundary.SHRINKING
 
 
 def make_slab(psi):
-    return FieldSlab(psi=np.asarray(psi, dtype=complex), grid=GridSpec())
+    return FieldSlab(psi=np.asarray(psi, dtype=complex))
 
 
 def test_apply_1d_time_diff_of_time_constant_field():

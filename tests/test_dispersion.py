@@ -204,6 +204,11 @@ def test_grid_spec_h_is_derived():
     assert grid.h == pytest.approx(6 * math.pi, rel=1e-15)
 
 
+def test_the_continuum_terms_have_no_public_helpers():
+    # w = 2 pi/(N tau) and k = 2 pi/(M eps) are written out in the continuum terms; inline_residual pins their bits
+    assert not hasattr(dispersion, "mode_frequency") and not hasattr(dispersion, "mode_wavenumber")
+
+
 # --- differential tests: the separable scan against the scalar residual ----------
 
 

@@ -45,25 +45,25 @@ def exact_slab(spec: WaveSpec, nt: int, nx: int) -> np.ndarray:
 
 class TestApplyOperator:
     def test_zero_field_zero_residual(self):
-        slab = FieldSlab(psi=np.zeros((6, 6)), grid=GRID)
+        slab = FieldSlab(psi=np.zeros((6, 6)))
         out = apply_kg_operator(slab, KGParams(m0=1.0, grid=GRID))
         assert out.psi.shape == (4, 6)
         np.testing.assert_array_equal(out.psi, 0)
 
     def test_constant_field_massless(self):
-        slab = FieldSlab(psi=np.full((5, 7), 2.3 + 1.1j), grid=GRID)
+        slab = FieldSlab(psi=np.full((5, 7), 2.3 + 1.1j))
         out = apply_kg_operator(slab, KGParams(m0=0.0, grid=GRID))
         np.testing.assert_allclose(out.psi, 0, atol=1e-15)
 
     def test_massless_symmetric_exponential_mode(self):
         spec = WaveSpec(form=WaveForm.EXPONENTIAL, N=8, M=8)
-        slab = sample_wave(spec, 16, 16, grid=GRID)
+        slab = sample_wave(spec, 16, 16)
         out = apply_kg_operator(slab, KGParams(m0=0.0, grid=GRID))
         assert float(np.max(np.abs(out.psi[:, 1:-1]))) <= 1e-12
 
     def test_small_extent_rejected(self):
         with pytest.raises(DomainError):
-            apply_kg_operator(FieldSlab(psi=np.zeros((2, 8)), grid=GRID), KGParams(m0=0.0, grid=GRID))
+            apply_kg_operator(FieldSlab(psi=np.zeros((2, 8))), KGParams(m0=0.0, grid=GRID))
 
 
 class TestPlaneWaveResidual:
@@ -343,7 +343,7 @@ def oracle_evolve(initial: np.ndarray, steps: int, p: KGParams) -> FieldSlab:
             slab[n + 1] = oracle_apply_kernel(kernel, rhs)
     if not np.all(np.isfinite(slab)):
         raise DomainError("the march overflowed the float range for these grid constants")
-    return FieldSlab(psi=slab, grid=p.grid)
+    return FieldSlab(psi=slab)
 
 
 def march_bytes(march, initial, steps, p):

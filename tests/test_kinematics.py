@@ -1,7 +1,9 @@
 """Boosts, the de Broglie map, lattice energy-momentum, total differences."""
 
+import inspect
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -142,6 +144,20 @@ class TestTransformParticle:
         with pytest.raises(DomainError):
             transform_particle(bad, [0.1, 0, 0], 1.0)
 
+    def test_the_velocity_is_required_and_the_shell_tolerance_fixed(self):
+        with pytest.raises(TypeError):
+            ParticleState(E=1.0, p=[0.0, 0.0, 0.0], m0=1.0)  # type: ignore[call-arg]
+        assert list(inspect.signature(ParticleState.validate).parameters) == ["self", "c"]
+        assert list(inspect.signature(total_difference_mass_shell).parameters) == ["s", "s_next", "c"]
+        # a residual just past SHELL_RTOL is off the shell, one just inside it on
+        for E, ok in ((1.0 + 3e-10, False), (1.0 + 5e-11, True)):
+            state = ParticleState(E=E, p=[0.0, 0.0, 0.0], m0=1.0, u=[0.0, 0.0, 0.0])
+            if ok:
+                state.validate(1.0)
+            else:
+                with pytest.raises(DomainError, match=r"> 1\.0e-10"):
+                    state.validate(1.0)
+
 
 class TestDeBroglie:
     def test_map_and_velocity_product(self):
@@ -216,10 +232,16 @@ class TestFloatRange:
         with pytest.raises(DomainError, match="float range"):
             debroglie_map(state, hbar)
 
-    @pytest.mark.parametrize("k", [[1e160, 0.0, 0.0], [0.0, 7.5e-301, 0.0]], ids=["overflows", "underflows"])
+    @pytest.mark.parametrize("k", [[1e160, 0.0, 0.0], [0.0, 7.5e-301, 0.0], [7.5e-161, 0.0, 0.0]],
+                             ids=["overflows", "underflows", "subnormal-square"])
     def test_phase_velocity(self, k):
         with pytest.raises(DomainError, match="float range"):
             phase_velocity(1.0, k)
+
+    @pytest.mark.parametrize("k", [1.5e-154, 7.5e-151, 1.0])
+    def test_phase_velocity_on_a_normal_square_is_the_formula(self, k):
+        assert k * k >= sys.float_info.min
+        assert phase_velocity(1.25, [k, 0.0, 0.0]) == 1.25 / math.sqrt(k * k)
 
     def test_boosted_energy(self):
         state = ParticleState.from_momentum([1.2e154, 0.0, 0.0], 1.0, 1.0)

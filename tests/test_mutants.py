@@ -37,9 +37,9 @@ def flipped_time_column(v, c):
     return L
 
 
-def u_avg_without_c2(s, s_next, c, rtol=1e-10):
-    s.validate(c, rtol)
-    s_next.validate(c, rtol)
+def u_avg_without_c2(s, s_next, c):
+    s.validate(c)
+    s_next.validate(c)
     dE, dp = s_next.E - s.E, s_next.p - s.p
     residual23 = (2.0 * s.E * dE + dE * dE) / c**2 - 2.0 * np.sum(s.p * dp, axis=-1) - np.sum(dp * dp, axis=-1)
     u_avg = (s.p + s_next.p) / np.expand_dims(s.E + s_next.E, -1)
