@@ -128,13 +128,14 @@ def _criterion_1_transform_equivalence(rng: np.random.Generator, as_printed: fro
 def _criterion_2_discrete_mass_shell(rng: np.random.Generator, as_printed: frozenset) -> _Checker:
     c = _Checker()
     grid = GridSpec(tau=0.625, eps=0.25, c=2.0)
+    cc, tau, eps = grid.c, grid.tau, grid.eps
     rows = []
     while len(rows) < 1000:  # integers and uniforms interleave, so the steps are drawn one at a time
         dn = int(rng.integers(1, 40))
-        dj = tuple(int(x) for x in rng.integers(-12, 13, 3))
-        if (grid.c * dn * grid.tau) ** 2 <= sum((d * grid.eps) ** 2 for d in dj):
+        x, y, z = dj = tuple(rng.integers(-12, 13, 3).tolist())
+        if (cc * dn * tau) ** 2 <= (x * eps) ** 2 + (y * eps) ** 2 + (z * eps) ** 2:
             continue
-        rows.append((dn, dj, float(rng.uniform(0.05, 5.0))))
+        rows.append((dn, dj, rng.uniform(0.05, 5.0)))
     dn, dj, m0 = map(np.array, zip(*rows))
     step = LatticeStep(dn=dn, dj=dj)
     stack = discrete_energy_momentum(m0, step, grid)
@@ -159,22 +160,22 @@ def _criterion_2_discrete_mass_shell(rng: np.random.Generator, as_printed: froze
 
 def _criterion_3_product_identity(rng: np.random.Generator, as_printed: frozenset) -> _Checker:
     c = _Checker()
-    by_length: dict[int, list] = {}
+    draws = []
     for _ in range(1000):  # n decides how many normals follow, so each sequence is drawn on its own
-        n = int(rng.integers(2, 64))
-        by_length.setdefault(n, []).append(rng.normal(size=(4, n)))  # re f, im f, re g, im g
+        draws.append(rng.normal(size=(4, int(rng.integers(2, 64)))))  # re f, im f, re g, im g
+    # the sequences end to end in one row: starts[i] is where sequence i begins
+    x = np.concatenate(draws, axis=1)
+    starts = np.cumsum([0] + [w.shape[1] for w in draws[:-1]])
+    f, g = x[None, 0] + 1j * x[None, 1], x[None, 2] + 1j * x[None, 3]
 
-    def rows(a: np.ndarray, op: DiffOp) -> np.ndarray:
+    def row(a: np.ndarray, op: DiffOp) -> np.ndarray:
         return apply_1d(FieldSlab(psi=a), Axis.SPACE_J, op, Boundary.SHRINKING).psi
 
     d, a = DiffOp.FORWARD_DIFF, DiffOp.FORWARD_AVG
-    worst = 0.0
-    for draws in by_length.values():
-        x = np.array(draws)
-        f, g = x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3]
-        residual = rows(f * g, d) - (rows(f, d) * rows(g, a) + rows(f, a) * rows(g, d))
-        scale = np.maximum(1.0, np.max(np.abs(f) * np.abs(g), axis=1))
-        worst = max(worst, np.max(np.max(np.abs(residual), axis=1) / scale))
+    residual = np.abs(row(f * g, d) - (row(f, d) * row(g, a) + row(f, a) * row(g, d)))[0]
+    residual[starts[1:] - 1] = 0.0  # the seams: from one sequence's last site to the next one's first
+    scale = np.maximum(1.0, np.maximum.reduceat((np.abs(f) * np.abs(g))[0], starts))
+    worst = np.max(np.maximum.reduceat(residual, starts) / scale)
     c.check("discrete product rule, elementwise over 1000 sequences", worst, 1e-12)
     return c
 
@@ -231,11 +232,11 @@ def _criterion_5_beat_velocities(rng: np.random.Generator, as_printed: frozenset
     vp_exact = (Fraction(1, 4) + Fraction(1, 6)) / (Fraction(1, 3) + Fraction(1, 5))
     c.check("printed group-velocity formula vs exact fraction 5/8", abs(v_group - float(vg_exact)), 1e-15)
     c.check("printed phase-velocity formula vs exact fraction 25/32", abs(v_phase - float(vp_exact)), 1e-15)
+    r = rng.random((200, 4))  # per pair c, m0, k1, k2: the draw order of one rng.uniform call each
+    pairs = zip(_uniform(r[:, 0], 0.5, 3.0).tolist(), _uniform(r[:, 1], 0.0, 2.0).tolist(),
+                _uniform(r[:, 2], 0.2, 4.0).tolist(), _uniform(r[:, 3], 0.2, 4.0).tolist())
     worst = 0.0
-    for _ in range(200):
-        cc = rng.uniform(0.5, 3.0)
-        m0 = rng.uniform(0.0, 2.0)
-        k1, k2 = rng.uniform(0.2, 4.0, 2)
+    for cc, m0, k1, k2 in pairs:
         if abs(k1 - k2) < 1e-3:
             continue
         w1 = math.sqrt(cc**2 * k1**2 + (m0 * cc**2) ** 2)

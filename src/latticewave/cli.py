@@ -493,8 +493,8 @@ def _run_kinematics_boost(cfg: RunConfig):
     w, k = debroglie_map(state, hbar)
     wp, kp = transform_wave(w, list(k), p["v"], c)
     difference = max(abs(wp - boosted.E / hbar), float(np.max(np.abs(kp - boosted.p / hbar))))
-    # relative to the boosted wave's largest component, as criterion 1 scales it (1 if the wave underflows to 0)
-    scale = max(abs(wp), float(np.max(np.abs(kp)))) or 1.0
+    # relative to the boosted wave's largest component, as criterion 1 scales it; transform_wave refuses w' = 0
+    scale = max(abs(wp), float(np.max(np.abs(kp))))
     return JsonOutput(payload={
         "input": {"E": state.E, "p": list(state.p), "u": list(state.u), "m0": state.m0},
         "boosted": {"E": boosted.E, "p": list(boosted.p), "u": list(boosted.u)},

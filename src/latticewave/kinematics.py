@@ -103,10 +103,17 @@ def phase_velocity(w: float, k: Sequence[float]) -> Union[float, Infinite]:
 
 
 def transform_wave(w: float, k: Sequence[float], v: Sequence[float], c: float) -> tuple[float, np.ndarray]:
-    """Boost a plane wave (w, k) via the four-vector (w/c, k)."""
+    """Boost a plane wave (w, k) via the four-vector (w/c, k).
+
+    A nonzero w whose boosted w' is 0 (w/c underflows, for one) is a
+    DomainError, as debroglie_map refuses a w that underflows to 0.
+    """
     q = np.concatenate((np.expand_dims(np.divide(w, c), -1), _vec3(k)), axis=-1)
     qp = (boost_matrix(v, c) @ q[..., None])[..., 0]
-    return qp[..., 0] * c, qp[..., 1:]
+    wp = qp[..., 0] * c
+    if np.any((wp == 0) & (np.asarray(w) != 0)):
+        raise DomainError(f"a nonzero w is boosted to w' = 0 at c = {c!r}: w/c or w' underflows")
+    return wp, qp[..., 1:]
 
 
 def _gamma(v: np.ndarray, c: float) -> np.ndarray:

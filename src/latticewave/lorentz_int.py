@@ -144,11 +144,12 @@ class IntLorentzMatrix:
         return self.entries[0][0] >= 1
 
     def inverse(self) -> "IntLorentzMatrix":
-        e = self.entries
-        inv = tuple(
-            tuple(ETA[i] * e[j][i] * ETA[j] for j in range(4)) for i in range(4)
-        )
-        return IntLorentzMatrix(inv)
+        """eta L^T eta, written out: the entries are Python ints already, so only the Gram check stays."""
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = self.entries
+        inv = _from_flat((a0, -b0, -c0, -d0, -a1, b1, c1, d1, -a2, b2, c2, d2, -a3, b3, c3, d3))
+        if not preserves_metric(inv):
+            raise DomainError("matrix does not preserve the Minkowski form")
+        return inv
 
     def determinant(self) -> int:
         return _det4(self.entries)

@@ -318,14 +318,15 @@ def beat_velocities(b: BeatSpec) -> tuple[float, float]:
 # --- envelope tracking --------------------------------------------------------
 
 
-def _refine_peak(row: np.ndarray, j: int) -> float:
-    """Quadratic sub-site refinement of a discrete peak at interior index j."""
-    ym, y0, yp = row[j - 1], row[j], row[j + 1]
+def _refine_peak(row: np.ndarray, k: int, lo: int) -> float:
+    """Quadratic sub-site refinement of a discrete peak at interior index k of ``row``,
+    which holds the slab's sites from ``lo`` on: the site ``lo + k`` plus its sub-site offset."""
+    ym, y0, yp = row[k - 1], row[k], row[k + 1]
     denom = ym - 2.0 * y0 + yp
     if denom == 0.0:
-        return float(j)
+        return float(lo + k)
     delta = 0.5 * (ym - yp) / denom
-    return j + float(min(max(delta, -0.5), 0.5))
+    return (lo + k) + float(min(max(delta, -0.5), 0.5))
 
 
 def measure_beat_velocity(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> float:
@@ -333,8 +334,9 @@ def measure_beat_velocity(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> floa
 
     Refuses what ``beat_field`` refuses, with its errors in its order, but
     samples no field: the analytically known slow factor supplies the
-    envelope. A slab that aliases it (crests under 2 sites apart, or a crest
-    moving more than half the crest spacing per step) is a MeasurementError.
+    envelope, evaluated only at the sites the tracker reads. A slab that
+    aliases it (crests under 2 sites apart, or a crest moving more than half
+    the crest spacing per step) is a MeasurementError.
     """
     _require_envelope_coverage(b, grid, nt, nx)
     t, x = _beat_phases(b, grid, nt, nx)
@@ -359,17 +361,23 @@ def measure_beat_velocity(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> floa
             f"envelope crest moves {step_sites!r} sites per step, more than half its "
             f"{crest_sites!r}-site spacing; its motion is aliased"
         )
-    return _track_crests(beat_envelope(b, grid, nt, nx) ** 2, crest_sites, grid)
+    # the float operations of beat_envelope(...) ** 2, site by site
+    ta, xb = t[:, 0] * b.freq_diff, x[0] * b.wavenum_diff
+    return _track_crests(lambda n, lo, hi: (2.0 * np.cos(np.pi * (ta[n] - xb[lo:hi]))) ** 2,
+                         len(ta), len(xb), crest_sites, grid)
 
 
-def _track_crests(env_sq: np.ndarray, crest_sites: float, grid: GridSpec) -> float:
-    """The fitted velocity of a crest of the squared envelope ``env_sq``, ``crest_sites`` apart.
+def _track_crests(env_sq, nt: int, nx: int, crest_sites: float, grid: GridSpec) -> float:
+    """The fitted velocity of a crest of an nt x nx squared envelope, crests ``crest_sites`` apart.
+
+    ``env_sq(n, lo, hi)`` returns the squared envelope of slice n at sites
+    lo..hi-1; the tracker reads the middle half of slice 0 and, in every
+    later slice, a window of 2 * radius + 3 sites around the predicted crest.
 
     Crest positions are refined by quadratic interpolation around the
     discrete argmax, followed from slice to slice by nearest-candidate
     continuity, and fitted against the step index by least squares.
     """
-    nt, nx = env_sq.shape
     # The slab is not periodic in general (the envelope period need not
     # divide the extent), so tracking stays away from the edges: start on
     # a crest near the center and, when the followed crest drifts toward
@@ -383,24 +391,27 @@ def _track_crests(env_sq: np.ndarray, crest_sites: float, grid: GridSpec) -> flo
     if nx < 2 * margin + 3:
         raise DomainError("slab too narrow to track the envelope away from its edges")
 
-    def measure_slice(row: np.ndarray, predicted: float) -> float:
+    def measure_slice(n: int, predicted: float) -> float:
         """Refined crest position near the prediction, re-centered if needed."""
         hops = round((predicted - nx / 2.0) / period_sites)
         local = predicted - hops * period_sites
         center = int(round(local))
         lo = max(1, center - radius)
         hi = min(nx - 2, center + radius)
-        j_best = lo + int(np.argmax(row[lo : hi + 1]))
-        return _refine_peak(row, j_best) + hops * period_sites
+        # the candidates lo..hi and the neighbour on each side that the refinement reads
+        window = env_sq(n, lo - 1, hi + 2)
+        k = 1 + int(np.argmax(window[1 : hi - lo + 2]))
+        return _refine_peak(window, k, lo - 1) + hops * period_sites
 
+    # the narrow-slab check keeps nx >= 11, so 2 <= lo0 and hi0 <= nx - 2: the start needs no clamp
     lo0, hi0 = nx // 4, max(nx // 4 + 1, (3 * nx) // 4)
-    start = lo0 + int(np.argmax(env_sq[0][lo0:hi0]))
+    row = env_sq(0, lo0 - 1, hi0 + 1)
     positions = np.empty(nt)
-    positions[0] = _refine_peak(env_sq[0], min(max(start, 1), nx - 2))
+    positions[0] = _refine_peak(row, 1 + int(np.argmax(row[1:-1])), lo0 - 1)
     velocity_guess = 0.0
     for n in range(1, nt):
         predicted = positions[n - 1] + velocity_guess
-        positions[n] = measure_slice(env_sq[n], predicted)
+        positions[n] = measure_slice(n, predicted)
         velocity_guess = positions[n] - positions[n - 1]
 
     # fit in sites per step, then scale: fitting in physical units squares

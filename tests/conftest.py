@@ -10,7 +10,8 @@ def _sampled_beat_measurement(beat, grid, nt, nx):
     """The reference for measure_beat_velocity: sample the whole beat_field, then track its beat.
 
     Every check and message, in order, of the measurement that read the
-    sampled slab's shape; the tracking itself is ``_track_crests``.
+    sampled slab's shape; the tracking itself is ``_track_crests``, which
+    reads the whole ``beat_envelope(...) ** 2`` through a full-array reader.
     """
     slab = beat_field(beat, grid, nt, nx)
     nt, nx = slab.nt, slab.nx
@@ -32,7 +33,7 @@ def _sampled_beat_measurement(beat, grid, nt, nx):
             f"envelope crest moves {step_sites!r} sites per step, more than half its "
             f"{crest_sites!r}-site spacing; its motion is aliased"
         )
-    return _track_crests(env_sq, crest_sites, grid)
+    return _track_crests(lambda n, lo, hi: env_sq[n, lo:hi], nt, nx, crest_sites, grid)
 
 
 @pytest.fixture

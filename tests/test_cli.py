@@ -167,14 +167,22 @@ class TestExperiments:
         # |k|^2 = 5.6e-301 at hbar = 1e150 is still a normal float, so the phase velocity keeps its digits
         assert result["wave"]["phase_velocity"] == pytest.approx(5 / 3, rel=1e-15)
 
-    def test_kinematics_boost_equivalence_of_a_wave_boosted_to_0(self, tmp_path):
-        # w = E/hbar = 5e-324, and w/c rounds to 0 at c = 2: with no component to scale by, the difference stands
+    def test_kinematics_boost_of_a_wave_boosted_to_0_is_a_domain_error(self, tmp_path, capsys):
+        # w = E/hbar = 5e-324, and w/c rounds to 0 at c = 2: w' would read 0 beside a boosted E of 4.1e-16
         out = tmp_path / "boost.json"
         assert main(["kinematics-boost", "--m0", "1e-16", "--p", "0", "0", "0", "--v", "0.5", "0", "0",
+                     "--c", "2", "--hbar", "8e307", "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "domain error: a nonzero w is boosted to w' = 0 at c = 2.0: w/c or w' underflows\n"
+        assert not out.exists()
+
+    def test_kinematics_boost_of_the_smallest_wave_that_survives_c(self, tmp_path):
+        # w = 1e-323 halves to a nonzero subnormal at c = 2, so the boost runs and writes a nonzero w'
+        out = tmp_path / "boost.json"
+        assert main(["kinematics-boost", "--m0", "2e-16", "--p", "0", "0", "0", "--v", "0.5", "0", "0",
                      "--c", "2", "--hbar", "8e307", "--output", str(out)]) == 0
         result = read_json(out)["result"]
-        assert (result["wave"]["w_boosted"], result["wave"]["k_boosted"]) == (0.0, [0.0, 0.0, 0.0])
-        assert result["checks"]["wave_particle_equivalence_residual"] == 5e-324
+        assert result["wave"]["w_boosted"] > 0.0
 
     def test_beat_measure(self, tmp_path):
         out = tmp_path / "beat.json"

@@ -96,6 +96,17 @@ class TestTransformWave:
         with pytest.raises(DomainError):
             transform_wave_scalar(1.0, [0, 0, 0], [0.5, 0, 0], 1.0)
 
+    @pytest.mark.parametrize("w, k", [(5e-324, [0.0, 0.0, 0.0]), ([1.0, 5e-324], [[0.5, 0, 0], [0.0, 0, 0]])],
+                             ids=["one", "in-a-stack"])
+    def test_a_nonzero_w_boosted_to_0_is_a_domain_error(self, w, k):
+        # w / c rounds to 0 at c = 2, so the boost would return w' = 0 for a nonzero w
+        with pytest.raises(DomainError, match=re.escape("a nonzero w is boosted to w' = 0 at c = 2.0")):
+            transform_wave(w, k, [0.5, 0, 0], 2.0)
+
+    def test_a_zero_w_and_the_smallest_w_that_survives_c_are_boosted(self):
+        assert transform_wave(0.0, [0.0, 0, 0], [0.5, 0, 0], 2.0)[0] == 0.0
+        assert transform_wave(1e-323, [0.0, 0, 0], [0.5, 0, 0], 2.0)[0] > 0.0
+
 
 class TestTransformParticle:
     def test_zero_boost_identity(self):

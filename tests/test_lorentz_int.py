@@ -154,6 +154,20 @@ class TestEnumerateBall:
             product = oracle_matmul(entries, inv.entries)
             assert product == IDENTITY.entries
 
+    def test_inverse_is_eta_transpose_eta_on_ball8(self):
+        for row in lorentz_int.ball_stack(8).tolist():
+            m = IntLorentzMatrix((row[0:4], row[4:8], row[8:12], row[12:16]))
+            e = m.entries
+            want = tuple(tuple(ETA[i] * e[j][i] * ETA[j] for j in range(4)) for i in range(4))
+            assert m.inverse().entries == want
+            assert all(type(x) is int for r in m.inverse().entries for x in r)
+
+    def test_inverse_keeps_the_constructors_metric_check(self):
+        # an uncertified matrix, wrapped past the constructor: its inverse is refused as the constructor refuses it
+        flat = [x for row in printed_s4() for x in row]
+        with pytest.raises(DomainError, match="does not preserve the Minkowski form"):
+            lorentz_int._from_flat(flat).inverse()
+
     def test_products_of_ball3_land_in_ball6(self):
         ball3 = enumerate_ball(3)
         ball6 = {m.entries for m in enumerate_ball(6)}

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from latticewave import (
@@ -30,7 +30,13 @@ from latticewave import (
     measure_beat_velocity,
     sample_wave,
 )
+from latticewave import waves
 from latticewave.waves import _track_crests, _unimodular_power, beat_envelope
+
+
+def reader(env_sq):
+    """The squared-envelope reader of ``_track_crests`` over a whole nt x nx array."""
+    return lambda n, lo, hi: env_sq[n, lo:hi]
 
 
 class TestExponentialWave:
@@ -288,14 +294,14 @@ class TestMeasureGroupVelocity:
     @pytest.mark.parametrize("tau, eps", [(1e160, 1.0), (1.0, 1e304), (0.5, 3.0)])
     def test_fitted_in_sites_per_step_then_scaled(self, tau, eps):
         # the grid only scales the fit: the squared envelope fixes the crest sites
-        env_sq = beat_envelope(self.BEAT, GridSpec(), 128, 512) ** 2
-        sites_per_step = _track_crests(env_sq, 7.5, GridSpec())
-        assert _track_crests(env_sq, 7.5, GridSpec(tau=tau, eps=eps)) == sites_per_step * eps / tau != 0.0
+        env_sq = reader(beat_envelope(self.BEAT, GridSpec(), 128, 512) ** 2)
+        sites_per_step = _track_crests(env_sq, 128, 512, 7.5, GridSpec())
+        assert _track_crests(env_sq, 128, 512, 7.5, GridSpec(tau=tau, eps=eps)) == sites_per_step * eps / tau != 0.0
 
     def test_velocity_past_the_float_range_is_domain_error(self):
-        env_sq = beat_envelope(self.BEAT, GridSpec(), 128, 512) ** 2
+        env_sq = reader(beat_envelope(self.BEAT, GridSpec(), 128, 512) ** 2)
         with pytest.raises(DomainError, match="float range"):
-            _track_crests(env_sq, 7.5, GridSpec(tau=1e-10, eps=1e308))
+            _track_crests(env_sq, 128, 512, 7.5, GridSpec(tau=1e-10, eps=1e308))
 
     def test_flat_envelope_is_measurement_error(self):
         b, nt, nx = self.UNCOVERED[1]
@@ -369,7 +375,51 @@ BEAT_SLABS = [
     (DEFAULT_BEAT, GridSpec(tau=1e160), 256, 1024),
     (DEFAULT_BEAT, GridSpec(eps=1e304), 256, 1024),
     (BeatSpec(T1=-4.0, T2=6.0, lam1=3.0, lam2=-5.0), GridSpec(tau=0.5, eps=0.25), 128, 2048),
+    # crests whose windowed refinement must read (lo + k) + delta: k + delta + lo rounds differently here
+    (BeatSpec(T1=4.0, T2=11.0, lam1=3.0, lam2=13.0), GridSpec(), 256, 1024),
+    (BeatSpec(T1=5.0, T2=9.0, lam1=7.0, lam2=13.0), GridSpec(), 256, 512),
 ]
+
+
+def parent_track_crests(env_sq, crest_sites, grid):
+    """_track_crests as it was before it read windows: the whole squared envelope, indexed by site."""
+    nt, nx = env_sq.shape
+    period_sites = 2.0 * crest_sites
+    radius = max(2, int(round(crest_sites / 2.0)))
+    if nx < 2 * (radius + 2) + 3:
+        raise DomainError("slab too narrow to track the envelope away from its edges")
+
+    def refine(row, j):
+        ym, y0, yp = row[j - 1], row[j], row[j + 1]
+        denom = ym - 2.0 * y0 + yp
+        if denom == 0.0:
+            return float(j)
+        return j + float(min(max(0.5 * (ym - yp) / denom, -0.5), 0.5))
+
+    lo0, hi0 = nx // 4, max(nx // 4 + 1, (3 * nx) // 4)
+    positions = np.empty(nt)
+    positions[0] = refine(env_sq[0], min(max(lo0 + int(np.argmax(env_sq[0][lo0:hi0])), 1), nx - 2))
+    velocity_guess = 0.0
+    for n in range(1, nt):
+        predicted = positions[n - 1] + velocity_guess
+        hops = round((predicted - nx / 2.0) / period_sites)
+        center = int(round(predicted - hops * period_sites))
+        lo, hi = max(1, center - radius), min(nx - 2, center + radius)
+        positions[n] = refine(env_sq[n], lo + int(np.argmax(env_sq[n][lo : hi + 1]))) + hops * period_sites
+        velocity_guess = positions[n] - positions[n - 1]
+    return float(np.polyfit(np.arange(nt), positions, 1)[0]) * grid.eps / grid.tau
+
+
+MEASURED_SLABS = [case for case in BEAT_SLABS if outcome(lambda: measure_beat_velocity(*case))[0] == "value"]
+
+
+@pytest.mark.parametrize("beat, grid, nt, nx", MEASURED_SLABS)
+def test_the_windowed_tracker_is_the_whole_row_tracker_bit_for_bit(beat, grid, nt, nx):
+    env_sq = beat_envelope(beat, grid, nt, nx) ** 2
+    crest_sites = (2.0 / abs(beat.wavenum_diff)) / grid.eps / 2.0
+    want = parent_track_crests(env_sq, crest_sites, grid)
+    assert _track_crests(reader(env_sq), nt, nx, crest_sites, grid).hex() == want.hex()
+    assert measure_beat_velocity(beat, grid, nt, nx).hex() == want.hex()
 
 
 @pytest.mark.parametrize("beat, grid, nt, nx", BEAT_SLABS)
@@ -382,3 +432,78 @@ def test_measure_beat_velocity_is_the_measurement_of_the_sampled_field(beat, gri
 def test_the_beat_slab_cases_reach_every_outcome():
     kinds = {outcome(lambda: measure_beat_velocity(*case))[0] for case in BEAT_SLABS}
     assert kinds == {"value", DomainError, MeasurementError, SizeLimitError}
+
+
+def exact_outcome(call):
+    """outcome(call) with a value compared by its bits."""
+    kind, value = outcome(call)
+    return (kind, value.hex()) if kind == "value" else (kind, value)
+
+
+@st.composite
+def beat_slabs(draw):
+    """A beat, a grid and extents, many of them near the limits the measurement checks.
+
+    The crest spacing is drawn first, so that it lands near the 2-site
+    aliasing limit, and the crest motion per step near half that spacing;
+    the extents land near 3 envelope periods in space (the narrow-slab
+    limit that the measurement checks first) and 2 in time.
+    """
+    tau, eps = draw(st.floats(0.1, 4.0)), draw(st.floats(0.1, 4.0))
+    crest_sites = draw(st.one_of(st.floats(1.9, 2.1), st.floats(2.1, 12.0)))
+    step_sites = crest_sites * draw(st.one_of(st.floats(0.45, 0.55), st.floats(0.02, 0.45), st.just(0.0)))
+    sign = st.sampled_from([-1.0, 1.0])
+    f1 = draw(sign) / draw(st.floats(1.5, 40.0))
+    k1 = draw(sign) / draw(st.floats(1.5, 40.0))
+    kd = draw(sign) / (crest_sites * eps)
+    fd = draw(sign) * step_sites * abs(kd) * eps / tau
+    try:
+        beat = BeatSpec(T1=1.0 / f1, T2=1.0 / (f1 - fd), lam1=1.0 / k1, lam2=1.0 / (k1 - kd))
+    except (DomainError, ZeroDivisionError):
+        beat = DEFAULT_BEAT
+    x_periods = 3.0 * 2.0 / abs(beat.wavenum_diff) / eps if beat.wavenum_diff else 64.0
+    nx = int(x_periods) + draw(st.one_of(st.integers(-3, 3), st.integers(0, 1000)))
+    t_periods = min(2.0 * 2.0 / abs(beat.freq_diff) / tau, 1e4) if beat.freq_diff else 4.0
+    nt = int(t_periods) + draw(st.one_of(st.integers(-3, 3), st.integers(0, 200)))
+    shrink = draw(st.integers(0, 9))  # one case in five has a tiny extent
+    if shrink == 0:
+        nx = draw(st.integers(-2, 40))
+    elif shrink == 1:
+        nt = draw(st.integers(-2, 8))
+    # the reference samples the whole field: keep it under 400,000 sites
+    return beat, GridSpec(tau=tau, eps=eps), min(nt, 400_000 // max(nx, 1)), nx
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=beat_slabs())
+def test_measure_beat_velocity_is_the_sampled_measurement_bit_for_bit(case, sampled_beat_measurement):
+    """The same float bits as tracking the whole sampled envelope, or the same error and message."""
+    assert exact_outcome(lambda: measure_beat_velocity(*case)) == exact_outcome(
+        lambda: sampled_beat_measurement(*case))
+
+
+def test_the_beat_is_measured_without_beat_envelope(monkeypatch, sampled_beat_measurement):
+    want = sampled_beat_measurement(DEFAULT_BEAT, GridSpec(), 256, 1024)
+
+    def refuse(*args):
+        raise AssertionError("the measurement evaluated the whole envelope")
+
+    monkeypatch.setattr(waves, "beat_envelope", refuse)
+    assert measure_beat_velocity(DEFAULT_BEAT, GridSpec(), 256, 1024) == want
+
+
+def test_the_tracker_reads_the_middle_half_of_slice_0_and_a_window_per_slice():
+    env_sq = beat_envelope(DEFAULT_BEAT, GridSpec(), 256, 1024) ** 2
+    reads = []
+
+    def counting(n, lo, hi):
+        reads.append((n, lo, hi))
+        return env_sq[n, lo:hi]
+
+    crest_sites = (2.0 / abs(DEFAULT_BEAT.wavenum_diff)) / 2.0  # 7.500000000000002 sites, as measured
+    measured = _track_crests(counting, 256, 1024, crest_sites, GridSpec())
+    assert measured == measure_beat_velocity(DEFAULT_BEAT, GridSpec(), 256, 1024)
+    # sites 256..767 and their two neighbours, then 2 * radius + 3 = 11 sites (radius 4) in each later slice
+    assert reads[0] == (0, 255, 769)
+    assert [n for n, _, _ in reads] == list(range(256))
+    assert {hi - lo for _, lo, hi in reads[1:]} == {11}
