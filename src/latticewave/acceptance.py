@@ -19,7 +19,7 @@ import numpy as np
 
 from .diffcalc import DiffOp, apply_1d
 from .dispersion import DispersionForm, dispersion_residual, mass_from_rest_period, quantization_check, solve_modes
-from .errors import ConfigError
+from .errors import ConfigError, InternalInvariantError
 from .grid import Axis, Boundary, FieldSlab, GridSpec, INFINITE, is_integer
 from .kg_lattice import KGParams, evolve, plane_wave_residual
 from .kinematics import (
@@ -90,6 +90,55 @@ def _uniform(r: np.ndarray, low: float, high: float) -> np.ndarray:
     return low + (high - low) * r
 
 
+class _Draws:
+    """Scalar ``rng.integers(low, high)`` and ``rng.uniform(low, high)``, bit-identical to numpy's own
+    calls on a PCG64 generator, decoded from the 64-bit words of its bit generator.
+
+    numpy draws such an integer by Lemire's method on one uint32: the low half of a fresh word,
+    whose high half it keeps for the next uint32. A uniform takes the top 53 bits of a fresh word
+    and leaves the kept half alone, as ``rng.normal`` does, so those calls may interleave with
+    these. ``close`` hands the kept half back, and numpy's calls after it continue where the
+    scalar calls would have.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        bits = rng.bit_generator
+        if not isinstance(bits, np.random.PCG64):
+            raise InternalInvariantError(f"draws are decoded from PCG64 words, not {type(bits).__name__}'s")
+        self._bits, self._word = bits, bits.random_raw
+        state = bits.state
+        self._has_half, self._half = state["has_uint32"], state["uinteger"]
+
+    def _uint32(self) -> int:
+        if self._has_half:
+            self._has_half = 0
+            return self._half
+        word = self._word()
+        self._has_half, self._half = 1, word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, low: int, high: int) -> int:
+        span = high - low
+        if not 1 <= span <= 2**32:
+            raise InternalInvariantError(f"integer span {span} is outside 1..2**32")
+        if span == 1:  # numpy draws nothing for a single value
+            return low
+        m = self._uint32() * span
+        if m & 0xFFFFFFFF < span:
+            threshold = (2**32 - span) % span
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * span
+        return low + (m >> 32)
+
+    def uniform(self, low: float, high: float) -> float:
+        return low + (high - low) * ((self._word() >> 11) * (1.0 / 2**53))
+
+    def close(self) -> None:
+        state = self._bits.state
+        state["has_uint32"], state["uinteger"] = self._has_half, self._half
+        self._bits.state = state
+
+
 def _along_x(x: np.ndarray) -> np.ndarray:
     """Stacked 3-vectors (x, 0, 0)."""
     return np.stack([x, np.zeros_like(x), np.zeros_like(x)], axis=-1)
@@ -129,13 +178,14 @@ def _criterion_2_discrete_mass_shell(rng: np.random.Generator, as_printed: froze
     c = _Checker()
     grid = GridSpec(tau=0.625, eps=0.25, c=2.0)
     cc, tau, eps = grid.c, grid.tau, grid.eps
-    rows = []
+    draws, rows = _Draws(rng), []
     while len(rows) < 1000:  # integers and uniforms interleave, so the steps are drawn one at a time
-        dn = int(rng.integers(1, 40))
-        x, y, z = dj = tuple(rng.integers(-12, 13, 3).tolist())
+        dn = draws.integers(1, 40)
+        x, y, z = dj = (draws.integers(-12, 13), draws.integers(-12, 13), draws.integers(-12, 13))
         if (cc * dn * tau) ** 2 <= (x * eps) ** 2 + (y * eps) ** 2 + (z * eps) ** 2:
             continue
-        rows.append((dn, dj, rng.uniform(0.05, 5.0)))
+        rows.append((dn, dj, draws.uniform(0.05, 5.0)))
+    draws.close()
     dn, dj, m0 = map(np.array, zip(*rows))
     step = LatticeStep(dn=dn, dj=dj)
     stack = discrete_energy_momentum(m0, step, grid)
@@ -160,9 +210,10 @@ def _criterion_2_discrete_mass_shell(rng: np.random.Generator, as_printed: froze
 
 def _criterion_3_product_identity(rng: np.random.Generator, as_printed: frozenset) -> _Checker:
     c = _Checker()
-    draws = []
+    lengths, draws = _Draws(rng), []
     for _ in range(1000):  # n decides how many normals follow, so each sequence is drawn on its own
-        draws.append(rng.normal(size=(4, int(rng.integers(2, 64)))))  # re f, im f, re g, im g
+        draws.append(rng.normal(size=(4, lengths.integers(2, 64))))  # re f, im f, re g, im g
+    lengths.close()
     # the sequences end to end in one row: starts[i] is where sequence i begins
     x = np.concatenate(draws, axis=1)
     starts = np.cumsum([0] + [w.shape[1] for w in draws[:-1]])
@@ -190,10 +241,11 @@ def _criterion_4_total_difference(rng: np.random.Generator, as_printed: frozense
     scale = np.maximum(a.E, b.E)
     c.check("total-difference shell residual over 1000 pairs", np.max(np.abs(r23) / scale**2), 1e-10)
     c.check("dE = u_avg dp with the average-velocity convention", np.max(np.abs(r24) / scale), 1e-10)
-    rows = []
+    draws, rows = _Draws(rng), []
     for _ in range(200):
-        dn = int(rng.integers(2, 20))
-        rows.append((dn, (int(rng.integers(-dn + 1, dn)), 0, 0), float(rng.uniform(0.2, 4.0))))
+        dn = draws.integers(2, 20)
+        rows.append((dn, (draws.integers(-dn + 1, dn), 0, 0), draws.uniform(0.2, 4.0)))
+    draws.close()
     dn, dj, m0 = map(np.array, zip(*rows))
     step = LatticeStep(dn=dn, dj=dj)
     s1 = discrete_energy_momentum(m0, step, GRID)

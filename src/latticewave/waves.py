@@ -335,8 +335,8 @@ def measure_beat_velocity(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> floa
     Refuses what ``beat_field`` refuses, with its errors in its order, but
     samples no field: the analytically known slow factor supplies the
     envelope, evaluated only at the sites the tracker reads. A slab that
-    aliases it (crests under 2 sites apart, or a crest moving more than half
-    the crest spacing per step) is a MeasurementError.
+    aliases it (crests under 2 sites apart, or a crest moving half the crest
+    spacing or more per step) is a MeasurementError.
     """
     _require_envelope_coverage(b, grid, nt, nx)
     t, x = _beat_phases(b, grid, nt, nx)
@@ -356,9 +356,9 @@ def measure_beat_velocity(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> floa
             f"envelope crests {crest_sites!r} sites apart are under-resolved; at least 2 sites are needed"
         )
     step_sites = abs(beat_group_velocity(b)) * grid.tau / grid.eps
-    if step_sites > crest_sites / 2.0:
+    if step_sites >= crest_sites / 2.0:
         raise MeasurementError(
-            f"envelope crest moves {step_sites!r} sites per step, more than half its "
+            f"envelope crest moves {step_sites!r} sites per step, at least half its "
             f"{crest_sites!r}-site spacing; its motion is aliased"
         )
     # the float operations of beat_envelope(...) ** 2, site by site

@@ -28,9 +28,9 @@ def _sampled_beat_measurement(beat, grid, nt, nx):
             f"envelope crests {crest_sites!r} sites apart are under-resolved; at least 2 sites are needed"
         )
     step_sites = abs(beat_group_velocity(beat)) * grid.tau / grid.eps
-    if step_sites > crest_sites / 2.0:
+    if step_sites >= crest_sites / 2.0:
         raise MeasurementError(
-            f"envelope crest moves {step_sites!r} sites per step, more than half its "
+            f"envelope crest moves {step_sites!r} sites per step, at least half its "
             f"{crest_sites!r}-site spacing; its motion is aliased"
         )
     return _track_crests(lambda n, lo, hi: env_sq[n, lo:hi], nt, nx, crest_sites, grid)

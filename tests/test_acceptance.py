@@ -34,7 +34,18 @@ from latticewave import (
     transform_particle,
     transform_wave,
 )
-from latticewave.acceptance import GRID, _Checker, criterion_ids, format_report, run_acceptance, run_criterion
+from latticewave.acceptance import (
+    GRID,
+    _along_x,
+    _Checker,
+    _Draws,
+    _uniform,
+    criterion_ids,
+    format_report,
+    run_acceptance,
+    run_criterion,
+)
+from latticewave.errors import InternalInvariantError
 from latticewave.grid import GridSpec
 from latticewave.kinematics import LatticeStep
 
@@ -211,8 +222,27 @@ def test_batched_criteria_print_the_per_sample_lines(cid, seed):
 
 
 # The loops criteria 3 and 5 ran before each became one pass (criterion 3 over the
-# sequences end to end, criterion 5 over one block of draws), kept as oracles as
-# tests/test_dispersion.py keeps parent_solve_modes.
+# sequences end to end, criterion 5 over one block of draws), and the loops criteria 2
+# and 4 ran before they decoded their scalar draws from the generator's words (criterion 3's
+# lengths too), kept as oracles as tests/test_dispersion.py keeps parent_solve_modes.
+# Each draws through numpy's own rng.integers and rng.uniform calls.
+
+
+def parent_criterion_2(rng):
+    c = _Checker()
+    grid = GridSpec(tau=0.625, eps=0.25, c=2.0)
+    cc, tau, eps = grid.c, grid.tau, grid.eps
+    rows = []
+    while len(rows) < 1000:
+        dn = int(rng.integers(1, 40))
+        x, y, z = dj = tuple(rng.integers(-12, 13, 3).tolist())
+        if (cc * dn * tau) ** 2 <= (x * eps) ** 2 + (y * eps) ** 2 + (z * eps) ** 2:
+            continue
+        rows.append((dn, dj, rng.uniform(0.05, 5.0)))
+    dn, dj, m0 = map(np.array, zip(*rows))
+    stack = discrete_energy_momentum(m0, LatticeStep(dn=dn, dj=dj), grid)
+    c.check("mass-shell relative residual over 1000 timelike steps", np.max(stack.mass_shell_residual(grid.c)), 1e-12)
+    return c
 
 
 def parent_criterion_3(rng):
@@ -263,7 +293,42 @@ def parent_criterion_5(rng):
     return c
 
 
-PARENT_LOOPS = {3: parent_criterion_3, 5: parent_criterion_5}
+def parent_criterion_4(rng):
+    c = _Checker()
+    r = rng.random((1000, 3))
+    m0 = _uniform(r[:, 0], 0.1, 3.0)
+    a = ParticleState.from_momentum(_along_x(_uniform(r[:, 1], -3, 3)), m0, 1.0)
+    b = ParticleState.from_momentum(_along_x(_uniform(r[:, 2], -3, 3)), m0, 1.0)
+    r23, r24 = total_difference_mass_shell(a, b, 1.0)
+    scale = np.maximum(a.E, b.E)
+    c.check("total-difference shell residual over 1000 pairs", np.max(np.abs(r23) / scale**2), 1e-10)
+    c.check("dE = u_avg dp with the average-velocity convention", np.max(np.abs(r24) / scale), 1e-10)
+    rows = []
+    for _ in range(200):
+        dn = int(rng.integers(2, 20))
+        rows.append((dn, (int(rng.integers(-dn + 1, dn)), 0, 0), float(rng.uniform(0.2, 4.0))))
+    dn, dj, m0 = map(np.array, zip(*rows))
+    step = LatticeStep(dn=dn, dj=dj)
+    s1 = discrete_energy_momentum(m0, step, GRID)
+    s2 = discrete_energy_momentum(m0, step, GRID)
+    c.check("difference four-vector invariant across consecutive free events",
+            np.max(np.abs(four_difference_invariant(s1, s2, GRID.c))), 1e-10)
+    cc = 2.0  # the draws after the loop continue where numpy's scalar calls left the generator
+    m0 = rng.uniform(0.1, 3.0, 1000)
+    a = ParticleState.from_momentum(rng.uniform(-3, 3, (1000, 3)), m0, cc)
+    b = ParticleState.from_momentum(rng.uniform(-3, 3, (1000, 3)), m0, cc)
+    v = rng.uniform(-1.1, 1.1, (1000, 3))
+    invariant = four_difference_invariant(a, b, cc)
+    boosted = four_difference_invariant(transform_particle(a, v, cc), transform_particle(b, v, cc), cc)
+    scale = np.maximum(a.E, b.E) ** 2 / cc**2
+    c.check("difference invariant unchanged by a boost at c = 2, relative to (E/c)^2",
+            np.max(np.abs(boosted - invariant) / scale), 1e-10)
+    _, r24 = total_difference_mass_shell(a, b, cc)
+    c.check("dE = u_avg dp at c = 2 with oblique momenta", np.max(np.abs(r24) / np.maximum(a.E, b.E)), 1e-10)
+    return c
+
+
+PARENT_LOOPS = {2: parent_criterion_2, 3: parent_criterion_3, 4: parent_criterion_4, 5: parent_criterion_5}
 
 
 @pytest.mark.parametrize("cid", sorted(PARENT_LOOPS))
@@ -283,6 +348,80 @@ def test_one_pass_criteria_measure_the_parent_loops_values_bit_for_bit(monkeypat
         PARENT_LOOPS[cid](np.random.default_rng(seed + cid))
         assert got == records, f"seed {seed}"
         records.clear()
+
+
+# --- _Draws against numpy's own calls ---------------------------------------------------------
+#
+# Spans 2**31 + 1 and 3 * 2**30 + 7 make Lemire's method reject about half of its uint32s,
+# span 2**32 takes the uint32 whole and span 1 draws nothing. Seven draws without a redraw
+# end with a kept half.
+
+SPANS = [1, 3, 25, 39, 62, 2**31 + 1, 3 * 2**30 + 7, 2**32]
+
+
+def assert_same_generator(rng, want):
+    """The same state, and the same next draws, as the generator numpy's own calls advanced."""
+    assert rng.bit_generator.state == want.bit_generator.state
+    assert rng.random(3).tolist() == want.random(3).tolist()
+
+
+@pytest.mark.parametrize("kept_half", [False, True], ids=["fresh", "starts-with-a-kept-half"])
+@pytest.mark.parametrize("span", SPANS)
+def test_draws_are_numpys_integers_bit_for_bit(span, kept_half):
+    low = -(span // 2)
+    for seed in range(100):
+        rng, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        if kept_half:  # one uint32 drawn, the high half of its word kept
+            rng.integers(0, 10), want.integers(0, 10)
+        expected = [int(want.integers(low, low + span)) for _ in range(7)]
+        draws = _Draws(rng)
+        assert [draws.integers(low, low + span) for _ in range(7)] == expected, f"seed {seed}"
+        draws.close()
+        assert_same_generator(rng, want)
+
+
+@pytest.mark.parametrize("kept_half", [False, True], ids=["fresh", "starts-with-a-kept-half"])
+def test_draws_interleave_integers_and_uniforms_as_numpy_does(kept_half):
+    # criterion 2's pattern, then criterion 4's: each row draws an even number of uint32s (unless
+    # Lemire redraws), so a kept half at the start is kept across every uniform
+    for seed in range(100):
+        rng, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        if kept_half:
+            rng.integers(0, 10), want.integers(0, 10)
+        expected = [(int(want.integers(1, 40)), *want.integers(-12, 13, 3).tolist(), want.uniform(0.05, 5.0))
+                    for _ in range(20)]
+        expected += [(dn := int(want.integers(2, 20)), int(want.integers(-dn + 1, dn)), want.uniform(0.2, 4.0))
+                     for _ in range(20)]
+        draws = _Draws(rng)
+        got = [(draws.integers(1, 40), draws.integers(-12, 13), draws.integers(-12, 13), draws.integers(-12, 13),
+                draws.uniform(0.05, 5.0)) for _ in range(20)]
+        got += [(dn := draws.integers(2, 20), draws.integers(-dn + 1, dn), draws.uniform(0.2, 4.0)) for _ in range(20)]
+        draws.close()
+        assert [tuple(map(repr, row)) for row in got] == [tuple(map(repr, row)) for row in expected], f"seed {seed}"
+        assert_same_generator(rng, want)
+
+
+def test_draws_interleave_with_numpys_normals():
+    # criterion 3's pattern: each length decides how many normals follow
+    for seed in range(100):
+        rng, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = [want.normal(size=(4, int(want.integers(2, 64)))).tobytes() for _ in range(20)]
+        lengths = _Draws(rng)
+        got = [rng.normal(size=(4, lengths.integers(2, 64))).tobytes() for _ in range(20)]
+        lengths.close()
+        assert got == expected, f"seed {seed}"
+        assert_same_generator(rng, want)
+
+
+@pytest.mark.parametrize("low, high", [(0, 0), (5, 4), (0, 2**32 + 1)], ids=["span-0", "negative-span", "span-above-2-32"])
+def test_draws_refuse_a_span_outside_1_to_2_32(low, high):
+    with pytest.raises(InternalInvariantError, match="span"):
+        _Draws(np.random.default_rng(0)).integers(low, high)
+
+
+def test_draws_refuse_a_generator_that_is_not_pcg64():
+    with pytest.raises(InternalInvariantError, match="PCG64"):
+        _Draws(np.random.Generator(np.random.MT19937(0)))
 
 
 def test_criterion_5_tracks_the_beat_without_sampling_its_field():

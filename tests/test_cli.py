@@ -393,16 +393,30 @@ def test_beat_measure_json_is_the_measurement_of_the_sampled_field(tmp_path, cap
         "relative_error": abs(measured - v_group) / abs(v_group)}}, sort_keys=True, indent=2)[1:] + "\n")
 
 
-@pytest.mark.parametrize("grid_args, reason", [(["--tau", "1e160"], "aliased"), (["--eps", "1e304"], "under-resolved")],
-                         ids=["tau-huge", "eps-huge"])
-def test_beat_measure_on_an_aliasing_grid_is_a_measurement_error(tmp_path, capsys, grid_args, reason):
-    # the envelope moves ~6e159 sites per step, or its crests are ~7.5e-304 sites apart;
-    # tracking it once reported a finite velocity with relative error 1.0
+@pytest.mark.parametrize("argv, reason", [
+    (["--t1", "4", "--t2", "6", "--lam1", "3", "--lam2", "5", "--tau", "1e160"], "aliased"),
+    (["--t1", "4", "--t2", "6", "--lam1", "3", "--lam2", "5", "--eps", "1e304"], "under-resolved"),
+    (["--t1", "1.6", "--t2", "8", "--lam1", "4", "--lam2", "8", "--nt", "64", "--nx", "256"],
+     "4.0 sites per step, at least half its 8.0-site spacing"),
+], ids=["tau-huge", "eps-huge", "half-spacing"])
+def test_beat_measure_on_an_aliasing_grid_is_a_measurement_error(tmp_path, capsys, argv, reason):
+    # the envelope moves ~6e159 sites per step, or its crests are ~7.5e-304 sites apart: tracking it
+    # once reported a finite velocity with relative error 1.0; or crests 8 sites apart move 4 sites
+    # per step, where the tracker once read a v_group of 4.0 as -4.0
     out = tmp_path / "out.json"
-    assert main(["beat-measure", "--t1", "4", "--t2", "6", "--lam1", "3", "--lam2", "5", *grid_args,
-                 "--format", "json", "--output", str(out)]) == 3
+    assert main(["beat-measure", *argv, "--format", "json", "--output", str(out)]) == 3
     assert reason in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_beat_measure_of_a_crest_moving_just_under_half_its_spacing_is_measured(tmp_path):
+    # at tau = 0.99 the crests 8 sites apart move 3.96 sites per step
+    out = tmp_path / "beat.json"
+    assert main(["beat-measure", "--t1", "1.6", "--t2", "8", "--lam1", "4", "--lam2", "8", "--nt", "64", "--nx", "256",
+                 "--tau", "0.99", "--format", "json", "--output", str(out)]) == 0
+    result = read_json(out)["result"]
+    assert result["v_group"] == 4.0
+    assert result["relative_error"] < 1e-4
 
 
 class TestRunConfigs:
