@@ -25,8 +25,8 @@ from .kg_lattice import KGParams, evolve, plane_wave_residual
 from .kinematics import (
     LatticeStep,
     ParticleState,
+    _exact_interval,
     _exact_squares,
-    _velocity_ratio,
     boost_matrix,
     debroglie_map,
     discrete_energy_momentum,
@@ -199,7 +199,7 @@ def _criterion_2_discrete_mass_shell(rng: np.random.Generator, as_printed: froze
     # E^2 - p^2 c^2 = m^2 c^4
     shell = (E2 * p2_den * cd**2 - p2 * cn**2 * E2_den) * cd**2 * md**2 == mn**2 * cn**4 * E2_den * p2_den
     # u dt = dx, with u = u_num dj / u_den: u_num dj dn tau = dj eps u_den
-    u_num, u_den = _velocity_ratio(step, grid)
+    *_, (u_num, u_den) = _exact_interval(step, grid)
     velocity = (u_num * step.dn * tn * ed)[:, None] * step.dj == step.dj * (en * td * u_den)[:, None]
     # u^2 = p^2 c^4 / E^2, with E^2 > 0 on a timelike step
     square = u2 * p2_den * cd**4 * E2 == p2 * cn**4 * u2_den * E2_den

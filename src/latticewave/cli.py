@@ -64,8 +64,7 @@ class Param:
     name: str
     kind: str  # int | float | str | mode_m | vec3f | vec3i | bool
     doc: str
-    required: bool = True
-    default: Any = None
+    default: Any = None  # None: the parameter is required
     choices: tuple | None = None
 
 
@@ -123,13 +122,12 @@ def _coerce(param: Param, value):
             if isinstance(value, Infinite) or (isinstance(value, str) and value.lower() in ("inf", "infinite")):
                 return INFINITE
             return _integer(value)
-        if param.kind in ("vec3f", "vec3i"):
-            if not isinstance(value, (list, tuple)) or len(value) != 3:
-                raise ValueError
-            return [_integer(x) if param.kind == "vec3i" else _finite_float(x) for x in value]
+        # vec3f or vec3i
+        if not isinstance(value, (list, tuple)) or len(value) != 3:
+            raise ValueError
+        return [_integer(x) if param.kind == "vec3i" else _finite_float(x) for x in value]
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"parameter {param.name!r}: cannot interpret {value!r} as {param.kind}") from None
-    raise ConfigError(f"parameter {param.name!r} has unknown kind {param.kind}")
 
 
 def _resolve_params(schema: list[Param], raw: dict) -> dict:
@@ -140,7 +138,7 @@ def _resolve_params(schema: list[Param], raw: dict) -> dict:
     for param in schema:
         if param.name in raw:
             resolved[param.name] = _coerce(param, raw[param.name])
-        elif param.required:
+        elif param.default is None:
             raise ConfigError(f"missing required parameter {param.name!r}")
         else:
             resolved[param.name] = param.default
@@ -527,9 +525,9 @@ _register(Experiment(
     schema=[
         Param("form", "str", "dispersion relation", choices=("exponential", "cayley", "continuum")),
         Param("m0", "float", "rest mass to scan"),
-        Param("n_max", "int", "largest time period scanned", required=False, default=64),
-        Param("m_max", "int", "largest wavelength scanned", required=False, default=64),
-        Param("tol", "float", "residual tolerance", required=False, default=1e-9),
+        Param("n_max", "int", "largest time period scanned", default=64),
+        Param("m_max", "int", "largest wavelength scanned", default=64),
+        Param("tol", "float", "residual tolerance", default=1e-9),
     ],
     runner=_run_dispersion_scan,
     checks=("integer-mode-dispersion-scan",),
@@ -562,8 +560,8 @@ _register(Experiment(
         Param("form", "str", "wave form", choices=("exponential", "cayley")),
         Param("wave_n", "int", "time period N (steps)"),
         Param("wave_m", "mode_m", "wavelength M (sites) or 'inf'"),
-        Param("nt", "int", "time extent", required=False, default=16),
-        Param("nx", "int", "space extent", required=False, default=16),
+        Param("nt", "int", "time extent", default=16),
+        Param("nx", "int", "space extent", default=16),
     ],
     runner=_run_wave_sample,
     checks=("lattice-plane-wave-sampling",),
@@ -579,8 +577,8 @@ _register(Experiment(
         Param("t2", "float", "second mode period"),
         Param("lam1", "float", "first mode wavelength"),
         Param("lam2", "float", "second mode wavelength"),
-        Param("nt", "int", "time extent", required=False, default=256),
-        Param("nx", "int", "space extent", required=False, default=1024),
+        Param("nt", "int", "time extent", default=256),
+        Param("nx", "int", "space extent", default=1024),
     ],
     runner=_run_beat_measure,
     checks=("beat-velocity-formulas", "envelope-group-velocity-tracking"),
@@ -595,8 +593,8 @@ _register(Experiment(
         Param("wave_n", "int", "time period N"),
         Param("wave_m", "mode_m", "wavelength M or 'inf'"),
         Param("m0", "float", "rest mass in the operator"),
-        Param("nt", "int", "time extent", required=False, default=32),
-        Param("nx", "int", "space extent", required=False, default=32),
+        Param("nt", "int", "time extent", default=32),
+        Param("nx", "int", "space extent", default=32),
     ],
     runner=_run_kg_residual,
     checks=("lattice-wave-operator-residual",),
@@ -614,9 +612,9 @@ _register(Experiment(
         Param("wave_n", "int", "time period N"),
         Param("wave_m", "mode_m", "wavelength M or 'inf'"),
         Param("m0", "float", "rest mass in the operator"),
-        Param("steps", "int", "number of time steps", required=False, default=16),
-        Param("nx", "int", "space extent", required=False, default=16),
-        Param("verify", "bool", "compare against the closed form", required=False, default=False),
+        Param("steps", "int", "number of time steps", default=16),
+        Param("nx", "int", "space extent", default=16),
+        Param("verify", "bool", "compare against the closed form", default=False),
     ],
     runner=_run_kg_evolve,
     checks=("implicit-lattice-wave-evolution",),
@@ -645,7 +643,7 @@ _register(Experiment(
         Param("m0", "float", "rest mass"),
         Param("dn", "int", "time steps per event"),
         Param("dj", "vec3i", "space steps per event"),
-        Param("tol", "float", "integer-closeness tolerance", required=False, default=1e-9),
+        Param("tol", "float", "integer-closeness tolerance", default=1e-9),
     ],
     runner=_run_quantization_check,
     checks=("mode-number-quantization",),
@@ -731,11 +729,11 @@ def build_parser() -> argparse.ArgumentParser:
             flag = _flag_name(param)
             if param.kind in ("vec3f", "vec3i"):
                 p.add_argument(flag, nargs=3, type=float if param.kind == "vec3f" else int,
-                               required=param.required, default=param.default, help=param.doc)
+                               required=param.default is None, default=param.default, help=param.doc)
             elif param.kind == "bool":
                 p.add_argument(flag, action="store_true", help=param.doc)
             else:
-                p.add_argument(flag, type=str, required=param.required,
+                p.add_argument(flag, type=str, required=param.default is None,
                                default=param.default, help=param.doc,
                                choices=param.choices)
         p.add_argument("--output", help="output file (default: stdout); relative paths honor "

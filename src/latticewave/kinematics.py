@@ -329,11 +329,12 @@ def _last_axis(x) -> np.ndarray:
 
 
 def _exact_interval(step: LatticeStep, grid: GridSpec) -> tuple:
-    """c, c dt, eps, |dj|^2 and s = (c dt)^2 - |dx|^2 in exact integer arithmetic.
+    """c, c dt, eps, |dj|^2, s = (c dt)^2 - |dx|^2 and the velocity in exact integer arithmetic.
 
-    Each rational is a pair (num, den) with den > 0; |dx|^2 = |dj|^2 eps^2.
-    For a stacked step, c dt, |dj|^2 and s are object arrays of Python ints
-    of the shape of dn.
+    Each rational is a pair (num, den) with den > 0; |dx|^2 = |dj|^2 eps^2,
+    and u = num dj / den is c dx / (c dt) as an unreduced ratio. For a
+    stacked step, c dt, |dj|^2, s and the velocity's den are object arrays
+    of Python ints of the shape of dn.
     """
     cn, cd = grid.c.as_integer_ratio()
     tn, td = grid.tau.as_integer_ratio()
@@ -342,13 +343,24 @@ def _exact_interval(step: LatticeStep, grid: GridSpec) -> tuple:
     a, b = cn * step.dn * tn, cd * td
     d2 = (dj * dj).sum(axis=-1)
     s_num = (a * ed) ** 2 - d2 * (en * b) ** 2
-    return (cn, cd), (a, b), (en, ed), d2, (s_num, (b * ed) ** 2)
+    return (cn, cd), (a, b), (en, ed), d2, (s_num, (b * ed) ** 2), (cn * en * b, cd * ed * a)
 
 
-def _velocity_ratio(step: LatticeStep, grid: GridSpec) -> tuple:
-    """(num, den) with u = num dj / den: the velocity c dx / (c dt) as an unreduced integer ratio."""
-    (cn, cd), (a, b), (en, ed), _, _ = _exact_interval(step, grid)
-    return cn * en * b, cd * ed * a
+def _timelike_step(m0, step: LatticeStep, grid: GridSpec, what: str) -> tuple:
+    """(m0's ratio, *_exact_interval(step, grid)), each derived once for one exact entry point.
+
+    An m0 that ``_mass_ratio`` refuses (``what`` names the entry point), then a
+    step that is not strictly timelike, is a DomainError naming its first row.
+    """
+    mass, interval = _mass_ratio(m0, what), _exact_interval(step, grid)
+    s_num = interval[4][0]
+    bad = _first(s_num <= 0)
+    if bad is not None:
+        kind = "lightlike" if np.asarray(s_num)[bad] == 0 else "spacelike"
+        raise DomainError(
+            f"step {step._row(bad)} is {kind} on this grid; a massive state needs (c dt)^2 > |dx|^2{_at(bad)}"
+        )
+    return (mass, *interval)
 
 
 def _exact_squares(m0, step: LatticeStep, grid: GridSpec) -> tuple:
@@ -356,22 +368,17 @@ def _exact_squares(m0, step: LatticeStep, grid: GridSpec) -> tuple:
 
     The square root cancels in all three; every denominator is > 0.
     """
-    mn, md = _mass_ratio(m0, "exact squares")
-    (cn, cd), (a, b), (en, ed), d2, (s_num, _) = _exact_interval(step, grid)
-    bad = _first(s_num <= 0)
-    if bad is not None:
-        raise DomainError(f"exact squares need a strictly timelike step{_at(bad)}")
+    (mn, md), (cn, cd), (a, b), (en, ed), d2, (s_num, _), (un, ud) = _timelike_step(m0, step, grid, "exact squares")
     # s = s_num / (b ed)^2, so E^2 = m^2 c^4 (c dt)^2 / s and |p|^2 = m^2 c^2 |dx|^2 / s
     m2c2_num, m2c2_den = (mn * cn) ** 2, (md * cd) ** 2
     E2 = (m2c2_num * cn * cn * (a * ed) ** 2, m2c2_den * cd * cd * s_num)
     p2 = (m2c2_num * d2 * (en * b) ** 2, m2c2_den * s_num)
-    un, ud = _velocity_ratio(step, grid)
     return E2, p2, (d2 * un * un, ud * ud)
 
 
 def step_velocity(step: LatticeStep, grid: GridSpec) -> tuple[Fraction, Fraction, Fraction]:
     """u = dx/dt componentwise for one step, exact whenever tau and eps are exact."""
-    num, den = _velocity_ratio(step, grid)
+    *_, (num, den) = _exact_interval(step, grid)
     return tuple(Fraction(num * d, den) for d in step.dj)  # type: ignore[return-value]
 
 
@@ -391,16 +398,9 @@ def discrete_energy_momentum(m0, step: LatticeStep, grid: GridSpec) -> ParticleS
     stacked step with m0 of the shape of dn gives a stacked state whose rows
     have the bits of their one-step calls.
     """
-    mn, md = _mass_ratio(m0, "discrete energy-momentum")
-    (cn, cd), (a, b), (en, ed), _, (s_num, s_den) = _exact_interval(step, grid)
-    bad = _first(s_num <= 0)
-    if bad is not None:
-        kind = "lightlike" if np.asarray(s_num)[bad] == 0 else "spacelike"
-        raise DomainError(
-            f"step {step._row(bad)} is {kind} on this grid; a massive state needs (c dt)^2 > |dx|^2{_at(bad)}"
-        )
+    (mn, md), (cn, cd), (a, b), (en, ed), _, (s_num, s_den), (un, ud) = _timelike_step(
+        m0, step, grid, "discrete energy-momentum")
     dj = np.asarray(step.dj, dtype=object)
-    un, ud = _velocity_ratio(step, grid)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         root = np.sqrt(_divide(s_num, s_den))
         E = _divide(cn * cn * mn * a, cd * cd * b * md) / root

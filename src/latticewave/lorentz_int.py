@@ -227,9 +227,6 @@ class GeneratorWord:
                 raise DomainError(f"unknown letter {letter!r}; alphabet is {ALPHABET}")
         object.__setattr__(self, "letters", letters)
 
-    def __iter__(self):
-        return iter(self.letters)
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -327,16 +324,9 @@ _PARITY_WORDS: tuple[tuple[str, ...], ...] = tuple(
 )
 
 
-def _reduction_step(parity_word: tuple[str, ...]) -> Entries:
-    """S4 times the parity word's letters applied on the left, in word order."""
-    prefix = _IDENTITY
-    for letter in parity_word:
-        prefix = _mat_mul(_LETTER_MATRICES[letter], prefix)
-    return _mat_mul(_S4, prefix)
-
-
-# (parity word, S4 P) in _PARITY_WORDS order; factorize reads the signs s1, s2, s3 of P from row 0, (2, s1, s2, s3)
-_REDUCTION_STEPS = tuple((w, _reduction_step(w)) for w in _PARITY_WORDS)
+# (parity word, (s1, s2, s3)) in _PARITY_WORDS order, for the word's product P = diag(1, s1, s2, s3):
+# s_i = -1 exactly when P_i is in the word, and row 0 of S4 P is (2, s1, s2, s3)
+_REDUCTION_STEPS = tuple((w, tuple(-1 if p in w else 1 for p in PARITY_LETTERS)) for w in _PARITY_WORDS)
 
 
 @functools.cache
@@ -394,8 +384,7 @@ def factorize(m: IntLorentzMatrix) -> GeneratorWord:
     initial_tt = current[0][0]
     while current[0][0] > 1:
         (a0, _, _, _), (b0, _, _, _), (c0, _, _, _), (d0, _, _, _) = current
-        for parity_word, step in _REDUCTION_STEPS:
-            _, s1, s2, s3 = step[0]
+        for parity_word, (s1, s2, s3) in _REDUCTION_STEPS:
             if a0 + s1 * b0 + s2 * c0 + s3 * d0 < 0:  # t0 < 0: the new time-time entry a0 + t0 is below a0
                 break
         else:

@@ -4,11 +4,11 @@ Two unimodular wave forms live on the integer lattice, both built from a
 time period of N steps and a wavelength of M sites (M may be INFINITE for
 a pure time mode):
 
-  exponential   psi(n, j) = A exp{2 pi i (n/N - j/M)}
+  exponential   psi(n, j) = exp{2 pi i (n/N - j/M)}
                 exactly periodic: psi(n+N, j) = psi(n, j+M) = psi(n, j).
 
-  cayley        psi(n, j) = A [(1+i pi/N)/(1-i pi/N)]^n [(1-i pi/M)/(1+i pi/M)]^j
-                quasi-periodic: |psi| = |A| with phase exactly linear,
+  cayley        psi(n, j) = [(1+i pi/N)/(1-i pi/N)]^n [(1-i pi/M)/(1+i pi/M)]^j
+                quasi-periodic: |psi| = 1 with phase exactly linear,
                 2 atan(pi/N) per time step and -2 atan(pi/M) per site.
 
 Angular frequency and wavenumber are w = 2 pi/(N tau), k = 2 pi/(M eps).
@@ -36,7 +36,7 @@ class WaveForm(Enum):
 
 @dataclass(frozen=True)
 class WaveSpec:
-    """A single lattice mode: form, period N, wavelength M, amplitude.
+    """A single lattice mode: form, period N, wavelength M.
 
     M = INFINITE encodes a zero wavenumber (spatially constant mode).
     """
@@ -44,7 +44,6 @@ class WaveSpec:
     form: WaveForm
     N: int
     M: MaybeInfinite
-    amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self):
         if not isinstance(self.form, WaveForm):
@@ -81,7 +80,8 @@ def _unimodular_power(z: complex, exponent: int) -> complex:
     return result
 
 
-_QUARTER_TURNS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+# -i as complex(0.0, -1.0): the literal -1.0j is -(1.0j), whose real part is -0.0
+_QUARTER_TURNS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, complex(0.0, -1.0))
 
 
 def _exponential_phase(spec: WaveSpec, n: int, j: int) -> tuple[int, int]:
@@ -93,14 +93,14 @@ def _exponential_phase(spec: WaveSpec, n: int, j: int) -> tuple[int, int]:
     return (n * M - j * N) % (N * M), N * M
 
 
-def _exponential_value(amplitude: complex, num: int, den: int) -> complex:
+def _exponential_value(num: int, den: int) -> complex:
     if (4 * num) % den == 0:
-        return amplitude * _QUARTER_TURNS[(4 * num) // den]
-    return amplitude * cmath.rect(1.0, 2.0 * math.pi * (num / den))
+        return _QUARTER_TURNS[(4 * num) // den]
+    return cmath.rect(1.0, 2.0 * math.pi * (num / den))
 
 
 def eval_exponential(spec: WaveSpec, n: int, j: int) -> complex:
-    """A exp{2 pi i (n/N - j/M)} with the phase reduced in exact integers.
+    """exp{2 pi i (n/N - j/M)} with the phase reduced in exact integers.
 
     The integer reduction makes periodicity bit-exact: equal phases modulo
     one full turn produce identical complex values, and quarter turns are
@@ -108,7 +108,7 @@ def eval_exponential(spec: WaveSpec, n: int, j: int) -> complex:
     """
     if spec.form is not WaveForm.EXPONENTIAL:
         raise DomainError("eval_exponential needs an exponential WaveSpec")
-    return _exponential_value(spec.amplitude, *_exponential_phase(spec, n, j))
+    return _exponential_value(*_exponential_phase(spec, n, j))
 
 
 def _cayley_bases(spec: WaveSpec) -> tuple[complex, complex | None]:
@@ -129,7 +129,7 @@ def eval_cayley(spec: WaveSpec, n: int, j: int) -> complex:
     value = _unimodular_power(base_t, n)
     if base_x is not None:
         value *= _unimodular_power(base_x, j)
-    return spec.amplitude * value
+    return value
 
 
 def eval_wave(spec: WaveSpec, n: int, j: int) -> complex:
@@ -149,7 +149,7 @@ def _exponential_slab(spec: WaveSpec, nt: int, nx: int) -> np.ndarray:
         for j in range(tx):
             num, den = _exponential_phase(spec, n, j)
             if num not in values:
-                values[num] = _exponential_value(spec.amplitude, num, den)
+                values[num] = _exponential_value(num, den)
             tile[n, j] = values[num]
     return tile[np.ix_(np.arange(nt) % tn, np.arange(nx) % tx)]
 
@@ -164,16 +164,15 @@ def _complex_product(a, b, c, d):
 
 
 def _cayley_slab(spec: WaveSpec, nt: int, nx: int) -> np.ndarray:
-    # separable: psi[n, j] = A * (T[n] * X[j]) with the factors of eval_cayley
+    # separable: psi[n, j] = T[n] * X[j] with the factors of eval_cayley
     base_t, base_x = _cayley_bases(spec)
     t = np.array([_unimodular_power(base_t, n) for n in range(nt)])[:, None]
     re, im = t.real, t.imag
     if base_x is not None:
         x = np.array([_unimodular_power(base_x, j) for j in range(nx)])[None, :]
         re, im = _complex_product(re, im, x.real, x.imag)
-    amplitude = complex(spec.amplitude)
     psi = np.empty((nt, nx), dtype=np.complex128)
-    psi.real, psi.imag = _complex_product(amplitude.real, amplitude.imag, re, im)
+    psi.real, psi.imag = re, im
     return psi
 
 
@@ -190,7 +189,7 @@ def sample_wave(spec: WaveSpec, nt: int, nx: int) -> FieldSlab:
 
 
 def continuum_limit_error(form: WaveForm, N: int, M: MaybeInfinite, n: int, j: int) -> float:
-    """|psi_form(n, j) - exp{2 pi i (n/N - j/M)}| for unit amplitude.
+    """|psi_form(n, j) - exp{2 pi i (n/N - j/M)}|.
 
     Zero identically for the exponential form. For the cayley form the
     phase mismatch is n*(2 atan(pi/N) - 2 pi/N) minus the analogous j
@@ -387,9 +386,6 @@ def _track_crests(env_sq, nt: int, nx: int, crest_sites: float, grid: GridSpec) 
     # same straight line.
     period_sites = 2.0 * crest_sites
     radius = max(2, int(round(crest_sites / 2.0)))
-    margin = radius + 2
-    if nx < 2 * margin + 3:
-        raise DomainError("slab too narrow to track the envelope away from its edges")
 
     def measure_slice(n: int, predicted: float) -> float:
         """Refined crest position near the prediction, re-centered if needed."""
@@ -403,7 +399,8 @@ def _track_crests(env_sq, nt: int, nx: int, crest_sites: float, grid: GridSpec) 
         k = 1 + int(np.argmax(window[1 : hi - lo + 2]))
         return _refine_peak(window, k, lo - 1) + hops * period_sites
 
-    # the narrow-slab check keeps nx >= 11, so 2 <= lo0 and hi0 <= nx - 2: the start needs no clamp
+    # measure_beat_velocity requires nx >= 6 crest_sites >= 12, so 2 <= lo0 and hi0 <= nx - 2:
+    # the start needs no clamp
     lo0, hi0 = nx // 4, max(nx // 4 + 1, (3 * nx) // 4)
     row = env_sq(0, lo0 - 1, hi0 + 1)
     positions = np.empty(nt)

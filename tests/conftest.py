@@ -2,7 +2,7 @@
 
 import pytest
 
-from latticewave import DomainError, MeasurementError, beat_field, beat_group_velocity
+from latticewave import DomainError, MeasurementError, acceptance, beat_field, beat_group_velocity, kinematics
 from latticewave.waves import _track_crests, beat_envelope
 
 
@@ -39,3 +39,17 @@ def _sampled_beat_measurement(beat, grid, nt, nx):
 @pytest.fixture
 def sampled_beat_measurement():
     return _sampled_beat_measurement
+
+
+@pytest.fixture
+def exact_derivations(monkeypatch):
+    """Counts of the calls to kinematics' _mass_ratio and _exact_interval, wherever they are called from."""
+    calls = dict.fromkeys(("_mass_ratio", "_exact_interval"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(kinematics, name)):
+            calls[_name] += 1
+            return _original(*args)
+        for module in (kinematics, acceptance):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls

@@ -365,6 +365,13 @@ def assert_same_generator(rng, want):
     assert rng.random(3).tolist() == want.random(3).tolist()
 
 
+def test_criterion_2_derives_each_exact_quantity_once_per_use(exact_derivations):
+    """The 1000 steps' interval once in discrete_energy_momentum, once in _exact_squares and once for the
+    criterion's velocity check; the masses through _mass_ratio once in each of those two entry points."""
+    assert run_criterion(2, seed=3).passed
+    assert exact_derivations == {"_mass_ratio": 2, "_exact_interval": 3}
+
+
 @pytest.mark.parametrize("kept_half", [False, True], ids=["fresh", "starts-with-a-kept-half"])
 @pytest.mark.parametrize("span", SPANS)
 def test_draws_are_numpys_integers_bit_for_bit(span, kept_half):

@@ -443,10 +443,11 @@ MASSES = st.one_of(
 @settings(max_examples=600, deadline=None)
 @given(m0=MASSES, step=STEPS, grid=GRIDS)
 def test_integer_kinematics_match_the_fraction_oracle(m0, step, grid):
-    (cn, cd), (a, b), (en, ed), d2, (s_num, s_den) = _exact_interval(step, grid)
+    (cn, cd), (a, b), (en, ed), d2, (s_num, s_den), (un, ud) = _exact_interval(step, grid)
     cdt, dx, s = oracle_exact_interval(step, grid)
     assert Fraction(cn, cd) == Fraction(grid.c)
     assert (Fraction(a, b), Fraction(en, ed) ** 2 * d2, Fraction(s_num, s_den)) == (cdt, sum(x * x for x in dx), s)
+    assert Fraction(un, ud) == Fraction(grid.eps) / (step.dn * Fraction(grid.tau))  # u = (un / ud) dj
 
     assert step_velocity(step, grid) == oracle_step_velocity(step, grid)
 
@@ -469,6 +470,33 @@ def test_integer_kinematics_match_the_fraction_oracle(m0, step, grid):
 def test_every_exact_entry_point_needs_a_positive_mass(entry, m0):
     with pytest.raises(DomainError, match=re.escape("needs m0 > 0")):
         entry(m0, LatticeStep(3, (1, 0, 0)), GridSpec())
+
+
+@pytest.mark.parametrize("dj, kind", [((1, 0, 0), "lightlike"), ((1, 1, 0), "spacelike")])
+@pytest.mark.parametrize("entry", [_exact_squares, energy_momentum_squared_exact, discrete_energy_momentum])
+def test_every_exact_entry_point_refuses_a_step_that_is_not_timelike_in_one_message(entry, dj, kind):
+    with pytest.raises(DomainError) as one:
+        entry(1.0, LatticeStep(1, dj), GridSpec())
+    assert str(one.value) == (
+        f"step LatticeStep(dn=1, dj={dj!r}) is {kind} on this grid; a massive state needs (c dt)^2 > |dx|^2")
+    # rows 1 and 2 both fail; the message names the first
+    stack = LatticeStep(dn=np.array([3, 1, 1]), dj=np.array([(1, 0, 0), dj, (5, 0, 0)]))
+    with pytest.raises(DomainError) as stacked:
+        entry(np.array([1.0, 1.0, 1.0]), stack, GridSpec())
+    assert str(stacked.value) == f"{one.value} (row 1)"
+
+
+ONE_STEP = (1.5, LatticeStep(3, (1, -2, 0)))
+TWO_STEPS = (np.array([1.5, 0.25]), LatticeStep(dn=np.array([3, 7]), dj=np.array([(1, -2, 0), (0, 5, 2)])))
+
+
+@pytest.mark.parametrize("entry, m0, step", [
+    (_exact_squares, *ONE_STEP), (_exact_squares, *TWO_STEPS), (energy_momentum_squared_exact, *ONE_STEP),
+    (discrete_energy_momentum, *ONE_STEP), (discrete_energy_momentum, *TWO_STEPS),
+], ids=["squares", "squares-stacked", "squared-exact", "energy-momentum", "energy-momentum-stacked"])
+def test_every_exact_entry_point_derives_the_mass_ratio_and_the_interval_once(exact_derivations, entry, m0, step):
+    entry(m0, step, GridSpec(tau=0.7, eps=0.3, c=1.9))
+    assert exact_derivations == {"_mass_ratio": 1, "_exact_interval": 1}
 
 
 # --- a stacked step is its rows, bit for bit --------------------------------

@@ -24,7 +24,7 @@ from latticewave import (
     word_to_json,
 )
 from latticewave import lorentz_int
-from latticewave.lorentz_int import _REDUCTION_STEPS, _mat_mul, _reduce, _require_entry_bound
+from latticewave.lorentz_int import _REDUCTION_STEPS, _S4, _mat_mul, _reduce, _require_entry_bound
 
 ETA = (1, -1, -1, -1)
 
@@ -489,7 +489,8 @@ def parent_factorize(m):
     word = []
     while current[0][0] > 1:
         (c00, _, _, _), (c10, _, _, _), (c20, _, _, _), (c30, _, _, _) = current
-        for parity_word, step in _REDUCTION_STEPS:
+        for parity_word in lorentz_int._PARITY_WORDS:
+            step = _mat_mul(_S4, eval_word(parity_word).entries)
             r0, r1, r2, r3 = step[0]
             if r0 * c00 + r1 * c10 + r2 * c20 + r3 * c30 < c00:
                 break
@@ -508,10 +509,12 @@ def test_factorize_matches_the_per_product_steps_over_the_full_ball():
         assert word == parent_factorize(m)
 
 
-@pytest.mark.parametrize("step", [step for _, step in _REDUCTION_STEPS],
+@pytest.mark.parametrize("word, signs", _REDUCTION_STEPS,
                          ids=["".join(word) or "empty" for word, _ in _REDUCTION_STEPS])
-def test_the_closed_form_step_is_the_product_by_s4_p(step):
-    _, s1, s2, s3 = step[0]
+def test_the_closed_form_step_is_the_product_by_s4_p(word, signs):
+    step = _mat_mul(_S4, eval_word(word).entries)
+    s1, s2, s3 = signs
+    assert step[0] == (2, s1, s2, s3)
     for m in enumerate_ball(4):
         assert _reduce(m.entries, s1, s2, s3) == _mat_mul(step, m.entries)
 

@@ -15,7 +15,7 @@ from latticewave.acceptance import run_criterion
 ORIGINAL = {
     name: getattr(kinematics, name)
     for name in ("boost_matrix", "four_difference_invariant", "transform_wave", "discrete_energy_momentum",
-                 "_exact_squares", "_velocity_ratio")
+                 "_exact_squares", "_exact_interval", "_mass_ratio")
 }
 ORIGINAL_KERNEL, ORIGINAL_CONSTANTS = kg_lattice._inverse_kernel, kg_lattice._stencil_constants
 ORIGINAL_TIME_TERM = dispersion._time_term
@@ -76,15 +76,20 @@ def exact_energy_with_one_c_too_few(m0, step, grid):
 
 
 def velocity_with_tau_for_eps(step, grid):
-    num, den = ORIGINAL["_velocity_ratio"](step, grid)
+    *interval, (num, den) = ORIGINAL["_exact_interval"](step, grid)
     (tn, td), (en, ed) = grid.tau.as_integer_ratio(), grid.eps.as_integer_ratio()
-    return num * tn * ed, den * en * td
+    return (*interval, (num * tn * ed, den * en * td))
+
+
+def mass_ratio_inverted(m0, what):
+    mn, md = ORIGINAL["_mass_ratio"](m0, what)
+    return md, mn
 
 
 def p_squared_without_dj_squared(m0, step, grid):
     E2, _, u2 = ORIGINAL["_exact_squares"](m0, step, grid)
     mn, md = kinematics._mass_ratio(m0, "exact squares")
-    (cn, cd), (a, b), (en, ed), _, (s_num, _) = kinematics._exact_interval(step, grid)
+    (cn, cd), (a, b), (en, ed), _, (s_num, _), _ = kinematics._exact_interval(step, grid)
     return E2, ((mn * cn * en * b) ** 2, (md * cd) ** 2 * s_num), u2
 
 
@@ -117,7 +122,9 @@ FAULTS = [
     ("transform-wave-without-c", kinematics, "transform_wave", transform_wave_without_c_on_w, 1),
     ("energy-one-c-too-few", kinematics, "discrete_energy_momentum", energy_with_one_c_too_few, 2),
     ("exact-energy-one-c-too-few", kinematics, "_exact_squares", exact_energy_with_one_c_too_few, 2),
-    ("velocity-tau-for-eps", kinematics, "_velocity_ratio", velocity_with_tau_for_eps, 2),
+    ("velocity-tau-for-eps", kinematics, "_exact_interval", velocity_with_tau_for_eps, 2),
+    # criterion 2 reads the masses through as_integer_ratio() itself, so a fault in _mass_ratio cannot hide
+    ("mass-ratio-inverted", kinematics, "_mass_ratio", mass_ratio_inverted, 2),
     ("p-squared-without-dj-squared", kinematics, "_exact_squares", p_squared_without_dj_squared, 2),
     ("evolve-kernel-cut-2^-24", kg_lattice, "_inverse_kernel", kernel_cut_at_2_pow_minus_24, 9),
     ("evolve-b-mass-sign", kg_lattice, "_stencil_constants", mass_term_of_b_with_wrong_sign, 9),

@@ -40,14 +40,21 @@ def reader(env_sq):
 
 
 class TestExponentialWave:
-    def test_full_period_returns_amplitude_exactly(self):
-        spec = WaveSpec(form=WaveForm.EXPONENTIAL, N=7, M=5, amplitude=0.5 - 0.25j)
-        assert eval_exponential(spec, 7, 0) == spec.amplitude
-        assert eval_exponential(spec, 0, 5) == spec.amplitude
+    def test_full_period_returns_one_exactly(self):
+        spec = WaveSpec(form=WaveForm.EXPONENTIAL, N=7, M=5)
+        assert eval_exponential(spec, 7, 0) == 1.0
+        assert eval_exponential(spec, 0, 5) == 1.0
 
     def test_quarter_turn_is_exact_i(self):
         spec = WaveSpec(form=WaveForm.EXPONENTIAL, N=4, M=4)
         assert eval_exponential(spec, 1, 0) == 1j
+
+    def test_quarter_turns_have_no_negative_zero(self):
+        # a slab CSV writes repr() of each part, so a -0.0 would print as "-0.0"
+        spec = WaveSpec(form=WaveForm.EXPONENTIAL, N=4, M=INFINITE)
+        parts = [(z.real, z.imag) for z in (eval_exponential(spec, n, 0) for n in range(4))]
+        assert [tuple(map(repr, p)) for p in parts] == [
+            ("1.0", "0.0"), ("0.0", "1.0"), ("-1.0", "0.0"), ("0.0", "-1.0")]
 
     @given(st.integers(-200, 200), st.integers(-200, 200))
     def test_periodicity_is_bitwise(self, n, j):
@@ -62,9 +69,9 @@ class TestExponentialWave:
 
 
 class TestCayleyWave:
-    def test_origin_returns_amplitude(self):
-        spec = WaveSpec(form=WaveForm.CAYLEY, N=4, M=6, amplitude=2.0 + 1.0j)
-        assert eval_cayley(spec, 0, 0) == spec.amplitude
+    def test_origin_returns_one(self):
+        spec = WaveSpec(form=WaveForm.CAYLEY, N=4, M=6)
+        assert eval_cayley(spec, 0, 0) == 1.0
 
     def test_unimodular_everywhere(self):
         rng = np.random.default_rng(0)
@@ -108,13 +115,13 @@ class TestCayleyWave:
 
 class TestSampleWave:
     @pytest.mark.parametrize("spec", [
-        WaveSpec(form=WaveForm.EXPONENTIAL, N=6, M=9, amplitude=0.5 - 0.25j),
+        WaveSpec(form=WaveForm.EXPONENTIAL, N=6, M=9),
         WaveSpec(form=WaveForm.EXPONENTIAL, N=4, M=8),
-        WaveSpec(form=WaveForm.EXPONENTIAL, N=5, M=INFINITE, amplitude=-1.1 + 0.4j),
+        WaveSpec(form=WaveForm.EXPONENTIAL, N=5, M=INFINITE),
         WaveSpec(form=WaveForm.EXPONENTIAL, N=10**30, M=12),
         WaveSpec(form=WaveForm.CAYLEY, N=5, M=7),
-        WaveSpec(form=WaveForm.CAYLEY, N=3, M=INFINITE, amplitude=0.3 - 1.7j),
-        WaveSpec(form=WaveForm.CAYLEY, N=37, M=11, amplitude=2.0 + 1.0j),
+        WaveSpec(form=WaveForm.CAYLEY, N=3, M=INFINITE),
+        WaveSpec(form=WaveForm.CAYLEY, N=37, M=11),
     ])
     def test_every_site_is_bit_identical_to_eval_wave(self, spec):
         for nt, nx in ((1, 1), (40, 70), (13, 3)):
@@ -135,7 +142,7 @@ class TestContinuumLimit:
             assert continuum_limit_error(WaveForm.EXPONENTIAL, 6, 8, n, j) == 0.0
 
     def test_symmetric_cancellation_on_diagonal(self):
-        # n/N phase equals j/M phase, so both forms sit at the amplitude
+        # n/N phase equals j/M phase, so both forms sit at 1
         assert continuum_limit_error(WaveForm.CAYLEY, 12, 12, 5, 5) <= 1e-13
 
     def test_cayley_error_never_exceeds_the_phase_bound(self):
