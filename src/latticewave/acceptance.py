@@ -20,7 +20,7 @@ import numpy as np
 from .diffcalc import DiffOp, apply_1d
 from .dispersion import DispersionForm, dispersion_residual, mass_from_rest_period, quantization_check, solve_modes
 from .errors import ConfigError, InternalInvariantError
-from .grid import Axis, Boundary, FieldSlab, GridSpec, INFINITE, is_integer
+from .grid import AS_PRINTED_CHOICES, Axis, Boundary, FieldSlab, GridSpec, INFINITE, is_integer
 from .kg_lattice import KGParams, evolve, plane_wave_residual
 from .kinematics import (
     LatticeStep,
@@ -47,8 +47,6 @@ from .lorentz_int import (
     printed_s4,
 )
 from .waves import BeatSpec, WaveForm, WaveSpec, beat_velocities, measure_beat_velocity, sample_wave
-
-AS_PRINTED_CHOICES = ("s4", "tan-dispersion")
 
 
 @dataclass
@@ -478,7 +476,7 @@ def run_criterion(cid: int, seed: int = 0, as_printed: Iterable[str] = ()) -> Cr
     printed = frozenset(as_printed)
     unknown = printed - set(AS_PRINTED_CHOICES)
     if unknown:
-        raise ValueError(f"unknown as-printed selector(s): {sorted(unknown)}")
+        raise ConfigError(f"unknown as-printed selector(s): {sorted(unknown)}")
     if not (is_integer(seed) and seed >= 0):
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     for num, title, fn in _CRITERIA:

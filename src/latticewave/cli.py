@@ -29,28 +29,10 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .acceptance import AS_PRINTED_CHOICES, format_report, run_acceptance
 from .dispersion import DispersionForm, quantization_check, solve_modes
 from .errors import ConfigError, DomainError, MeasurementError, SingularSystemError, SizeLimitError
-from .grid import SLAB_CSV_COLUMNS, FieldSlab, GridSpec, Infinite, INFINITE, is_integer, slab_to_bytes, slab_to_csv
-from .kg_lattice import KGParams, evolve, plane_wave_residual
-from .kinematics import (
-    LatticeStep,
-    ParticleState,
-    debroglie_map,
-    phase_velocity,
-    transform_particle,
-    transform_wave,
-)
-from .lorentz_int import (
-    ball_stack,
-    eval_word,
-    factorize,
-    matrix_from_json,
-    matrix_to_json,
-    word_to_json,
-)
-from .waves import BeatSpec, WaveForm, WaveSpec, beat_field, beat_velocities, measure_beat_velocity, sample_wave
+from .grid import (AS_PRINTED_CHOICES, SLAB_CSV_COLUMNS, FieldSlab, GridSpec, Infinite, INFINITE, is_integer,
+                   slab_to_bytes, slab_to_csv)
 
 OUTPUT_DIR_ENV = "LATTICEWAVE_OUTPUT_DIR"
 _SLAB_CSV_HEADER = ",".join(SLAB_CSV_COLUMNS)
@@ -379,6 +361,7 @@ def _render(cfg: RunConfig, result, checks: tuple[str, ...]) -> bytes:
 
 
 # --- experiments ------------------------------------------------------------------
+# each runner imports the modules it runs, so a process loads only what its command needs
 
 
 @dataclass(frozen=True)
@@ -391,7 +374,9 @@ class Experiment:
     formats: tuple[str, ...] = ("csv", "json")
 
 
-def _wave_spec_from(params: dict) -> WaveSpec:
+def _wave_spec_from(params: dict):
+    from .waves import WaveForm, WaveSpec
+
     form = WaveForm(params["form"])
     return WaveSpec(form=form, N=params["wave_n"], M=params["wave_m"])
 
@@ -410,6 +395,8 @@ def _run_dispersion_scan(cfg: RunConfig):
 
 
 def _run_lorentz_enumerate(cfg: RunConfig):
+    from .lorentz_int import ball_stack
+
     ball = ball_stack(cfg.params["max_word_len"])
     return JsonOutput(payload={"ball_word_length": cfg.params["max_word_len"],
                                "count": len(ball),
@@ -417,6 +404,8 @@ def _run_lorentz_enumerate(cfg: RunConfig):
 
 
 def _run_lorentz_factorize(cfg: RunConfig):
+    from .lorentz_int import eval_word, factorize, matrix_from_json, matrix_to_json, word_to_json
+
     raw = cfg.params["matrix"]
     try:
         values = [int(x) for x in str(raw).replace(" ", "").split(",") if x != ""]
@@ -434,6 +423,8 @@ def _run_lorentz_factorize(cfg: RunConfig):
 
 
 def _run_wave_sample(cfg: RunConfig):
+    from .waves import sample_wave
+
     p = cfg.params
     slab = sample_wave(_wave_spec_from(p), p["nt"], p["nx"])
     column_doc = "n = time index; j = space index; re, im = field value at (n, j)"
@@ -444,6 +435,8 @@ def _run_wave_sample(cfg: RunConfig):
 
 
 def _run_beat_measure(cfg: RunConfig):
+    from .waves import BeatSpec, beat_field, beat_velocities, measure_beat_velocity
+
     p = cfg.params
     beat = BeatSpec(T1=p["t1"], T2=p["t2"], lam1=p["lam1"], lam2=p["lam2"])
     v_phase, v_group = beat_velocities(beat)
@@ -461,6 +454,8 @@ def _run_beat_measure(cfg: RunConfig):
 
 
 def _run_kg_residual(cfg: RunConfig):
+    from .kg_lattice import KGParams, plane_wave_residual
+
     p = cfg.params
     spec = _wave_spec_from(p)
     residual = plane_wave_residual(spec, KGParams(m0=p["m0"], grid=cfg.grid), (p["nt"], p["nx"]))
@@ -470,6 +465,9 @@ def _run_kg_residual(cfg: RunConfig):
 
 
 def _run_kg_evolve(cfg: RunConfig):
+    from .kg_lattice import KGParams, evolve
+    from .waves import sample_wave
+
     p = cfg.params
     spec = _wave_spec_from(p)
     nx, steps = p["nx"], p["steps"]
@@ -484,6 +482,8 @@ def _run_kg_evolve(cfg: RunConfig):
 
 
 def _run_kinematics_boost(cfg: RunConfig):
+    from .kinematics import ParticleState, debroglie_map, phase_velocity, transform_particle, transform_wave
+
     p = cfg.params
     c, hbar = cfg.grid.c, cfg.grid.hbar
     state = ParticleState.from_momentum(p["p"], p["m0"], c)
@@ -504,6 +504,8 @@ def _run_kinematics_boost(cfg: RunConfig):
 
 
 def _run_quantization_check(cfg: RunConfig):
+    from .kinematics import LatticeStep
+
     p = cfg.params
     step = LatticeStep(dn=p["dn"], dj=tuple(p["dj"]))
     result = quantization_check(step, p["m0"], cfg.grid, p["tol"])
@@ -772,6 +774,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return run(load_config(args.config))
         if args.command == "verify-all":
+            from .acceptance import format_report, run_acceptance
+
             results = run_acceptance(seed=args.seed, as_printed=args.as_printed)
             report = format_report(results, verbose=not args.quiet)
             with _stdout_may_close():

@@ -24,12 +24,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError
 from .grid import GridSpec, Infinite, INFINITE, MaybeInfinite, check_mode, check_size, is_integer
-from .kinematics import LatticeStep, discrete_energy_momentum
+
+if TYPE_CHECKING:
+    from .kinematics import LatticeStep
 
 
 class DispersionForm(Enum):
@@ -175,6 +178,8 @@ def quantization_check(step: LatticeStep, m0: float, grid: GridSpec, tol: float)
     Returns the nearest integer mode numbers when within ``tol``, else
     None for that slot. A zero momentum yields the INFINITE wavelength tag.
     """
+    from .kinematics import discrete_energy_momentum
+
     if tol < 0:
         raise DomainError("tol must be >= 0")
     state = discrete_energy_momentum(m0, step, grid)

@@ -55,6 +55,11 @@ MaybeInfinite = Union[int, Infinite]
 #: sites, 511 x 512 modes) and a 64 MiB complex slab.
 MAX_CELLS = 1 << 22
 
+#: The published-table variants that ``verify-all --as-printed`` substitutes, each
+#: expected to fail its criterion: the printed S4 matrix (criterion 8) and the
+#: printed tan dispersion relation (criterion 6).
+AS_PRINTED_CHOICES = ("s4", "tan-dispersion")
+
 
 def check_size(count: int, what: str) -> None:
     """Raise SizeLimitError, before any allocation, if count exceeds MAX_CELLS."""

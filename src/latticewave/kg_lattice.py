@@ -265,13 +265,6 @@ def _fold_band(kernel: np.ndarray, f: np.ndarray, stack: np.ndarray, out: np.nda
             stack[0] = out
 
 
-def _apply_kernel(kernel: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """The kernel's band applied to f once: ``_fold_band`` with scratch of its own."""
-    out = np.empty(len(f), dtype=np.complex128)
-    _fold_band(kernel, f, _band_stack(len(kernel) - 1, len(f)), out)
-    return out
-
-
 def evolve(initial: np.ndarray, steps: int, p: KGParams) -> FieldSlab:
     """March the lattice wave equation from two consecutive time slices.
 

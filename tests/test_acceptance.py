@@ -83,8 +83,10 @@ def test_as_printed_tan_dispersion_fails_the_residual_check():
 
 
 def test_unknown_as_printed_selector_rejected():
-    with pytest.raises(ValueError):
+    # a ConfigError, in the package's error hierarchy, and still the ValueError it was
+    with pytest.raises(ConfigError, match=r"unknown as-printed selector\(s\): \['mystery'\]"):
         run_criterion(8, seed=SEED, as_printed={"mystery"})
+    assert issubclass(ConfigError, ValueError)
 
 
 @pytest.mark.parametrize("seed", [-1, -2, True, 1.0, "0"])
