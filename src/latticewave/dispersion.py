@@ -1,22 +1,29 @@
 """Dispersion relations tying lattice modes (N, M) to the rest mass.
 
 Three relations are evaluated as signed residuals (zero means the mode
-solves the corresponding wave equation):
+solves the corresponding wave equation). Each is one factored form,
 
-  cayley      (1/c^2)(1/(N tau))^2 - (1/(M eps))^2 - m0^2 c^2 / h^2
-  exponential (4/(c^2 tau^2)) tan^2(pi/N) - (4/eps^2) tan^2(pi/M) - m0^2 c^2 / hbar^2
-  continuum   (w/c)^2 - k^2 - (m0 c / hbar)^2,  w = 2 pi/(N tau), k = 2 pi/(M eps)
+  residual = inv_ct2 Q(N) - inv_eps2 Q(M) - mu2,
+
+where (inv_ct2, inv_eps2, mu2) = (1/(c tau)^2, 1/eps^2, (m0 c/quantum)^2)
+are the coefficients of ``GridSpec.wave_coefficients`` (quantum is h for
+cayley, hbar otherwise), and Q is one dimensionless square per form:
+
+  cayley      Q(n) = (1/n)^2
+  exponential Q(n) = 4 tan^2(pi/n)
+  continuum   Q(n) = (2 pi/n)^2
+
+M = INFINITE means zero wavenumber throughout: Q(INFINITE) = 0.
 
 The exponential relation ships with the symmetric factor 4 on the time
 term: that is what the lattice operator actually certifies (see
 kg_lattice.calibrate_time_coefficient, whose stencil ratio is exactly
 4 tan^2(pi/N)). The asymmetric variant with coefficient 1 on the time
-term is available behind ``as_printed=True`` and is expected to fail
-residual tests; it is retained to document the discrepancy. Acceptance
-criterion 6 is its caller: it takes its exponential masses from this
-relation at m0 = 0, as printed under its ``tan-dispersion`` variant.
-
-M = INFINITE means zero wavenumber throughout (1/(M eps) = 0).
+term, Q(N)/4, is available behind ``as_printed=True`` and is expected to
+fail residual tests; it is retained to document the discrepancy.
+Acceptance criterion 6 is its caller: it takes its exponential masses
+from this relation at m0 = 0, as printed under its ``tan-dispersion``
+variant.
 """
 
 from __future__ import annotations
@@ -59,41 +66,21 @@ def mass_from_rest_period(N: int, grid: GridSpec) -> float:
     return grid.h / (grid.c**2 * N * grid.tau)
 
 
-# Every relation is separable: residual = (time_term(N) - space_term(M)) - mass_term(m0).
-
-
-def _time_term(form: DispersionForm, N: int, grid: GridSpec, time_coeff: float = 4.0) -> float:
-    c, tau = grid.c, grid.tau
+def _square(form: DispersionForm, n: MaybeInfinite) -> float:
+    """Q(n), the dimensionless square that a mode number contributes to its relation."""
+    if isinstance(n, Infinite):
+        return 0.0
     if form is DispersionForm.CAYLEY:
-        return (1.0 / c**2) * (1.0 / (N * tau)) ** 2
+        return (1.0 / n) ** 2
     if form is DispersionForm.EXPONENTIAL:
-        return (time_coeff / (c**2 * tau**2)) * math.tan(math.pi / N) ** 2
+        return 4.0 * math.tan(math.pi / n) ** 2
     if form is DispersionForm.CONTINUUM:
-        return (2.0 * math.pi / (N * tau) / c) ** 2
+        return (2.0 * math.pi / n) ** 2
     raise DomainError(f"unknown dispersion form {form!r}")
 
 
-def _space_term(form: DispersionForm, M: MaybeInfinite, grid: GridSpec) -> float:
-    eps = grid.eps
-    if form is DispersionForm.CAYLEY:
-        inv_wavelength = 0.0 if isinstance(M, Infinite) else 1.0 / (M * eps)
-        return inv_wavelength**2
-    if form is DispersionForm.EXPONENTIAL:
-        tan_m = 0.0 if isinstance(M, Infinite) else math.tan(math.pi / M)
-        return (4.0 / eps**2) * tan_m**2
-    if form is DispersionForm.CONTINUUM:
-        wavenumber = 0.0 if isinstance(M, Infinite) else 2.0 * math.pi / (M * eps)
-        return wavenumber**2
-    raise DomainError(f"unknown dispersion form {form!r}")
-
-
-def _mass_term(form: DispersionForm, m0: float, grid: GridSpec) -> float:
-    quantum = grid.h if form is DispersionForm.CAYLEY else grid.hbar
-    return (m0 * grid.c / quantum) ** 2
-
-
-def _out_of_range(exc: ArithmeticError) -> DomainError:
-    return DomainError(f"dispersion terms leave the float range for these grid constants ({exc})")
+def _coefficients(form: DispersionForm, m0: float, grid: GridSpec) -> tuple[float, float, float]:
+    return grid.wave_coefficients(m0, grid.h if form is DispersionForm.CAYLEY else None)
 
 
 def dispersion_residual(
@@ -108,11 +95,11 @@ def dispersion_residual(
     check_mode(N, M)
     if m0 < 0:
         raise DomainError("m0 must be >= 0")
-    time_coeff = 1.0 if as_printed else 4.0
-    try:
-        return _time_term(form, N, grid, time_coeff) - _space_term(form, M, grid) - _mass_term(form, m0, grid)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise _out_of_range(exc) from None
+    inv_ct2, inv_eps2, mu2 = _coefficients(form, m0, grid)
+    time_square = _square(form, N)
+    if as_printed and form is DispersionForm.EXPONENTIAL:
+        time_square /= 4.0
+    return (inv_ct2 * time_square - inv_eps2 * _square(form, M)) - mu2
 
 
 # values of N per block of a mode scan: a block's temporaries are 64 rows of m_max floats (256 KiB at 512)
@@ -132,10 +119,10 @@ def solve_modes(
     Scans 2 <= N <= n_max and M in {2..m_max} plus INFINITE, sorted by
     (N, M) with INFINITE ordered after every finite M. Deterministic; an
     empty list is a valid result. Each residual is bit-identical to
-    ``dispersion_residual``: the time and space terms are computed once per
-    N and per M with the same scalar expressions, then one numpy block of
-    _SCAN_BLOCK values of N at a time does the two float64 subtractions in
-    the same order.
+    ``dispersion_residual``: the time and space terms inv_ct2 Q(N) and
+    inv_eps2 Q(M) are computed once per N and per M with the same scalar
+    expressions, then one numpy block of _SCAN_BLOCK values of N at a time
+    does the two float64 subtractions in the same order.
     """
     if not (m0 >= 0):
         raise DomainError(f"m0 must be >= 0, got {m0!r}")
@@ -144,21 +131,18 @@ def solve_modes(
     if not (tol >= 0):
         raise DomainError(f"tol must be >= 0, got {tol!r}")
     check_size((n_max - 1) * m_max, "dispersion scan modes")
+    inv_ct2, inv_eps2, mu2 = _coefficients(form, m0, grid)
     wavelengths: list[MaybeInfinite] = list(range(2, m_max + 1)) + [INFINITE]
+    space = np.array([inv_eps2 * _square(form, M) for M in wavelengths])
     found = []
-    try:
-        space = np.array([_space_term(form, M, grid) for M in wavelengths])
-        mass = _mass_term(form, m0, grid)
-        # rows N ascending, columns M ascending with INFINITE last: np.nonzero's C order is sorted
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(2, n_max + 1, _SCAN_BLOCK):
-                periods = range(start, min(start + _SCAN_BLOCK, n_max + 1))
-                block = (np.array([_time_term(form, N, grid) for N in periods])[:, None] - space) - mass
-                rows, cols = np.nonzero(np.abs(block) <= tol)
-                for r, k, residual in zip(rows.tolist(), cols.tolist(), block[rows, cols].tolist()):
-                    found.append(DispersionSolution(form=form, N=periods[r], M=wavelengths[k], m0=m0, residual=residual))
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise _out_of_range(exc) from None
+    # rows N ascending, columns M ascending with INFINITE last: np.nonzero's C order is sorted
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(2, n_max + 1, _SCAN_BLOCK):
+            periods = range(start, min(start + _SCAN_BLOCK, n_max + 1))
+            block = (np.array([inv_ct2 * _square(form, N) for N in periods])[:, None] - space) - mu2
+            rows, cols = np.nonzero(np.abs(block) <= tol)
+            for r, k, residual in zip(rows.tolist(), cols.tolist(), block[rows, cols].tolist()):
+                found.append(DispersionSolution(form=form, N=periods[r], M=wavelengths[k], m0=m0, residual=residual))
     return found
 
 

@@ -128,6 +128,27 @@ class GridSpec:
     def h(self) -> float:
         return 2.0 * math.pi * self.hbar
 
+    def wave_coefficients(self, m0: float, quantum: float | None = None) -> tuple[float, float, float]:
+        """(1/(c tau)^2, 1/eps^2, (m0 c/quantum)^2): how the constants enter the lattice wave equation.
+
+        ``quantum`` is hbar unless given; the cayley relation passes h. A
+        bool m0, or a coefficient that leaves the float range (a square
+        that overflows, or one that underflows so that its reciprocal is
+        not finite), is a DomainError.
+        """
+        if isinstance(m0, (bool, np.bool_)):
+            raise DomainError(f"m0 must be a number, got {m0!r}")
+        quantum = self.hbar if quantum is None else quantum
+        try:
+            coefficients = 1.0 / (self.c * self.tau) ** 2, 1.0 / self.eps**2, (m0 * self.c / quantum) ** 2
+            in_range = all(map(math.isfinite, coefficients))
+        except (OverflowError, ZeroDivisionError):
+            in_range = False
+        if not in_range:
+            raise DomainError(f"the wave equation's coefficients leave the float range for m0={m0!r}, "
+                              f"tau={self.tau!r}, eps={self.eps!r}, c={self.c!r}, hbar={self.hbar!r}")
+        return coefficients
+
 
 @dataclass
 class FieldSlab:

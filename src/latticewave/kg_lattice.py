@@ -6,16 +6,18 @@ each axis (writing f+ , f, f- for the three-point stencil values):
     D2 f = f+ - 2 f + f-          second difference
     A2 f = (f+ + 2 f + f-) / 4    second average
 
-and reads, with mu^2 = (m0 c / hbar)^2,
+and reads
 
-    L[psi] = -(1/(c tau)^2) D2_n A2_j psi + (1/eps^2) D2_j A2_n psi
-             - mu^2 A2_j A2_n psi.
+    L[psi] = -inv_ct2 D2_n A2_j psi + inv_eps2 D2_j A2_n psi - mu2 A2_j A2_n psi,
 
-Exponential modes solve L[psi] = 0 exactly when the symmetric tan
-relation (4/(c tau)^2) tan^2(pi/N) - (4/eps^2) tan^2(pi/M) = mu^2 holds;
-cayley modes when the linear relation (1/c^2)(1/(N tau))^2 -
-(1/(M eps))^2 = m0^2 c^2/h^2 holds. ``calibrate_time_coefficient``
-recovers the factor 4 on the time term directly from the stencil.
+whose coefficients (inv_ct2, inv_eps2, mu2) = (1/(c tau)^2, 1/eps^2,
+(m0 c/hbar)^2) come from ``GridSpec.wave_coefficients``, the one place
+the lattice constants enter. In the factored form of ``dispersion``,
+exponential modes solve L[psi] = 0 exactly when
+inv_ct2 Q(N) - inv_eps2 Q(M) = mu2 with Q(n) = 4 tan^2(pi/n); cayley
+modes when the same holds with Q(n) = (1/n)^2 and h in place of hbar in
+mu2. ``calibrate_time_coefficient`` recovers the factor 4 of the
+exponential Q directly from the stencil.
 
 Space is periodic (j wraps mod Nx); time is open. The residual evaluator
 returns interior time slices only: output row i is input time i+1.
@@ -56,24 +58,6 @@ class KGParams:
         if isinstance(self.m0, (bool, np.bool_)) or not (self.m0 >= 0 and math.isfinite(self.m0)):
             raise DomainError(f"m0 must be a finite number >= 0, got {self.m0!r}")
 
-    @property
-    def mass_term(self) -> float:
-        """mu^2 = (m0 c / hbar)^2."""
-        return (self.m0 * self.grid.c / self.grid.hbar) ** 2
-
-
-def _operator_coefficients(p: KGParams) -> tuple[float, float, float]:
-    """(1/(c tau)^2, 1/eps^2, mu^2): the coefficients of L, for the residual and the march.
-
-    When a square leaves the float range all three are inf; callers reject
-    non-finite coefficients.
-    """
-    grid = p.grid
-    try:
-        return 1.0 / (grid.c * grid.tau) ** 2, 1.0 / grid.eps**2, p.mass_term
-    except (OverflowError, ZeroDivisionError):
-        return math.inf, math.inf, math.inf
-
 
 def _constants_text(p: KGParams) -> str:
     grid = p.grid
@@ -105,9 +89,7 @@ def apply_kg_operator(f: FieldSlab, p: KGParams) -> FieldSlab:
     psi = f.psi
     if psi.shape[0] < 3 or psi.shape[1] < 3:
         raise DomainError(f"operator needs extents >= 3 in both axes, got {psi.shape}")
-    inv_ct2, inv_eps2, mu2 = coefficients = _operator_coefficients(p)
-    if not all(map(math.isfinite, coefficients)):
-        raise DomainError(f"the operator's coefficients leave the float range for {_constants_text(p)}")
+    inv_ct2, inv_eps2, mu2 = p.grid.wave_coefficients(p.m0)
     residual = (
         -inv_ct2 * _second_diff_time(_second_avg_space(psi))
         + inv_eps2 * _second_avg_time(_second_diff_space(psi))
@@ -161,7 +143,7 @@ def _stencil_constants(p: KGParams) -> tuple[float, float, float, float]:
     psi[n] operator is B = 2 (g A2_j + beta D2_j) with g = 1/(c tau)^2 -
     mu^2/4, and the psi[n-1] operator equals A.
     """
-    inv_ct2, inv_eps2, mu2 = _operator_coefficients(p)
+    inv_ct2, inv_eps2, mu2 = p.grid.wave_coefficients(p.m0)
     beta = inv_eps2 / 4.0
     alpha = -inv_ct2 - mu2 / 4.0
     g = inv_ct2 - mu2 / 4.0

@@ -300,14 +300,17 @@ def test_parameters_across_the_float_range_exit_cleanly(tmp_path, capsys, argv, 
     ["beat-measure", "--t1", "1e-307", "--t2", "6", "--lam1", "3", "--lam2", "5"],
     ["beat-measure", "--t1", "4", "--t2", "6", "--lam1", "3", "--lam2", "5", "--tau", "1e307"],
     ["beat-measure", "--t1", "4", "--t2", "6", "--lam1", "3", "--lam2", "5", "--eps", "1e306"],
+    # (c tau)^2 = 1e-320 is subnormal, so 1/(c tau)^2 is inf
+    ["dispersion-scan", "--form", "exponential", "--m0", "1", "--tau", "1e-160"],
 ], ids=["quantization-m0-tiny", "quantization-m0-huge", "quantization-tau-huge", "quantization-p-squared",
         "beat-t1-tiny", "beat-lam1-tiny", "boost-m0-huge", "boost-c-huge", "boost-p-huge", "boosted-energy-squared",
         "boost-hbar-tiny", "boost-wavenumber-squared", "boost-wavenumber-subnormal-square", "beat-phases-t1",
-        "beat-phases-tau", "beat-phases-eps"])
+        "beat-phases-tau", "beat-phases-eps", "scan-time-coefficient-overflows"])
 def test_derived_values_out_of_the_float_range_are_domain_errors(tmp_path, capsys, argv):
     out = tmp_path / "out.json"
     assert main([*argv, "--output", str(out)]) == 3
-    assert "the float range" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ") and "the float range" in err
     assert not out.exists()
 
 

@@ -25,6 +25,9 @@ from latticewave import dispersion
 
 GRID = GridSpec()
 GRIDS = [GRID, GridSpec(tau=0.625, eps=0.25, c=2.0, hbar=1.3)]
+# (c tau)^2 or eps^2 is subnormal, so its reciprocal overflows to inf without raising
+SUBNORMAL_SQUARES = [GridSpec(tau=1e-160), GridSpec(eps=1e-160), GridSpec(c=1e-160)]
+SUBNORMAL_SQUARE_IDS = ["tau-squared-subnormal", "eps-squared-subnormal", "c-squared-subnormal"]
 
 
 class TestMassSpectrum:
@@ -62,9 +65,11 @@ class TestDispersionResidual:
         assert m0 == pytest.approx(2 * math.pi / math.sqrt(12), rel=1e-15)
         assert abs(dispersion_residual(DispersionForm.CAYLEY, 3, 6, m0, GRID)) <= 1e-15
 
-    def test_exponential_rest_mode(self):
-        # 4 tan^2(pi/4) = m0^2 at M = INFINITE, so m0 = 2 tan(pi/4) = 2
-        assert abs(dispersion_residual(DispersionForm.EXPONENTIAL, 4, INFINITE, 2.0, GRID)) <= 1e-12
+    @pytest.mark.parametrize("grid", GRIDS, ids=["natural", "scaled"])
+    def test_exponential_rest_mode(self, grid):
+        # (4/(c tau)^2) tan^2(pi/4) = (m0 c/hbar)^2 at M = INFINITE, so m0 = 2 hbar tan(pi/4)/(c^2 tau), 2 on GRID
+        m0 = 2.0 * grid.hbar * math.tan(math.pi / 4) / (grid.c**2 * grid.tau)
+        assert abs(dispersion_residual(DispersionForm.EXPONENTIAL, 4, INFINITE, m0, grid)) <= 1e-12
 
     def test_printed_asymmetric_coefficient_fails_where_symmetric_succeeds(self):
         """The as-printed time coefficient (1 instead of 4) misses the rest mode
@@ -89,6 +94,10 @@ class TestDispersionResidual:
             dispersion_residual(DispersionForm.CAYLEY, 4, 0, 1.0, GRID)
         with pytest.raises(DomainError):
             dispersion_residual(DispersionForm.CAYLEY, 4, 4, -1.0, GRID)
+        # a bool is no mass, as KGParams rules: True would be m0 = 1
+        for flag in (True, np.True_):
+            with pytest.raises(DomainError, match="m0 must be"):
+                dispersion_residual(DispersionForm.CAYLEY, 4, 4, flag, GRID)
 
 
 class TestSolveModes:
@@ -113,19 +122,21 @@ class TestSolveModes:
         b = solve_modes(m0, DispersionForm.EXPONENTIAL, 32, 32, 1e-6, GRID)
         assert a == b
 
-    @pytest.mark.parametrize("m0, tol", [(math.nan, 1e-9), (1.0, math.nan), (-1.0, 1e-9), (1.0, -1e-9)])
+    @pytest.mark.parametrize("m0, tol", [(math.nan, 1e-9), (1.0, math.nan), (-1.0, 1e-9), (1.0, -1e-9),
+                                         (True, 1e-9), (np.True_, 1e-9)])
     def test_nan_or_negative_mass_and_tolerance_rejected(self, m0, tol):
         with pytest.raises(DomainError):
             solve_modes(m0, DispersionForm.CAYLEY, 8, 8, tol, GRID)
 
-    def test_rest_solutions_match_the_mass_spectrum(self):
-        """Every cayley solution with M = INFINITE has m0 = h/(c^2 N tau) exactly."""
+    @pytest.mark.parametrize("grid", GRIDS, ids=["natural", "scaled"])
+    def test_rest_solutions_match_the_mass_spectrum(self, grid):
+        """The scan on the rest mass h/(c^2 N tau) finds exactly (N, INFINITE): criterion 7's
+        identity, through a path to the mass that does not share the relation's coefficients."""
         for n in (3, 5, 11):
-            m0 = mass_from_rest_period(n, GRID)
-            solutions = solve_modes(m0, DispersionForm.CAYLEY, 16, 16, 1e-12, GRID)
-            rest = [s for s in solutions if s.M is INFINITE]
-            assert [s.N for s in rest] == [n]
-            assert abs(rest[0].m0 - mass_from_rest_period(n, GRID)) <= 1e-13 * rest[0].m0
+            m0 = mass_from_rest_period(n, grid)
+            solutions = solve_modes(m0, DispersionForm.CAYLEY, 16, 16, 1e-12, grid)
+            assert [(s.N, s.M) for s in solutions] == [(n, INFINITE)]
+            assert abs(solutions[0].m0 - mass_from_rest_period(n, grid)) <= 1e-13 * solutions[0].m0
 
     def test_every_solution_certifies_against_the_lattice_operator(self):
         """Cross-module contract: returned modes solve the wave equation."""
@@ -213,21 +224,22 @@ def test_the_continuum_terms_have_no_public_helpers():
 
 
 def inline_residual(form, N, M, m0, grid, as_printed=False):
-    """Each relation written out as one expression, as in its docstring."""
-    c, tau, eps, hbar, h = grid.c, grid.tau, grid.eps, grid.hbar, grid.h
+    """Each relation written out in the factored form of the module docstring:
+    inv_ct2 Q(N) - inv_eps2 Q(M) - mu2, with Q(INFINITE) = 0."""
+    c, tau, eps = grid.c, grid.tau, grid.eps
+    quantum = grid.h if form is DispersionForm.CAYLEY else grid.hbar
+    inv_ct2, inv_eps2, mu2 = 1.0 / (c * tau) ** 2, 1.0 / eps**2, (m0 * c / quantum) ** 2
     if form is DispersionForm.CAYLEY:
-        inv_wavelength = 0.0 if M is INFINITE else 1.0 / (M * eps)
-        return (1.0 / c**2) * (1.0 / (N * tau)) ** 2 - inv_wavelength**2 - (m0 * c / h) ** 2
-    if form is DispersionForm.EXPONENTIAL:
-        tan_m = 0.0 if M is INFINITE else math.tan(math.pi / M)
-        time_coeff = 1.0 if as_printed else 4.0
-        return (
-            (time_coeff / (c**2 * tau**2)) * math.tan(math.pi / N) ** 2
-            - (4.0 / eps**2) * tan_m**2
-            - (m0 * c / hbar) ** 2
-        )
-    k = 0.0 if M is INFINITE else 2.0 * math.pi / (M * eps)
-    return (2.0 * math.pi / (N * tau) / c) ** 2 - k**2 - (m0 * c / hbar) ** 2
+        q_n = (1.0 / N) ** 2
+        q_m = 0.0 if M is INFINITE else (1.0 / M) ** 2
+    elif form is DispersionForm.EXPONENTIAL:
+        # the as-printed time coefficient is 1: Q(N)/4, exact
+        q_n = 4.0 * math.tan(math.pi / N) ** 2 / (4.0 if as_printed else 1.0)
+        q_m = 0.0 if M is INFINITE else 4.0 * math.tan(math.pi / M) ** 2
+    else:
+        q_n = (2.0 * math.pi / N) ** 2
+        q_m = 0.0 if M is INFINITE else (2.0 * math.pi / M) ** 2
+    return (inv_ct2 * q_n - inv_eps2 * q_m) - mu2
 
 
 def oracle_scan(m0, form, n_max, m_max, tol, grid):
@@ -298,8 +310,9 @@ def test_the_differential_scans_find_modes():
 
 
 @pytest.mark.parametrize("form", list(DispersionForm))
-@pytest.mark.parametrize("grid", [GridSpec(c=1e200), GridSpec(eps=1e-200), GridSpec(tau=1e-200)],
-                         ids=["c-squared-overflows", "eps-squared-underflows", "tau-squared-underflows"])
+@pytest.mark.parametrize("grid", [GridSpec(c=1e200), GridSpec(eps=1e-200), GridSpec(tau=1e-200), *SUBNORMAL_SQUARES],
+                         ids=["c-squared-overflows", "eps-squared-underflows", "tau-squared-underflows",
+                              *SUBNORMAL_SQUARE_IDS])
 def test_terms_out_of_the_float_range_are_domain_errors(form, grid):
     with pytest.raises(DomainError):
         solve_modes(1.0, form, 4, 4, 1e-9, grid)
@@ -309,19 +322,16 @@ def test_terms_out_of_the_float_range_are_domain_errors(form, grid):
 
 def parent_solve_modes(m0, form, n_max, m_max, tol, grid):
     """solve_modes as it was before the block scan: one numpy row per N (argument checks left out)."""
+    inv_ct2, inv_eps2, mu2 = dispersion._coefficients(form, m0, grid)
     wavelengths = list(range(2, m_max + 1)) + [INFINITE]
+    space = np.array([inv_eps2 * dispersion._square(form, M) for M in wavelengths])
     found = []
-    try:
-        space = np.array([dispersion._space_term(form, M, grid) for M in wavelengths])
-        mass = dispersion._mass_term(form, m0, grid)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for N in range(2, n_max + 1):
-                row = (dispersion._time_term(form, N, grid) - space) - mass
-                hits = np.flatnonzero(np.abs(row) <= tol)
-                for k, residual in zip(hits.tolist(), row[hits].tolist()):
-                    found.append(DispersionSolution(form=form, N=N, M=wavelengths[k], m0=m0, residual=residual))
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise dispersion._out_of_range(exc) from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for N in range(2, n_max + 1):
+            row = (inv_ct2 * dispersion._square(form, N) - space) - mu2
+            hits = np.flatnonzero(np.abs(row) <= tol)
+            for k, residual in zip(hits.tolist(), row[hits].tolist()):
+                found.append(DispersionSolution(form=form, N=N, M=wavelengths[k], m0=m0, residual=residual))
     return found
 
 
@@ -344,9 +354,10 @@ def test_the_block_scan_is_the_per_row_scan_bit_for_bit(form, grid):
 
 
 @pytest.mark.parametrize("form", list(DispersionForm))
-@pytest.mark.parametrize("grid", [GridSpec(c=1e200), GridSpec(c=1e-200), GridSpec(eps=1e-200), GridSpec(tau=1e-200)],
+@pytest.mark.parametrize("grid", [GridSpec(c=1e200), GridSpec(c=1e-200), GridSpec(eps=1e-200), GridSpec(tau=1e-200),
+                                  *SUBNORMAL_SQUARES],
                          ids=["c-squared-overflows", "c-squared-underflows", "eps-squared-underflows",
-                              "tau-squared-underflows"])
+                              "tau-squared-underflows", *SUBNORMAL_SQUARE_IDS])
 def test_the_block_scan_raises_the_per_row_scans_domain_error(form, grid):
     with pytest.raises(DomainError) as want:
         parent_solve_modes(1.0, form, 200, 4, 1e-9, grid)

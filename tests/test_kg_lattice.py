@@ -195,9 +195,12 @@ class TestInverseKernel:
             _inverse_kernel(1.0, -2.0, 4, KGParams(m0=0.0, grid=GRID))
 
     def test_extreme_grid_constants_are_singular_or_finite(self):
-        # beta = 1/(4 eps^2) overflows to inf, so the eigenvalues are NaN
-        with pytest.raises(SingularSystemError):
+        # 1/eps^2 overflows to inf: a coefficient of the wave equation out of the float range
+        with pytest.raises(DomainError, match="coefficients leave the float range"):
             evolve(np.ones((2, 8)), 2, KGParams(m0=1.0, grid=GridSpec(eps=1e-160)))
+        # the coefficients are finite, but alpha = -1/(c tau)^2 - mu^2/4 overflows
+        with pytest.raises(SingularSystemError, match="step constants leave the float range"):
+            evolve(np.ones((2, 8)), 2, KGParams(m0=1.3e154, grid=GridSpec(tau=8e-155)))
         # diag^2 - 4 off^2 would overflow, though diag and off are finite
         out = evolve(np.ones((2, 8)), 2, KGParams(m0=1.0, grid=GridSpec(eps=1e-100, tau=1e-100)))
         assert np.all(np.isfinite(out.psi))

@@ -18,7 +18,7 @@ ORIGINAL = {
                  "_exact_squares", "_exact_interval", "_mass_ratio")
 }
 ORIGINAL_KERNEL, ORIGINAL_CONSTANTS = kg_lattice._inverse_kernel, kg_lattice._stencil_constants
-ORIGINAL_TIME_TERM = dispersion._time_term
+ORIGINAL_SQUARE = dispersion._square
 
 
 def gamma_squared_time_entry(v, c):
@@ -101,13 +101,14 @@ def kernel_cut_at_2_pow_minus_24(off, diag, n, p):
 def mass_term_of_b_with_wrong_sign(p):
     off_a, diag_a, off_b, diag_b = ORIGINAL_CONSTANTS(p)
     # g = 1/(c tau)^2 + mu^2/4 instead of - mu^2/4 shifts off_b by mu^2/4 and diag_b by mu^2/2
-    mu2 = p.mass_term
+    mu2 = p.grid.wave_coefficients(p.m0)[2]
     return off_a, diag_a, off_b + mu2 / 4.0, diag_b + mu2 / 2.0
 
 
-def exponential_time_coefficient_2(form, N, grid, time_coeff=4.0):
-    # the symmetric coefficient 4 becomes 2; the as-printed coefficient 1 stays
-    return ORIGINAL_TIME_TERM(form, N, grid, 2.0 if time_coeff == 4.0 else time_coeff)
+def exponential_square_coefficient_2(form, n):
+    # the exponential Q(n) = 4 tan^2(pi/n) becomes 2 tan^2(pi/n), so the symmetric time coefficient 4 becomes 2
+    square = ORIGINAL_SQUARE(form, n)
+    return square / 2.0 if form is dispersion.DispersionForm.EXPONENTIAL else square
 
 
 FAULTS = [
@@ -128,7 +129,7 @@ FAULTS = [
     ("p-squared-without-dj-squared", kinematics, "_exact_squares", p_squared_without_dj_squared, 2),
     ("evolve-kernel-cut-2^-24", kg_lattice, "_inverse_kernel", kernel_cut_at_2_pow_minus_24, 9),
     ("evolve-b-mass-sign", kg_lattice, "_stencil_constants", mass_term_of_b_with_wrong_sign, 9),
-    ("dispersion-time-coefficient-2", dispersion, "_time_term", exponential_time_coefficient_2, 6),
+    ("dispersion-time-coefficient-2", dispersion, "_square", exponential_square_coefficient_2, 6),
 ]
 
 
