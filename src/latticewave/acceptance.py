@@ -51,20 +51,16 @@ from .waves import BeatSpec, WaveForm, WaveSpec, beat_velocities, measure_beat_v
 
 @dataclass
 class CriterionResult:
+    """One criterion's outcome, filled in by the criterion's own checks."""
+
     cid: int
     title: str
-    passed: bool
+    passed: bool = True
     details: list[str] = field(default_factory=list)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"[{status}] criterion {self.cid}: {self.title}"
-
-
-class _Checker:
-    def __init__(self):
-        self.passed = True
-        self.details: list[str] = []
 
     def check(self, label: str, measured: float, bound: float) -> None:
         ok = bool(measured <= bound)
@@ -142,8 +138,7 @@ def _along_x(x: np.ndarray) -> np.ndarray:
     return np.stack([x, np.zeros_like(x), np.zeros_like(x)], axis=-1)
 
 
-def _criterion_1_transform_equivalence(rng: np.random.Generator, as_printed: frozenset) -> _Checker:
-    c = _Checker()
+def _criterion_1_transform_equivalence(c: CriterionResult, rng: np.random.Generator, as_printed: frozenset) -> None:
     r = rng.random((1000, 3))  # per state p, m0, v: the draw order of one rng.uniform call each
     s = ParticleState.from_momentum(_along_x(_uniform(r[:, 0], -3, 3)), _uniform(r[:, 1], 0.05, 5.0), 1.0)
     v = _along_x(_uniform(r[:, 2], -0.9, 0.9))
@@ -169,11 +164,9 @@ def _criterion_1_transform_equivalence(rng: np.random.Generator, as_printed: fro
     scale = np.maximum(sp.E, np.max(np.abs(sp.p), axis=-1))
     debroglie = np.maximum(np.abs(hbar * wp - sp.E), np.max(np.abs(hbar * kp - sp.p), axis=-1)) / scale
     c.check("hbar w' = E' and hbar k' = p' for the boosted pairs at hbar = 0.3, relative", np.max(debroglie), 1e-12)
-    return c
 
 
-def _criterion_2_discrete_mass_shell(rng: np.random.Generator, as_printed: frozenset) -> _Checker:
-    c = _Checker()
+def _criterion_2_discrete_mass_shell(c: CriterionResult, rng: np.random.Generator, as_printed: frozenset) -> None:
     grid = GridSpec(tau=0.625, eps=0.25, c=2.0)
     cc, tau, eps = grid.c, grid.tau, grid.eps
     draws, rows = _Draws(rng), []
@@ -203,11 +196,9 @@ def _criterion_2_discrete_mass_shell(rng: np.random.Generator, as_printed: froze
     square = u2 * p2_den * cd**4 * E2 == p2 * cn**4 * u2_den * E2_den
     exact_ok = bool(np.all(shell) and np.all(velocity) and np.all(square))
     c.require("u = dx/dt and the shell identity, exact in rational arithmetic", exact_ok)
-    return c
 
 
-def _criterion_3_product_identity(rng: np.random.Generator, as_printed: frozenset) -> _Checker:
-    c = _Checker()
+def _criterion_3_product_identity(c: CriterionResult, rng: np.random.Generator, as_printed: frozenset) -> None:
     lengths, draws = _Draws(rng), []
     for _ in range(1000):  # n decides how many normals follow, so each sequence is drawn on its own
         draws.append(rng.normal(size=(4, lengths.integers(2, 64))))  # re f, im f, re g, im g
@@ -226,11 +217,9 @@ def _criterion_3_product_identity(rng: np.random.Generator, as_printed: frozense
     scale = np.maximum(1.0, np.maximum.reduceat((np.abs(f) * np.abs(g))[0], starts))
     worst = np.max(np.maximum.reduceat(residual, starts) / scale)
     c.check("discrete product rule, elementwise over 1000 sequences", worst, 1e-12)
-    return c
 
 
-def _criterion_4_total_difference(rng: np.random.Generator, as_printed: frozenset) -> _Checker:
-    c = _Checker()
+def _criterion_4_total_difference(c: CriterionResult, rng: np.random.Generator, as_printed: frozenset) -> None:
     r = rng.random((1000, 3))  # per pair m0, p_a, p_b: the draw order of one rng.uniform call each
     m0 = _uniform(r[:, 0], 0.1, 3.0)
     a = ParticleState.from_momentum(_along_x(_uniform(r[:, 1], -3, 3)), m0, 1.0)
@@ -246,10 +235,9 @@ def _criterion_4_total_difference(rng: np.random.Generator, as_printed: frozense
     draws.close()
     dn, dj, m0 = map(np.array, zip(*rows))
     step = LatticeStep(dn=dn, dj=dj)
-    s1 = discrete_energy_momentum(m0, step, GRID)
-    s2 = discrete_energy_momentum(m0, step, GRID)  # next event of the same free motion
+    s = discrete_energy_momentum(m0, step, GRID)  # the same momentum at this event and the next
     c.check("difference four-vector invariant across consecutive free events",
-            np.max(np.abs(four_difference_invariant(s1, s2, GRID.c))), 1e-10)
+            np.max(np.abs(four_difference_invariant(s, s, GRID.c))), 1e-10)
     a = ParticleState.from_momentum([0.75, 0, 0], 1.0, 1.0)
     b = ParticleState.from_momentum([1.0, 0, 0], 1.0, 1.0)
     c.note(
@@ -271,11 +259,9 @@ def _criterion_4_total_difference(rng: np.random.Generator, as_printed: frozense
               f"largest {np.max(invariant):.3e}")
     _, r24 = total_difference_mass_shell(a, b, cc)
     c.check("dE = u_avg dp at c = 2 with oblique momenta", np.max(np.abs(r24) / np.maximum(a.E, b.E)), 1e-10)
-    return c
 
 
-def _criterion_5_beat_velocities(rng: np.random.Generator, as_printed: frozenset) -> _Checker:
-    c = _Checker()
+def _criterion_5_beat_velocities(c: CriterionResult, rng: np.random.Generator, as_printed: frozenset) -> None:
     b = BeatSpec(T1=4.0, T2=6.0, lam1=3.0, lam2=5.0)
     v_phase, v_group = beat_velocities(b)
     vg_exact = (Fraction(1, 4) - Fraction(1, 6)) / (Fraction(1, 3) - Fraction(1, 5))
@@ -297,11 +283,9 @@ def _criterion_5_beat_velocities(rng: np.random.Generator, as_printed: frozenset
     c.check("v_phase * v_group = c^2 on mass-shell mode pairs, relative", worst, 1e-10)
     measured = measure_beat_velocity(b, GRID, 256, 1024)
     c.check("envelope-tracked group velocity vs dw/dk, relative (256x1024)", abs(measured - 0.625) / 0.625, 0.02)
-    return c
 
 
-def _criterion_6_plane_wave_certification(rng: np.random.Generator, as_printed: frozenset) -> _Checker:
-    c = _Checker()
+def _criterion_6_plane_wave_certification(c: CriterionResult, rng: np.random.Generator, as_printed: frozenset) -> None:
     printed = "tan-dispersion" in as_printed
     grid = GRID
     cayley_m0 = 2 * math.pi / math.sqrt(12)
@@ -327,11 +311,9 @@ def _criterion_6_plane_wave_certification(rng: np.random.Generator, as_printed: 
             off_shell > 1e-3,
             f"measured {off_shell:.3e}",
         )
-    return c
 
 
-def _criterion_7_mass_spectrum(rng: np.random.Generator, as_printed: frozenset) -> _Checker:
-    c = _Checker()
+def _criterion_7_mass_spectrum(c: CriterionResult, rng: np.random.Generator, as_printed: frozenset) -> None:
     grid = GRID
     ratios_exact = all(
         mass_from_rest_period(n, grid) / mass_from_rest_period(2 * n, grid) == 2.0 for n in range(1, 65)
@@ -354,11 +336,9 @@ def _criterion_7_mass_spectrum(rng: np.random.Generator, as_printed: frozenset) 
         rest = [s for s in solve_modes(m0, DispersionForm.CAYLEY, 16, 16, 1e-12, grid) if s.M is INFINITE]
         consistent &= len(rest) == 1 and rest[0].N == n
     c.require("rest dispersion solutions reproduce the mass spectrum", consistent)
-    return c
 
 
-def _criterion_8_integral_lorentz(rng: np.random.Generator, as_printed: frozenset) -> _Checker:
-    c = _Checker()
+def _criterion_8_integral_lorentz(c: CriterionResult, rng: np.random.Generator, as_printed: frozenset) -> None:
     if "s4" in as_printed:
         c.note("running with the as-printed S4 table entry; failure expected")
         c.require(
@@ -366,7 +346,7 @@ def _criterion_8_integral_lorentz(rng: np.random.Generator, as_printed: frozense
             preserves_metric(printed_s4()),
             f"columns 0,3 Gram defect = {metric_gram_defect(printed_s4(), 0, 3)}",
         )
-        return c
+        return
     for name in ("S1", "S2", "S3", "S4"):
         c.require(f"{name} preserves the Minkowski form exactly", preserves_metric(generator(name)))
     c.require(
@@ -382,11 +362,9 @@ def _criterion_8_integral_lorentz(rng: np.random.Generator, as_printed: frozense
         all(eval_word(factorize(m)).entries == m.entries for m in ball),
     )
     c.require("determinants all +/-1", all(m.determinant() in (-1, 1) for m in ball))
-    return c
 
 
-def _criterion_9_evolution_fidelity(rng: np.random.Generator, as_printed: frozenset) -> _Checker:
-    c = _Checker()
+def _criterion_9_evolution_fidelity(c: CriterionResult, rng: np.random.Generator, as_printed: frozenset) -> None:
     grid = GRID
 
     m0_exp = math.sqrt(4 - 4 * math.tan(math.pi / 8) ** 2)
@@ -422,11 +400,9 @@ def _criterion_9_evolution_fidelity(rng: np.random.Generator, as_printed: frozen
         evolve(np.roll(initial, 3, axis=1), 10, p).psi, np.roll(evolve(initial, 10, p).psi, 3, axis=1)
     )
     c.require("translation equivariance is exact (bit-for-bit)", equivariant)
-    return c
 
 
-def _criterion_10_continuum_limits(rng: np.random.Generator, as_printed: frozenset) -> _Checker:
-    c = _Checker()
+def _criterion_10_continuum_limits(c: CriterionResult, rng: np.random.Generator, as_printed: frozenset) -> None:
     from .waves import continuum_limit_error
 
     sizes = [50, 100, 200]
@@ -451,25 +427,24 @@ def _criterion_10_continuum_limits(rng: np.random.Generator, as_printed: frozens
         -2.1 <= slope2 <= -1.9,
         f"slope {slope2:.4f}",
     )
-    return c
 
 
-_CRITERIA: list[tuple[int, str, Callable]] = [
-    (1, "wave and particle quantities transform identically under boosts", _criterion_1_transform_equivalence),
-    (2, "discrete energy-momentum sits on the mass shell, exactly rational velocity", _criterion_2_discrete_mass_shell),
-    (3, "exact discrete product rule for differences and averages", _criterion_3_product_identity),
-    (4, "total-difference mass-shell argument and average-velocity relation", _criterion_4_total_difference),
-    (5, "beat phase/group velocities: formulas, c^2 product, envelope tracking", _criterion_5_beat_velocities),
-    (6, "lattice plane waves certified against both dispersion relations", _criterion_6_plane_wave_certification),
-    (7, "discrete mass spectrum and mode-number quantization", _criterion_7_mass_spectrum),
-    (8, "integral Lorentz group: generators, ball(6), factorization round-trip", _criterion_8_integral_lorentz),
-    (9, "implicit evolution reproduces exact solutions, linear and equivariant", _criterion_9_evolution_fidelity),
-    (10, "continuum limits approached at second order", _criterion_10_continuum_limits),
-]
+_CRITERIA: dict[int, tuple[str, Callable[[CriterionResult, np.random.Generator, frozenset], None]]] = {
+    1: ("wave and particle quantities transform identically under boosts", _criterion_1_transform_equivalence),
+    2: ("discrete energy-momentum sits on the mass shell, exactly rational velocity", _criterion_2_discrete_mass_shell),
+    3: ("exact discrete product rule for differences and averages", _criterion_3_product_identity),
+    4: ("total-difference mass-shell argument and average-velocity relation", _criterion_4_total_difference),
+    5: ("beat phase/group velocities: formulas, c^2 product, envelope tracking", _criterion_5_beat_velocities),
+    6: ("lattice plane waves certified against both dispersion relations", _criterion_6_plane_wave_certification),
+    7: ("discrete mass spectrum and mode-number quantization", _criterion_7_mass_spectrum),
+    8: ("integral Lorentz group: generators, ball(6), factorization round-trip", _criterion_8_integral_lorentz),
+    9: ("implicit evolution reproduces exact solutions, linear and equivariant", _criterion_9_evolution_fidelity),
+    10: ("continuum limits approached at second order", _criterion_10_continuum_limits),
+}
 
 
 def criterion_ids() -> list[int]:
-    return [cid for cid, _, _ in _CRITERIA]
+    return list(_CRITERIA)
 
 
 def run_criterion(cid: int, seed: int = 0, as_printed: Iterable[str] = ()) -> CriterionResult:
@@ -479,12 +454,12 @@ def run_criterion(cid: int, seed: int = 0, as_printed: Iterable[str] = ()) -> Cr
         raise ConfigError(f"unknown as-printed selector(s): {sorted(unknown)}")
     if not (is_integer(seed) and seed >= 0):
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-    for num, title, fn in _CRITERIA:
-        if num == cid:
-            rng = np.random.default_rng(seed + cid)
-            checker = fn(rng, printed)
-            return CriterionResult(cid=cid, title=title, passed=checker.passed, details=checker.details)
-    raise ValueError(f"no criterion {cid}")
+    if not (is_integer(cid) and cid in _CRITERIA):
+        raise ConfigError(f"no criterion {cid!r}")
+    title, fn = _CRITERIA[cid]
+    result = CriterionResult(cid, title)
+    fn(result, np.random.default_rng(seed + cid), printed)
+    return result
 
 
 def run_acceptance(seed: int = 0, as_printed: Iterable[str] = ()) -> list[CriterionResult]:

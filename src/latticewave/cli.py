@@ -303,10 +303,7 @@ def _json_text(value, indent: str = "\n") -> str:
         if not value:
             return "[]"
         inner = indent + "  "
-        if set(map(type, value)) == {int}:  # not bool: int.__repr__(True) is "1"
-            items = map(int.__repr__, value)
-        else:
-            items = [_json_text(v, inner) for v in value]
+        items = [_json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(value, dict):
         if not value:

@@ -63,7 +63,14 @@ def mass_from_rest_period(N: int, grid: GridSpec) -> float:
     """Rest mass of the mode with time period N and zero wavenumber: h/(c^2 N tau)."""
     if not (is_integer(N) and N >= 1):
         raise DomainError(f"rest period N must be an integer >= 1, got {N!r}")
-    return grid.h / (grid.c**2 * N * grid.tau)
+    try:
+        m0 = grid.h / (grid.c**2 * N * grid.tau)
+    except (OverflowError, ZeroDivisionError):
+        m0 = math.inf
+    if not (math.isfinite(m0) and m0 > 0):
+        raise DomainError(f"the rest mass h/(c^2 N tau) leaves the float range for N={N!r}, "
+                          f"tau={grid.tau!r}, c={grid.c!r}, h={grid.h!r}")
+    return m0
 
 
 def _square(form: DispersionForm, n: MaybeInfinite) -> float:
@@ -79,6 +86,10 @@ def _square(form: DispersionForm, n: MaybeInfinite) -> float:
     raise DomainError(f"unknown dispersion form {form!r}")
 
 
+def _non_finite(N: int, M: MaybeInfinite, residual: float) -> DomainError:
+    return DomainError(f"the residual of mode (N={N}, M={M}) is {residual!r}: its terms leave the float range")
+
+
 def _coefficients(form: DispersionForm, m0: float, grid: GridSpec) -> tuple[float, float, float]:
     return grid.wave_coefficients(m0, grid.h if form is DispersionForm.CAYLEY else None)
 
@@ -91,7 +102,7 @@ def dispersion_residual(
     grid: GridSpec,
     as_printed: bool = False,
 ) -> float:
-    """Signed residual of the applicable relation; reported as-is."""
+    """Signed residual of the applicable relation; reported as-is, and a DomainError if not finite."""
     check_mode(N, M)
     if m0 < 0:
         raise DomainError("m0 must be >= 0")
@@ -99,7 +110,10 @@ def dispersion_residual(
     time_square = _square(form, N)
     if as_printed and form is DispersionForm.EXPONENTIAL:
         time_square /= 4.0
-    return (inv_ct2 * time_square - inv_eps2 * _square(form, M)) - mu2
+    residual = (inv_ct2 * time_square - inv_eps2 * _square(form, M)) - mu2
+    if not math.isfinite(residual):
+        raise _non_finite(N, M, residual)
+    return residual
 
 
 # values of N per block of a mode scan: a block's temporaries are 64 rows of m_max floats (256 KiB at 512)
@@ -122,7 +136,8 @@ def solve_modes(
     ``dispersion_residual``: the time and space terms inv_ct2 Q(N) and
     inv_eps2 Q(M) are computed once per N and per M with the same scalar
     expressions, then one numpy block of _SCAN_BLOCK values of N at a time
-    does the two float64 subtractions in the same order.
+    does the two float64 subtractions in the same order. A residual that
+    is not finite is a DomainError naming the first such (N, M).
     """
     if not (m0 >= 0):
         raise DomainError(f"m0 must be >= 0, got {m0!r}")
@@ -140,6 +155,9 @@ def solve_modes(
         for start in range(2, n_max + 1, _SCAN_BLOCK):
             periods = range(start, min(start + _SCAN_BLOCK, n_max + 1))
             block = (np.array([inv_ct2 * _square(form, N) for N in periods])[:, None] - space) - mu2
+            if not np.isfinite(block).all():
+                r, k = divmod(int(np.argmin(np.isfinite(block))), len(wavelengths))
+                raise _non_finite(periods[r], wavelengths[k], block[r, k].item())
             rows, cols = np.nonzero(np.abs(block) <= tol)
             for r, k, residual in zip(rows.tolist(), cols.tolist(), block[rows, cols].tolist()):
                 found.append(DispersionSolution(form=form, N=periods[r], M=wavelengths[k], m0=m0, residual=residual))

@@ -155,6 +155,8 @@ class ParticleState:
 
     @classmethod
     def from_momentum(cls, p: Sequence[float], m0: float, c: float) -> "ParticleState":
+        if np.asarray(m0).dtype == bool:  # True would be m0 = 1
+            raise DomainError(f"m0 must be a number, got {m0!r}")
         if np.any(m0 < 0):
             raise DomainError("rest mass must be >= 0")
         p = _vec3(p)
@@ -290,10 +292,13 @@ def _at(index: tuple) -> str:
 def _mass_ratio(m0, what: str) -> tuple:
     """m0 as (numerator, denominator), stacked like m0.
 
-    An m0 <= 0 is a DomainError, checked over the whole stack first; then a
-    NaN or infinite m0 is one.
+    A bool m0 (True would be m0 = 1) is a DomainError; then an m0 <= 0,
+    checked over the whole stack first; then a NaN or infinite m0.
     """
-    bad = _first(np.asarray(m0) <= 0)
+    masses = np.asarray(m0)
+    if masses.dtype == bool:
+        raise DomainError(f"{what} needs a number for m0, got {m0!r}")
+    bad = _first(masses <= 0)
     if bad is not None:
         raise DomainError(f"{what} needs m0 > 0 (the map degenerates at m0 = 0){_at(bad)}")
     pairs = []

@@ -36,8 +36,8 @@ from latticewave import (
 )
 from latticewave.acceptance import (
     GRID,
+    CriterionResult,
     _along_x,
-    _Checker,
     _Draws,
     _uniform,
     criterion_ids,
@@ -98,6 +98,13 @@ def test_a_seed_that_is_not_an_integer_at_least_0_is_a_config_error(seed):
         run_acceptance(seed=seed)
 
 
+@pytest.mark.parametrize("cid", [0, 11, True])
+def test_a_criterion_id_outside_the_registry_is_a_config_error(cid):
+    # True == 1, but a bool is no criterion id
+    with pytest.raises(ConfigError, match=f"no criterion {cid!r}"):
+        run_criterion(cid, seed=SEED)
+
+
 # --- criteria 1 to 4 one sample at a time, as the oracle of the batched criteria -------------
 #
 # These are the per-sample loops the criteria ran before they drew once and
@@ -107,7 +114,7 @@ def test_a_seed_that_is_not_an_integer_at_least_0_is_a_config_error(seed):
 
 
 def oracle_criterion_1(rng):
-    c = _Checker()
+    c = CriterionResult(1, "oracle")
     worst = 0.0
     for _ in range(1000):
         s = ParticleState.from_momentum([rng.uniform(-3, 3), 0, 0], rng.uniform(0.05, 5.0), 1.0)
@@ -122,7 +129,7 @@ def oracle_criterion_1(rng):
 
 
 def oracle_criterion_2(rng):
-    c = _Checker()
+    c = CriterionResult(2, "oracle")
     grid = GridSpec(tau=0.625, eps=0.25, c=2.0)
     c2 = Fraction(grid.c) ** 2
     c4 = c2 * c2
@@ -161,7 +168,7 @@ def one_row(values, op):
 
 
 def oracle_criterion_3(rng):
-    c = _Checker()
+    c = CriterionResult(3, "oracle")
     worst = 0.0
     for _ in range(1000):
         n = int(rng.integers(2, 64))
@@ -177,7 +184,7 @@ def oracle_criterion_3(rng):
 
 
 def oracle_criterion_4(rng):
-    c = _Checker()
+    c = CriterionResult(4, "oracle")
     worst23 = worst24 = 0.0
     for _ in range(1000):
         m0 = rng.uniform(0.1, 3.0)
@@ -231,7 +238,7 @@ def test_batched_criteria_print_the_per_sample_lines(cid, seed):
 
 
 def parent_criterion_2(rng):
-    c = _Checker()
+    c = CriterionResult(2, "parent")
     grid = GridSpec(tau=0.625, eps=0.25, c=2.0)
     cc, tau, eps = grid.c, grid.tau, grid.eps
     rows = []
@@ -248,7 +255,7 @@ def parent_criterion_2(rng):
 
 
 def parent_criterion_3(rng):
-    c = _Checker()
+    c = CriterionResult(3, "parent")
     by_length: dict[int, list] = {}
     for _ in range(1000):
         n = int(rng.integers(2, 64))
@@ -270,7 +277,7 @@ def parent_criterion_3(rng):
 
 
 def parent_criterion_5(rng):
-    c = _Checker()
+    c = CriterionResult(5, "parent")
     b = BeatSpec(T1=4.0, T2=6.0, lam1=3.0, lam2=5.0)
     v_phase, v_group = beat_velocities(b)
     vg_exact = (Fraction(1, 4) - Fraction(1, 6)) / (Fraction(1, 3) - Fraction(1, 5))
@@ -296,7 +303,7 @@ def parent_criterion_5(rng):
 
 
 def parent_criterion_4(rng):
-    c = _Checker()
+    c = CriterionResult(4, "parent")
     r = rng.random((1000, 3))
     m0 = _uniform(r[:, 0], 0.1, 3.0)
     a = ParticleState.from_momentum(_along_x(_uniform(r[:, 1], -3, 3)), m0, 1.0)
@@ -336,13 +343,13 @@ PARENT_LOOPS = {2: parent_criterion_2, 3: parent_criterion_3, 4: parent_criterio
 @pytest.mark.parametrize("cid", sorted(PARENT_LOOPS))
 def test_one_pass_criteria_measure_the_parent_loops_values_bit_for_bit(monkeypatch, cid):
     records = []
-    check = _Checker.check
+    check = CriterionResult.check
 
     def recording_check(self, label, measured, bound):
         records.append((label, float(measured).hex(), bound))
         check(self, label, measured, bound)
 
-    monkeypatch.setattr(_Checker, "check", recording_check)
+    monkeypatch.setattr(CriterionResult, "check", recording_check)
     for seed in range(50):
         run_criterion(cid, seed=seed)
         got = records[:]

@@ -302,10 +302,13 @@ def test_parameters_across_the_float_range_exit_cleanly(tmp_path, capsys, argv, 
     ["beat-measure", "--t1", "4", "--t2", "6", "--lam1", "3", "--lam2", "5", "--eps", "1e306"],
     # (c tau)^2 = 1e-320 is subnormal, so 1/(c tau)^2 is inf
     ["dispersion-scan", "--form", "exponential", "--m0", "1", "--tau", "1e-160"],
+    # every coefficient is finite, but 4 tan^2(pi/2) / eps^2 is inf and so most residuals are -inf
+    ["dispersion-scan", "--form", "exponential", "--m0", "1", "--eps", "1e-154", "--tol", "1e300"],
 ], ids=["quantization-m0-tiny", "quantization-m0-huge", "quantization-tau-huge", "quantization-p-squared",
         "beat-t1-tiny", "beat-lam1-tiny", "boost-m0-huge", "boost-c-huge", "boost-p-huge", "boosted-energy-squared",
         "boost-hbar-tiny", "boost-wavenumber-squared", "boost-wavenumber-subnormal-square", "beat-phases-t1",
-        "beat-phases-tau", "beat-phases-eps", "scan-time-coefficient-overflows"])
+        "beat-phases-tau", "beat-phases-eps", "scan-time-coefficient-overflows",
+        "scan-residual-overflows"])
 def test_derived_values_out_of_the_float_range_are_domain_errors(tmp_path, capsys, argv):
     out = tmp_path / "out.json"
     assert main([*argv, "--output", str(out)]) == 3

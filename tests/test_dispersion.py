@@ -52,6 +52,13 @@ class TestMassSpectrum:
         with pytest.raises(DomainError, match="rest period N must be an integer"):
             mass_from_rest_period(True, GRID)
 
+    @pytest.mark.parametrize("grid", [GridSpec(tau=1e-320), GridSpec(c=1e-200), GridSpec(c=1e200)],
+                             ids=["quotient-overflows", "c-squared-underflows", "c-squared-overflows"])
+    def test_a_mass_out_of_the_float_range_is_a_domain_error(self, grid):
+        # inf, ZeroDivisionError and OverflowError before the check
+        with pytest.raises(DomainError, match=r"the rest mass h/\(c\^2 N tau\) leaves the float range"):
+            mass_from_rest_period(1, grid)
+
 
 class TestDispersionResidual:
     def test_massless_diagonal_vanishes_for_all_forms(self):
@@ -318,6 +325,38 @@ def test_terms_out_of_the_float_range_are_domain_errors(form, grid):
         solve_modes(1.0, form, 4, 4, 1e-9, grid)
     with pytest.raises(DomainError):
         dispersion_residual(form, 2, 2, 1.0, grid)
+
+
+# the coefficients are in range on these grids, but a residual is not
+@pytest.mark.parametrize("form, m0, grid", [
+    # 4 tan^2(pi/2) / (c tau)^2 and 4 tan^2(pi/2) / eps^2 are both inf: their difference is nan
+    (DispersionForm.EXPONENTIAL, 1.0, GridSpec(eps=1e-154, tau=1e-154)),
+    # only the space term 4 tan^2(pi/2) / eps^2 is inf: the residual is -inf
+    (DispersionForm.EXPONENTIAL, 1.0, GridSpec(eps=1e-154)),
+    # every term is finite, and (time - space) - mu2 overflows first at N = 89, in the scan's second block
+    (DispersionForm.CAYLEY, 8.19e154, GridSpec(tau=1e-154, eps=1.591e-154)),
+], ids=["exponential-nan", "exponential-minus-inf", "cayley-difference-overflows"])
+def test_a_residual_out_of_the_float_range_is_a_domain_error_naming_the_first_mode(form, m0, grid):
+    errors = []
+    for N in range(2, 200):
+        for M in [*range(2, 6), INFINITE]:
+            try:
+                dispersion_residual(form, N, M, m0, grid)
+            except DomainError as exc:
+                errors.append(str(exc))
+    with pytest.raises(DomainError) as scan:
+        solve_modes(m0, form, 199, 5, 1e300, grid)
+    assert errors and str(scan.value) == errors[0]
+    assert errors[0].endswith(": its terms leave the float range")
+
+
+def test_the_cayley_residuals_stay_finite_where_the_exponential_ones_do_not():
+    grid = GridSpec(eps=1e-154, tau=1e-154)
+    with pytest.raises(DomainError, match=r"the residual of mode \(N=3, M=3\) is nan"):
+        dispersion_residual(DispersionForm.EXPONENTIAL, 3, 3, 1.0, grid)
+    assert math.isfinite(dispersion_residual(DispersionForm.CAYLEY, 3, 3, 1.0, grid))
+    assert [(s.N, s.M) for s in solve_modes(1.0, DispersionForm.CAYLEY, 8, 8, 1e300, grid)] == [
+        (n, n) for n in range(2, 9)]
 
 
 def parent_solve_modes(m0, form, n_max, m_max, tol, grid):

@@ -472,6 +472,17 @@ def test_every_exact_entry_point_needs_a_positive_mass(entry, m0):
         entry(m0, LatticeStep(3, (1, 0, 0)), GridSpec())
 
 
+@pytest.mark.parametrize("m0", [True, np.True_, np.array([True, True])], ids=["True", "np.True_", "bool-array"])
+@pytest.mark.parametrize("entry", [
+    _exact_squares, energy_momentum_squared_exact, discrete_energy_momentum,
+    lambda m0, step, grid: ParticleState.from_momentum([1.0, 0.0, 0.0], m0, grid.c),
+], ids=["squares", "squared-exact", "energy-momentum", "from-momentum"])
+def test_a_bool_is_no_rest_mass(entry, m0):
+    # as KGParams and dispersion rule: True would run as m0 = 1
+    with pytest.raises(DomainError, match="a number"):
+        entry(m0, LatticeStep(2, (0, 0, 0)), GridSpec())
+
+
 @pytest.mark.parametrize("dj, kind", [((1, 0, 0), "lightlike"), ((1, 1, 0), "spacelike")])
 @pytest.mark.parametrize("entry", [_exact_squares, energy_momentum_squared_exact, discrete_energy_momentum])
 def test_every_exact_entry_point_refuses_a_step_that_is_not_timelike_in_one_message(entry, dj, kind):
