@@ -15,6 +15,13 @@ cayley, hbar otherwise), and Q is one dimensionless square per form:
 
 M = INFINITE means zero wavenumber throughout: Q(INFINITE) = 0.
 
+n = 2 is the pole of the exponential Q. The lattice operator has none:
+its second averages send the sawtooth mode (-1)^n to 0 (Trefethen,
+Group Velocity in Finite Difference Schemes, 1982). So the checkerboard
+mode (2, 2), where both averages vanish, solves it at every mass and
+reads residual 0.0; (2, M > 2) and (N > 2, 2), where only one does,
+solve nothing, and their residual is a DomainError that names the pole.
+
 The exponential relation ships with the symmetric factor 4 on the time
 term: that is what the lattice operator actually certifies (see
 kg_lattice.calibrate_time_coefficient, whose stencil ratio is exactly
@@ -86,6 +93,11 @@ def _square(form: DispersionForm, n: MaybeInfinite) -> float:
     raise DomainError(f"unknown dispersion form {form!r}")
 
 
+def _has_pole(form: DispersionForm) -> bool:
+    """Whether n = 2 is the pole of the form's Q (see the module docstring)."""
+    return form is DispersionForm.EXPONENTIAL
+
+
 def _non_finite(N: int, M: MaybeInfinite, residual: float) -> DomainError:
     return DomainError(f"the residual of mode (N={N}, M={M}) is {residual!r}: its terms leave the float range")
 
@@ -107,6 +119,11 @@ def dispersion_residual(
     if m0 < 0:
         raise DomainError("m0 must be >= 0")
     inv_ct2, inv_eps2, mu2 = _coefficients(form, m0, grid)
+    if _has_pole(form) and 2 in (N, M):
+        if N == M:
+            return 0.0
+        raise DomainError(f"mode (N={N}, M={M}) is on the pole of the {form.value} relation at n = 2: only one of "
+                          f"the lattice operator's averages vanishes, so the mode solves nothing")
     time_square = _square(form, N)
     if as_printed and form is DispersionForm.EXPONENTIAL:
         time_square /= 4.0
@@ -132,7 +149,9 @@ def solve_modes(
 
     Scans 2 <= N <= n_max and M in {2..m_max} plus INFINITE, sorted by
     (N, M) with INFINITE ordered after every finite M. Deterministic; an
-    empty list is a valid result. Each residual is bit-identical to
+    empty list is a valid result. On the exponential pole the scan lists
+    (2, 2), residual 0.0, and skips the rest of row N = 2 and column
+    M = 2. Each residual is bit-identical to
     ``dispersion_residual``: the time and space terms inv_ct2 Q(N) and
     inv_eps2 Q(M) are computed once per N and per M with the same scalar
     expressions, then one numpy block of _SCAN_BLOCK values of N at a time
@@ -147,12 +166,13 @@ def solve_modes(
         raise DomainError(f"tol must be >= 0, got {tol!r}")
     check_size((n_max - 1) * m_max, "dispersion scan modes")
     inv_ct2, inv_eps2, mu2 = _coefficients(form, m0, grid)
-    wavelengths: list[MaybeInfinite] = list(range(2, m_max + 1)) + [INFINITE]
+    lowest = 3 if _has_pole(form) else 2
+    wavelengths: list[MaybeInfinite] = list(range(lowest, m_max + 1)) + [INFINITE]
     space = np.array([inv_eps2 * _square(form, M) for M in wavelengths])
-    found = []
+    found = [DispersionSolution(form=form, N=2, M=2, m0=m0, residual=0.0)] if _has_pole(form) else []
     # rows N ascending, columns M ascending with INFINITE last: np.nonzero's C order is sorted
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(2, n_max + 1, _SCAN_BLOCK):
+        for start in range(lowest, n_max + 1, _SCAN_BLOCK):
             periods = range(start, min(start + _SCAN_BLOCK, n_max + 1))
             block = (np.array([inv_ct2 * _square(form, N) for N in periods])[:, None] - space) - mu2
             if not np.isfinite(block).all():

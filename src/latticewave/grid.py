@@ -10,6 +10,7 @@ constants tau = eps = c = hbar = 1 put the lattice on the light cone
 from __future__ import annotations
 
 import math
+import re
 import struct
 import sys
 from dataclasses import dataclass
@@ -182,6 +183,13 @@ class FieldSlab:
 # tokenizer as two int64 and two float cells: ASCII digits, an optional
 # sign, whitespace around a cell allowed, no quotes, no '_' digit groups.
 #
+# Two readers run that grammar. A file that starts the way slab_to_csv
+# writes it ('#' lines, the header, then a byte that is not '\n'), holds
+# no '\r', has no suffix numpy would decompress and is a regular file goes
+# to numpy's chunked file reader, which makes no Python string per line. Every other file,
+# and every file that reader refuses, goes to the line path, which owns
+# the grammar's other cases and each error message.
+#
 # Binary layout: 16-byte header (magic b"KGL1", u32 Nt, u32 Nx,
 # u32 reserved = 0, all little-endian) followed by row-major complex
 # doubles (re, im interleaved, little-endian).
@@ -244,11 +252,10 @@ def _first_bad_row(text: str, lines: list[str]) -> tuple[int, str]:
     return index + 1, lines[bad - 1]
 
 
-def load_slab_csv(path: str | Path) -> FieldSlab:
-    """Read back exactly the layout slab_to_csv writes; anything else is a DomainError."""
-    path = Path(path)
+def _read_lines(path: Path, raw: bytes) -> np.ndarray:
+    """The line path: the rows of ``raw`` under the whole grammar, or the DomainError that names its fault."""
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not a slab CSV ({exc})") from None
     if "\r" in text:
@@ -262,11 +269,42 @@ def load_slab_csv(path: str | Path) -> FieldSlab:
     if len(lines) < 2:
         raise DomainError(f"{path}: slab CSV has no data rows")
     try:
-        rows = _parse_rows(lines[1:])
+        return _parse_rows(lines[1:])
     except ValueError:
         lineno, line = _first_bad_row(text, lines)
         raise DomainError(f"{path}: line {lineno}: slab CSV data rows must be two integers and two floats, "
                           f"got {line[:80]!r}") from None
+
+
+# the start of a file that numpy's reader may take: '#' lines and the header (group 1), then a byte that is not
+# '\n', so numpy never sees a file with no data row (its "input contained no data" warning)
+_WRITTEN_HEAD = re.compile(rb"((?:#[^\n]*\n)*" + ",".join(SLAB_CSV_COLUMNS).encode() + rb"\n)\n*[^\n]")
+# numpy opens a path with these suffixes through a decompressor
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def load_slab_csv(path: str | Path) -> FieldSlab:
+    """Read back exactly the layout slab_to_csv writes; anything else is a DomainError.
+
+    The file is read twice: once as bytes, to choose the reader (see the
+    CSV layout above), and once by numpy when its chunked reader is
+    chosen. Whatever that reader refuses (a ValueError, bad UTF-8
+    included) or cannot open (an OSError, such as a removed working
+    directory) is read again by the line path from the same bytes.
+    """
+    path = Path(path)
+    raw = path.read_bytes()
+    head = _WRITTEN_HEAD.match(raw)
+    rows = None
+    # numpy reads the file again, so only a regular file: a second read of a pipe finds it empty
+    if head and b"\r" not in raw and path.suffix not in _COMPRESSED_SUFFIXES and path.is_file():
+        try:
+            rows = np.loadtxt(path, dtype=_CSV_ROW, delimiter=",", comments=None, quotechar=None, ndmin=1,
+                              encoding="utf-8", skiprows=head.group(1).count(b"\n"))
+        except (ValueError, OSError):
+            pass
+    if rows is None:
+        rows = _read_lines(path, raw)
     # row k must be site (k // nx, k % nx) of a full rectangle
     nx = 1 + int(rows["j"].max())
     k = np.arange(len(rows))
@@ -299,7 +337,7 @@ def load_slab_binary(path: str | Path) -> FieldSlab:
     expected = _HEADER.size + 16 * nt * nx
     if len(raw) != expected:
         raise DomainError(f"{path}: expected {expected} bytes for a {nt}x{nx} slab, got {len(raw)}")
-    psi = np.frombuffer(raw[_HEADER.size:], dtype="<c16").reshape(nt, nx).astype(np.complex128)
+    psi = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(nt, nx).astype(np.complex128)
     try:
         return FieldSlab(psi=psi)
     except DomainError as exc:

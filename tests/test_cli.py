@@ -302,7 +302,7 @@ def test_parameters_across_the_float_range_exit_cleanly(tmp_path, capsys, argv, 
     ["beat-measure", "--t1", "4", "--t2", "6", "--lam1", "3", "--lam2", "5", "--eps", "1e306"],
     # (c tau)^2 = 1e-320 is subnormal, so 1/(c tau)^2 is inf
     ["dispersion-scan", "--form", "exponential", "--m0", "1", "--tau", "1e-160"],
-    # every coefficient is finite, but 4 tan^2(pi/2) / eps^2 is inf and so most residuals are -inf
+    # every coefficient is finite, but 4 tan^2(pi/M) / eps^2 is inf at M = 3, so the residual of (3, 3) is -inf
     ["dispersion-scan", "--form", "exponential", "--m0", "1", "--eps", "1e-154", "--tol", "1e300"],
 ], ids=["quantization-m0-tiny", "quantization-m0-huge", "quantization-tau-huge", "quantization-p-squared",
         "beat-t1-tiny", "beat-lam1-tiny", "boost-m0-huge", "boost-c-huge", "boost-p-huge", "boosted-energy-squared",
@@ -502,6 +502,22 @@ class TestRunConfigs:
         path = tmp_path / "config.json"
         path.write_bytes(raw)
         assert main(["run", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("value, verify", [("yes", True), ("1", True), ("TRUE", True),
+                                               ("no", False), ("0", False), ("false", False), ("maybe", None)])
+    def test_a_string_bool_in_a_config_reads_as_its_word(self, tmp_path, value, verify):
+        out = tmp_path / "out.csv"
+        path = tmp_path / "config.json"
+        params = {"form": "exponential", "wave_n": 4, "wave_m": 8, "m0": 1, "steps": 2, "nx": 8, "verify": value}
+        path.write_text(json.dumps({"experiment": "kg-evolve", "params": params, "output_path": str(out)}))
+        if verify is None:
+            assert main(["run", "--config", str(path)]) == 2
+            assert not out.exists()
+            return
+        assert main(["run", "--config", str(path)]) == 0
+        comments = [line for line in out.read_text().splitlines() if line.startswith("#")]
+        assert f'"verify":{json.dumps(verify)}' in comments[2]
+        assert any(line.startswith("# max-deviation-from-closed-form: ") for line in comments) is verify
 
     @pytest.mark.parametrize("experiment", ["kg-evolve", "kg-residual"])
     @pytest.mark.parametrize("grid_flags", [["--eps", "1e-300"], ["--tau", "1e300"], ["--eps", "1e160"]],

@@ -217,6 +217,53 @@ class TestQuantizationCheck:
             quantization_check(step, m0, grid, tol=1e-9)
 
 
+# --- the exponential pole at n = 2, pinned against the lattice operator -----------
+
+POLE_GRIDS = [GRID, GridSpec(tau=0.7, eps=1.3, c=2.0, hbar=0.3)]
+
+
+@pytest.mark.parametrize("grid", POLE_GRIDS, ids=["natural", "scaled"])
+@pytest.mark.parametrize("m0", [0.0, 1.0, 3.7])
+def test_the_checkerboard_mode_solves_the_operator_and_the_relation_at_every_mass(grid, m0):
+    # both second averages send (-1)^(n+j) to 0, so every term of the operator vanishes
+    checkerboard = WaveSpec(form=WaveForm.EXPONENTIAL, N=2, M=2)
+    assert plane_wave_residual(checkerboard, KGParams(m0=m0, grid=grid), (16, 16)) == 0.0
+    for as_printed in (False, True):
+        assert dispersion_residual(DispersionForm.EXPONENTIAL, 2, 2, m0, grid, as_printed=as_printed) == 0.0
+    solutions = solve_modes(m0, DispersionForm.EXPONENTIAL, 6, 6, 1e-9, grid)
+    assert solutions[0] == DispersionSolution(form=DispersionForm.EXPONENTIAL, N=2, M=2, m0=m0, residual=0.0)
+
+
+@pytest.mark.parametrize("grid", POLE_GRIDS, ids=["natural", "scaled"])
+@pytest.mark.parametrize("m0", [0.0, 1.0, 3.7])
+@pytest.mark.parametrize("N, M", [(2, 3), (2, 8), (2, INFINITE), (3, 2), (9, 2)])
+def test_a_mode_with_one_pole_solves_nothing(grid, m0, N, M):
+    # one average is 0 and the other is not: the operator leaves a residual of order 1/(c tau)^2 or 1/eps^2
+    spec = WaveSpec(form=WaveForm.EXPONENTIAL, N=N, M=M)
+    assert plane_wave_residual(spec, KGParams(m0=m0, grid=grid), (16, 16)) > 0.1
+    with pytest.raises(DomainError, match=rf"mode \(N={N}, M={M}\) is on the pole of the exponential relation"):
+        dispersion_residual(DispersionForm.EXPONENTIAL, N, M, m0, grid)
+    # a scan wide enough to list every finite residual lists no pole mode but (2, 2)
+    listed = {(s.N, s.M) for s in solve_modes(m0, DispersionForm.EXPONENTIAL, 10, 10, 1e300, grid)}
+    assert (N, M) not in listed and (2, 2) in listed
+
+
+def test_no_relation_evaluates_the_pole(monkeypatch):
+    """The exponential Q is never taken at n = 2, where tan(pi/2) is 1.6e16 and not a pole."""
+    square = dispersion._square
+    calls = []
+    monkeypatch.setattr(dispersion, "_square", lambda form, n: calls.append((form, n)) or square(form, n))
+    for form in DispersionForm:
+        solve_modes(1.0, form, 130, 9, 1e300, GRID)
+        for N, M in [(2, 2), (3, 2), (2, INFINITE)]:
+            try:
+                dispersion_residual(form, N, M, 1.0, GRID, as_printed=True)
+            except DomainError:
+                pass
+    assert (DispersionForm.CAYLEY, 2) in calls and (DispersionForm.EXPONENTIAL, 3) in calls
+    assert (DispersionForm.EXPONENTIAL, 2) not in calls
+
+
 def test_grid_spec_h_is_derived():
     grid = GridSpec(hbar=3.0)
     assert grid.h == pytest.approx(6 * math.pi, rel=1e-15)
@@ -230,9 +277,17 @@ def test_the_continuum_terms_have_no_public_helpers():
 # --- differential tests: the separable scan against the scalar residual ----------
 
 
+def pole_mode(form, N, M):
+    """A mode on the exponential pole n = 2 other than (2, 2): it solves nothing, and its residual is a DomainError."""
+    return form is DispersionForm.EXPONENTIAL and 2 in (N, M) and N != M
+
+
 def inline_residual(form, N, M, m0, grid, as_printed=False):
     """Each relation written out in the factored form of the module docstring:
-    inv_ct2 Q(N) - inv_eps2 Q(M) - mu2, with Q(INFINITE) = 0."""
+    inv_ct2 Q(N) - inv_eps2 Q(M) - mu2, with Q(INFINITE) = 0, and 0.0 at the
+    exponential (2, 2)."""
+    if form is DispersionForm.EXPONENTIAL and (N, M) == (2, 2):
+        return 0.0
     c, tau, eps = grid.c, grid.tau, grid.eps
     quantum = grid.h if form is DispersionForm.CAYLEY else grid.hbar
     inv_ct2, inv_eps2, mu2 = 1.0 / (c * tau) ** 2, 1.0 / eps**2, (m0 * c / quantum) ** 2
@@ -250,10 +305,12 @@ def inline_residual(form, N, M, m0, grid, as_printed=False):
 
 
 def oracle_scan(m0, form, n_max, m_max, tol, grid):
-    """A loop over dispersion_residual, sorted by (N, M) with INFINITE last."""
+    """A loop over dispersion_residual, sorted by (N, M) with INFINITE last; pole modes are no solutions."""
     found = []
     for N in range(2, n_max + 1):
         for M in [*range(2, m_max + 1), INFINITE]:
+            if pole_mode(form, N, M):
+                continue
             residual = dispersion_residual(form, N, M, m0, grid)
             if abs(residual) <= tol:
                 found.append(DispersionSolution(form=form, N=N, M=M, m0=m0, residual=residual))
@@ -268,6 +325,10 @@ def test_dispersion_residual_matches_the_inline_relations_bit_for_bit(form, grid
     for m0 in (0.0, mass_from_rest_period(7, grid), 1.234):
         for N in range(2, 14):
             for M in [*range(2, 14), INFINITE]:
+                if pole_mode(form, N, M):
+                    with pytest.raises(DomainError, match=r"is on the pole of the exponential relation at n = 2"):
+                        dispersion_residual(form, N, M, m0, grid, as_printed=as_printed)
+                    continue
                 got = dispersion_residual(form, N, M, m0, grid, as_printed=as_printed)
                 want = inline_residual(form, N, M, m0, grid, as_printed=as_printed and form is DispersionForm.EXPONENTIAL)
                 assert repr(got) == repr(want)
@@ -294,7 +355,8 @@ def test_an_infinite_tolerance_scan_returns_every_residual_bit_for_bit(form, gri
     in the last bit at M = 408 and 726, so the space terms must stay scalar."""
     got = solve_modes(1.234, form, 5, 730, math.inf, grid)
     want = oracle_scan(1.234, form, 5, 730, math.inf, grid)
-    assert len(got) == 4 * 730
+    # on the exponential pole, row N = 2 holds (2, 2) only and column M = 2 nothing else
+    assert len(got) == (1 + 3 * 729 if form is DispersionForm.EXPONENTIAL else 4 * 730)
     assert [repr(s.residual) for s in got] == [repr(s.residual) for s in want]
     assert got == want
 
@@ -313,7 +375,8 @@ def test_the_differential_scans_find_modes():
     assert [(s.N, s.M) for s in massless] == [(n, n) for n in range(2, 34)]
     rest = solve_modes(mass_from_rest_period(7, GRID), DispersionForm.CAYLEY, 40, 33, 1e-9, GRID)
     assert [(s.N, s.M) for s in rest] == [(7, INFINITE)]
-    assert len(solve_modes(1.234, DispersionForm.EXPONENTIAL, 40, 33, 0.5, GRID)) == 39
+    # 39 off the pole, and the checkerboard (2, 2), which solves the relation at every mass
+    assert len(solve_modes(1.234, DispersionForm.EXPONENTIAL, 40, 33, 0.5, GRID)) == 40
 
 
 @pytest.mark.parametrize("form", list(DispersionForm))
@@ -329,9 +392,9 @@ def test_terms_out_of_the_float_range_are_domain_errors(form, grid):
 
 # the coefficients are in range on these grids, but a residual is not
 @pytest.mark.parametrize("form, m0, grid", [
-    # 4 tan^2(pi/2) / (c tau)^2 and 4 tan^2(pi/2) / eps^2 are both inf: their difference is nan
+    # 4 tan^2(pi/3) / (c tau)^2 and 4 tan^2(pi/3) / eps^2 are both inf: their difference is nan
     (DispersionForm.EXPONENTIAL, 1.0, GridSpec(eps=1e-154, tau=1e-154)),
-    # only the space term 4 tan^2(pi/2) / eps^2 is inf: the residual is -inf
+    # only the space term 4 tan^2(pi/3) / eps^2 is inf: the residual is -inf
     (DispersionForm.EXPONENTIAL, 1.0, GridSpec(eps=1e-154)),
     # every term is finite, and (time - space) - mu2 overflows first at N = 89, in the scan's second block
     (DispersionForm.CAYLEY, 8.19e154, GridSpec(tau=1e-154, eps=1.591e-154)),
@@ -340,6 +403,8 @@ def test_a_residual_out_of_the_float_range_is_a_domain_error_naming_the_first_mo
     errors = []
     for N in range(2, 200):
         for M in [*range(2, 6), INFINITE]:
+            if pole_mode(form, N, M):
+                continue
             try:
                 dispersion_residual(form, N, M, m0, grid)
             except DomainError as exc:
@@ -360,13 +425,15 @@ def test_the_cayley_residuals_stay_finite_where_the_exponential_ones_do_not():
 
 
 def parent_solve_modes(m0, form, n_max, m_max, tol, grid):
-    """solve_modes as it was before the block scan: one numpy row per N (argument checks left out)."""
+    """solve_modes as it was before the block scan: one numpy row per N (argument checks left out), with the
+    exponential pole's (2, 2) first and the rest of its row and column skipped."""
     inv_ct2, inv_eps2, mu2 = dispersion._coefficients(form, m0, grid)
-    wavelengths = list(range(2, m_max + 1)) + [INFINITE]
+    lowest = 3 if form is DispersionForm.EXPONENTIAL else 2
+    wavelengths = list(range(lowest, m_max + 1)) + [INFINITE]
     space = np.array([inv_eps2 * dispersion._square(form, M) for M in wavelengths])
-    found = []
+    found = [DispersionSolution(form=form, N=2, M=2, m0=m0, residual=0.0)] if lowest == 3 else []
     with np.errstate(over="ignore", invalid="ignore"):
-        for N in range(2, n_max + 1):
+        for N in range(lowest, n_max + 1):
             row = (inv_ct2 * dispersion._square(form, N) - space) - mu2
             hits = np.flatnonzero(np.abs(row) <= tol)
             for k, residual in zip(hits.tolist(), row[hits].tolist()):

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+import os
 import pickle
 import struct
 import sys
@@ -161,6 +162,95 @@ def test_crlf_file_with_a_comment_between_rows_loads_bit_for_bit(tmp_path):
     path = tmp_path / "crlf.csv"
     path.write_bytes("".join(line + "\r\n" for line in lines).encode())
     assert load_slab_csv(path).psi.tobytes() == slab.psi.tobytes()
+
+
+@pytest.fixture
+def loadtxt_sources(monkeypatch):
+    """What np.loadtxt receives on each call: "path" for a file name, "lines" for the line path's list."""
+    sources = []
+    loadtxt = np.loadtxt
+
+    def recording(fname, *args, **kwargs):
+        sources.append("lines" if isinstance(fname, list) else "path")
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recording)
+    return sources
+
+
+@pytest.mark.parametrize("argv", [
+    ["wave-sample", "--form", "cayley", "--wave-n", "7", "--wave-m", "11", "--nt", "24", "--nx", "16"],
+    ["beat-measure", "--t1", "4", "--t2", "6", "--lam1", "3", "--lam2", "5", "--nt", "64", "--nx", "256",
+     "--format", "csv"],
+], ids=["wave-sample", "beat-measure"])
+def test_written_csvs_take_numpy_s_file_reader_and_their_variants_load_the_same(tmp_path, loadtxt_sources, argv):
+    from latticewave.cli import main
+
+    path = tmp_path / "slab.csv"
+    assert main([*argv, "--output", str(path)]) == 0
+    want = load_slab_csv(path).psi.tobytes()
+    assert loadtxt_sources == ["path"]
+    lines = path.read_bytes().split(b"\n")
+    head = next(k for k, line in enumerate(lines) if not line.startswith(b"#")) + 1
+    # each copy with the readers it goes through: numpy's reader skips an empty line, as the line path does, and
+    # refuses a comment between rows; a '\r' or a suffix numpy would decompress goes straight to the line path
+    variants = {
+        "crlf.csv": (b"\r\n".join(lines), ["lines"]),
+        "interior-comment.csv": (b"\n".join([*lines[:head + 2], b"# between rows", *lines[head + 2:]]),
+                                 ["path", "lines"]),
+        "blank-line.csv": (b"\n".join([*lines[:head + 2], b"", *lines[head + 2:]]), ["path"]),
+        "plain.csv.gz": (b"\n".join(lines), ["lines"]),
+    }
+    for name, (raw, readers) in variants.items():
+        loadtxt_sources.clear()
+        (tmp_path / name).write_bytes(raw)
+        assert load_slab_csv(tmp_path / name).psi.tobytes() == want, name
+        assert loadtxt_sources == readers, name
+
+
+def test_a_file_whose_suffix_numpy_would_decompress_is_read_as_written(tmp_path, loadtxt_sources):
+    slab = random_slab()
+    for suffix in (".gz", ".bz2", ".xz", ".lzma"):
+        path = tmp_path / f"slab.csv{suffix}"
+        save_slab_csv(slab, path)
+        assert load_slab_csv(path).psi.tobytes() == slab.psi.tobytes()
+    assert loadtxt_sources == ["lines"] * 4
+
+
+def test_an_absolute_path_loads_from_a_removed_working_directory(tmp_path, monkeypatch, loadtxt_sources):
+    # numpy resolves a file name against the working directory and raises FileNotFoundError when it is gone
+    slab = random_slab()
+    path = tmp_path / "slab.csv"
+    save_slab_csv(slab, path)
+    gone = tmp_path / "gone"
+    gone.mkdir()
+    monkeypatch.chdir(gone)
+    gone.rmdir()
+    assert load_slab_csv(path).psi.tobytes() == slab.psi.tobytes()
+    assert loadtxt_sources == ["path", "lines"]
+
+
+def test_a_pipe_is_read_once(loadtxt_sources):
+    # numpy's reader would open the pipe again and find it empty
+    slab = random_slab()
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, slab_to_csv(slab))
+        os.close(write_end)
+        assert load_slab_csv(f"/dev/fd/{read_end}").psi.tobytes() == slab.psi.tobytes()
+    finally:
+        os.close(read_end)
+    assert loadtxt_sources == ["lines"]
+
+
+@pytest.mark.parametrize("raw", [b"n,j,re,im\n\n", b"# a\nn,j,re,im\n\n\n\n"], ids=["one-blank-line", "blank-lines"])
+def test_a_header_followed_only_by_blank_lines_never_reaches_numpy_s_file_reader(tmp_path, loadtxt_sources, raw):
+    # numpy would warn "input contained no data", which the test settings turn into an error
+    path = tmp_path / "slab.csv"
+    path.write_bytes(raw)
+    with pytest.raises(DomainError, match="slab CSV has no data rows"):
+        load_slab_csv(path)
+    assert loadtxt_sources == []
 
 
 def test_every_site_order_problem_gets_one_message(tmp_path):
@@ -363,6 +453,50 @@ def test_slab_loaders_give_a_slab_or_a_domain_error(tmp_path, raw):
         except DomainError:
             continue
         assert slab.nt >= 1 and slab.nx >= 1
+
+
+# lines that one reader or the other treats specially: empty, blank, comments, line separators numpy might split on
+ODD_LINES = st.sampled_from(["", " ", "#", "# note", " \t# x", "\u3000# x", "\x0c", "\x85", "\u2028", "0,0,1,2",
+                             "0,0", "n,j,re,im", "1_0,0,0,0", "0,0,1,2\x00", "\r\r"])
+
+
+@st.composite
+def edited_csv_files(draw):
+    """A slab_csv_variants file with up to three odd lines inserted anywhere, its lines ending in '\\n' or '\\r\\n'."""
+    lines = draw(slab_csv_variants()).decode().split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(ODD_LINES))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines).encode()
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=edited_csv_files() | CSV_LIKE)
+# a lone '\r' that numpy's newline translation would read as a line end, an empty line it skips, a line separator
+# it does not split on
+@example(raw=b"n,j,re,im\n0,0,1,2\n\r\r\n0,1,1,2\n")
+@example(raw=b"#\nn,j,re,im\n0,0,1,2\n\n0,1,1,2")
+@example(raw="n,j,re,im\n0,0,1,2\u20280,1,1,2\n".encode())
+def test_numpy_s_file_reader_agrees_with_the_line_path(tmp_path, raw):
+    path = tmp_path / "slab.csv"
+    path.write_bytes(raw)
+
+    def outcome():
+        try:
+            return load_slab_csv(path).psi.tobytes()
+        except DomainError as exc:
+            return str(exc)
+
+    loadtxt = np.loadtxt
+
+    def lines_only(fname, *args, **kwargs):
+        if not isinstance(fname, list):
+            raise ValueError("numpy's file reader is switched off")
+        return loadtxt(fname, *args, **kwargs)
+
+    either = outcome()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "loadtxt", lines_only)
+        assert outcome() == either
 
 
 def test_grid_spec_validation():

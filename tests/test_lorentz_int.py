@@ -126,6 +126,10 @@ class TestPreservesMetric:
     def test_printed_s4_fails(self):
         assert not preserves_metric(printed_s4())
 
+    def test_the_constructor_refuses_the_printed_s4(self):
+        with pytest.raises(DomainError, match="^matrix does not preserve the Minkowski form$"):
+            IntLorentzMatrix(printed_s4())
+
 
 class TestEnumerateBall:
     def test_word_length_zero(self):
