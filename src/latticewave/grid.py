@@ -202,8 +202,9 @@ _CSV_ROW = np.dtype([("n", "<i8"), ("j", "<i8"), ("re", "<f8"), ("im", "<f8")])
 
 
 def slab_to_csv(slab: FieldSlab, header_lines: Iterable[str] = ()) -> bytes:
-    lines = [f"# {line}\n" for line in header_lines]
-    lines.append(",".join(SLAB_CSV_COLUMNS) + "\n")
+    # each row is encoded as it is built, so the rendered text is held once, as bytes, before the join
+    lines = [f"# {line}\n".encode() for line in header_lines]
+    lines.append((",".join(SLAB_CSV_COLUMNS) + "\n").encode())
     # each row of the slab is one join over its 8 * nx cells, "n" "," "j" "," re "," im "\n" per site, which is
     # the layout above byte for byte. The j, comma and newline cells are the same in every row, so they are
     # filled once; a row's tolist() yields Python floats, whose repr the re and im cells use
@@ -215,8 +216,8 @@ def slab_to_csv(slab: FieldSlab, header_lines: Iterable[str] = ()) -> bytes:
         cells[0::8] = [str(n)] * nx
         cells[4::8] = map(repr, re_row.tolist())
         cells[6::8] = map(repr, im_row.tolist())
-        lines.append("".join(cells))
-    return "".join(lines).encode()
+        lines.append("".join(cells).encode())
+    return b"".join(lines)
 
 
 def save_slab_csv(slab: FieldSlab, path: str | Path, header_lines: Iterable[str] = ()) -> None:
@@ -317,9 +318,8 @@ def load_slab_csv(path: str | Path) -> FieldSlab:
 
 
 def slab_to_bytes(slab: FieldSlab) -> bytes:
-    return _HEADER.pack(SLAB_MAGIC, slab.nt, slab.nx, 0) + np.ascontiguousarray(
-        slab.psi, dtype="<c16"
-    ).tobytes()
+    # the join reads the array's buffer in place: the output is the one copy of the field
+    return b"".join((_HEADER.pack(SLAB_MAGIC, slab.nt, slab.nx, 0), np.ascontiguousarray(slab.psi, dtype="<c16")))
 
 
 def save_slab_binary(slab: FieldSlab, path: str | Path) -> None:

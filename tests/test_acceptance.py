@@ -34,6 +34,7 @@ from latticewave import (
     transform_particle,
     transform_wave,
 )
+from latticewave import acceptance
 from latticewave.acceptance import (
     GRID,
     CriterionResult,
@@ -452,6 +453,42 @@ def test_criterion_5_tracks_the_beat_without_sampling_its_field():
     assert result.passed
     # the draws and the tracker's windows: 74 KiB warm, 1 MiB in a fresh process
     assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("cid", [cid for cid in criterion_ids() if cid != 5])
+def test_every_criterion_certifies_in_2_mib_of_scratch(cid):
+    """Measured warm, so that no first-call import counts. The largest is criterion 2 at about 1 MiB;
+    criterion 3 checks its 1000 sequences in blocks of 100, about 0.7 MiB. Criterion 5's 2 MiB bound is
+    the test above, measured cold, so that its first call's imports count too."""
+    run_criterion(cid, seed=SEED)
+    tracemalloc.start()
+    try:
+        result = run_criterion(cid, seed=SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak <= 2 * 2**20
+
+
+@pytest.mark.parametrize("block", [0, 4, 9])
+def test_criterion_3_fails_on_a_nan_in_any_block(monkeypatch, block):
+    """A NaN in one block's first difference reaches the product-rule check and fails it."""
+    calls = 0
+
+    def nan_in_one_block(slab, *args):
+        nonlocal calls
+        out = apply_1d(slab, *args)
+        calls += 1
+        if calls == 5 * block + 1:  # the first of the block's five rows: D(fg)
+            out.psi[..., 0] = np.nan
+        return out
+
+    monkeypatch.setattr(acceptance, "apply_1d", nan_in_one_block)
+    result = run_criterion(3, seed=SEED)
+    assert calls == 50
+    assert not result.passed
+    assert result.details[0].startswith("discrete product rule") and result.details[0].endswith("FAILED")
 
 
 # SHA-256 of the verbose report that `latticewave verify-all --seed S [--as-printed V]` prints

@@ -1,5 +1,6 @@
 """Command-line front end: configs, outputs, provenance, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -71,6 +72,24 @@ class TestExperiments:
         result = read_json(out)["result"]
         assert result["round_trip_exact"] is True
         assert result["word"] == ["S4"]
+
+    @pytest.mark.parametrize("matrix, message", [("2,1,x", "be 16 comma-separated integers, got '2,1,x'"),
+                                                 ("1,0,0,1", "have 16 entries, got 4")], ids=["not-an-integer", "four"])
+    def test_lorentz_factorize_of_a_matrix_that_is_not_16_integers_is_a_config_error(self, tmp_path, capsys,
+                                                                                      matrix, message):
+        assert main(["lorentz-factorize", "--matrix", matrix, "--output", str(tmp_path / "word.json")]) == 2
+        assert capsys.readouterr().err == f"config error: matrix must {message}\n"
+
+    def test_kg_residual_json_keeps_its_recorded_digest_on_stdout_and_in_a_file(self, tmp_path, capsysbinary):
+        """The digest the CI workflow pins for this file; without --output the same bytes go to stdout."""
+        argv = ["kg-residual", "--form", "cayley", "--wave-n", "7", "--wave-m", "11", "--m0", "0.5", "--format", "json"]
+        out = tmp_path / "residual.json"
+        assert main([*argv, "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "2046dee818621f486cdee8d9d1bddc651420931baf72f17b1c67c863d619b916"
+        capsysbinary.readouterr()
+        assert main(argv) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
 
     def test_kg_evolve_verify_reports_tiny_deviation(self, tmp_path):
         out = tmp_path / "slab.csv"
@@ -490,11 +509,27 @@ class TestRunConfigs:
         {"experiment": "quantization-check", "format": "json", "params": {"m0": 1.0, "dn": 1, "dj": [0.5, 0, 0]}},
         {"params": {"form": "cayley", "m0": True}},
         {"grid": {"c": True}},
+        {"experiment": "kinematics-boost", "format": "json", "params": {"m0": 1.0, "p": 3, "v": [0, 0, 0]}},
+        {"experiment": "kinematics-boost", "format": "json", "params": {"m0": 1.0, "p": [0, 0, 0]}},
+        {"experiment": "no-such-experiment"},
+        {"format": "xml"},
+        {"grid": {"tau": -1.0}},
+        {"seed": True},
     ], ids=["experiment-list", "grid-string", "tau-string", "tau-null", "params-list", "output-path-int",
-            "fractional-vec3i", "m0-bool", "grid-c-bool"])
+            "fractional-vec3i", "m0-bool", "grid-c-bool", "vec3-scalar", "missing-parameter", "unknown-experiment",
+            "unknown-format", "negative-tau", "seed-bool"])
     def test_malformed_structure_is_a_config_error(self, tmp_path, overrides):
         assert main(["run", "--config", str(self.config(tmp_path, **overrides))]) == 2
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("raw, message", [(b"[]", "config root must be a JSON object"),
+                                              (b"{}", "config needs an 'experiment' key")],
+                             ids=["root-list", "no-experiment"])
+    def test_a_config_that_names_no_experiment_is_a_config_error(self, tmp_path, capsys, raw, message):
+        path = tmp_path / "config.json"
+        path.write_bytes(raw)
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("raw", [b'{"experiment": "\xff"}', b"[" * 100000 + b"]" * 100000],
                              ids=["non-utf8", "nested-too-deep"])

@@ -470,3 +470,14 @@ def test_the_block_scan_raises_the_per_row_scans_domain_error(form, grid):
     with pytest.raises(DomainError) as got:
         solve_modes(1.0, form, 200, 4, 1e-9, grid)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: dispersion_residual("cayley", 3, 4, 1.0, GRID), "unknown dispersion form 'cayley'"),
+    (lambda: solve_modes(1.0, DispersionForm.CAYLEY, 1, 8, 1e-9, GRID), "mode bounds must be >= 2"),
+    (lambda: solve_modes(1.0, DispersionForm.CAYLEY, 8, 1, 1e-9, GRID), "mode bounds must be >= 2"),
+    (lambda: quantization_check(LatticeStep(dn=1, dj=(0, 0, 0)), 1.0, GRID, -1.0), "tol must be >= 0"),
+], ids=["form-type", "n-bound", "m-bound", "quantization-tol"])
+def test_every_dispersion_guard_refuses_its_input(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

@@ -7,6 +7,7 @@ import os
 import pickle
 import struct
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from latticewave import (
     save_slab_csv,
     solve_modes,
 )
-from latticewave.grid import check_size, slab_to_csv
+from latticewave.grid import check_size, slab_to_bytes, slab_to_csv
 from latticewave.waves import beat_envelope
 
 
@@ -414,6 +415,21 @@ def writer_slabs(draw):
 @example(slab=slab_from_parts(257, 3, [float(k) * 1e-5 for k in range(2 * 257 * 3)]), header_lines=["a", "b"])
 def test_writer_matches_the_per_cell_oracle_byte_for_byte(slab, header_lines):
     assert slab_to_csv(slab, header_lines) == oracle_slab_to_csv(slab, header_lines)
+
+
+@pytest.mark.parametrize("render, ratio", [
+    (slab_to_csv, 2.5),  # the encoded rows and their join, about 2.0; a text join encoded afterwards is 3.0
+    (slab_to_bytes, 1.2),  # the output alone; a copy of the array's bytes beside it is 2.0
+], ids=["csv", "binary"])
+def test_a_slab_render_peaks_within_a_small_multiple_of_its_output(render, ratio):
+    slab = random_slab(nt=256, nx=256)
+    tracemalloc.start()
+    try:
+        out = render(slab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ratio * len(out)
 
 
 @pytest.mark.parametrize("middle, lineno", [

@@ -132,3 +132,15 @@ def test_a_patched_module_function_shows_through_and_leaves_nothing_behind(monke
     monkeypatch.undo()
     assert latticewave.solve_modes is original
     assert "solve_modes" not in vars(latticewave)
+
+
+def test_a_module_read_through_the_package_is_its_imported_module(monkeypatch):
+    """The import system binds a submodule on the package once it is imported; before that, the read imports it."""
+    monkeypatch.delattr(latticewave, "waves", raising=False)
+    assert latticewave.waves is importlib.import_module("latticewave.waves")
+
+
+def test_a_name_the_package_does_not_export_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        getattr(latticewave, "no_such_name")
+    assert not hasattr(latticewave, "no_such_name")

@@ -700,3 +700,34 @@ def test_stacked_rows_are_the_one_row_calls(rows, c):
                                                 transform_particle_scalar(one, v_i, c))
         assert (r23[i], r24[i]) == total_difference_mass_shell(one, one_p, c)
         assert invariant[i] == four_difference_invariant(one, one_p, c)
+
+
+# --- library guards: every refusal, through the call that reaches it -------------------------------------------
+
+STATE = ParticleState.from_momentum([1.0, 0, 0], 1.0, 1.0)
+# on the massless shell to 1e-11, inside SHELL_RTOL, and just outside the light cone
+# (a gap in validate, logged in CHANGES.md: it checks the shell to SHELL_RTOL but not |p| c <= E); the
+# boosted-energy row reaches transform_particle's non-positive-energy guard only through that gap, so when
+# validate refuses such a state the row moves to validate's refusal, or the guard goes
+SPACELIKE_BY_ROUNDING = ParticleState(E=1.0, p=[1 + 1e-11, 0, 0], m0=0.0, u=[1 + 1e-11, 0, 0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: boost_matrix([0.1, 0.2], 1.0), "expected a 3-vector"),
+    (lambda: boost_matrix([0.1, 0, 0], 0.0), "c must be positive"),
+    (lambda: transform_particle_scalar(STATE, [1.0, 0, 0], 1.0), r"\|v\| < c"),
+    (lambda: ParticleState.from_momentum([1.0, 0, 0], -1.0, 1.0), "rest mass must be >= 0"),
+    (lambda: STATE.mass_shell_residual(1e100), "leaves the float range"),  # c**4 raises OverflowError
+    (lambda: transform_particle(ParticleState(E=1.0, p=[0, 0, 0], m0=-1.0, u=[0, 0, 0]), [0, 0, 0], 1.0),
+     "rest mass must be >= 0"),
+    (lambda: transform_particle(ParticleState(E=-1.0, p=[0, 0, 0], m0=1.0, u=[0, 0, 0]), [0, 0, 0], 1.0),
+     "energy must be positive"),
+    (lambda: transform_particle(ParticleState(E=1.0, p=[0, 0, 0], m0=1.0, u=[0.5, 0, 0]), [0, 0, 0], 1.0),
+     "velocity inconsistent"),
+    (lambda: transform_particle(SPACELIKE_BY_ROUNDING, [1 - 1e-12, 0, 0], 1.0), "non-positive energy"),
+    (lambda: debroglie_map(STATE, 0.0), "hbar must be positive"),
+], ids=["vec3-shape", "boost-c", "gamma-speed", "from-momentum-mass", "shell-residual-overflow", "validate-mass",
+        "validate-energy", "validate-velocity", "boosted-energy", "debroglie-hbar"])
+def test_every_kinematics_guard_refuses_its_input(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

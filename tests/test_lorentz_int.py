@@ -528,3 +528,14 @@ def test_the_closed_form_step_is_the_product_by_s4_p(word, signs):
 def test_metric_gram_defect_takes_only_column_indices_in_0_to_3(i, j):
     with pytest.raises(DomainError, match="column indices must be integers in 0..3"):
         metric_gram_defect(printed_s4(), i, j)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: IntLorentzMatrix([[1, 0], [0, 1]]), "expected a 4x4 integer matrix"),
+    (lambda: eval_word(["S5"]), "unknown letter 'S5'"),
+    (lambda: factorize(IDENTITY.entries), "certified IntLorentzMatrix"),
+    (lambda: matrix_from_json([1, 0, 0, 1]), "expected 16 integers, got 4"),
+], ids=["matrix-shape", "word-letter", "factorize-type", "json-length"])
+def test_every_lorentz_guard_refuses_its_input(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

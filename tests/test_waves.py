@@ -31,7 +31,7 @@ from latticewave import (
     sample_wave,
 )
 from latticewave import waves
-from latticewave.waves import _track_crests, _unimodular_power, beat_envelope
+from latticewave.waves import _refine_peak, _track_crests, _unimodular_power, beat_envelope
 
 
 def reader(env_sq):
@@ -110,6 +110,13 @@ class TestCayleyWave:
     def test_power_helper_stays_unimodular_for_huge_exponents(self):
         z = (1 + 1j * math.pi / 3) / (1 - 1j * math.pi / 3)
         assert abs(abs(_unimodular_power(z, 10**9)) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("exponent", [2**64 - 1, 2**200 - 1, -(2**200 - 1)])
+    def test_power_helper_renormalizes_its_result_every_64_multiplications(self, exponent):
+        """Each set bit is one multiplication into the result. Unrenormalized, these drift by 1.1e-15 and
+        1.3e-15; renormalized after every 64th, they stay within one ulp of the circle."""
+        z = (1 + 1j * math.pi / 3) / (1 - 1j * math.pi / 3)
+        assert abs(abs(_unimodular_power(z, exponent)) - 1.0) <= 2**-52
 
 
 
@@ -514,3 +521,19 @@ def test_the_tracker_reads_the_middle_half_of_slice_0_and_a_window_per_slice():
     assert reads[0] == (0, 255, 769)
     assert [n for n, _, _ in reads] == list(range(256))
     assert {hi - lo for _, lo, hi in reads[1:]} == {11}
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: WaveSpec(form="cayley", N=3, M=4), "form must be a WaveForm"),
+    (lambda: eval_exponential(WaveSpec(form=WaveForm.CAYLEY, N=3, M=4), 0, 0), "needs an exponential WaveSpec"),
+    (lambda: eval_cayley(WaveSpec(form=WaveForm.EXPONENTIAL, N=3, M=4), 0, 0), "needs a cayley WaveSpec"),
+    (lambda: beat_phase_velocity(BeatSpec(T1=4.0, T2=6.0, lam1=3.0, lam2=-3.0)), "wavenumber sum vanishes"),
+], ids=["spec-form", "exponential-form", "cayley-form", "phase-velocity"])
+def test_every_wave_guard_refuses_its_input(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+def test_a_flat_peak_is_refined_to_its_own_site():
+    """Three equal samples have no curvature to fit: the peak stays at site lo + k, with no 0/0."""
+    assert _refine_peak(np.array([0.5, 2.0, 2.0, 2.0]), 2, 5) == 7.0
