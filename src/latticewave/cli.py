@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable
 
@@ -31,8 +31,8 @@ import numpy as np
 from . import __version__
 from .dispersion import DispersionForm, quantization_check, solve_modes
 from .errors import ConfigError, DomainError, MeasurementError, SingularSystemError, SizeLimitError
-from .grid import (AS_PRINTED_CHOICES, SLAB_CSV_COLUMNS, FieldSlab, GridSpec, Infinite, INFINITE, is_integer,
-                   slab_to_bytes, slab_to_csv)
+from .grid import (AS_PRINTED_CHOICES, GRID_KEYS, SLAB_CSV_COLUMNS, FieldSlab, GridSpec, Infinite, INFINITE,
+                   is_integer, slab_to_bytes, slab_to_csv)
 
 OUTPUT_DIR_ENV = "LATTICEWAVE_OUTPUT_DIR"
 _SLAB_CSV_HEADER = ",".join(SLAB_CSV_COLUMNS)
@@ -130,7 +130,6 @@ def _resolve_params(schema: list[Param], raw: dict) -> dict:
 # --- run configuration ----------------------------------------------------------
 
 
-GRID_KEYS = ("tau", "eps", "c", "hbar")
 FORMATS = ("csv", "json", "binary")
 # the JSON type each config key must have
 _CONFIG_KEYS = {"experiment": str, "grid": (dict, type(None)), "params": dict,
@@ -363,7 +362,6 @@ def _render(cfg: RunConfig, result, checks: tuple[str, ...]) -> bytes:
 
 @dataclass(frozen=True)
 class Experiment:
-    name: str
     help: str
     schema: list[Param]
     runner: Callable[[RunConfig], Any]
@@ -511,144 +509,122 @@ def _run_quantization_check(cfg: RunConfig):
                                "N": result.N, "M": result.M})
 
 
-EXPERIMENTS: dict[str, Experiment] = {}
-
-
-def _register(exp: Experiment) -> None:
-    EXPERIMENTS[exp.name] = exp
-
-
-_register(Experiment(
-    name="dispersion-scan",
-    help="Scan integer modes (N, M) whose dispersion residual vanishes for a rest mass. "
-    "CSV columns: form,N,M,m0,residual (M = 'inf' for zero wavenumber).",
-    schema=[
-        Param("form", "str", "dispersion relation", choices=("exponential", "cayley", "continuum")),
-        Param("m0", "float", "rest mass to scan"),
-        Param("n_max", "int", "largest time period scanned", default=64),
-        Param("m_max", "int", "largest wavelength scanned", default=64),
-        Param("tol", "float", "residual tolerance", default=1e-9),
-    ],
-    runner=_run_dispersion_scan,
-    checks=("integer-mode-dispersion-scan",),
-))
-
-_register(Experiment(
-    name="lorentz-enumerate",
-    help="Enumerate the generator ball of the integral Lorentz group; JSON matrices "
-    "are row-major arrays of 16 integers.",
-    schema=[Param("max_word_len", "int", "maximum generator word length")],
-    runner=_run_lorentz_enumerate,
-    checks=("minkowski-metric-preservation", "generator-ball-enumeration"),
-    formats=("json",),
-))
-
-_register(Experiment(
-    name="lorentz-factorize",
-    help="Factor an integral Lorentz matrix (16 row-major integers) into a generator "
-    "word in normal form, verifying the exact round trip.",
-    schema=[Param("matrix", "str", "comma-separated 16 integers, row-major")],
-    runner=_run_lorentz_factorize,
-    checks=("generator-word-factorization-round-trip",),
-    formats=("json",),
-))
-
-_register(Experiment(
-    name="wave-sample",
-    help=f"Sample a lattice plane wave over an Nt x Nx slab. CSV columns: {_SLAB_CSV_HEADER}.",
-    schema=[
-        Param("form", "str", "wave form", choices=("exponential", "cayley")),
-        Param("wave_n", "int", "time period N (steps)"),
-        Param("wave_m", "mode_m", "wavelength M (sites) or 'inf'"),
-        Param("nt", "int", "time extent", default=16),
-        Param("nx", "int", "space extent", default=16),
-    ],
-    runner=_run_wave_sample,
-    checks=("lattice-plane-wave-sampling",),
-))
-
-_register(Experiment(
-    name="beat-measure",
-    help="Build a two-mode beat, report analytic phase/group velocities and the "
-    "envelope-tracked group velocity; csv format exports the field itself "
-    f"(columns {_SLAB_CSV_HEADER}) with the measurements in the header.",
-    schema=[
-        Param("t1", "float", "first mode period"),
-        Param("t2", "float", "second mode period"),
-        Param("lam1", "float", "first mode wavelength"),
-        Param("lam2", "float", "second mode wavelength"),
-        Param("nt", "int", "time extent", default=256),
-        Param("nx", "int", "space extent", default=1024),
-    ],
-    runner=_run_beat_measure,
-    checks=("beat-velocity-formulas", "envelope-group-velocity-tracking"),
-    formats=("json", "csv"),
-))
-
-_register(Experiment(
-    name="kg-residual",
-    help="Max interior residual of the lattice wave operator on a sampled plane wave.",
-    schema=[
-        Param("form", "str", "wave form", choices=("exponential", "cayley")),
-        Param("wave_n", "int", "time period N"),
-        Param("wave_m", "mode_m", "wavelength M or 'inf'"),
-        Param("m0", "float", "rest mass in the operator"),
-        Param("nt", "int", "time extent", default=32),
-        Param("nx", "int", "space extent", default=32),
-    ],
-    runner=_run_kg_residual,
-    checks=("lattice-wave-operator-residual",),
-    formats=("json",),
-))
-
-_register(Experiment(
-    name="kg-evolve",
-    help="March the lattice wave equation from the first two closed-form slices of a "
-    f"mode. Slab CSV columns: {_SLAB_CSV_HEADER}; --verify adds the max deviation from the "
-    "closed form to the header (global comparison: exact only for spatially "
-    "periodic modes, e.g. M dividing Nx or M = inf).",
-    schema=[
-        Param("form", "str", "wave form", choices=("exponential", "cayley")),
-        Param("wave_n", "int", "time period N"),
-        Param("wave_m", "mode_m", "wavelength M or 'inf'"),
-        Param("m0", "float", "rest mass in the operator"),
-        Param("steps", "int", "number of time steps", default=16),
-        Param("nx", "int", "space extent", default=16),
-        Param("verify", "bool", "compare against the closed form", default=False),
-    ],
-    runner=_run_kg_evolve,
-    checks=("implicit-lattice-wave-evolution",),
-    formats=("csv", "binary"),
-))
-
-_register(Experiment(
-    name="kinematics-boost",
-    help="Boost a particle state and its associated wave; report both plus the "
-    "transform-equivalence and mass-shell residuals.",
-    schema=[
-        Param("m0", "float", "rest mass"),
-        Param("p", "vec3f", "momentum 3-vector"),
-        Param("v", "vec3f", "boost velocity 3-vector"),
-    ],
-    runner=_run_kinematics_boost,
-    checks=("boost-metric-preservation", "wave-particle-transform-equivalence"),
-    formats=("json",),
-))
-
-_register(Experiment(
-    name="quantization-check",
-    help="Mode numbers N_real = h/(tau E), M_real = h/(eps p) for a lattice step, "
-    "with nearest integers when within tolerance.",
-    schema=[
-        Param("m0", "float", "rest mass"),
-        Param("dn", "int", "time steps per event"),
-        Param("dj", "vec3i", "space steps per event"),
-        Param("tol", "float", "integer-closeness tolerance", default=1e-9),
-    ],
-    runner=_run_quantization_check,
-    checks=("mode-number-quantization",),
-    formats=("json",),
-))
+EXPERIMENTS: dict[str, Experiment] = {
+    "dispersion-scan": Experiment(
+        help="Scan integer modes (N, M) whose dispersion residual vanishes for a rest mass. "
+        "CSV columns: form,N,M,m0,residual (M = 'inf' for zero wavenumber).",
+        schema=[
+            Param("form", "str", "dispersion relation", choices=("exponential", "cayley", "continuum")),
+            Param("m0", "float", "rest mass to scan"),
+            Param("n_max", "int", "largest time period scanned", default=64),
+            Param("m_max", "int", "largest wavelength scanned", default=64),
+            Param("tol", "float", "residual tolerance", default=1e-9),
+        ],
+        runner=_run_dispersion_scan,
+        checks=("integer-mode-dispersion-scan",),
+    ),
+    "lorentz-enumerate": Experiment(
+        help="Enumerate the generator ball of the integral Lorentz group; JSON matrices "
+        "are row-major arrays of 16 integers.",
+        schema=[Param("max_word_len", "int", "maximum generator word length")],
+        runner=_run_lorentz_enumerate,
+        checks=("minkowski-metric-preservation", "generator-ball-enumeration"),
+        formats=("json",),
+    ),
+    "lorentz-factorize": Experiment(
+        help="Factor an integral Lorentz matrix (16 row-major integers) into a generator "
+        "word in normal form, verifying the exact round trip.",
+        schema=[Param("matrix", "str", "comma-separated 16 integers, row-major")],
+        runner=_run_lorentz_factorize,
+        checks=("generator-word-factorization-round-trip",),
+        formats=("json",),
+    ),
+    "wave-sample": Experiment(
+        help=f"Sample a lattice plane wave over an Nt x Nx slab. CSV columns: {_SLAB_CSV_HEADER}.",
+        schema=[
+            Param("form", "str", "wave form", choices=("exponential", "cayley")),
+            Param("wave_n", "int", "time period N (steps)"),
+            Param("wave_m", "mode_m", "wavelength M (sites) or 'inf'"),
+            Param("nt", "int", "time extent", default=16),
+            Param("nx", "int", "space extent", default=16),
+        ],
+        runner=_run_wave_sample,
+        checks=("lattice-plane-wave-sampling",),
+    ),
+    "beat-measure": Experiment(
+        help="Build a two-mode beat, report analytic phase/group velocities and the "
+        "envelope-tracked group velocity; csv format exports the field itself "
+        f"(columns {_SLAB_CSV_HEADER}) with the measurements in the header.",
+        schema=[
+            Param("t1", "float", "first mode period"),
+            Param("t2", "float", "second mode period"),
+            Param("lam1", "float", "first mode wavelength"),
+            Param("lam2", "float", "second mode wavelength"),
+            Param("nt", "int", "time extent", default=256),
+            Param("nx", "int", "space extent", default=1024),
+        ],
+        runner=_run_beat_measure,
+        checks=("beat-velocity-formulas", "envelope-group-velocity-tracking"),
+        formats=("json", "csv"),
+    ),
+    "kg-residual": Experiment(
+        help="Max interior residual of the lattice wave operator on a sampled plane wave.",
+        schema=[
+            Param("form", "str", "wave form", choices=("exponential", "cayley")),
+            Param("wave_n", "int", "time period N"),
+            Param("wave_m", "mode_m", "wavelength M or 'inf'"),
+            Param("m0", "float", "rest mass in the operator"),
+            Param("nt", "int", "time extent", default=32),
+            Param("nx", "int", "space extent", default=32),
+        ],
+        runner=_run_kg_residual,
+        checks=("lattice-wave-operator-residual",),
+        formats=("json",),
+    ),
+    "kg-evolve": Experiment(
+        help="March the lattice wave equation from the first two closed-form slices of a "
+        f"mode. Slab CSV columns: {_SLAB_CSV_HEADER}; --verify adds the max deviation from the "
+        "closed form to the header (global comparison: exact only for spatially "
+        "periodic modes, e.g. M dividing Nx or M = inf).",
+        schema=[
+            Param("form", "str", "wave form", choices=("exponential", "cayley")),
+            Param("wave_n", "int", "time period N"),
+            Param("wave_m", "mode_m", "wavelength M or 'inf'"),
+            Param("m0", "float", "rest mass in the operator"),
+            Param("steps", "int", "number of time steps", default=16),
+            Param("nx", "int", "space extent", default=16),
+            Param("verify", "bool", "compare against the closed form", default=False),
+        ],
+        runner=_run_kg_evolve,
+        checks=("implicit-lattice-wave-evolution",),
+        formats=("csv", "binary"),
+    ),
+    "kinematics-boost": Experiment(
+        help="Boost a particle state and its associated wave; report both plus the "
+        "transform-equivalence and mass-shell residuals.",
+        schema=[
+            Param("m0", "float", "rest mass"),
+            Param("p", "vec3f", "momentum 3-vector"),
+            Param("v", "vec3f", "boost velocity 3-vector"),
+        ],
+        runner=_run_kinematics_boost,
+        checks=("boost-metric-preservation", "wave-particle-transform-equivalence"),
+        formats=("json",),
+    ),
+    "quantization-check": Experiment(
+        help="Mode numbers N_real = h/(tau E), M_real = h/(eps p) for a lattice step, "
+        "with nearest integers when within tolerance.",
+        schema=[
+            Param("m0", "float", "rest mass"),
+            Param("dn", "int", "time steps per event"),
+            Param("dj", "vec3i", "space steps per event"),
+            Param("tol", "float", "integer-closeness tolerance", default=1e-9),
+        ],
+        runner=_run_quantization_check,
+        checks=("mode-number-quantization",),
+        formats=("json",),
+    ),
+}
 
 
 # --- execution --------------------------------------------------------------------
@@ -701,17 +677,6 @@ def run(cfg: RunConfig) -> int:
 # --- argument parsing ----------------------------------------------------------
 
 
-def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("grid constants (defaults: the natural-unit lattice)")
-    for key, doc in (("tau", "fundamental time step"), ("eps", "fundamental length"),
-                     ("c", "speed of light"), ("hbar", "reduced quantum of action")):
-        group.add_argument(f"--{key}", type=float, default=1.0, help=f"{doc} (default 1.0)")
-
-
-def _flag_name(param: Param) -> str:
-    return "--" + param.name.replace("_", "-")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing does not change it."""
@@ -726,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=spec.help, description=spec.help,
                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         for param in spec.schema:
-            flag = _flag_name(param)
+            flag = "--" + param.name.replace("_", "-")
             if param.kind in ("vec3f", "vec3i"):
                 p.add_argument(flag, nargs=3, type=float if param.kind == "vec3f" else int,
                                required=param.default is None, default=param.default, help=param.doc)
@@ -741,7 +706,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default=spec.formats[0], choices=spec.formats,
                        help="output format")
         p.add_argument("--seed", type=int, default=0, help="recorded in provenance")
-        _add_grid_arguments(p)
+        group = p.add_argument_group("grid constants (defaults: the natural-unit lattice)")
+        for constant in fields(GridSpec):
+            group.add_argument(f"--{constant.name}", type=float, default=constant.default,
+                               help=f"{constant.metadata['doc']} (default {constant.default})")
 
     run_p = sub.add_parser("run", help="execute an experiment described by a JSON config file")
     run_p.add_argument("--config", required=True, help="path to the RunConfig JSON")

@@ -13,7 +13,7 @@ import math
 import re
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Union
@@ -110,13 +110,14 @@ class GridSpec:
     derived, never stored.
     """
 
-    tau: float = 1.0
-    eps: float = 1.0
-    c: float = 1.0
-    hbar: float = 1.0
+    # each constant's doc is the help of its command-line flag
+    tau: float = field(default=1.0, metadata={"doc": "fundamental time step"})
+    eps: float = field(default=1.0, metadata={"doc": "fundamental length"})
+    c: float = field(default=1.0, metadata={"doc": "speed of light"})
+    hbar: float = field(default=1.0, metadata={"doc": "reduced quantum of action"})
 
     def __post_init__(self):
-        for name in ("tau", "eps", "c", "hbar"):
+        for name in GRID_KEYS:
             value = getattr(self, name)
             # compared, not converted: an int past the float range must not raise OverflowError,
             # nor be printed in full (repr refuses ints of more than 4300 digits)
@@ -149,6 +150,10 @@ class GridSpec:
             raise DomainError(f"the wave equation's coefficients leave the float range for m0={m0!r}, "
                               f"tau={self.tau!r}, eps={self.eps!r}, c={self.c!r}, hbar={self.hbar!r}")
         return coefficients
+
+
+# the constants' names: the keys of a config's "grid" object and the command line's grid flags
+GRID_KEYS = tuple(constant.name for constant in fields(GridSpec))
 
 
 @dataclass

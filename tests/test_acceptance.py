@@ -6,7 +6,6 @@ plain ``pytest tests/test_acceptance.py -s`` doubles as the certification
 report.
 """
 
-import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -490,44 +489,3 @@ def test_criterion_3_fails_on_a_nan_in_any_block(monkeypatch, block):
     assert not result.passed
     assert result.details[0].startswith("discrete product rule") and result.details[0].endswith("FAILED")
 
-
-# SHA-256 of the verbose report that `latticewave verify-all --seed S [--as-printed V]` prints
-REPORT_DIGESTS = {
-    (0, "none"): "4398b79291a93c1da60877a2259ba543aef62a051453cb05a507821a3810cda2",
-    (0, "s4"): "40a058367e012d2fbb7eadc0e2de35ceb0813ab9d300d9192fe90fc9cb013384",
-    (0, "tan-dispersion"): "650b2544b66607882e14bdae806dc9f25edfd4a3bf3d8c7a4252016e684f8e1f",
-    (1, "none"): "e72ea736fd969d5b8ebbff5a09f6a3302a6bf0e801adfe18cd6bed7089fd8d21",
-    (1, "s4"): "d31f0dac246c0ad4877cd230a07871c81ac3670089968d85e924c6123684f5ce",
-    (1, "tan-dispersion"): "fa2ba67c90d2ea2904e136af8d30cca62a4ee67be22164fa3bac25e838a049fa",
-    (2, "none"): "81c3fe8c3011011749cc73c931aaf32548c2eab20dd705488107f33754dbbd1d",
-    (2, "s4"): "a9ccbdff141abb7449c76e06852aba91763839351eee02eadda6e19223766cc3",
-    (2, "tan-dispersion"): "f76d3694ebd1f7e182fb0124c56cd12dbfe64a044df390f3ab37f8a5c0912278",
-    (3, "none"): "edd5efb6a3656d3db00a93a2a3b90d26150ac33be664c12533ff40429b5b7fa5",
-    (3, "s4"): "10246001c87b2aabd4787bd4f7c9bb345319ea8b70371c7bfa925c3d1d18bd4a",
-    (3, "tan-dispersion"): "8ccb729fa5ba16e5245a32d2faa7d453e9eb53639d80bf57a0794df406cc23fd",
-    (4, "none"): "3ab3a2bbb50015d32473205357d3db7ba5204994cdd70f057ae80576ebd8f14b",
-    (4, "s4"): "64082cbe6dcd984eb17dfc44f5f7e62b895b5d57363075d2151d7effdb99f4fd",
-    (4, "tan-dispersion"): "f877a8bcfccce3f43c9b0698fa794e607ccfff9291a0c6525179acc132cc6aa5",
-    (5, "none"): "11a9bdd0ec42b0be63bdaf74fcb2a1238cb549a458a90e0ed558f10d3d141c20",
-    (5, "s4"): "8d8373573beb83227b2e06a6f17a57f456119ab499d45c366cdbd4051118e73a",
-    (5, "tan-dispersion"): "85885d6a3d115c5c41f0a0c7debbfd62c4f06978a3565ce86cc4c7dae1e7de22",
-    (6, "none"): "6217d90cd2236b5ed5b26db9941ce8f8c416677549f5d9d4422dd65dd01740eb",
-    (6, "s4"): "58d63ed50d100c0fe2f91760255709513f30abf1a3602327db5d8f7145b8ba1a",
-    (6, "tan-dispersion"): "f4e56af241a41437c0167c5351b78f62fd4c72343c0bf003cbdcffbfaeb2e605",
-    (7, "none"): "9bd1287d0ca57a17881d0e11bcaa738ed07e9dfa88f2ae0d5d3dab6db1df3d8c",
-    (7, "s4"): "decb7b7e28e5d1724287da23123aaa4585cb135f931146c844a1dd41c7721fb8",
-    (7, "tan-dispersion"): "324023c03b9dbc4b5b3d15a391c04c94579eeac50fc3c91ec2775b73cbd18cce",
-    (8, "none"): "a4c61f14e69233769d3875b64f2db70b78d773887fa9a89e447c4e60acd4db19",
-    (8, "s4"): "25cb8bd812be22076fdb4c6f4da176eeab680c4e9e380adbb929ac8f2e720a1c",
-    (8, "tan-dispersion"): "a0b3aa96bb09e860d0957c6fa6164c29fb5cfd45cf835d0a5ef5a3d17e3ac146",
-    (9, "none"): "d678cca3e8254fabc6e4496067cb43c67e1f7dbdde90a04e5f3f4fdb8d89e26e",
-    (9, "s4"): "04157e4d0aebde3a9f4a9cef586bce134a48cefc00ed4da2606c2f6f9107852f",
-    (9, "tan-dispersion"): "eab4fabde1e344c58b2366755101214d54252318f82a68fcc05d761fcbaafede",
-}
-
-
-@pytest.mark.parametrize("seed, variant", sorted(REPORT_DIGESTS))
-def test_verbose_report_is_pinned(seed, variant):
-    as_printed = () if variant == "none" else (variant,)
-    report = format_report(run_acceptance(seed=seed, as_printed=as_printed)) + "\n"
-    assert hashlib.sha256(report.encode()).hexdigest() == REPORT_DIGESTS[seed, variant]
