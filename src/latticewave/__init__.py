@@ -21,10 +21,10 @@ _EXPORTS = {
         "MeasurementError", "SingularSystemError", "SizeLimitError",
     ), "errors"),
     **dict.fromkeys((
-        "Axis", "Boundary", "FieldSlab", "GridSpec", "INFINITE", "Infinite", "MAX_CELLS",
+        "FieldSlab", "GridSpec", "INFINITE", "Infinite", "MAX_CELLS",
         "load_slab_binary", "load_slab_csv", "save_slab_binary", "save_slab_csv",
     ), "grid"),
-    **dict.fromkeys(("DiffOp", "apply_1d"), "diffcalc"),
+    **dict.fromkeys(("Axis", "Boundary", "DiffOp", "apply_1d"), "diffcalc"),
     **dict.fromkeys((
         "LatticeStep", "ParticleState", "boost_matrix", "debroglie_map", "discrete_energy_momentum",
         "energy_momentum_squared_exact", "four_difference_invariant", "phase_velocity", "step_velocity",

@@ -17,10 +17,10 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .diffcalc import DiffOp, apply_1d
+from .diffcalc import Axis, Boundary, DiffOp, apply_1d
 from .dispersion import DispersionForm, dispersion_residual, mass_from_rest_period, quantization_check, solve_modes
 from .errors import ConfigError, InternalInvariantError
-from .grid import AS_PRINTED_CHOICES, Axis, Boundary, FieldSlab, GridSpec, INFINITE, is_integer
+from .grid import AS_PRINTED_CHOICES, FieldSlab, GridSpec, INFINITE, is_integer
 from .kg_lattice import KGParams, evolve, plane_wave_residual
 from .kinematics import (
     LatticeStep,

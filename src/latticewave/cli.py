@@ -31,11 +31,10 @@ import numpy as np
 from . import __version__
 from .dispersion import DispersionForm, quantization_check, solve_modes
 from .errors import ConfigError, DomainError, MeasurementError, SingularSystemError, SizeLimitError
-from .grid import (AS_PRINTED_CHOICES, GRID_KEYS, SLAB_CSV_COLUMNS, FieldSlab, GridSpec, Infinite, INFINITE,
-                   is_integer, slab_to_bytes, slab_to_csv)
+from .grid import (AS_PRINTED_CHOICES, GRID_KEYS, SLAB_CSV_COLUMNS, SLAB_CSV_HEADER, FieldSlab, GridSpec, Infinite,
+                   INFINITE, is_integer, slab_to_bytes, slab_to_csv)
 
 OUTPUT_DIR_ENV = "LATTICEWAVE_OUTPUT_DIR"
-_SLAB_CSV_HEADER = ",".join(SLAB_CSV_COLUMNS)
 
 
 # --- parameter schema ---------------------------------------------------------
@@ -540,7 +539,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         formats=("json",),
     ),
     "wave-sample": Experiment(
-        help=f"Sample a lattice plane wave over an Nt x Nx slab. CSV columns: {_SLAB_CSV_HEADER}.",
+        help=f"Sample a lattice plane wave over an Nt x Nx slab. CSV columns: {SLAB_CSV_HEADER}.",
         schema=[
             Param("form", "str", "wave form", choices=("exponential", "cayley")),
             Param("wave_n", "int", "time period N (steps)"),
@@ -554,7 +553,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     "beat-measure": Experiment(
         help="Build a two-mode beat, report analytic phase/group velocities and the "
         "envelope-tracked group velocity; csv format exports the field itself "
-        f"(columns {_SLAB_CSV_HEADER}) with the measurements in the header.",
+        f"(columns {SLAB_CSV_HEADER}) with the measurements in the header.",
         schema=[
             Param("t1", "float", "first mode period"),
             Param("t2", "float", "second mode period"),
@@ -583,7 +582,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     ),
     "kg-evolve": Experiment(
         help="March the lattice wave equation from the first two closed-form slices of a "
-        f"mode. Slab CSV columns: {_SLAB_CSV_HEADER}; --verify adds the max deviation from the "
+        f"mode. Slab CSV columns: {SLAB_CSV_HEADER}; --verify adds the max deviation from the "
         "closed form to the header (global comparison: exact only for spatially "
         "periodic modes, e.g. M dividing Nx or M = inf).",
         schema=[
@@ -692,14 +691,11 @@ def build_parser() -> argparse.ArgumentParser:
                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         for param in spec.schema:
             flag = "--" + param.name.replace("_", "-")
-            if param.kind in ("vec3f", "vec3i"):
-                p.add_argument(flag, nargs=3, type=float if param.kind == "vec3f" else int,
-                               required=param.default is None, default=param.default, help=param.doc)
-            elif param.kind == "bool":
+            if param.kind == "bool":
                 p.add_argument(flag, action="store_true", help=param.doc)
             else:
-                p.add_argument(flag, type=str, required=param.default is None,
-                               default=param.default, help=param.doc,
+                p.add_argument(flag, nargs=3 if param.kind in ("vec3f", "vec3i") else None,
+                               required=param.default is None, default=param.default, help=param.doc,
                                choices=param.choices)
         p.add_argument("--output", help="output file (default: stdout); relative paths honor "
                        f"${OUTPUT_DIR_ENV}")
@@ -708,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="recorded in provenance")
         group = p.add_argument_group("grid constants (defaults: the natural-unit lattice)")
         for constant in fields(GridSpec):
-            group.add_argument(f"--{constant.name}", type=float, default=constant.default,
+            group.add_argument(f"--{constant.name}", default=constant.default,
                                help=f"{constant.metadata['doc']} (default {constant.default})")
 
     run_p = sub.add_parser("run", help="execute an experiment described by a JSON config file")

@@ -21,7 +21,21 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .grid import Axis, Boundary, FieldSlab
+from .grid import FieldSlab
+
+
+class Axis(Enum):
+    """The two slab directions: time index n, space index j."""
+
+    TIME_N = "time_n"
+    SPACE_J = "space_j"
+
+
+class Boundary(Enum):
+    """How difference operators treat sequence ends."""
+
+    PERIODIC = "periodic"
+    SHRINKING = "shrinking"
 
 
 class DiffOp(Enum):

@@ -14,7 +14,6 @@ import re
 import struct
 import sys
 from dataclasses import dataclass, field, fields
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Union
 
@@ -39,11 +38,9 @@ class Infinite:
     def __repr__(self) -> str:
         return "INFINITE"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Infinite)
-
-    def __hash__(self) -> int:
-        return hash("latticewave.INFINITE")
+    def __reduce__(self) -> str:
+        # pickled and copied by name, so every protocol and copy hands back the one object: `is` compares it
+        return "INFINITE"
 
 
 INFINITE = Infinite()
@@ -85,20 +82,6 @@ def check_mode(N: int, M: MaybeInfinite) -> None:
         raise DomainError(f"N must be an integer >= 2, got {N!r}")
     if not isinstance(M, Infinite) and not (is_integer(M) and M >= 2):
         raise DomainError(f"M must be an integer >= 2 or INFINITE, got {M!r}")
-
-
-class Boundary(Enum):
-    """How difference operators treat sequence ends."""
-
-    PERIODIC = "periodic"
-    SHRINKING = "shrinking"
-
-
-class Axis(Enum):
-    """The two slab directions: time index n, space index j."""
-
-    TIME_N = "time_n"
-    SPACE_J = "space_j"
 
 
 @dataclass(frozen=True)
@@ -202,14 +185,15 @@ class FieldSlab:
 SLAB_MAGIC = b"KGL1"
 _HEADER = struct.Struct("<4sIII")
 
-SLAB_CSV_COLUMNS = ("n", "j", "re", "im")
 _CSV_ROW = np.dtype([("n", "<i8"), ("j", "<i8"), ("re", "<f8"), ("im", "<f8")])
+SLAB_CSV_COLUMNS = _CSV_ROW.names
+SLAB_CSV_HEADER = ",".join(SLAB_CSV_COLUMNS)
 
 
 def slab_to_csv(slab: FieldSlab, header_lines: Iterable[str] = ()) -> bytes:
     # each row is encoded as it is built, so the rendered text is held once, as bytes, before the join
     lines = [f"# {line}\n".encode() for line in header_lines]
-    lines.append((",".join(SLAB_CSV_COLUMNS) + "\n").encode())
+    lines.append(f"{SLAB_CSV_HEADER}\n".encode())
     # each row of the slab is one join over its 8 * nx cells, "n" "," "j" "," re "," im "\n" per site, which is
     # the layout above byte for byte. The j, comma and newline cells are the same in every row, so they are
     # filled once; a row's tolist() yields Python floats, whose repr the re and im cells use
@@ -229,8 +213,9 @@ def save_slab_csv(slab: FieldSlab, path: str | Path, header_lines: Iterable[str]
     Path(path).write_bytes(slab_to_csv(slab, header_lines))
 
 
-def _parse_rows(rows: list[str]) -> np.ndarray:
-    return np.loadtxt(rows, delimiter=",", comments=None, quotechar=None, dtype=_CSV_ROW, ndmin=1)
+def _parse_rows(source, **file_options) -> np.ndarray:
+    """The data rows of ``source`` by numpy's tokenizer: a list of rows, or a path with its encoding and skiprows."""
+    return np.loadtxt(source, dtype=_CSV_ROW, delimiter=",", comments=None, quotechar=None, ndmin=1, **file_options)
 
 
 def _first_bad_row(text: str, lines: list[str]) -> tuple[int, str]:
@@ -270,8 +255,8 @@ def _read_lines(path: Path, raw: bytes) -> np.ndarray:
             raise DomainError(f"{path}: not a slab CSV (a carriage return outside a '\\r\\n' line ending)")
     # a line without '#' cannot start with one, so most lines skip the lstrip
     lines = [line for line in text.split("\n") if line and ("#" not in line or not line.lstrip().startswith("#"))]
-    if not lines or lines[0] != ",".join(SLAB_CSV_COLUMNS):
-        raise DomainError(f"{path}: not a slab CSV (missing 'n,j,re,im' header row)")
+    if not lines or lines[0] != SLAB_CSV_HEADER:
+        raise DomainError(f"{path}: not a slab CSV (missing '{SLAB_CSV_HEADER}' header row)")
     if len(lines) < 2:
         raise DomainError(f"{path}: slab CSV has no data rows")
     try:
@@ -284,7 +269,7 @@ def _read_lines(path: Path, raw: bytes) -> np.ndarray:
 
 # the start of a file that numpy's reader may take: '#' lines and the header (group 1), then a byte that is not
 # '\n', so numpy never sees a file with no data row (its "input contained no data" warning)
-_WRITTEN_HEAD = re.compile(rb"((?:#[^\n]*\n)*" + ",".join(SLAB_CSV_COLUMNS).encode() + rb"\n)\n*[^\n]")
+_WRITTEN_HEAD = re.compile(rb"((?:#[^\n]*\n)*" + SLAB_CSV_HEADER.encode() + rb"\n)\n*[^\n]")
 # numpy opens a path with these suffixes through a decompressor
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
@@ -305,8 +290,7 @@ def load_slab_csv(path: str | Path) -> FieldSlab:
     # numpy reads the file again, so only a regular file: a second read of a pipe finds it empty
     if head and b"\r" not in raw and path.suffix not in _COMPRESSED_SUFFIXES and path.is_file():
         try:
-            rows = np.loadtxt(path, dtype=_CSV_ROW, delimiter=",", comments=None, quotechar=None, ndmin=1,
-                              encoding="utf-8", skiprows=head.group(1).count(b"\n"))
+            rows = _parse_rows(path, encoding="utf-8", skiprows=head.group(1).count(b"\n"))
         except (ValueError, OSError):
             pass
     if rows is None:

@@ -208,8 +208,12 @@ def transform_particle(s: ParticleState, v: Sequence[float], c: float) -> Partic
     """Boost a particle state via the four-vector (E/c, p); mass shell is preserved."""
     s.validate(c)
     E_new, p_new = transform_wave(s.E, s.p, v, c)
-    if np.any(E_new <= 0):
-        raise DomainError("boost produced non-positive energy; input state was invalid")
+    refused = E_new <= 0
+    if refused.any():
+        # |v| < c gives E' <= 0 only when |p| c > E, which validate's shell check to SHELL_RTOL lets through
+        pc, E = (float(np.broadcast_to(x, refused.shape)[refused][0]) for x in (np.sqrt(_dot(s.p, s.p)) * c, s.E))
+        raise DomainError(f"boost produced non-positive energy: the state lies outside the light cone within "
+                          f"SHELL_RTOL = {SHELL_RTOL:.0e}, |p| c = {pc!r} against E = {E!r}")
     with np.errstate(over="ignore"):
         if not np.all(np.isfinite(E_new * E_new)):
             raise DomainError("boosted energy squared leaves the float range")

@@ -345,15 +345,19 @@ def test_a_zero_energy_says_why(tmp_path, capsys, m0, p, c, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["quantization-check", "--m0", "1", "--dn", "9007199254740993", "--dj", "1", "0", "0"],
-    ["quantization-check", "--m0", "1", "--dn", "3", "--dj", "9007199254740993", "0", "0"],
-    ["wave-sample", "--form", "cayley", "--wave-n", "1" * 401, "--wave-m", "5"],
-], ids=["dn-2-53-plus-1", "dj-2-53-plus-1", "wave-n-401-digits"])
-def test_integer_flags_a_float_cannot_hold_are_config_errors(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, name", [
+    (["quantization-check", "--m0", "1", "--dn", "9007199254740993", "--dj", "1", "0", "0"], "dn"),
+    (["quantization-check", "--m0", "1", "--dn", "3", "--dj", "9007199254740993", "0", "0"], "dj"),
+    (["wave-sample", "--form", "cayley", "--wave-n", "1" * 401, "--wave-m", "5"], "wave_n"),
+    (["quantization-check", "--m0", "1", "--dn", "2", "--dj", "1.5", "0", "0"], "dj"),
+    (["kinematics-boost", "--m0", "1", "--p", "abc", "0", "0", "--v", "0", "0", "0"], "p"),
+    (["quantization-check", "--m0", "1", "--dn", "2", "--dj", "1", "0", "0", "--tau", "abc"], "tau"),
+], ids=["dn-2-53-plus-1", "dj-2-53-plus-1", "wave-n-401-digits", "fractional-vec3i", "vec3f-word",
+        "grid-constant-word"])
+def test_a_flag_value_that_cannot_be_read_is_a_config_error_naming_its_parameter(tmp_path, capsys, argv, name):
     out = tmp_path / "out"
     assert main([*argv, "--output", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("config error: parameter ")
+    assert capsys.readouterr().err.startswith(f"config error: parameter {name!r}: ")
     assert not out.exists()
 
 
@@ -377,6 +381,22 @@ def test_integer_parameters_are_read_exactly(dn, expected):
     cfg = build_config("quantization-check", {"m0": 1.0, "dn": dn, "dj": [dn, 0, 0]}, fmt="json")
     assert (cfg.params["dn"], cfg.params["dj"][0]) == (expected, expected)
     assert type(cfg.params["dn"]) is int and type(cfg.params["dj"][0]) is int
+
+
+def test_a_vector_flag_is_read_as_its_config_value(tmp_path):
+    # one reader for flags and configs: an integral 1.0 is the integer 1 on the command line too
+    outputs = []
+    for dj in (["1.0", "0", "0"], ["1", "0", "0"]):
+        out = tmp_path / f"flags-{len(outputs)}.json"
+        assert main(["quantization-check", "--m0", "1", "--dn", "2", "--dj", *dj, "--format", "json",
+                     "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    out = tmp_path / "config-out.json"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "quantization-check", "params": {"m0": 1, "dn": 2, "dj": [1.0, 0, 0]},
+                                  "format": "json", "output_path": str(out)}))
+    assert main(["run", "--config", str(config)]) == 0
+    assert outputs == [out.read_bytes()] * 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 """Shared lattice types and slab serialization round trips."""
 
+import copy
 import csv
 import dataclasses
 import math
@@ -543,9 +544,9 @@ def test_infinite_is_a_singleton_tag():
 
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
 def test_infinite_survives_pickling(protocol):
-    # protocols 0 and 1 rebuild the object without __new__, so equality, not identity, makes it the same tag
-    restored = pickle.loads(pickle.dumps(INFINITE, protocol))
-    assert restored == INFINITE and hash(restored) == hash(INFINITE)
+    # pickled by name: every protocol, 0 and 1 among them, and both copies hand back the one object
+    assert pickle.loads(pickle.dumps(INFINITE, protocol)) is INFINITE
+    assert copy.copy(INFINITE) is INFINITE and copy.deepcopy(INFINITE) is INFINITE
 
 
 def test_field_slab_must_be_2d():

@@ -22,9 +22,9 @@ ALL_MODULES = CLI_MODULES | {"acceptance", "diffcalc", "kg_lattice", "kinematics
 EXPORTS = {
     "errors": ["ConfigError", "DomainError", "InternalInvariantError", "LatticeWaveError",
                "MeasurementError", "SingularSystemError", "SizeLimitError"],
-    "grid": ["Axis", "Boundary", "FieldSlab", "GridSpec", "INFINITE", "Infinite", "MAX_CELLS",
+    "grid": ["FieldSlab", "GridSpec", "INFINITE", "Infinite", "MAX_CELLS",
              "load_slab_binary", "load_slab_csv", "save_slab_binary", "save_slab_csv"],
-    "diffcalc": ["DiffOp", "apply_1d"],
+    "diffcalc": ["Axis", "Boundary", "DiffOp", "apply_1d"],
     "kinematics": ["LatticeStep", "ParticleState", "boost_matrix", "debroglie_map", "discrete_energy_momentum",
                    "energy_momentum_squared_exact", "four_difference_invariant", "phase_velocity",
                    "step_velocity", "total_difference_mass_shell", "transform_particle",

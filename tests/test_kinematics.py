@@ -705,10 +705,9 @@ def test_stacked_rows_are_the_one_row_calls(rows, c):
 # --- library guards: every refusal, through the call that reaches it -------------------------------------------
 
 STATE = ParticleState.from_momentum([1.0, 0, 0], 1.0, 1.0)
-# on the massless shell to 1e-11, inside SHELL_RTOL, and just outside the light cone
-# (a gap in validate, logged in CHANGES.md: it checks the shell to SHELL_RTOL but not |p| c <= E); the
-# boosted-energy row reaches transform_particle's non-positive-energy guard only through that gap, so when
-# validate refuses such a state the row moves to validate's refusal, or the guard goes
+# on the massless shell to 1e-11, inside SHELL_RTOL, and just outside the light cone: validate checks the
+# shell to SHELL_RTOL, not |p| c <= E, so it accepts this state, and a boost with |v| < c then gives E' <= 0.
+# The boosted-energy row reaches transform_particle's non-positive-energy guard this way
 SPACELIKE_BY_ROUNDING = ParticleState(E=1.0, p=[1 + 1e-11, 0, 0], m0=0.0, u=[1 + 1e-11, 0, 0])
 
 
@@ -724,7 +723,9 @@ SPACELIKE_BY_ROUNDING = ParticleState(E=1.0, p=[1 + 1e-11, 0, 0], m0=0.0, u=[1 +
      "energy must be positive"),
     (lambda: transform_particle(ParticleState(E=1.0, p=[0, 0, 0], m0=1.0, u=[0.5, 0, 0]), [0, 0, 0], 1.0),
      "velocity inconsistent"),
-    (lambda: transform_particle(SPACELIKE_BY_ROUNDING, [1 - 1e-12, 0, 0], 1.0), "non-positive energy"),
+    (lambda: transform_particle(SPACELIKE_BY_ROUNDING, [1 - 1e-12, 0, 0], 1.0),
+     r"non-positive energy: the state lies outside the light cone within SHELL_RTOL = 1e-10, "
+     r"\|p\| c = 1\.00000000001 against E = 1\.0$"),
     (lambda: debroglie_map(STATE, 0.0), "hbar must be positive"),
 ], ids=["vec3-shape", "boost-c", "gamma-speed", "from-momentum-mass", "shell-residual-overflow", "validate-mass",
         "validate-energy", "validate-velocity", "boosted-energy", "debroglie-hbar"])
