@@ -84,21 +84,30 @@ def _uniform(r: np.ndarray, low: float, high: float) -> np.ndarray:
     return low + (high - low) * r
 
 
+def _pcg64(rng: np.random.Generator) -> np.random.PCG64:
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.PCG64):
+        raise InternalInvariantError(f"draws are decoded from PCG64 words, not {type(bits).__name__}'s")
+    return bits
+
+
 class _Draws:
     """Scalar ``rng.integers(low, high)`` and ``rng.uniform(low, high)``, bit-identical to numpy's own
-    calls on a PCG64 generator, decoded from the 64-bit words of its bit generator.
+    calls on a PCG64 generator, decoded from the 64-bit words of its bit generator one draw at a time.
 
     numpy draws such an integer by Lemire's method on one uint32: the low half of a fresh word,
     whose high half it keeps for the next uint32. A uniform takes the top 53 bits of a fresh word
     and leaves the kept half alone, as ``rng.normal`` does, so those calls may interleave with
     these. ``close`` hands the kept half back, and numpy's calls after it continue where the
     scalar calls would have.
+
+    Criteria 3 and 4 draw through it: each of criterion 3's lengths decides how many normals follow,
+    and criterion 4 draws 200 rows. Criterion 2 decodes its 1000 steps from a block of words
+    (``_timelike_steps``) and hands over to this class only where a block cannot be decoded.
     """
 
     def __init__(self, rng: np.random.Generator):
-        bits = rng.bit_generator
-        if not isinstance(bits, np.random.PCG64):
-            raise InternalInvariantError(f"draws are decoded from PCG64 words, not {type(bits).__name__}'s")
+        bits = _pcg64(rng)
         self._bits, self._word = bits, bits.random_raw
         state = bits.state
         self._has_half, self._half = state["has_uint32"], state["uinteger"]
@@ -131,6 +140,72 @@ class _Draws:
         state = self._bits.state
         state["has_uint32"], state["uinteger"] = self._has_half, self._half
         self._bits.state = state
+
+
+def _lemire(u32: np.ndarray, low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ``integers(low, high)`` from each uint32 of u32 by Lemire's method, as int64, and
+    where numpy refuses that uint32 and draws another in its place: the redraws of ``_Draws.integers``."""
+    span = high - low
+    m = u32 * span
+    return low + (m >> 32).astype(np.int64), (m & 0xFFFFFFFF) < (2**32 - span) % span
+
+
+def _timelike_steps(rng: np.random.Generator, grid: GridSpec, count: int) -> tuple[np.ndarray, ...]:
+    """The first count timelike steps dn, dj of numpy's own loop, with their masses m0.
+
+    That loop draws rng.integers(1, 40) for dn and rng.integers(-12, 13) for each of x, y, z,
+    and rng.uniform(0.05, 5.0) for m0 on a timelike step only, so integers and uniforms
+    interleave. From a generator with no kept half, each candidate step takes the four halves of
+    two fresh words, and a timelike one takes a third for its mass: the steps are decoded as
+    arrays over a block of words and picked in one walk over the candidates. The generator is
+    left where numpy's calls would leave it. A kept half, or a Lemire redraw at the walk's word,
+    shifts every later uint32; ``_Draws`` decodes the rest one draw at a time from there.
+    """
+    cc, tau, eps = grid.c, grid.tau, grid.eps
+    dn_range, dj_range, m0_range = (1, 40), (-12, 13), (0.05, 5.0)
+
+    def timelike(dn, x, y, z):
+        return (cc * dn * tau) ** 2 > (x * eps) ** 2 + (y * eps) ** 2 + (z * eps) ** 2
+
+    bits, parts, left = _pcg64(rng), [], count
+    while left:
+        start = bits.state
+        if start["has_uint32"]:
+            break
+        words = bits.random_raw(3 * left)  # no row takes fewer than 3 words: none past the last row's is drawn
+        lo, hi = words & 0xFFFFFFFF, words >> 32
+        # the candidate at word k: dn from lo[k], x from hi[k], y from lo[k + 1], z from hi[k + 1]
+        dn, r_dn = _lemire(lo[:-2], *dn_range)
+        (x, r_x), (y, r_y), (z, r_z) = (_lemire(u, *dj_range) for u in (hi[:-2], lo[1:-1], hi[1:-1]))
+        keep, redraw = timelike(dn, x, y, z).tolist(), (r_dn | r_x | r_y | r_z).tolist()
+        k, picks = 0, []
+        while len(picks) < left and k < len(keep) and not redraw[k]:
+            if keep[k]:
+                picks.append(k)
+            k += 3 if keep[k] else 2
+        bits.state = start
+        bits.advance(k)  # back to the first word the walk did not take, with no kept half
+        if picks:
+            at = np.array(picks)
+            m0 = _uniform((words[at + 2] >> 11) * (1.0 / 2**53), *m0_range)
+            parts.append((dn[at], np.stack([x[at], y[at], z[at]], axis=-1), m0))
+            left -= len(picks)
+        if not left:  # numpy keeps the high half of the last step's second word, though it has used it
+            state = bits.state
+            state["uinteger"] = int(hi[picks[-1] + 1])
+            bits.state = state
+        elif k < len(keep):  # a redraw at word k
+            break
+    if left:
+        draws, rows = _Draws(rng), []
+        while len(rows) < left:
+            dn = draws.integers(*dn_range)
+            dj = (draws.integers(*dj_range), draws.integers(*dj_range), draws.integers(*dj_range))
+            if timelike(dn, *dj):
+                rows.append((dn, dj, draws.uniform(*m0_range)))
+        draws.close()
+        parts.append(tuple(map(np.array, zip(*rows))))
+    return tuple(np.concatenate(columns) for columns in zip(*parts))
 
 
 def _along_x(x: np.ndarray) -> np.ndarray:
@@ -168,16 +243,7 @@ def _criterion_1_transform_equivalence(c: CriterionResult, rng: np.random.Genera
 
 def _criterion_2_discrete_mass_shell(c: CriterionResult, rng: np.random.Generator, as_printed: frozenset) -> None:
     grid = GridSpec(tau=0.625, eps=0.25, c=2.0)
-    cc, tau, eps = grid.c, grid.tau, grid.eps
-    draws, rows = _Draws(rng), []
-    while len(rows) < 1000:  # integers and uniforms interleave, so the steps are drawn one at a time
-        dn = draws.integers(1, 40)
-        x, y, z = dj = (draws.integers(-12, 13), draws.integers(-12, 13), draws.integers(-12, 13))
-        if (cc * dn * tau) ** 2 <= (x * eps) ** 2 + (y * eps) ** 2 + (z * eps) ** 2:
-            continue
-        rows.append((dn, dj, draws.uniform(0.05, 5.0)))
-    draws.close()
-    dn, dj, m0 = map(np.array, zip(*rows))
+    dn, dj, m0 = _timelike_steps(rng, grid, 1000)
     step = LatticeStep(dn=dn, dj=dj)
     stack = discrete_energy_momentum(m0, step, grid)
     c.check("mass-shell relative residual over 1000 timelike steps", np.max(stack.mass_shell_residual(grid.c)), 1e-12)

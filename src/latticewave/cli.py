@@ -701,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
                        f"${OUTPUT_DIR_ENV}")
         p.add_argument("--format", default=spec.formats[0], choices=spec.formats,
                        help="output format")
-        p.add_argument("--seed", type=int, default=0, help="recorded in provenance")
+        p.add_argument("--seed", default=0, help="recorded in provenance")
         group = p.add_argument_group("grid constants (defaults: the natural-unit lattice)")
         for constant in fields(GridSpec):
             group.add_argument(f"--{constant.name}", default=constant.default,
@@ -714,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-all",
         help="run the full acceptance suite; nonzero exit iff any criterion fails",
     )
-    verify.add_argument("--seed", type=int, default=0, help="seed for the randomized property runs")
+    verify.add_argument("--seed", default=0, help="seed for the randomized property runs")
     verify.add_argument("--as-printed", action="append", default=[], choices=list(AS_PRINTED_CHOICES),
                         help="substitute a published-table variant expected to fail (repeatable)")
     verify.add_argument("--output", help="also write the report to this file")
@@ -735,6 +735,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "run":
             return run(load_config(args.config))
+        args.seed = _coerce(Param("seed", "int", "--seed"), args.seed)  # read as every integer flag is
         if args.command == "verify-all":
             from .acceptance import format_report, run_acceptance
 

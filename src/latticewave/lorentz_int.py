@@ -168,21 +168,15 @@ def _from_flat(a: Sequence[int]) -> IntLorentzMatrix:
     return m
 
 
-def _det3(m, r0, r1, r2, c0, c1, c2) -> int:
-    return (
-        m[r0][c0] * (m[r1][c1] * m[r2][c2] - m[r1][c2] * m[r2][c1])
-        - m[r0][c1] * (m[r1][c0] * m[r2][c2] - m[r1][c2] * m[r2][c0])
-        + m[r0][c2] * (m[r1][c0] * m[r2][c1] - m[r1][c1] * m[r2][c0])
-    )
-
-
 def _det4(m: Entries) -> int:
-    total = 0
-    cols = (0, 1, 2, 3)
-    for j, sign in zip(cols, (1, -1, 1, -1)):
-        rest = tuple(c for c in cols if c != j)
-        total += sign * m[0][j] * _det3(m, 1, 2, 3, *rest)
-    return total
+    """Laplace expansion along rows 0 and 1: each 2x2 minor of theirs against the complementary
+    minor of rows 2 and 3."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
+    return (
+        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2) - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1) + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0) + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+    )
 
 
 IDENTITY = IntLorentzMatrix(_IDENTITY)

@@ -352,12 +352,15 @@ def test_a_zero_energy_says_why(tmp_path, capsys, m0, p, c, message):
     (["quantization-check", "--m0", "1", "--dn", "2", "--dj", "1.5", "0", "0"], "dj"),
     (["kinematics-boost", "--m0", "1", "--p", "abc", "0", "0", "--v", "0", "0", "0"], "p"),
     (["quantization-check", "--m0", "1", "--dn", "2", "--dj", "1", "0", "0", "--tau", "abc"], "tau"),
+    (["dispersion-scan", "--form", "cayley", "--m0", "1", "--seed", "abc"], "seed"),
+    (["verify-all", "--seed", "abc"], "seed"),
 ], ids=["dn-2-53-plus-1", "dj-2-53-plus-1", "wave-n-401-digits", "fractional-vec3i", "vec3f-word",
-        "grid-constant-word"])
+        "grid-constant-word", "experiment-seed-word", "verify-all-seed-word"])
 def test_a_flag_value_that_cannot_be_read_is_a_config_error_naming_its_parameter(tmp_path, capsys, argv, name):
     out = tmp_path / "out"
     assert main([*argv, "--output", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"config error: parameter {name!r}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: parameter {name!r}: ") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -24,7 +24,7 @@ from latticewave import (
     word_to_json,
 )
 from latticewave import lorentz_int
-from latticewave.lorentz_int import _REDUCTION_STEPS, _S4, _mat_mul, _reduce, _require_entry_bound
+from latticewave.lorentz_int import _REDUCTION_STEPS, _S4, _det4, _mat_mul, _reduce, _require_entry_bound
 
 ETA = (1, -1, -1, -1)
 
@@ -333,6 +333,22 @@ def test_mat_mul_matches_the_naive_triple_sum(a, b):
     product = _mat_mul(a, b)
     assert product == oracle_matmul(a, b)
     assert all(type(x) is int for row in product for x in row)
+
+
+def oracle_det(m):
+    """The cofactor expansion along the first row, recursive down to 1x1."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * oracle_det([row[:j] + row[j + 1:] for row in m[1:]]) for j in range(len(m)))
+
+
+def test_det4_matches_the_cofactor_expansion():
+    rng = np.random.default_rng(0)
+    small = rng.integers(-3, 4, (10_000, 4, 4)).tolist()
+    large = [[[x * 2**40 + 1 for x in row] for row in m] for m in rng.integers(-99, 100, (10_000, 4, 4)).tolist()]
+    for m in small + large + [m.entries for m in enumerate_ball(8)]:
+        det = _det4(tuple(map(tuple, m)))
+        assert det == oracle_det(m) and type(det) is int, m
 
 
 def oracle_ball(max_word_len):
