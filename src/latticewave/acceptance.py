@@ -25,8 +25,9 @@ from .kg_lattice import KGParams, evolve, plane_wave_residual
 from .kinematics import (
     LatticeStep,
     ParticleState,
-    _exact_interval,
-    _exact_squares,
+    _squares_of,
+    _state_of,
+    _timelike_step,
     boost_matrix,
     debroglie_map,
     discrete_energy_momentum,
@@ -245,10 +246,12 @@ def _criterion_2_discrete_mass_shell(c: CriterionResult, rng: np.random.Generato
     grid = GridSpec(tau=0.625, eps=0.25, c=2.0)
     dn, dj, m0 = _timelike_steps(rng, grid, 1000)
     step = LatticeStep(dn=dn, dj=dj)
-    stack = discrete_energy_momentum(m0, step, grid)
+    # derived once for the float state and the exact squares alike
+    derived = _timelike_step(m0, step, grid, "discrete energy-momentum")
+    stack = _state_of(m0, step, derived)
     c.check("mass-shell relative residual over 1000 timelike steps", np.max(stack.mass_shell_residual(grid.c)), 1e-12)
     # the exact identities, cross-multiplied over integer ratios whose denominators are all > 0
-    (E2, E2_den), (p2, p2_den), (u2, u2_den) = _exact_squares(m0, step, grid)
+    (E2, E2_den), (p2, p2_den), (u2, u2_den) = _squares_of(derived)
     mn, md = (np.array(x, dtype=object) for x in zip(*(m.as_integer_ratio() for m in m0.tolist())))
     cn, cd = grid.c.as_integer_ratio()
     tn, td = grid.tau.as_integer_ratio()
@@ -256,7 +259,7 @@ def _criterion_2_discrete_mass_shell(c: CriterionResult, rng: np.random.Generato
     # E^2 - p^2 c^2 = m^2 c^4
     shell = (E2 * p2_den * cd**2 - p2 * cn**2 * E2_den) * cd**2 * md**2 == mn**2 * cn**4 * E2_den * p2_den
     # u dt = dx, with u = u_num dj / u_den: u_num dj dn tau = dj eps u_den
-    *_, (u_num, u_den) = _exact_interval(step, grid)
+    *_, (u_num, u_den) = derived
     velocity = (u_num * step.dn * tn * ed)[:, None] * step.dj == step.dj * (en * td * u_den)[:, None]
     # u^2 = p^2 c^4 / E^2, with E^2 > 0 on a timelike step
     square = u2 * p2_den * cd**4 * E2 == p2 * cn**4 * u2_den * E2_den

@@ -356,7 +356,8 @@ def _exact_interval(step: LatticeStep, grid: GridSpec) -> tuple:
 
 
 def _timelike_step(m0, step: LatticeStep, grid: GridSpec, what: str) -> tuple:
-    """(m0's ratio, *_exact_interval(step, grid)), each derived once for one exact entry point.
+    """(m0's ratio, *_exact_interval(step, grid)), each derived once: for one exact entry point, or
+    for both halves, ``_state_of`` and ``_squares_of``, in acceptance criterion 2.
 
     An m0 that ``_mass_ratio`` refuses (``what`` names the entry point), then a
     step that is not strictly timelike, is a DomainError naming its first row.
@@ -377,7 +378,12 @@ def _exact_squares(m0, step: LatticeStep, grid: GridSpec) -> tuple:
 
     The square root cancels in all three; every denominator is > 0.
     """
-    (mn, md), (cn, cd), (a, b), (en, ed), d2, (s_num, _), (un, ud) = _timelike_step(m0, step, grid, "exact squares")
+    return _squares_of(_timelike_step(m0, step, grid, "exact squares"))
+
+
+def _squares_of(derived: tuple) -> tuple:
+    """``_exact_squares`` from the tuple ``_timelike_step`` returns."""
+    (mn, md), (cn, cd), (a, b), (en, ed), d2, (s_num, _), (un, ud) = derived
     # s = s_num / (b ed)^2, so E^2 = m^2 c^4 (c dt)^2 / s and |p|^2 = m^2 c^2 |dx|^2 / s
     m2c2_num, m2c2_den = (mn * cn) ** 2, (md * cd) ** 2
     E2 = (m2c2_num * cn * cn * (a * ed) ** 2, m2c2_den * cd * cd * s_num)
@@ -407,8 +413,12 @@ def discrete_energy_momentum(m0, step: LatticeStep, grid: GridSpec) -> ParticleS
     stacked step with m0 of the shape of dn gives a stacked state whose rows
     have the bits of their one-step calls.
     """
-    (mn, md), (cn, cd), (a, b), (en, ed), _, (s_num, s_den), (un, ud) = _timelike_step(
-        m0, step, grid, "discrete energy-momentum")
+    return _state_of(m0, step, _timelike_step(m0, step, grid, "discrete energy-momentum"))
+
+
+def _state_of(m0, step: LatticeStep, derived: tuple) -> ParticleState:
+    """``discrete_energy_momentum`` from the tuple ``_timelike_step`` returns for m0 and the step."""
+    (mn, md), (cn, cd), (a, b), (en, ed), _, (s_num, s_den), (un, ud) = derived
     dj = np.asarray(step.dj, dtype=object)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         root = np.sqrt(_divide(s_num, s_den))

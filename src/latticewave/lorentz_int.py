@@ -63,7 +63,8 @@ _S4_PRINTED: Entries = ((2, 1, 1, 1), (-1, 0, -1, -1), (-1, -1, 0, 1), (-1, -1, 
 
 
 def _index_all(values) -> tuple[int, ...]:
-    """values as Python ints, each read once through ``__index__``; a bool is a TypeError too."""
+    """values, read once (an iterator too), as Python ints, each through ``__index__``; a bool is a TypeError too."""
+    values = tuple(values)
     if bool in map(type, values):
         raise TypeError("a bool is no integer entry")
     return tuple(map(operator.index, values))
@@ -133,8 +134,7 @@ class IntLorentzMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _as_entries(self.entries))
-        if not preserves_metric(self):
-            raise DomainError("matrix does not preserve the Minkowski form")
+        _certified(self)
 
     def __matmul__(self, other: "IntLorentzMatrix") -> "IntLorentzMatrix":
         return IntLorentzMatrix(_mat_mul(self.entries, other.entries))
@@ -146,10 +146,7 @@ class IntLorentzMatrix:
     def inverse(self) -> "IntLorentzMatrix":
         """eta L^T eta, written out: the entries are Python ints already, so only the Gram check stays."""
         (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = self.entries
-        inv = _from_flat((a0, -b0, -c0, -d0, -a1, b1, c1, d1, -a2, b2, c2, d2, -a3, b3, c3, d3))
-        if not preserves_metric(inv):
-            raise DomainError("matrix does not preserve the Minkowski form")
-        return inv
+        return _certified(_from_flat((a0, -b0, -c0, -d0, -a1, b1, c1, d1, -a2, b2, c2, d2, -a3, b3, c3, d3)))
 
     def determinant(self) -> int:
         return _det4(self.entries)
@@ -165,6 +162,13 @@ def _from_flat(a: Sequence[int]) -> IntLorentzMatrix:
     m = object.__new__(IntLorentzMatrix)
     object.__setattr__(m, "entries", ((a[0], a[1], a[2], a[3]), (a[4], a[5], a[6], a[7]),
                                       (a[8], a[9], a[10], a[11]), (a[12], a[13], a[14], a[15])))
+    return m
+
+
+def _certified(m: IntLorentzMatrix) -> IntLorentzMatrix:
+    """m, once its entries satisfy the Gram equations; a DomainError otherwise."""
+    if not preserves_metric(m):
+        raise DomainError("matrix does not preserve the Minkowski form")
     return m
 
 
@@ -240,7 +244,8 @@ def eval_word(word: GeneratorWord | Iterable[str]) -> IntLorentzMatrix:
         if letter not in _LETTER_MATRICES:
             raise DomainError(f"unknown letter {letter!r}; alphabet is {ALPHABET}")
         m = _mat_mul(m, _LETTER_MATRICES[letter])
-    return IntLorentzMatrix(m)
+    r0, r1, r2, r3 = m  # Python ints already: wrapped and certified without re-reading them
+    return _certified(_from_flat((*r0, *r1, *r2, *r3)))
 
 
 _GENERATOR_STACK = np.array([_S1, _S2, _S3, _S4], dtype=np.int64)
@@ -418,10 +423,7 @@ def matrix_from_json(values: Sequence[int]) -> IntLorentzMatrix:
         raise DomainError(f"expected 16 integers, got {values!r}") from None
     if len(flat) != 16:
         raise DomainError(f"expected 16 integers, got {len(flat)}")
-    m = _from_flat(flat)
-    if not preserves_metric(m):
-        raise DomainError("matrix does not preserve the Minkowski form")
-    return m
+    return _certified(_from_flat(flat))
 
 
 def word_to_json(word: GeneratorWord) -> list[str]:

@@ -48,7 +48,7 @@ from latticewave.acceptance import (
 )
 from latticewave.errors import InternalInvariantError
 from latticewave.grid import GridSpec
-from latticewave.kinematics import LatticeStep
+from latticewave.kinematics import LatticeStep, _exact_squares, _squares_of, _state_of, _timelike_step
 
 SEED = 0
 
@@ -384,10 +384,24 @@ def assert_same_generator(rng, want):
 
 
 def test_criterion_2_derives_each_exact_quantity_once_per_use(exact_derivations):
-    """The 1000 steps' interval once in discrete_energy_momentum, once in _exact_squares and once for the
-    criterion's velocity check; the masses through _mass_ratio once in each of those two entry points."""
+    """The 1000 steps' masses and interval are derived once, by one _timelike_step call whose tuple feeds the
+    float state, the exact squares and the criterion's velocity check."""
     assert run_criterion(2, seed=3).passed
-    assert exact_derivations == {"_mass_ratio": 2, "_exact_interval": 3}
+    assert exact_derivations == {"_mass_ratio": 1, "_exact_interval": 1}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_the_exact_entry_points_return_the_bits_of_the_halves_criterion_2_certifies(seed):
+    """discrete_energy_momentum and _exact_squares on criterion 2's rows give what _state_of and _squares_of
+    give from the criterion's one _timelike_step, so the criterion certifies the public entry points."""
+    dn, dj, m0 = _timelike_steps(np.random.default_rng(seed + 2), C2_GRID, 1000)
+    step = LatticeStep(dn=dn, dj=dj)
+    derived = _timelike_step(m0, step, C2_GRID, "discrete energy-momentum")
+    state, want = discrete_energy_momentum(m0, step, C2_GRID), _state_of(m0, step, derived)
+    assert [x.tobytes() for x in (state.E, state.p, state.u)] == [x.tobytes() for x in (want.E, want.p, want.u)]
+    assert state.m0 is want.m0 is m0
+    squares = [np.asarray(x).tolist() for ratio in _exact_squares(m0, step, C2_GRID) for x in ratio]
+    assert squares == [np.asarray(x).tolist() for ratio in _squares_of(derived) for x in ratio]
 
 
 @pytest.mark.parametrize("kept_half", [False, True], ids=["fresh", "starts-with-a-kept-half"])

@@ -402,6 +402,28 @@ def test_a_vector_flag_is_read_as_its_config_value(tmp_path):
     assert outputs == [out.read_bytes()] * 2
 
 
+@pytest.mark.parametrize("config_seed, flag_seed, code", [
+    (3.0, "3", 0), ("3", "3", 0), (3, "3.0", 0), (9007199254740993, "9007199254740993", 2), ("abc", "abc", 2),
+], ids=["integral-float", "string", "flag-float", "2-53-plus-1", "word"])
+def test_a_config_seed_is_read_as_the_seed_flag_is(tmp_path, capsys, config_seed, flag_seed, code):
+    # a config's "seed": 3.0 once exited 2 where --seed 3.0 ran, and 2^53 + 1 ran where the flag exited 2
+    argv = ["quantization-check", "--m0", "1", "--dn", "2", "--dj", "1", "0", "0", "--format", "json"]
+    flag_out, config_out = tmp_path / "flag.json", tmp_path / "config-out.json"
+    assert main([*argv, "--seed", flag_seed, "--output", str(flag_out)]) == code
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "quantization-check", "params": {"m0": 1, "dn": 2, "dj": [1, 0, 0]},
+                                  "format": "json", "output_path": str(config_out), "seed": config_seed}))
+    assert main(["run", "--config", str(config)]) == code
+    if code:
+        flag_err, config_err = capsys.readouterr().err.splitlines()
+        assert flag_err.startswith("config error: parameter 'seed': ")
+        assert config_err.startswith("config error: parameter 'seed': ")
+        assert not flag_out.exists() and not config_out.exists()
+    else:
+        assert config_out.read_bytes() == flag_out.read_bytes()
+        assert json.loads(flag_out.read_bytes())["meta"]["config"]["seed"] == 3
+
+
 @pytest.mark.parametrize("argv", [
     ["--t1", "4", "--t2", "6", "--lam1", "3", "--lam2", "5"],
     ["--t1", "-4", "--t2", "6", "--lam1", "3", "--lam2", "-5", "--nt", "128", "--nx", "2048", "--tau", "0.5",
@@ -536,9 +558,11 @@ class TestRunConfigs:
         {"format": "xml"},
         {"grid": {"tau": -1.0}},
         {"seed": True},
+        {"seed": 3.5},
+        {"seed": None},
     ], ids=["experiment-list", "grid-string", "tau-string", "tau-null", "params-list", "output-path-int",
             "fractional-vec3i", "m0-bool", "form-not-a-choice", "grid-c-bool", "vec3-scalar", "missing-parameter", "unknown-experiment",
-            "unknown-format", "negative-tau", "seed-bool"])
+            "unknown-format", "negative-tau", "seed-bool", "seed-fraction", "seed-null"])
     def test_malformed_structure_is_a_config_error(self, tmp_path, overrides):
         assert main(["run", "--config", str(self.config(tmp_path, **overrides))]) == 2
         assert not (tmp_path / "out.csv").exists()

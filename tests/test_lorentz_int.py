@@ -303,6 +303,33 @@ class TestSerialization:
             IntLorentzMatrix(rows)
 
 
+def rows_of(flat):
+    return [flat[i:i + 4] for i in range(0, 16, 4)]
+
+
+@pytest.mark.parametrize("read", [
+    lambda flat: matrix_from_json(iter(flat)),
+    lambda flat: matrix_from_json(x for x in flat),
+    lambda flat: IntLorentzMatrix([iter(row) for row in rows_of(flat)]),
+], ids=["iterator", "generator", "iterator-rows"])
+def test_a_one_shot_iterable_gives_up_its_entries(read):
+    # the bool scan once exhausted the iterable, leaving no entry to index
+    assert read(matrix_to_json(generator("S4"))) == generator("S4")
+
+
+def test_the_gram_checks_read_iterator_rows():
+    flat = [x for row in printed_s4() for x in row]
+    assert preserves_metric([iter(row) for row in rows_of(matrix_to_json(generator("S4")))])
+    assert not preserves_metric([iter(row) for row in rows_of(flat)])
+    assert metric_gram_defect([iter(row) for row in rows_of(flat)], 0, 3) == 2
+
+
+def test_eval_word_refuses_a_product_off_the_group(monkeypatch):
+    monkeypatch.setitem(lorentz_int._LETTER_MATRICES, "S4", printed_s4())
+    with pytest.raises(DomainError, match="^matrix does not preserve the Minkowski form$"):
+        eval_word(("S4",))
+
+
 NOT_INTEGERS = [1.9, 1.0, 1.5, "1", "x", None, 1 + 0j, True, False, np.True_]
 
 

@@ -14,8 +14,8 @@ from latticewave.acceptance import run_criterion
 
 ORIGINAL = {
     name: getattr(kinematics, name)
-    for name in ("boost_matrix", "four_difference_invariant", "transform_wave", "discrete_energy_momentum",
-                 "_exact_squares", "_exact_interval", "_mass_ratio")
+    for name in ("boost_matrix", "four_difference_invariant", "transform_wave", "_state_of", "_squares_of",
+                 "_exact_interval", "_mass_ratio")
 }
 ORIGINAL_KERNEL, ORIGINAL_CONSTANTS = kg_lattice._inverse_kernel, kg_lattice._stencil_constants
 ORIGINAL_SQUARE = dispersion._square
@@ -64,14 +64,16 @@ def transform_wave_without_c_on_w(w, k, v, c):
     return wp / c, kp
 
 
-def energy_with_one_c_too_few(m0, step, grid):
-    s = ORIGINAL["discrete_energy_momentum"](m0, step, grid)
-    return kinematics.ParticleState(E=s.E / grid.c, p=s.p, m0=s.m0, u=s.u)
+# derived is _timelike_step's tuple: (m0's ratio, c's ratio, c dt, eps, |dj|^2, s, the velocity's ratio)
+def energy_with_one_c_too_few(m0, step, derived):
+    s = ORIGINAL["_state_of"](m0, step, derived)
+    cn, cd = derived[1]
+    return kinematics.ParticleState(E=s.E / (cn / cd), p=s.p, m0=s.m0, u=s.u)
 
 
-def exact_energy_with_one_c_too_few(m0, step, grid):
-    (E2, E2_den), p2, u2 = ORIGINAL["_exact_squares"](m0, step, grid)
-    cn, cd = grid.c.as_integer_ratio()
+def exact_energy_with_one_c_too_few(derived):
+    (E2, E2_den), p2, u2 = ORIGINAL["_squares_of"](derived)
+    cn, cd = derived[1]
     return (E2 * cd * cd, E2_den * cn * cn), p2, u2
 
 
@@ -86,10 +88,9 @@ def mass_ratio_inverted(m0, what):
     return md, mn
 
 
-def p_squared_without_dj_squared(m0, step, grid):
-    E2, _, u2 = ORIGINAL["_exact_squares"](m0, step, grid)
-    mn, md = kinematics._mass_ratio(m0, "exact squares")
-    (cn, cd), (a, b), (en, ed), _, (s_num, _), _ = kinematics._exact_interval(step, grid)
+def p_squared_without_dj_squared(derived):
+    E2, _, u2 = ORIGINAL["_squares_of"](derived)
+    (mn, md), (cn, cd), (a, b), (en, ed), _, (s_num, _), _ = derived
     return E2, ((mn * cn * en * b) ** 2, (md * cd) ** 2 * s_num), u2
 
 
@@ -121,12 +122,12 @@ FAULTS = [
     ("invariant-without-1/c2", kinematics, "four_difference_invariant", invariant_without_inverse_c2, 4),
     ("debroglie-w-times-hbar", kinematics, "debroglie_map", debroglie_w_times_hbar, 1),
     ("transform-wave-without-c", kinematics, "transform_wave", transform_wave_without_c_on_w, 1),
-    ("energy-one-c-too-few", kinematics, "discrete_energy_momentum", energy_with_one_c_too_few, 2),
-    ("exact-energy-one-c-too-few", kinematics, "_exact_squares", exact_energy_with_one_c_too_few, 2),
+    ("energy-one-c-too-few", kinematics, "_state_of", energy_with_one_c_too_few, 2),
+    ("exact-energy-one-c-too-few", kinematics, "_squares_of", exact_energy_with_one_c_too_few, 2),
     ("velocity-tau-for-eps", kinematics, "_exact_interval", velocity_with_tau_for_eps, 2),
     # criterion 2 reads the masses through as_integer_ratio() itself, so a fault in _mass_ratio cannot hide
     ("mass-ratio-inverted", kinematics, "_mass_ratio", mass_ratio_inverted, 2),
-    ("p-squared-without-dj-squared", kinematics, "_exact_squares", p_squared_without_dj_squared, 2),
+    ("p-squared-without-dj-squared", kinematics, "_squares_of", p_squared_without_dj_squared, 2),
     ("evolve-kernel-cut-2^-24", kg_lattice, "_inverse_kernel", kernel_cut_at_2_pow_minus_24, 9),
     ("evolve-b-mass-sign", kg_lattice, "_stencil_constants", mass_term_of_b_with_wrong_sign, 9),
     ("dispersion-time-coefficient-2", dispersion, "_square", exponential_square_coefficient_2, 6),
