@@ -19,7 +19,7 @@ import numpy as np
 
 from .diffcalc import Axis, Boundary, DiffOp, apply_1d
 from .dispersion import DispersionForm, dispersion_residual, mass_from_rest_period, quantization_check, solve_modes
-from .errors import ConfigError, InternalInvariantError
+from .errors import ConfigError
 from .grid import AS_PRINTED_CHOICES, FieldSlab, GridSpec, INFINITE, is_integer
 from .kg_lattice import KGParams, evolve, plane_wave_residual
 from .kinematics import (
@@ -85,130 +85,6 @@ def _uniform(r: np.ndarray, low: float, high: float) -> np.ndarray:
     return low + (high - low) * r
 
 
-def _pcg64(rng: np.random.Generator) -> np.random.PCG64:
-    bits = rng.bit_generator
-    if not isinstance(bits, np.random.PCG64):
-        raise InternalInvariantError(f"draws are decoded from PCG64 words, not {type(bits).__name__}'s")
-    return bits
-
-
-class _Draws:
-    """Scalar ``rng.integers(low, high)`` and ``rng.uniform(low, high)``, bit-identical to numpy's own
-    calls on a PCG64 generator, decoded from the 64-bit words of its bit generator one draw at a time.
-
-    numpy draws such an integer by Lemire's method on one uint32: the low half of a fresh word,
-    whose high half it keeps for the next uint32. A uniform takes the top 53 bits of a fresh word
-    and leaves the kept half alone, as ``rng.normal`` does, so those calls may interleave with
-    these. ``close`` hands the kept half back, and numpy's calls after it continue where the
-    scalar calls would have.
-
-    Criteria 3 and 4 draw through it: each of criterion 3's lengths decides how many normals follow,
-    and criterion 4 draws 200 rows. Criterion 2 decodes its 1000 steps from a block of words
-    (``_timelike_steps``) and hands over to this class only where a block cannot be decoded.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        bits = _pcg64(rng)
-        self._bits, self._word = bits, bits.random_raw
-        state = bits.state
-        self._has_half, self._half = state["has_uint32"], state["uinteger"]
-
-    def _uint32(self) -> int:
-        if self._has_half:
-            self._has_half = 0
-            return self._half
-        word = self._word()
-        self._has_half, self._half = 1, word >> 32
-        return word & 0xFFFFFFFF
-
-    def integers(self, low: int, high: int) -> int:
-        span = high - low
-        if not 1 <= span <= 2**32:
-            raise InternalInvariantError(f"integer span {span} is outside 1..2**32")
-        if span == 1:  # numpy draws nothing for a single value
-            return low
-        m = self._uint32() * span
-        if m & 0xFFFFFFFF < span:
-            threshold = (2**32 - span) % span
-            while m & 0xFFFFFFFF < threshold:
-                m = self._uint32() * span
-        return low + (m >> 32)
-
-    def uniform(self, low: float, high: float) -> float:
-        return low + (high - low) * ((self._word() >> 11) * (1.0 / 2**53))
-
-    def close(self) -> None:
-        state = self._bits.state
-        state["has_uint32"], state["uinteger"] = self._has_half, self._half
-        self._bits.state = state
-
-
-def _lemire(u32: np.ndarray, low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's ``integers(low, high)`` from each uint32 of u32 by Lemire's method, as int64, and
-    where numpy refuses that uint32 and draws another in its place: the redraws of ``_Draws.integers``."""
-    span = high - low
-    m = u32 * span
-    return low + (m >> 32).astype(np.int64), (m & 0xFFFFFFFF) < (2**32 - span) % span
-
-
-def _timelike_steps(rng: np.random.Generator, grid: GridSpec, count: int) -> tuple[np.ndarray, ...]:
-    """The first count timelike steps dn, dj of numpy's own loop, with their masses m0.
-
-    That loop draws rng.integers(1, 40) for dn and rng.integers(-12, 13) for each of x, y, z,
-    and rng.uniform(0.05, 5.0) for m0 on a timelike step only, so integers and uniforms
-    interleave. From a generator with no kept half, each candidate step takes the four halves of
-    two fresh words, and a timelike one takes a third for its mass: the steps are decoded as
-    arrays over a block of words and picked in one walk over the candidates. The generator is
-    left where numpy's calls would leave it. A kept half, or a Lemire redraw at the walk's word,
-    shifts every later uint32; ``_Draws`` decodes the rest one draw at a time from there.
-    """
-    cc, tau, eps = grid.c, grid.tau, grid.eps
-    dn_range, dj_range, m0_range = (1, 40), (-12, 13), (0.05, 5.0)
-
-    def timelike(dn, x, y, z):
-        return (cc * dn * tau) ** 2 > (x * eps) ** 2 + (y * eps) ** 2 + (z * eps) ** 2
-
-    bits, parts, left = _pcg64(rng), [], count
-    while left:
-        start = bits.state
-        if start["has_uint32"]:
-            break
-        words = bits.random_raw(3 * left)  # no row takes fewer than 3 words: none past the last row's is drawn
-        lo, hi = words & 0xFFFFFFFF, words >> 32
-        # the candidate at word k: dn from lo[k], x from hi[k], y from lo[k + 1], z from hi[k + 1]
-        dn, r_dn = _lemire(lo[:-2], *dn_range)
-        (x, r_x), (y, r_y), (z, r_z) = (_lemire(u, *dj_range) for u in (hi[:-2], lo[1:-1], hi[1:-1]))
-        keep, redraw = timelike(dn, x, y, z).tolist(), (r_dn | r_x | r_y | r_z).tolist()
-        k, picks = 0, []
-        while len(picks) < left and k < len(keep) and not redraw[k]:
-            if keep[k]:
-                picks.append(k)
-            k += 3 if keep[k] else 2
-        bits.state = start
-        bits.advance(k)  # back to the first word the walk did not take, with no kept half
-        if picks:
-            at = np.array(picks)
-            m0 = _uniform((words[at + 2] >> 11) * (1.0 / 2**53), *m0_range)
-            parts.append((dn[at], np.stack([x[at], y[at], z[at]], axis=-1), m0))
-            left -= len(picks)
-        if not left:  # numpy keeps the high half of the last step's second word, though it has used it
-            state = bits.state
-            state["uinteger"] = int(hi[picks[-1] + 1])
-            bits.state = state
-        elif k < len(keep):  # a redraw at word k
-            break
-    if left:
-        draws, rows = _Draws(rng), []
-        while len(rows) < left:
-            dn = draws.integers(*dn_range)
-            dj = (draws.integers(*dj_range), draws.integers(*dj_range), draws.integers(*dj_range))
-            if timelike(dn, *dj):
-                rows.append((dn, dj, draws.uniform(*m0_range)))
-        draws.close()
-        parts.append(tuple(map(np.array, zip(*rows))))
-    return tuple(np.concatenate(columns) for columns in zip(*parts))
-
-
 def _along_x(x: np.ndarray) -> np.ndarray:
     """Stacked 3-vectors (x, 0, 0)."""
     return np.stack([x, np.zeros_like(x), np.zeros_like(x)], axis=-1)
@@ -244,7 +120,12 @@ def _criterion_1_transform_equivalence(c: CriterionResult, rng: np.random.Genera
 
 def _criterion_2_discrete_mass_shell(c: CriterionResult, rng: np.random.Generator, as_printed: frozenset) -> None:
     grid = GridSpec(tau=0.625, eps=0.25, c=2.0)
-    dn, dj, m0 = _timelike_steps(rng, grid, 1000)
+    dn, dj = np.zeros(0, dtype=np.int64), np.zeros((0, 3), dtype=np.int64)
+    while (n := 1000 - len(dn)) > 0:  # the first 1000 timelike candidates; 95% of candidates are, on this grid
+        new_dn, new_dj = rng.integers(1, 40, n), rng.integers(-12, 13, (n, 3))
+        timelike = (grid.c * new_dn * grid.tau) ** 2 > np.sum((new_dj * grid.eps) ** 2, axis=-1)
+        dn, dj = np.append(dn, new_dn[timelike]), np.append(dj, new_dj[timelike], axis=0)
+    m0 = rng.uniform(0.05, 5.0, 1000)
     step = LatticeStep(dn=dn, dj=dj)
     # derived once for the float state and the exact squares alike
     derived = _timelike_step(m0, step, grid, "discrete energy-momentum")
@@ -272,19 +153,16 @@ def _criterion_3_product_identity(c: CriterionResult, rng: np.random.Generator, 
         return apply_1d(FieldSlab(psi=a), Axis.SPACE_J, op, Boundary.SHRINKING).psi
 
     d, a = DiffOp.FORWARD_DIFF, DiffOp.FORWARD_AVG
-    lengths, block_worst = _Draws(rng), []
-    for _ in range(10):  # blocks of 100 sequences bound the scratch; the draws keep one order across blocks
-        # n decides how many normals follow, so each sequence is drawn on its own: re f, im f, re g, im g
-        draws = [rng.normal(size=(4, lengths.integers(2, 64))) for _ in range(100)]
-        # the block's sequences end to end in one row: starts[i] is where sequence i begins
-        x = np.concatenate(draws, axis=1)
-        starts = np.cumsum([0] + [w.shape[1] for w in draws[:-1]])
+    block_worst = []
+    for lengths in rng.integers(2, 64, (10, 100)):  # blocks of 100 sequences bound the scratch
+        # the block's sequences end to end in one row each of re f, im f, re g, im g: sequence i begins at starts[i]
+        x = rng.normal(size=(4, lengths.sum()))
+        starts = np.cumsum(lengths) - lengths
         f, g = x[None, 0] + 1j * x[None, 1], x[None, 2] + 1j * x[None, 3]
         residual = np.abs(row(f * g, d) - (row(f, d) * row(g, a) + row(f, a) * row(g, d)))[0]
         residual[starts[1:] - 1] = 0.0  # the seams: from one sequence's last site to the next one's first
         scale = np.maximum(1.0, np.maximum.reduceat((np.abs(f) * np.abs(g))[0], starts))
         block_worst.append(np.max(np.maximum.reduceat(residual, starts) / scale))
-    lengths.close()
     # one np.max over the blocks, so that a NaN in any block reaches the check and fails it
     c.check("discrete product rule, elementwise over 1000 sequences", np.max(block_worst), 1e-12)
 
@@ -298,14 +176,10 @@ def _criterion_4_total_difference(c: CriterionResult, rng: np.random.Generator, 
     scale = np.maximum(a.E, b.E)
     c.check("total-difference shell residual over 1000 pairs", np.max(np.abs(r23) / scale**2), 1e-10)
     c.check("dE = u_avg dp with the average-velocity convention", np.max(np.abs(r24) / scale), 1e-10)
-    draws, rows = _Draws(rng), []
-    for _ in range(200):
-        dn = draws.integers(2, 20)
-        rows.append((dn, (draws.integers(-dn + 1, dn), 0, 0), draws.uniform(0.2, 4.0)))
-    draws.close()
-    dn, dj, m0 = map(np.array, zip(*rows))
-    step = LatticeStep(dn=dn, dj=dj)
-    s = discrete_energy_momentum(m0, step, GRID)  # the same momentum at this event and the next
+    dn = rng.integers(2, 20, 200)
+    step = LatticeStep(dn=dn, dj=_along_x(rng.integers(-dn + 1, dn)))
+    # the same momentum at this event and the next
+    s = discrete_energy_momentum(rng.uniform(0.2, 4.0, 200), step, GRID)
     c.check("difference four-vector invariant across consecutive free events",
             np.max(np.abs(four_difference_invariant(s, s, GRID.c))), 1e-10)
     a = ParticleState.from_momentum([0.75, 0, 0], 1.0, 1.0)

@@ -278,10 +278,15 @@ def beat_field(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> FieldSlab:
     return FieldSlab(psi=psi.astype(np.complex128))
 
 
+def _envelope(ta: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """The slow factor 2 cos pi(ta - xb), from ta = t(1/T1 - 1/T2) and xb = x(1/lam1 - 1/lam2)."""
+    return 2.0 * np.cos(np.pi * (ta - xb))
+
+
 def beat_envelope(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> np.ndarray:
     """The slow factor 2 cos pi{t(1/T1 - 1/T2) - x(1/lam1 - 1/lam2)}."""
     t, x = _beat_phases(b, grid, nt, nx)
-    return 2.0 * np.cos(np.pi * (t * b.freq_diff - x * b.wavenum_diff))
+    return _envelope(t * b.freq_diff, x * b.wavenum_diff)
 
 
 def beat_carrier(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> np.ndarray:
@@ -360,10 +365,9 @@ def measure_beat_velocity(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> floa
             f"envelope crest moves {step_sites!r} sites per step, at least half its "
             f"{crest_sites!r}-site spacing; its motion is aliased"
         )
-    # the float operations of beat_envelope(...) ** 2, site by site
+    # beat_envelope(...) ** 2, evaluated at the sites the tracker reads
     ta, xb = t[:, 0] * b.freq_diff, x[0] * b.wavenum_diff
-    return _track_crests(lambda n, lo, hi: (2.0 * np.cos(np.pi * (ta[n] - xb[lo:hi]))) ** 2,
-                         len(ta), len(xb), crest_sites, grid)
+    return _track_crests(lambda n, lo, hi: _envelope(ta[n], xb[lo:hi]) ** 2, len(ta), len(xb), crest_sites, grid)
 
 
 def _track_crests(env_sq, nt: int, nx: int, crest_sites: float, grid: GridSpec) -> float:

@@ -38,15 +38,12 @@ from latticewave.acceptance import (
     GRID,
     CriterionResult,
     _along_x,
-    _Draws,
-    _timelike_steps,
     _uniform,
     criterion_ids,
     format_report,
     run_acceptance,
     run_criterion,
 )
-from latticewave.errors import InternalInvariantError
 from latticewave.grid import GridSpec
 from latticewave.kinematics import LatticeStep, _exact_squares, _squares_of, _state_of, _timelike_step
 
@@ -108,10 +105,38 @@ def test_a_criterion_id_outside_the_registry_is_a_config_error(cid):
 
 # --- criteria 1 to 4 one sample at a time, as the oracle of the batched criteria -------------
 #
-# These are the per-sample loops the criteria ran before they drew once and
-# evaluated whole arrays. They call the one-row case of the same library
-# functions, so every line they print must reappear at the head of the
-# criterion's details.
+# These draw the criteria's samples with the same numpy calls, or with scalar
+# calls that give the same bits, and evaluate them one sample at a time
+# through the one-row case of the same library functions, so every line they
+# print must reappear at the head of the criterion's details.
+
+C2_GRID = GridSpec(tau=0.625, eps=0.25, c=2.0)
+
+
+def numpys_timelike_steps(rng, count=1000):
+    """Criterion 2's rows: blocks of candidate steps, each as many as are still missing, whose timelike steps
+    are kept in order, then a mass for each; as arrays dn, dj, m0."""
+    cc, tau, eps = C2_GRID.c, C2_GRID.tau, C2_GRID.eps
+    kept = []
+    while left := count - len(kept):
+        candidates = zip(rng.integers(1, 40, left).tolist(), rng.integers(-12, 13, (left, 3)).tolist())
+        kept += [(dn, dj) for dn, dj in candidates if (cc * dn * tau) ** 2 > sum((x * eps) ** 2 for x in dj)]
+    dn, dj = map(np.array, zip(*kept))
+    return dn, dj, rng.uniform(0.05, 5.0, count)
+
+
+def criterion_3_sequences(rng):
+    """Criterion 3's 1000 sequences in order, each its (4, n) normals re f, im f, re g, im g: the lengths of
+    10 blocks of 100 come first, then each block's normals in one draw, its sequences end to end."""
+    for lengths in rng.integers(2, 64, (10, 100)):
+        yield from np.split(rng.normal(size=(4, lengths.sum())), np.cumsum(lengths)[:-1], axis=1)
+
+
+def criterion_4_rows(rng):
+    """Criterion 4's 200 rows (dn, dj, m0) of free motion along x."""
+    dn = rng.integers(2, 20, 200)
+    x = rng.integers(-dn + 1, dn)
+    return zip(dn.tolist(), [(xi, 0, 0) for xi in x.tolist()], rng.uniform(0.2, 4.0, 200).tolist())
 
 
 def oracle_criterion_1(rng):
@@ -131,20 +156,16 @@ def oracle_criterion_1(rng):
 
 def oracle_criterion_2(rng):
     c = CriterionResult(2, "oracle")
-    grid = GridSpec(tau=0.625, eps=0.25, c=2.0)
+    grid = C2_GRID
     c2 = Fraction(grid.c) ** 2
     c4 = c2 * c2
     tau_num, tau_den = grid.tau.as_integer_ratio()
     eps_num, eps_den = grid.eps.as_integer_ratio()
     states = []
     exact_ok = True
-    while len(states) < 1000:
-        dn = int(rng.integers(1, 40))
-        dj = tuple(int(x) for x in rng.integers(-12, 13, 3))
-        if (grid.c * dn * grid.tau) ** 2 <= sum((d * grid.eps) ** 2 for d in dj):
-            continue
-        m0 = float(rng.uniform(0.05, 5.0))
-        step = LatticeStep(dn=dn, dj=dj)
+    dn_all, dj_all, m0_all = numpys_timelike_steps(rng)
+    for dn, dj, m0 in zip(dn_all.tolist(), dj_all.tolist(), m0_all.tolist()):
+        step = LatticeStep(dn=dn, dj=tuple(dj))
         states.append(discrete_energy_momentum(m0, step, grid))
         m = Fraction(m0)
         E2, p2, u2 = energy_momentum_squared_exact(m, step, grid)
@@ -171,10 +192,8 @@ def one_row(values, op):
 def oracle_criterion_3(rng):
     c = CriterionResult(3, "oracle")
     worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(2, 64))
-        f = rng.normal(size=n) + 1j * rng.normal(size=n)
-        g = rng.normal(size=n) + 1j * rng.normal(size=n)
+    for x in criterion_3_sequences(rng):
+        f, g = x[0] + 1j * x[1], x[2] + 1j * x[3]
         lhs = one_row(f * g, DiffOp.FORWARD_DIFF)
         rhs = (one_row(f, DiffOp.FORWARD_DIFF) * one_row(g, DiffOp.FORWARD_AVG)
                + one_row(f, DiffOp.FORWARD_AVG) * one_row(g, DiffOp.FORWARD_DIFF))
@@ -198,12 +217,9 @@ def oracle_criterion_4(rng):
     c.check("total-difference shell residual over 1000 pairs", worst23, 1e-10)
     c.check("dE = u_avg dp with the average-velocity convention", worst24, 1e-10)
     worst_inv = 0.0
-    for _ in range(200):
+    for dn, dj, m0 in criterion_4_rows(rng):
         grid = GRID
-        dn = int(rng.integers(2, 20))
-        dj = (int(rng.integers(-dn + 1, dn)), 0, 0)
         step = LatticeStep(dn=dn, dj=dj)
-        m0 = float(rng.uniform(0.2, 4.0))
         s1 = discrete_energy_momentum(m0, step, grid)
         s2 = discrete_energy_momentum(m0, step, grid)  # next event of the same free motion
         worst_inv = max(worst_inv, abs(four_difference_invariant(s1, s2, grid.c)))
@@ -231,32 +247,15 @@ def test_batched_criteria_print_the_per_sample_lines(cid, seed):
     assert result.passed and expected.passed
 
 
-# The loops criteria 3 and 5 ran before each became one pass (criterion 3 over the
-# sequences end to end, criterion 5 over one block of draws), and the loops criteria 2
-# and 4 ran before they decoded their scalar draws from the generator's words (criterion 3's
-# lengths too), kept as oracles as tests/test_dispersion.py keeps parent_solve_modes.
-# Each draws through numpy's own rng.integers and rng.uniform calls.
-
-
-C2_GRID = GridSpec(tau=0.625, eps=0.25, c=2.0)
-
-
-def numpys_timelike_steps(rng, count=1000):
-    """Criterion 2's rows (dn, dj, m0) as numpy's own calls draw them."""
-    cc, tau, eps = C2_GRID.c, C2_GRID.tau, C2_GRID.eps
-    rows = []
-    while len(rows) < count:
-        dn = int(rng.integers(1, 40))
-        x, y, z = dj = tuple(rng.integers(-12, 13, 3).tolist())
-        if (cc * dn * tau) ** 2 <= (x * eps) ** 2 + (y * eps) ** 2 + (z * eps) ** 2:
-            continue
-        rows.append((dn, dj, rng.uniform(0.05, 5.0)))
-    return rows
+# Each criterion's arithmetic as it stood before it became one pass: criterion 2 through the public
+# discrete_energy_momentum, criterion 3 grouped by length rather than end to end, criterion 4 over rows
+# and criterion 5 over one scalar draw loop. They are kept as oracles, as tests/test_dispersion.py keeps
+# parent_solve_modes, and draw with the criteria's own numpy calls.
 
 
 def parent_criterion_2(rng):
     c = CriterionResult(2, "parent")
-    dn, dj, m0 = map(np.array, zip(*numpys_timelike_steps(rng)))
+    dn, dj, m0 = numpys_timelike_steps(rng)
     stack = discrete_energy_momentum(m0, LatticeStep(dn=dn, dj=dj), C2_GRID)
     c.check("mass-shell relative residual over 1000 timelike steps", np.max(stack.mass_shell_residual(C2_GRID.c)),
             1e-12)
@@ -266,9 +265,8 @@ def parent_criterion_2(rng):
 def parent_criterion_3(rng):
     c = CriterionResult(3, "parent")
     by_length: dict[int, list] = {}
-    for _ in range(1000):
-        n = int(rng.integers(2, 64))
-        by_length.setdefault(n, []).append(rng.normal(size=(4, n)))
+    for x in criterion_3_sequences(rng):
+        by_length.setdefault(x.shape[1], []).append(x)
 
     def rows(a, op):
         return apply_1d(FieldSlab(psi=a), Axis.SPACE_J, op, Boundary.SHRINKING).psi
@@ -321,17 +319,13 @@ def parent_criterion_4(rng):
     scale = np.maximum(a.E, b.E)
     c.check("total-difference shell residual over 1000 pairs", np.max(np.abs(r23) / scale**2), 1e-10)
     c.check("dE = u_avg dp with the average-velocity convention", np.max(np.abs(r24) / scale), 1e-10)
-    rows = []
-    for _ in range(200):
-        dn = int(rng.integers(2, 20))
-        rows.append((dn, (int(rng.integers(-dn + 1, dn)), 0, 0), float(rng.uniform(0.2, 4.0))))
-    dn, dj, m0 = map(np.array, zip(*rows))
+    dn, dj, m0 = map(np.array, zip(*criterion_4_rows(rng)))
     step = LatticeStep(dn=dn, dj=dj)
     s1 = discrete_energy_momentum(m0, step, GRID)
     s2 = discrete_energy_momentum(m0, step, GRID)
     c.check("difference four-vector invariant across consecutive free events",
             np.max(np.abs(four_difference_invariant(s1, s2, GRID.c))), 1e-10)
-    cc = 2.0  # the draws after the loop continue where numpy's scalar calls left the generator
+    cc = 2.0
     m0 = rng.uniform(0.1, 3.0, 1000)
     a = ParticleState.from_momentum(rng.uniform(-3, 3, (1000, 3)), m0, cc)
     b = ParticleState.from_momentum(rng.uniform(-3, 3, (1000, 3)), m0, cc)
@@ -368,21 +362,6 @@ def test_one_pass_criteria_measure_the_parent_loops_values_bit_for_bit(monkeypat
         records.clear()
 
 
-# --- _Draws against numpy's own calls ---------------------------------------------------------
-#
-# Spans 2**31 + 1 and 3 * 2**30 + 7 make Lemire's method reject about half of its uint32s,
-# span 2**32 takes the uint32 whole and span 1 draws nothing. Seven draws without a redraw
-# end with a kept half.
-
-SPANS = [1, 3, 25, 39, 62, 2**31 + 1, 3 * 2**30 + 7, 2**32]
-
-
-def assert_same_generator(rng, want):
-    """The same state, and the same next draws, as the generator numpy's own calls advanced."""
-    assert rng.bit_generator.state == want.bit_generator.state
-    assert rng.random(3).tolist() == want.random(3).tolist()
-
-
 def test_criterion_2_derives_each_exact_quantity_once_per_use(exact_derivations):
     """The 1000 steps' masses and interval are derived once, by one _timelike_step call whose tuple feeds the
     float state, the exact squares and the criterion's velocity check."""
@@ -394,7 +373,7 @@ def test_criterion_2_derives_each_exact_quantity_once_per_use(exact_derivations)
 def test_the_exact_entry_points_return_the_bits_of_the_halves_criterion_2_certifies(seed):
     """discrete_energy_momentum and _exact_squares on criterion 2's rows give what _state_of and _squares_of
     give from the criterion's one _timelike_step, so the criterion certifies the public entry points."""
-    dn, dj, m0 = _timelike_steps(np.random.default_rng(seed + 2), C2_GRID, 1000)
+    dn, dj, m0 = numpys_timelike_steps(np.random.default_rng(seed + 2))
     step = LatticeStep(dn=dn, dj=dj)
     derived = _timelike_step(m0, step, C2_GRID, "discrete energy-momentum")
     state, want = discrete_energy_momentum(m0, step, C2_GRID), _state_of(m0, step, derived)
@@ -402,123 +381,6 @@ def test_the_exact_entry_points_return_the_bits_of_the_halves_criterion_2_certif
     assert state.m0 is want.m0 is m0
     squares = [np.asarray(x).tolist() for ratio in _exact_squares(m0, step, C2_GRID) for x in ratio]
     assert squares == [np.asarray(x).tolist() for ratio in _squares_of(derived) for x in ratio]
-
-
-@pytest.mark.parametrize("kept_half", [False, True], ids=["fresh", "starts-with-a-kept-half"])
-@pytest.mark.parametrize("span", SPANS)
-def test_draws_are_numpys_integers_bit_for_bit(span, kept_half):
-    low = -(span // 2)
-    for seed in range(100):
-        rng, want = np.random.default_rng(seed), np.random.default_rng(seed)
-        if kept_half:  # one uint32 drawn, the high half of its word kept
-            rng.integers(0, 10), want.integers(0, 10)
-        expected = [int(want.integers(low, low + span)) for _ in range(7)]
-        draws = _Draws(rng)
-        assert [draws.integers(low, low + span) for _ in range(7)] == expected, f"seed {seed}"
-        draws.close()
-        assert_same_generator(rng, want)
-
-
-@pytest.mark.parametrize("kept_half", [False, True], ids=["fresh", "starts-with-a-kept-half"])
-def test_draws_interleave_integers_and_uniforms_as_numpy_does(kept_half):
-    # criterion 2's pattern, then criterion 4's: each row draws an even number of uint32s (unless
-    # Lemire redraws), so a kept half at the start is kept across every uniform
-    for seed in range(100):
-        rng, want = np.random.default_rng(seed), np.random.default_rng(seed)
-        if kept_half:
-            rng.integers(0, 10), want.integers(0, 10)
-        expected = [(int(want.integers(1, 40)), *want.integers(-12, 13, 3).tolist(), want.uniform(0.05, 5.0))
-                    for _ in range(20)]
-        expected += [(dn := int(want.integers(2, 20)), int(want.integers(-dn + 1, dn)), want.uniform(0.2, 4.0))
-                     for _ in range(20)]
-        draws = _Draws(rng)
-        got = [(draws.integers(1, 40), draws.integers(-12, 13), draws.integers(-12, 13), draws.integers(-12, 13),
-                draws.uniform(0.05, 5.0)) for _ in range(20)]
-        got += [(dn := draws.integers(2, 20), draws.integers(-dn + 1, dn), draws.uniform(0.2, 4.0)) for _ in range(20)]
-        draws.close()
-        assert [tuple(map(repr, row)) for row in got] == [tuple(map(repr, row)) for row in expected], f"seed {seed}"
-        assert_same_generator(rng, want)
-
-
-def test_draws_interleave_with_numpys_normals():
-    # criterion 3's pattern: each length decides how many normals follow
-    for seed in range(100):
-        rng, want = np.random.default_rng(seed), np.random.default_rng(seed)
-        expected = [want.normal(size=(4, int(want.integers(2, 64)))).tobytes() for _ in range(20)]
-        lengths = _Draws(rng)
-        got = [rng.normal(size=(4, lengths.integers(2, 64))).tobytes() for _ in range(20)]
-        lengths.close()
-        assert got == expected, f"seed {seed}"
-        assert_same_generator(rng, want)
-
-
-# --- criterion 2's block of words against numpy's own calls ----------------------------------------
-
-
-def assert_numpys_timelike_steps(rng, want):
-    """_timelike_steps(rng) draws numpy's rows from want, each mass to the bit, and leaves rng as want."""
-    dn, dj, m0 = _timelike_steps(rng, C2_GRID, 1000)
-    assert (dn.dtype, dj.dtype, dj.shape, m0.dtype) == (np.int64, np.int64, (1000, 3), np.float64)
-    got = [(d, tuple(j), m.hex()) for d, j, m in zip(dn.tolist(), dj.tolist(), m0.tolist())]
-    assert got == [(d, j, m.hex()) for d, j, m in numpys_timelike_steps(want)]
-    assert_same_generator(rng, want)
-
-
-@pytest.fixture
-def hand_overs(monkeypatch):
-    """The number of times _timelike_steps handed its draws over to _Draws."""
-    made = []
-
-    class Counted(_Draws):
-        def __init__(self, rng):
-            made.append(rng)
-            super().__init__(rng)
-
-    monkeypatch.setattr(acceptance, "_Draws", Counted)
-    return made
-
-
-def test_criterion_2_steps_are_numpys_draws_bit_for_bit():
-    for seed in range(1000):  # criterion 2's generators for the seeds 0-999 of run_criterion
-        rng, want = np.random.default_rng(seed + 2), np.random.default_rng(seed + 2)
-        assert_numpys_timelike_steps(rng, want)
-
-
-# The first four generator seeds whose walk meets a uint32 that numpy's Lemire method refuses are 45654,
-# 50854, 114388 and 175309, found by decoding each seed's first 3200 words: about one seed in 35,000. Seed
-# 45654 refuses the y of the step at word 1397 (the low half of word 1398), seed 114388 the z of the step
-# at word 374 (the high half of word 375).
-@pytest.mark.parametrize("seed", [45654, 114388])
-def test_a_lemire_redraw_hands_the_rest_over_to_draws(hand_overs, seed):
-    rng, want = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert_numpys_timelike_steps(rng, want)
-    assert len(hand_overs) == 1
-
-
-def test_a_kept_half_at_the_start_hands_every_row_over_to_draws(hand_overs):
-    for seed in range(20):
-        rng, want = np.random.default_rng(seed), np.random.default_rng(seed)
-        rng.integers(0, 10), want.integers(0, 10)
-        assert_numpys_timelike_steps(rng, want)
-    assert len(hand_overs) == 20
-
-
-def test_a_fresh_generator_decodes_criterion_2_without_draws(hand_overs):
-    assert run_criterion(2, seed=SEED).passed
-    assert hand_overs == []
-
-
-@pytest.mark.parametrize("low, high", [(0, 0), (5, 4), (0, 2**32 + 1)], ids=["span-0", "negative-span", "span-above-2-32"])
-def test_draws_refuse_a_span_outside_1_to_2_32(low, high):
-    with pytest.raises(InternalInvariantError, match="span"):
-        _Draws(np.random.default_rng(0)).integers(low, high)
-
-
-@pytest.mark.parametrize("decode", [_Draws, lambda rng: _timelike_steps(rng, C2_GRID, 1000)],
-                         ids=["draws", "timelike-steps"])
-def test_draws_refuse_a_generator_that_is_not_pcg64(decode):
-    with pytest.raises(InternalInvariantError, match="PCG64"):
-        decode(np.random.Generator(np.random.MT19937(0)))
 
 
 def test_criterion_5_tracks_the_beat_without_sampling_its_field():
