@@ -157,12 +157,6 @@ def _stencil_constants(p: KGParams) -> tuple[float, float, float, float]:
     return off_a, diag_a, off_b, diag_b
 
 
-def _apply_symmetric_circulant(off: float, diag: float, f: np.ndarray) -> np.ndarray:
-    """off (f[j + 1] + f[j - 1]) + diag f[j], indices mod n, from one wrap-padded copy of f."""
-    padded = np.concatenate((f[-1:], f, f[:1]))
-    return off * (padded[2:] + padded[:-2]) + diag * f
-
-
 def _circulant_eigenvalues(off: float, diag: float, n: int) -> np.ndarray:
     q = np.arange(n)
     return diag + 2.0 * off * np.cos(2.0 * np.pi * q / n)
@@ -274,14 +268,18 @@ def evolve(initial: np.ndarray, steps: int, p: KGParams) -> FieldSlab:
     slab[1] = initial[1]
     # allocated once: a fresh block per step can cost more in page faults than its arithmetic
     stack = _band_stack(len(kernel) - 1, nx)
+    # slices n - 1 and n, wrap-padded, and their operators A and B as columns
+    padded = np.empty((2, nx + 2), dtype=np.complex128)
+    off, diag = np.array([[off_a], [off_b]]), np.array([[diag_a], [diag_b]])
     # an overflow turns into inf/NaN and is caught once, after the march
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, steps + 1):
-            rhs = -(
-                _apply_symmetric_circulant(off_b, diag_b, slab[n])
-                + _apply_symmetric_circulant(off_a, diag_a, slab[n - 1])
-            )
-            _fold_band(kernel, rhs, stack, slab[n + 1])
+            rows = slab[n - 1 : n + 1]
+            padded[:, 1:-1] = rows
+            padded[:, 0], padded[:, -1] = rows[:, -1], rows[:, 0]
+            # off (f[j + 1] + f[j - 1]) + diag f[j], indices mod Nx, for both slices at once
+            terms = off * (padded[:, 2:] + padded[:, :-2]) + diag * rows
+            _fold_band(kernel, -(terms[1] + terms[0]), stack, slab[n + 1])
     if not np.all(np.isfinite(slab)):
         raise DomainError("the march overflowed the float range for these grid constants")
     return FieldSlab(psi=slab)

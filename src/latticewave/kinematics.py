@@ -64,6 +64,9 @@ def _square(x):
     return np.float_power(np.asarray(x, dtype=float), 2)
 
 
+_EYE3 = np.eye(3)
+
+
 def boost_matrix(v: Sequence[float], c: float) -> np.ndarray:
     """Boost to a frame moving with velocity v; acts on (q0, q1, q2, q3).
 
@@ -77,13 +80,17 @@ def boost_matrix(v: Sequence[float], c: float) -> np.ndarray:
     if np.any(b2 >= 1.0):
         raise DomainError(f"boost velocity |v| = {float(np.sqrt(np.nanmax(b2)) * c)!r} must be < c = {c!r}")
     g = 1.0 / np.sqrt(1.0 - b2)
-    L = np.empty(b2.shape + (4, 4))
-    L[..., 0, 0] = g
-    L[..., 0, 1:] = L[..., 1:, 0] = -g[..., None] * beta
+    # built component-major, L[i, j] of the stack's shape, so that each entry's arithmetic runs over
+    # the whole stack at once; then moved back to a C-contiguous (..., 4, 4) stack
+    stack = tuple(range(b2.ndim))
+    b = np.ascontiguousarray(beta.transpose((b2.ndim, *stack)))
+    L = np.empty((4, 4) + b2.shape)
+    L[0, 0] = g
+    L[0, 1:] = L[1:, 0] = -g * b
     with np.errstate(divide="ignore", invalid="ignore"):
-        spatial = ((g - 1.0) / b2)[..., None, None] * (beta[..., :, None] * beta[..., None, :])
-    L[..., 1:, 1:] = np.eye(3) + np.where((b2 > 0.0)[..., None, None], spatial, 0.0)
-    return L
+        spatial = ((g - 1.0) / b2) * (b[:, None] * b[None, :])
+    L[1:, 1:] = _EYE3[(...,) + (None,) * b2.ndim] + np.where(b2 > 0.0, spatial, 0.0)
+    return np.ascontiguousarray(L.transpose((*(i + 2 for i in stack), 0, 1)))
 
 
 def phase_velocity(w: float, k: Sequence[float]) -> Union[float, Infinite]:
@@ -198,7 +205,9 @@ class ParticleState:
             raise DomainError(f"state off mass shell: relative residual {np.max(residual):.3e} > {SHELL_RTOL:.1e}")
         speed = np.sqrt(_dot(self.u, self.u))
         expected_u = self.p * c**2 / np.expand_dims(self.E, -1)
-        if np.any(np.max(np.abs(self.u - expected_u), axis=-1) > SHELL_RTOL * np.fmax(c, speed)):
+        deviation = np.max(np.abs(self.u - expected_u), axis=-1)
+        # a non-finite u is refused outright: its NaN deviation, or an inf one against an inf speed, would pass
+        if not np.isfinite(self.u).all() or np.any(deviation > SHELL_RTOL * np.fmax(c, speed)):
             raise DomainError("velocity inconsistent with p c^2 / E")
         if np.any((self.m0 > 0) & (speed >= c * (1 + SHELL_RTOL))):
             raise DomainError("massive state must move slower than light")

@@ -208,8 +208,23 @@ def parity_products() -> tuple[IntLorentzMatrix, IntLorentzMatrix, IntLorentzMat
     return IntLorentzMatrix(p1), IntLorentzMatrix(p2), IntLorentzMatrix(s3)
 
 
-_P1, _P2, _P3 = (p.entries for p in parity_products())
-_LETTER_MATRICES = {**_GENERATORS, "P1": _P1, "P2": _P2, "P3": _P3}
+def _s4_row(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+    """The row (a, b, c, d) times S4: with s = a - b - c - d, the row (a + s, s + b, s + c, s + d)."""
+    s = a - b - c - d
+    return (a + s, s + b, s + c, s + d)
+
+
+# How each letter acts on one row of a product that it multiplies from the right: S1, S2, S3 and
+# the parity flips P1, P2, P3 swap or negate entries, and S4 is _s4_row.
+_LETTER_ACTIONS = {
+    "S1": lambda a, b, c, d: (a, c, b, d),
+    "S2": lambda a, b, c, d: (a, b, d, c),
+    "S3": lambda a, b, c, d: (a, b, c, -d),
+    "S4": _s4_row,
+    "P1": lambda a, b, c, d: (a, -b, c, d),
+    "P2": lambda a, b, c, d: (a, b, -c, d),
+    "P3": lambda a, b, c, d: (a, b, c, -d),
+}
 
 
 @dataclass(frozen=True)
@@ -237,14 +252,19 @@ def _word_from_letters(letters: tuple[str, ...]) -> GeneratorWord:
 
 
 def eval_word(word: GeneratorWord | Iterable[str]) -> IntLorentzMatrix:
-    """Left-to-right product of the word's letter matrices."""
+    """Left-to-right product of the word's letter matrices.
+
+    Each letter multiplies the running product from the right, so it acts on
+    each of the product's four rows alone (``_LETTER_ACTIONS``).
+    """
     letters = word.letters if isinstance(word, GeneratorWord) else tuple(word)
-    m = _IDENTITY
+    r0, r1, r2, r3 = _IDENTITY
     for letter in letters:
-        if letter not in _LETTER_MATRICES:
+        act = _LETTER_ACTIONS.get(letter)
+        if act is None:
             raise DomainError(f"unknown letter {letter!r}; alphabet is {ALPHABET}")
-        m = _mat_mul(m, _LETTER_MATRICES[letter])
-    r0, r1, r2, r3 = m  # Python ints already: wrapped and certified without re-reading them
+        r0, r1, r2, r3 = act(*r0), act(*r1), act(*r2), act(*r3)
+    # Python ints already: wrapped and certified without re-reading them
     return _certified(_from_flat((*r0, *r1, *r2, *r3)))
 
 

@@ -322,7 +322,7 @@ def beat_velocities(b: BeatSpec) -> tuple[float, float]:
 # --- envelope tracking --------------------------------------------------------
 
 
-def _refine_peak(row: np.ndarray, k: int, lo: int) -> float:
+def _refine_peak(row: list[float], k: int, lo: int) -> float:
     """Quadratic sub-site refinement of a discrete peak at interior index k of ``row``,
     which holds the slab's sites from ``lo`` on: the site ``lo + k`` plus its sub-site offset."""
     ym, y0, yp = row[k - 1], row[k], row[k + 1]
@@ -400,20 +400,19 @@ def _track_crests(env_sq, nt: int, nx: int, crest_sites: float, grid: GridSpec) 
         hi = min(nx - 2, center + radius)
         # the candidates lo..hi and the neighbour on each side that the refinement reads
         window = env_sq(n, lo - 1, hi + 2)
-        k = 1 + int(np.argmax(window[1 : hi - lo + 2]))
-        return _refine_peak(window, k, lo - 1) + hops * period_sites
+        k = 1 + int(window[1 : hi - lo + 2].argmax())
+        return _refine_peak(window.tolist(), k, lo - 1) + hops * period_sites
 
     # measure_beat_velocity requires nx >= 6 crest_sites >= 12, so 2 <= lo0 and hi0 <= nx - 2:
     # the start needs no clamp
     lo0, hi0 = nx // 4, max(nx // 4 + 1, (3 * nx) // 4)
     row = env_sq(0, lo0 - 1, hi0 + 1)
-    positions = np.empty(nt)
-    positions[0] = _refine_peak(row, 1 + int(np.argmax(row[1:-1])), lo0 - 1)
+    # Python floats: the same IEEE double arithmetic as numpy's float64 scalars, at less cost per operation
+    positions = [_refine_peak(row.tolist(), 1 + int(row[1:-1].argmax()), lo0 - 1)]
     velocity_guess = 0.0
     for n in range(1, nt):
-        predicted = positions[n - 1] + velocity_guess
-        positions[n] = measure_slice(n, predicted)
-        velocity_guess = positions[n] - positions[n - 1]
+        positions.append(measure_slice(n, positions[-1] + velocity_guess))
+        velocity_guess = positions[-1] - positions[-2]
 
     # fit in sites per step, then scale: fitting in physical units squares
     # abscissae like n * tau inside polyfit, which overflows for large tau

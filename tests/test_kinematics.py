@@ -29,7 +29,7 @@ from latticewave import (
     transform_wave,
     transform_wave_scalar,
 )
-from latticewave.kinematics import _exact_interval, _exact_squares
+from latticewave.kinematics import _dot, _exact_interval, _exact_squares
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -702,6 +702,42 @@ def test_stacked_rows_are_the_one_row_calls(rows, c):
         assert invariant[i] == four_difference_invariant(one, one_p, c)
 
 
+def stack_major_boost_matrix(v, c):
+    """boost_matrix as it was before it was built component-major: every entry indexed as L[..., i, j]."""
+    beta = np.asarray(v, dtype=float) / c
+    b2 = _dot(beta, beta)
+    g = 1.0 / np.sqrt(1.0 - b2)
+    L = np.empty(b2.shape + (4, 4))
+    L[..., 0, 0] = g
+    L[..., 0, 1:] = L[..., 1:, 0] = -g[..., None] * beta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spatial = ((g - 1.0) / b2)[..., None, None] * (beta[..., :, None] * beta[..., None, :])
+    L[..., 1:, 1:] = np.eye(3) + np.where((b2 > 0.0)[..., None, None], spatial, 0.0)
+    return L
+
+
+def boost_stacks():
+    """Velocities as one vector and as (n, 3) and (k, n, 3) stacks, with zero rows, signed zeros and speeds
+    from near c down to 1e-170 of it."""
+    rng = np.random.default_rng(11)
+    for c in (2.0, 3.0, 3e8):
+        yield np.array([0.3, -0.2, 0.1]) * c, c
+        yield np.array([0.0, -0.0, 0.0]), c
+        for shape in ((50, 3), (4, 7, 3)):
+            v = rng.uniform(-0.57, 0.57, shape) * c
+            v *= 10.0 ** -rng.integers(0, 171, shape[:-1])[..., None]
+            v[..., 0][rng.random(shape[:-1]) < 0.2] = -0.0
+            v.reshape(-1, 3)[::5] = 0.0
+            yield v, c
+
+
+@pytest.mark.parametrize("v, c", boost_stacks())
+def test_boost_matrix_is_the_stack_major_build_bit_for_bit(v, c):
+    L = boost_matrix(v, c)
+    assert L.flags.c_contiguous and L.shape == v.shape[:-1] + (4, 4)
+    assert L.tobytes() == stack_major_boost_matrix(v, c).tobytes()
+
+
 # --- library guards: every refusal, through the call that reaches it -------------------------------------------
 
 STATE = ParticleState.from_momentum([1.0, 0, 0], 1.0, 1.0)
@@ -709,6 +745,13 @@ STATE = ParticleState.from_momentum([1.0, 0, 0], 1.0, 1.0)
 # shell to SHELL_RTOL, not |p| c <= E, so it accepts this state, and a boost with |v| < c then gives E' <= 0.
 # The boosted-energy row reaches transform_particle's non-positive-energy guard this way
 SPACELIKE_BY_ROUNDING = ParticleState(E=1.0, p=[1 + 1e-11, 0, 0], m0=0.0, u=[1 + 1e-11, 0, 0])
+# a NaN velocity gives a NaN deviation from p c^2 / E, which no tolerance comparison refuses on its own
+NAN_VELOCITY = ParticleState.from_momentum([0.75, 0, 0], 1.0, 1.0)
+NAN_VELOCITY.u = np.array([np.nan, 0.0, 0.0])
+NAN_VELOCITY_ROW = ParticleState.from_momentum([[0.75, 0, 0], [0, 0.5, 0], [0, 0, -1.0]], 1.0, 1.0)
+NAN_VELOCITY_ROW.u[1, 2] = np.nan
+# a massless state at an infinite speed is within its own tolerance SHELL_RTOL * |u| = inf
+INFINITE_VELOCITY = ParticleState(E=1.0, p=[1.0, 0, 0], m0=0.0, u=[np.inf, 0, 0])
 
 
 @pytest.mark.parametrize("call, message", [
@@ -723,12 +766,16 @@ SPACELIKE_BY_ROUNDING = ParticleState(E=1.0, p=[1 + 1e-11, 0, 0], m0=0.0, u=[1 +
      "energy must be positive"),
     (lambda: transform_particle(ParticleState(E=1.0, p=[0, 0, 0], m0=1.0, u=[0.5, 0, 0]), [0, 0, 0], 1.0),
      "velocity inconsistent"),
+    (lambda: transform_particle(NAN_VELOCITY, [0.5, 0, 0], 1.0), "^velocity inconsistent with p c\\^2 / E$"),
+    (lambda: transform_particle(NAN_VELOCITY_ROW, [0.5, 0, 0], 1.0), "^velocity inconsistent with p c\\^2 / E$"),
+    (lambda: INFINITE_VELOCITY.validate(1.0), "^velocity inconsistent with p c\\^2 / E$"),
     (lambda: transform_particle(SPACELIKE_BY_ROUNDING, [1 - 1e-12, 0, 0], 1.0),
      r"non-positive energy: the state lies outside the light cone within SHELL_RTOL = 1e-10, "
      r"\|p\| c = 1\.00000000001 against E = 1\.0$"),
     (lambda: debroglie_map(STATE, 0.0), "hbar must be positive"),
 ], ids=["vec3-shape", "boost-c", "gamma-speed", "from-momentum-mass", "shell-residual-overflow", "validate-mass",
-        "validate-energy", "validate-velocity", "boosted-energy", "debroglie-hbar"])
+        "validate-energy", "validate-velocity", "validate-velocity-nan", "validate-velocity-nan-row",
+        "validate-velocity-inf", "boosted-energy", "debroglie-hbar"])
 def test_every_kinematics_guard_refuses_its_input(call, message):
     with pytest.raises(DomainError, match=message):
         call()

@@ -324,8 +324,13 @@ def test_the_gram_checks_read_iterator_rows():
     assert metric_gram_defect([iter(row) for row in rows_of(flat)], 0, 3) == 2
 
 
+def action_of(matrix):
+    """How right-multiplication by ``matrix`` acts on one row (a, b, c, d): its products with the columns."""
+    return lambda *row: tuple(sum(x * matrix[i][j] for i, x in enumerate(row)) for j in range(4))
+
+
 def test_eval_word_refuses_a_product_off_the_group(monkeypatch):
-    monkeypatch.setitem(lorentz_int._LETTER_MATRICES, "S4", printed_s4())
+    monkeypatch.setitem(lorentz_int._LETTER_ACTIONS, "S4", action_of(printed_s4()))
     with pytest.raises(DomainError, match="^matrix does not preserve the Minkowski form$"):
         eval_word(("S4",))
 
@@ -359,6 +364,26 @@ ABOVE_2_64 = tuple(tuple(2**64 + 4 * i + j for j in range(4)) for i in range(4))
 def test_mat_mul_matches_the_naive_triple_sum(a, b):
     product = _mat_mul(a, b)
     assert product == oracle_matmul(a, b)
+    assert all(type(x) is int for row in product for x in row)
+
+
+LETTER_MATRICES = {
+    **{name: generator(name).entries for name in ("S1", "S2", "S3", "S4")},
+    **{name: p.entries for name, p in zip(("P1", "P2", "P3"), parity_products())},
+}
+
+
+def test_every_letter_has_one_action():
+    assert list(lorentz_int._LETTER_ACTIONS) == list(LETTER_MATRICES) == list(lorentz_int.ALPHABET)
+
+
+@pytest.mark.parametrize("letter", LETTER_MATRICES)
+@given(m=MATRICES)
+@example(m=ABOVE_2_64)
+def test_a_letter_acts_on_each_row_as_multiplication_by_its_matrix(letter, m):
+    act = lorentz_int._LETTER_ACTIONS[letter]
+    product = tuple(act(*row) for row in m)
+    assert product == _mat_mul(m, LETTER_MATRICES[letter])
     assert all(type(x) is int for row in product for x in row)
 
 

@@ -1,7 +1,7 @@
 """A table of hand-written faults, each of which its named acceptance criterion must catch.
 
-Each fault replaces one library function with a broken copy (through
-pytest's ``monkeypatch``, in every module that imported the name) and runs
+Each fault replaces one library function or table with a broken copy
+(through pytest's ``monkeypatch``, in every module that imported the name) and runs
 only the criterion that must fail. The unpatched row shows that the same
 criterion passes without the fault.
 """
@@ -9,7 +9,7 @@ criterion passes without the fault.
 import numpy as np
 import pytest
 
-from latticewave import acceptance, dispersion, kg_lattice, kinematics
+from latticewave import acceptance, dispersion, kg_lattice, kinematics, lorentz_int
 from latticewave.acceptance import run_criterion
 
 ORIGINAL = {
@@ -112,6 +112,11 @@ def exponential_square_coefficient_2(form, n):
     return square / 2.0 if form is dispersion.DispersionForm.EXPONENTIAL else square
 
 
+# S1 acts on a row (a, b, c, d) as (a, c, b, d); this swap of x and z keeps every product in the group,
+# so eval_word raises nothing and only the round trip eval_word(factorize(L)) = L can catch it
+S1_ACTION_SWAPS_COLUMNS_1_AND_3 = {**lorentz_int._LETTER_ACTIONS, "S1": lambda a, b, c, d: (a, d, c, b)}
+
+
 FAULTS = [
     # (id, module, function name, faulty replacement, criterion that must fail)
     ("boost-gamma-squared", kinematics, "boost_matrix", gamma_squared_time_entry, 1),
@@ -131,6 +136,7 @@ FAULTS = [
     ("evolve-kernel-cut-2^-24", kg_lattice, "_inverse_kernel", kernel_cut_at_2_pow_minus_24, 9),
     ("evolve-b-mass-sign", kg_lattice, "_stencil_constants", mass_term_of_b_with_wrong_sign, 9),
     ("dispersion-time-coefficient-2", dispersion, "_square", exponential_square_coefficient_2, 6),
+    ("s1-action-swaps-columns-1-and-3", lorentz_int, "_LETTER_ACTIONS", S1_ACTION_SWAPS_COLUMNS_1_AND_3, 8),
 ]
 
 

@@ -424,6 +424,38 @@ def parent_track_crests(env_sq, crest_sites, grid):
     return float(np.polyfit(np.arange(nt), positions, 1)[0]) * grid.eps / grid.tau
 
 
+def numpy_scalar_track_crests(env_sq, nt, nx, crest_sites, grid):
+    """_track_crests as it was before it refined on Python floats: numpy float64 scalars read from
+    each window, and the positions in a float64 array."""
+    period_sites = 2.0 * crest_sites
+    radius = max(2, int(round(crest_sites / 2.0)))
+
+    def refine(row, k, lo):
+        ym, y0, yp = row[k - 1], row[k], row[k + 1]
+        denom = ym - 2.0 * y0 + yp
+        if denom == 0.0:
+            return float(lo + k)
+        delta = 0.5 * (ym - yp) / denom
+        return (lo + k) + float(min(max(delta, -0.5), 0.5))
+
+    def measure_slice(n, predicted):
+        hops = round((predicted - nx / 2.0) / period_sites)
+        center = int(round(predicted - hops * period_sites))
+        lo, hi = max(1, center - radius), min(nx - 2, center + radius)
+        window = env_sq(n, lo - 1, hi + 2)
+        return refine(window, 1 + int(np.argmax(window[1 : hi - lo + 2])), lo - 1) + hops * period_sites
+
+    lo0, hi0 = nx // 4, max(nx // 4 + 1, (3 * nx) // 4)
+    row = env_sq(0, lo0 - 1, hi0 + 1)
+    positions = np.empty(nt)
+    positions[0] = refine(row, 1 + int(np.argmax(row[1:-1])), lo0 - 1)
+    velocity_guess = 0.0
+    for n in range(1, nt):
+        positions[n] = measure_slice(n, positions[n - 1] + velocity_guess)
+        velocity_guess = positions[n] - positions[n - 1]
+    return float(np.polyfit(np.arange(nt), positions, 1)[0]) * grid.eps / grid.tau
+
+
 MEASURED_SLABS = [case for case in BEAT_SLABS if outcome(lambda: measure_beat_velocity(*case))[0] == "value"]
 
 
@@ -432,6 +464,7 @@ def test_the_windowed_tracker_is_the_whole_row_tracker_bit_for_bit(beat, grid, n
     env_sq = beat_envelope(beat, grid, nt, nx) ** 2
     crest_sites = (2.0 / abs(beat.wavenum_diff)) / grid.eps / 2.0
     want = parent_track_crests(env_sq, crest_sites, grid)
+    assert numpy_scalar_track_crests(reader(env_sq), nt, nx, crest_sites, grid).hex() == want.hex()
     assert _track_crests(reader(env_sq), nt, nx, crest_sites, grid).hex() == want.hex()
     assert measure_beat_velocity(beat, grid, nt, nx).hex() == want.hex()
 
