@@ -252,11 +252,7 @@ def _word_from_letters(letters: tuple[str, ...]) -> GeneratorWord:
 
 
 def eval_word(word: GeneratorWord | Iterable[str]) -> IntLorentzMatrix:
-    """Left-to-right product of the word's letter matrices.
-
-    Each letter multiplies the running product from the right, so it acts on
-    each of the product's four rows alone (``_LETTER_ACTIONS``).
-    """
+    """Left-to-right product of the word's letter matrices, each letter acting on the running product's rows."""
     letters = word.letters if isinstance(word, GeneratorWord) else tuple(word)
     r0, r1, r2, r3 = _IDENTITY
     for letter in letters:
@@ -264,8 +260,7 @@ def eval_word(word: GeneratorWord | Iterable[str]) -> IntLorentzMatrix:
         if act is None:
             raise DomainError(f"unknown letter {letter!r}; alphabet is {ALPHABET}")
         r0, r1, r2, r3 = act(*r0), act(*r1), act(*r2), act(*r3)
-    # Python ints already: wrapped and certified without re-reading them
-    return _certified(_from_flat((*r0, *r1, *r2, *r3)))
+    return _certified(_from_flat((*r0, *r1, *r2, *r3)))  # Python ints: wrapped and certified without re-reading them
 
 
 _GENERATOR_STACK = np.array([_S1, _S2, _S3, _S4], dtype=np.int64)
