@@ -656,6 +656,7 @@ def _stdout_may_close():
         sys.stdout.flush()
     except BrokenPipeError:
         # the interpreter flushes stdout once more at exit, which would raise again
+        # unreached: only a child process whose stdout reader has closed gets here (one test_cli test runs it)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
@@ -764,4 +765,5 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # unreached: only `python -m latticewave.cli` in a child process runs it (the same test_cli test)
     sys.exit(main())

@@ -46,6 +46,7 @@ from .errors import DomainError
 from .grid import GridSpec, Infinite, INFINITE, MaybeInfinite, check_mode, check_size, is_integer
 
 if TYPE_CHECKING:
+    # unreached: read by static type checkers only
     from .kinematics import LatticeStep
 
 
@@ -116,8 +117,8 @@ def dispersion_residual(
 ) -> float:
     """Signed residual of the applicable relation; reported as-is, and a DomainError if not finite."""
     check_mode(N, M)
-    if m0 < 0:
-        raise DomainError("m0 must be >= 0")
+    if not (m0 >= 0):
+        raise DomainError(f"m0 must be >= 0, got {m0!r}")
     inv_ct2, inv_eps2, mu2 = _coefficients(form, m0, grid)
     if _has_pole(form) and 2 in (N, M):
         if N == M:
@@ -202,8 +203,8 @@ def quantization_check(step: LatticeStep, m0: float, grid: GridSpec, tol: float)
     """
     from .kinematics import discrete_energy_momentum
 
-    if tol < 0:
-        raise DomainError("tol must be >= 0")
+    if not (tol >= 0):
+        raise DomainError(f"tol must be >= 0, got {tol!r}")
     state = discrete_energy_momentum(m0, step, grid)
     p_mag = state.momentum_magnitude()
     try:

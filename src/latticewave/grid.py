@@ -66,9 +66,9 @@ def check_size(count: int, what: str) -> None:
 
 
 def check_extent(shape: tuple[int, ...]) -> None:
-    """Raise DomainError if a slab of ``shape`` would have no site on some axis."""
-    if 0 in shape:
-        raise DomainError(f"FieldSlab.psi must cover at least one site per axis, got shape {shape}")
+    """Raise DomainError unless every extent of a slab of ``shape`` is an integer >= 1."""
+    if not all(is_integer(n) and n >= 1 for n in shape):
+        raise DomainError(f"slab extents must be integers >= 1, got shape {shape}")
 
 
 def is_integer(value) -> bool:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularSystemError
-from .grid import FieldSlab, GridSpec, Infinite, INFINITE, check_size, is_integer
+from .grid import FieldSlab, GridSpec, Infinite, INFINITE, check_extent, check_size, is_integer
 from .waves import WaveForm, WaveSpec, sample_wave
 
 
@@ -90,10 +90,11 @@ def apply_kg_operator(f: FieldSlab, p: KGParams) -> FieldSlab:
     if psi.shape[0] < 3 or psi.shape[1] < 3:
         raise DomainError(f"operator needs extents >= 3 in both axes, got {psi.shape}")
     inv_ct2, inv_eps2, mu2 = p.grid.wave_coefficients(p.m0)
+    avg_space = _second_avg_space(psi)
     residual = (
-        -inv_ct2 * _second_diff_time(_second_avg_space(psi))
+        -inv_ct2 * _second_diff_time(avg_space)
         + inv_eps2 * _second_avg_time(_second_diff_space(psi))
-        - mu2 * _second_avg_time(_second_avg_space(psi))
+        - mu2 * _second_avg_time(avg_space)
     )
     return FieldSlab(psi=residual)
 
@@ -106,6 +107,7 @@ def plane_wave_residual(spec: WaveSpec, p: KGParams, extent: tuple[int, int] = (
     grid-periodic (every cayley mode, and exponential modes whose M does
     not divide Nx).
     """
+    check_extent(extent)
     nt, nx = extent
     if nt < 8 or nx < 8:
         raise DomainError(f"plane-wave certification needs extent >= 8x8, got {extent}")

@@ -402,6 +402,7 @@ def factorize(m: IntLorentzMatrix) -> GeneratorWord:
             if a0 + s1 * b0 + s2 * c0 + s3 * d0 < 0:  # t0 < 0: the new time-time entry a0 + t0 is below a0
                 break
         else:
+            # unreached: the reduction argument rules out a matrix that no parity prefix lowers
             raise InternalInvariantError(
                 f"no parity prefix decreases the time-time entry {a0}; "
                 "this contradicts the reduction argument"
@@ -411,11 +412,13 @@ def factorize(m: IntLorentzMatrix) -> GeneratorWord:
         word.append("S4")
         steps += 1
         if steps > initial_tt:
+            # unreached: each S4 step strictly decreases the time-time entry, so the bound holds
             raise InternalInvariantError(
                 "S4 reduction ran longer than the strict-decrease bound allows"
             )
     tail = _signed_permutation_words().get(current)
     if tail is None:
+        # unreached: a matrix of the group with time-time entry 1 is a signed spatial permutation
         raise InternalInvariantError("reduced matrix is not a signed spatial permutation")
     word.extend(tail)
     return _word_from_letters(tuple(word))

@@ -26,7 +26,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, MeasurementError
-from .grid import FieldSlab, GridSpec, Infinite, INFINITE, MaybeInfinite, check_extent, check_mode, check_size
+from .grid import (FieldSlab, GridSpec, Infinite, INFINITE, MaybeInfinite, check_extent, check_mode, check_size,
+                   is_integer)
 
 
 class WaveForm(Enum):
@@ -99,6 +100,11 @@ def _exponential_value(num: int, den: int) -> complex:
     return cmath.rect(1.0, 2.0 * math.pi * (num / den))
 
 
+def _check_site(n: int, j: int) -> None:
+    if not (is_integer(n) and is_integer(j)):
+        raise DomainError(f"site indices must be integers, got n={n!r}, j={j!r}")
+
+
 def eval_exponential(spec: WaveSpec, n: int, j: int) -> complex:
     """exp{2 pi i (n/N - j/M)} with the phase reduced in exact integers.
 
@@ -108,6 +114,7 @@ def eval_exponential(spec: WaveSpec, n: int, j: int) -> complex:
     """
     if spec.form is not WaveForm.EXPONENTIAL:
         raise DomainError("eval_exponential needs an exponential WaveSpec")
+    _check_site(n, j)
     return _exponential_value(*_exponential_phase(spec, n, j))
 
 
@@ -125,6 +132,7 @@ def eval_cayley(spec: WaveSpec, n: int, j: int) -> complex:
     """The quasi-periodic Cayley-transform wave, by renormalized powering."""
     if spec.form is not WaveForm.CAYLEY:
         raise DomainError("eval_cayley needs a cayley WaveSpec")
+    _check_site(n, j)
     base_t, base_x = _cayley_bases(spec)
     value = _unimodular_power(base_t, n)
     if base_x is not None:
@@ -178,8 +186,7 @@ def _cayley_slab(spec: WaveSpec, nt: int, nx: int) -> np.ndarray:
 
 def sample_wave(spec: WaveSpec, nt: int, nx: int) -> FieldSlab:
     """Evaluate a mode on an nt x nx slab, bit-identical to eval_wave at every site."""
-    if nt < 1 or nx < 1:
-        raise DomainError("slab extents must be positive")
+    check_extent((nt, nx))
     check_size(nt * nx, "slab sites")
     if spec.form is WaveForm.EXPONENTIAL:
         psi = _exponential_slab(spec, nt, nx)
@@ -242,6 +249,7 @@ class BeatSpec:
 
 
 def _beat_phases(b: BeatSpec, grid: GridSpec, nt: int, nx: int):
+    check_extent((nt, nx))
     check_size(nt * nx, "slab sites")
     # every mode, envelope and carrier phase is at most 2 pi * cycles; 4 pi * cycles leaves a margin for rounding
     cycles = (nt - 1) * grid.tau / min(abs(b.T1), abs(b.T2)) + (nx - 1) * grid.eps / min(abs(b.lam1), abs(b.lam2))
@@ -344,7 +352,6 @@ def measure_beat_velocity(b: BeatSpec, grid: GridSpec, nt: int, nx: int) -> floa
     """
     _require_envelope_coverage(b, grid, nt, nx)
     t, x = _beat_phases(b, grid, nt, nx)
-    check_extent((t.shape[0], x.shape[1]))  # the shape of beat_field's slab, 0 for a negative extent
     if nt < 4:
         raise DomainError("group-velocity measurement needs at least 4 time slices")
     if b.wavenum_diff == 0.0:

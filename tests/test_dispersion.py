@@ -477,7 +477,10 @@ def test_the_block_scan_raises_the_per_row_scans_domain_error(form, grid):
     (lambda: solve_modes(1.0, DispersionForm.CAYLEY, 1, 8, 1e-9, GRID), "mode bounds must be >= 2"),
     (lambda: solve_modes(1.0, DispersionForm.CAYLEY, 8, 1, 1e-9, GRID), "mode bounds must be >= 2"),
     (lambda: quantization_check(LatticeStep(dn=1, dj=(0, 0, 0)), 1.0, GRID, -1.0), "tol must be >= 0"),
-], ids=["form-type", "n-bound", "m-bound", "quantization-tol"])
+    # a NaN passed both guards: the check returned N = M = None, and the residual blamed the float range
+    (lambda: quantization_check(LatticeStep(dn=1), 2 * math.pi, GRID, math.nan), "tol must be >= 0, got nan"),
+    (lambda: dispersion_residual(DispersionForm.CAYLEY, 3, 6, math.nan, GRID), "m0 must be >= 0, got nan"),
+], ids=["form-type", "n-bound", "m-bound", "quantization-tol", "quantization-nan-tol", "residual-nan-m0"])
 def test_every_dispersion_guard_refuses_its_input(call, message):
     with pytest.raises(DomainError, match=message):
         call()

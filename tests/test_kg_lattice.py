@@ -106,6 +106,9 @@ class TestPlaneWaveResidual:
         spec, m0 = EXP_REST
         with pytest.raises(DomainError):
             plane_wave_residual(spec, KGParams(m0=m0, grid=GRID), extent=(4, 16))
+        # a fractional extent passed the size check and then raised IndexError
+        with pytest.raises(DomainError, match=r"slab extents must be integers >= 1, got shape \(8.5, 8\)"):
+            plane_wave_residual(spec, KGParams(m0=m0, grid=GRID), extent=(8.5, 8))
 
 
 class TestCalibration:

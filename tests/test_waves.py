@@ -276,6 +276,8 @@ class TestMeasureGroupVelocity:
     ALIASED_IDS = ["tau-huge", "half-spacing-per-step", "eps-huge", "under-two-sites", "standing-1.5-sites"]
     # (beat, nt, nx) the measurement refuses on the default grid: too few envelope periods, a flat envelope
     UNCOVERED = [(BEAT, 64, 32), (BeatSpec(T1=4.0, T2=4.0, lam1=3.0, lam2=3.0), 32, 32)]
+    # (beat, nt, nx) with an extent that is no integer >= 1
+    MISSHAPEN = [(BEAT, 256.5, 1024), (BEAT, 256, 1024.0), (BEAT, True, 1024), (BEAT, -256, 1024)]
 
     def test_measured_matches_analytic_within_two_percent(self):
         measured = measure_beat_velocity(self.BEAT, GridSpec(), 128, 512)
@@ -339,7 +341,9 @@ class TestMeasureGroupVelocity:
     @pytest.mark.parametrize("beat, grid, nt, nx", [
         *((beat, grid, 64, 512) for beat, grid, _ in ALIASED),
         *((beat, GridSpec(), nt, nx) for beat, nt, nx in UNCOVERED),
-    ], ids=[*ALIASED_IDS, "too-few-periods", "flat-envelope"])
+        *((beat, GridSpec(), nt, nx) for beat, nt, nx in MISSHAPEN),
+    ], ids=[*ALIASED_IDS, "too-few-periods", "flat-envelope", "half-row", "float-columns", "bool-rows",
+            "negative-rows"])
     def test_beat_tracking_refuses_what_the_field_measurement_refuses(self, beat, grid, nt, nx,
                                                                       sampled_beat_measurement):
         with pytest.raises((DomainError, MeasurementError)) as from_field:
@@ -561,7 +565,22 @@ def test_the_tracker_reads_the_middle_half_of_slice_0_and_a_window_per_slice():
     (lambda: eval_exponential(WaveSpec(form=WaveForm.CAYLEY, N=3, M=4), 0, 0), "needs an exponential WaveSpec"),
     (lambda: eval_cayley(WaveSpec(form=WaveForm.EXPONENTIAL, N=3, M=4), 0, 0), "needs a cayley WaveSpec"),
     (lambda: beat_phase_velocity(BeatSpec(T1=4.0, T2=6.0, lam1=3.0, lam2=-3.0)), "wavenumber sum vanishes"),
-], ids=["spec-form", "exponential-form", "cayley-form", "phase-velocity"])
+    # an off-lattice site: 0.5 gave exp(i pi/4), True read as 1, and the cayley powering raised TypeError
+    (lambda: eval_exponential(WaveSpec(form=WaveForm.EXPONENTIAL, N=4, M=8), 0.5, 0), "site indices must be integers"),
+    (lambda: eval_exponential(WaveSpec(form=WaveForm.EXPONENTIAL, N=4, M=8), True, 0), "site indices must be integers"),
+    (lambda: eval_cayley(WaveSpec(form=WaveForm.CAYLEY, N=4, M=8), 0.5, 0), "site indices must be integers"),
+    (lambda: eval_wave(WaveSpec(form=WaveForm.CAYLEY, N=4, M=8), 0, 2.0), "site indices must be integers"),
+    (lambda: continuum_limit_error(WaveForm.CAYLEY, 4, INFINITE, 1.5, 0), "site indices must be integers"),
+    # a fractional, zero or negative extent: 101 rows sampled, a velocity measured, an empty envelope, TypeError
+    (lambda: beat_field(BeatSpec(4, 6, 3, 5), GridSpec(), 100.5, 64), "slab extents must be integers >= 1"),
+    (lambda: measure_beat_velocity(BeatSpec(4, 6, 3, 5), GridSpec(), 256.5, 1024), "slab extents must be integers"),
+    (lambda: beat_envelope(BeatSpec(4, 6, 3, 5), GridSpec(), 0, 64), "slab extents must be integers >= 1"),
+    (lambda: beat_envelope(BeatSpec(4, 6, 3, 5), GridSpec(), -3, 64), "slab extents must be integers >= 1"),
+    (lambda: sample_wave(WaveSpec(form=WaveForm.CAYLEY, N=4, M=8), 2.5, 4), "slab extents must be integers >= 1"),
+    (lambda: sample_wave(WaveSpec(form=WaveForm.CAYLEY, N=4, M=8), 4, True), "slab extents must be integers >= 1"),
+], ids=["spec-form", "exponential-form", "cayley-form", "phase-velocity", "exponential-half-site",
+        "exponential-bool-site", "cayley-half-site", "wave-float-site", "continuum-half-site", "beat-field-half-row",
+        "measure-half-row", "envelope-no-rows", "envelope-negative-rows", "sample-half-row", "sample-bool-column"])
 def test_every_wave_guard_refuses_its_input(call, message):
     with pytest.raises(DomainError, match=message):
         call()

@@ -7,28 +7,35 @@ Usage, from the repository root:
 The whole tier-1 suite runs in this process (``pytest -q -p no:cacheprovider tests``) under a
 ``sys.settrace`` line recorder that looks only at the package's files; a subset of the tests
 would leave every line it skips unreached, so the script takes no arguments. A file's executable
-lines are the lines its compiled code objects name in ``co_lines``. The script exits 1 when the
-suite fails, when an executable line is unreached and not on the allowlist, or when the
-allowlist names a line that is reached or not executable; it exits 0 otherwise. The allowlist,
-``tools/unreached_allowlist.txt``, holds one ``file:line reason`` entry per line; ``#`` starts a
-comment line. The subprocess tests' lines count as unreached, since the recorder sees only this
-process. Only the standard library and pytest are used.
+lines are the lines its compiled code objects name in ``co_lines``.
+
+A line that no test can reach by design is excused in the source: a comment line
+``# unreached: <reason>`` directly above the statement excuses every executable line of the
+statement that starts on the next line (a statement spanning several lines needs one marker).
+The script exits 1 when the suite fails, when an executable line is unreached and unmarked, or
+when a marker has no reason, stands above a line that starts no statement with an executable
+line, or marks a statement that a test reaches; it exits 0 otherwise. A marker after code on the
+same line is no marker. The subprocess tests' lines count as unreached, since the recorder sees
+only this process. Only the standard library and pytest are used.
 """
 
 from __future__ import annotations
 
+import ast
+import io
 import os
 import sys
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "latticewave"
-ALLOWLIST = Path(__file__).resolve().parent / "unreached_allowlist.txt"
+MARKER = "# unreached:"
 
 
-def executable_lines(path: Path) -> set[int]:
-    """Every line that some code object compiled from ``path`` attributes an instruction to."""
-    lines, todo = set(), [compile(path.read_bytes(), str(path), "exec")]
+def executable_lines(source: str, filename: str) -> set[int]:
+    """Every line that some code object compiled from ``source`` attributes an instruction to."""
+    lines, todo = set(), [compile(source, filename, "exec")]
     while todo:
         code = todo.pop()
         lines.update(line for _, _, line in code.co_lines() if line)
@@ -36,19 +43,49 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def read_allowlist(path: Path) -> dict[tuple[str, int], str]:
-    """``{(file, line): reason}``; an entry without a reason is an error."""
-    entries = {}
-    for number, text in enumerate(path.read_text().splitlines(), 1):
-        text = text.strip()
-        if not text or text.startswith("#"):
-            continue
-        where, _, reason = text.partition(" ")
-        name, _, line = where.partition(":")
-        if not (line.isdigit() and reason.strip()):
-            raise SystemExit(f"{path.name}:{number}: expected 'file:line reason', got {text!r}")
-        entries[name, int(line)] = reason.strip()
-    return entries
+def read_markers(source: str) -> dict[int, tuple[str, range]]:
+    """``{marker line: (reason, the lines of the statements that start on the next line)}``.
+
+    A marker is a comment line that starts with ``MARKER``; the range is empty when no
+    statement starts on the next line.
+    """
+    spans: dict[int, int] = {}  # first line of a statement -> last line of the statements starting there
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.stmt):
+            spans[node.lineno] = max(spans.get(node.lineno, 0), node.end_lineno)
+    markers = {}
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        (line, column), text = token.start, token.string
+        if token.type == tokenize.COMMENT and text.startswith(MARKER) and not token.line[:column].strip():
+            markers[line] = text[len(MARKER):].strip(), range(line + 1, spans.get(line + 1, line) + 1)
+    return markers
+
+
+def audit(package: Path, reached: set[tuple[str, int]]) -> tuple[str, list[str]]:
+    """The summary line and the faults of ``package/*.py``, given the (file name, line) pairs a run reached."""
+    total = unreached_total = marker_total = 0
+    faults = []
+    for path in sorted(package.glob("*.py")):
+        name, source = path.name, path.read_text()
+        executable = executable_lines(source, str(path))
+        unreached = {line for line in executable if (name, line) not in reached}
+        markers = read_markers(source)
+        total += len(executable)
+        unreached_total += len(unreached)
+        marker_total += len(markers)
+        found, excused = [], set()
+        for line, (reason, statement) in markers.items():
+            covered = executable.intersection(statement)
+            excused |= covered
+            if not reason:
+                found.append((line, "is a marker without a reason"))
+            elif not covered:
+                found.append((line, f"is a marker, but line {line + 1} starts no statement with an executable line"))
+            elif covered - unreached:
+                found.append((line, f"is a marker, but a test reaches line {min(covered - unreached)}"))
+        found += [(line, "is reached by no test and has no marker") for line in unreached - excused]
+        faults += [f"{name}:{line} {fault}" for line, fault in sorted(found)]
+    return f"unreached: {unreached_total} of {total} executable lines, excused by {marker_total} markers", faults
 
 
 class Recorder:
@@ -89,19 +126,13 @@ class Recorder:
 def main() -> int:
     import pytest
 
-    allowed = read_allowlist(ALLOWLIST)
     with Recorder(PACKAGE) as recorder:
         status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
     if status != 0:
         print(f"unreached: the suite failed (pytest exit status {int(status)})")
         return 1
-    executable = {(path.name, line) for path in sorted(PACKAGE.glob("*.py")) for line in executable_lines(path)}
-    unreached = sorted(executable - recorder.reached)
-    faults = [f"{name}:{line} is reached by no test and is not on the allowlist"
-              for name, line in unreached if (name, line) not in allowed]
-    faults += [f"{name}:{line} is on the allowlist but {'reached' if (name, line) in executable else 'not executable'}"
-               for name, line in sorted(allowed) if (name, line) not in unreached]
-    print(f"unreached: {len(unreached)} of {len(executable)} executable lines, {len(allowed)} allowlisted")
+    summary, faults = audit(PACKAGE, recorder.reached)
+    print(summary)
     for fault in faults:
         print(f"  {fault}")
     return 1 if faults else 0
