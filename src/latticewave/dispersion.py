@@ -107,6 +107,12 @@ def _coefficients(form: DispersionForm, m0: float, grid: GridSpec) -> tuple[floa
     return grid.wave_coefficients(m0, grid.h if form is DispersionForm.CAYLEY else None)
 
 
+def _check_tol(tol: float) -> None:
+    """Raise DomainError unless tol is a number >= 0; NaN is not, and a bool is refused as every m0 refuses it."""
+    if isinstance(tol, (bool, np.bool_)) or not (tol >= 0):
+        raise DomainError(f"tol must be >= 0, got {tol!r}")
+
+
 def dispersion_residual(
     form: DispersionForm,
     N: int,
@@ -161,10 +167,9 @@ def solve_modes(
     """
     if not (m0 >= 0):
         raise DomainError(f"m0 must be >= 0, got {m0!r}")
-    if n_max < 2 or m_max < 2:
-        raise DomainError("mode bounds must be >= 2")
-    if not (tol >= 0):
-        raise DomainError(f"tol must be >= 0, got {tol!r}")
+    if not (is_integer(n_max) and is_integer(m_max)) or n_max < 2 or m_max < 2:
+        raise DomainError(f"mode bounds must be >= 2 and integers, got n_max={n_max!r}, m_max={m_max!r}")
+    _check_tol(tol)
     check_size((n_max - 1) * m_max, "dispersion scan modes")
     inv_ct2, inv_eps2, mu2 = _coefficients(form, m0, grid)
     lowest = 3 if _has_pole(form) else 2
@@ -203,8 +208,7 @@ def quantization_check(step: LatticeStep, m0: float, grid: GridSpec, tol: float)
     """
     from .kinematics import discrete_energy_momentum
 
-    if not (tol >= 0):
-        raise DomainError(f"tol must be >= 0, got {tol!r}")
+    _check_tol(tol)
     state = discrete_energy_momentum(m0, step, grid)
     p_mag = state.momentum_magnitude()
     try:

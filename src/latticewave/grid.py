@@ -10,12 +10,14 @@ constants tau = eps = c = hbar = 1 put the lattice on the light cone
 from __future__ import annotations
 
 import math
+import os
 import re
 import struct
 import sys
+import threading
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Union
+from typing import BinaryIO, Iterable, Union
 
 import numpy as np
 
@@ -189,24 +191,96 @@ _CSV_ROW = np.dtype([("n", "<i8"), ("j", "<i8"), ("re", "<f8"), ("im", "<f8")])
 SLAB_CSV_COLUMNS = _CSV_ROW.names
 SLAB_CSV_HEADER = ",".join(SLAB_CSV_COLUMNS)
 
+#: The fewest sites (nt * nx) for which slab_to_csv forks a child to format half the rows: about where the
+#: fork, the pipe and the reap cost as much as the float reprs the child takes over
+SPLIT_CELLS = 1 << 12
 
-def slab_to_csv(slab: FieldSlab, header_lines: Iterable[str] = ()) -> bytes:
-    # each row is encoded as it is built, so the rendered text is held once, as bytes, before the join
-    lines = [f"# {line}\n".encode() for line in header_lines]
-    lines.append(f"{SLAB_CSV_HEADER}\n".encode())
+
+def _csv_rows(psi: np.ndarray, lo: int, hi: int) -> bytes:
+    """Rows ``lo`` to ``hi - 1`` of ``psi`` in the CSV layout above, encoded."""
     # each row of the slab is one join over its 8 * nx cells, "n" "," "j" "," re "," im "\n" per site, which is
     # the layout above byte for byte. The j, comma and newline cells are the same in every row, so they are
-    # filled once; a row's tolist() yields Python floats, whose repr the re and im cells use
-    nx = slab.nx
+    # filled once; a row's tolist() yields Python floats, whose repr the re and im cells use. Each row is
+    # encoded as it is built, so the rendered text is held once, as bytes, before the join
+    nx = psi.shape[1]
     cells = [","] * (8 * nx)
     cells[2::8] = map(str, range(nx))
     cells[7::8] = ["\n"] * nx
-    for n, (re_row, im_row) in enumerate(zip(slab.psi.real, slab.psi.imag)):
+    rows = []
+    for n in range(lo, hi):
         cells[0::8] = [str(n)] * nx
-        cells[4::8] = map(repr, re_row.tolist())
-        cells[6::8] = map(repr, im_row.tolist())
-        lines.append("".join(cells).encode())
-    return b"".join(lines)
+        cells[4::8] = map(repr, psi[n].real.tolist())
+        cells[6::8] = map(repr, psi[n].imag.tolist())
+        rows.append("".join(cells).encode())
+    return b"".join(rows)
+
+
+def _may_fork(cells: int) -> bool:
+    """Whether slab_to_csv splits a slab of ``cells`` sites with a forked child.
+
+    Only a process with one thread forks (a child of a threaded process may
+    inherit a lock another thread held), and only where a second CPU can run
+    the child.
+    """
+    return (cells >= SPLIT_CELLS and hasattr(os, "fork") and threading.active_count() == 1
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _fork_rows(psi: np.ndarray, hi: int) -> tuple[int, BinaryIO] | None:
+    """(pid, read end of the pipe) of a child writing ``_csv_rows(psi, 0, hi)`` into it; None if pipe or fork fails."""
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        # the child drops its copy of the read end, so a write to a pipe the parent has closed fails instead of
+        # blocking, and it leaves through _exit on every path: status 0 only once every byte is written
+        # unreached: only the forked child runs it, and the line recorder sees its own process alone
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pipe.write(_csv_rows(psi, 0, hi))
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_end)
+    return pid, open(read_end, "rb", buffering=0)
+
+
+def slab_to_csv(slab: FieldSlab, header_lines: Iterable[str] = ()) -> bytes:
+    """The slab in the CSV layout above; from SPLIT_CELLS sites a forked child formats the first half of the rows.
+
+    The parent formats the second half meanwhile. A pipe or fork that
+    fails, or a child that exits with a nonzero status, leaves the parent
+    to format the first half too, so the bytes never depend on the split.
+    """
+    head = b"".join([*(f"# {line}\n".encode() for line in header_lines), f"{SLAB_CSV_HEADER}\n".encode()])
+    psi, nt = slab.psi, slab.nt
+    half = nt // 2
+    # a one-row slab has no first half to hand over
+    child = _fork_rows(psi, half) if half and _may_fork(psi.size) else None
+    if child is None:
+        return b"".join((head, _csv_rows(psi, 0, nt)))
+    pid, pipe = child
+    try:
+        # the read end closes before the reap on every path, so a child blocked on a full pipe fails and exits
+        with pipe:
+            second = _csv_rows(psi, half, nt)
+            first = pipe.read()
+    finally:
+        try:
+            status = os.waitpid(pid, 0)[1]
+        except ChildProcessError:  # reaped without us, as where SIGCHLD is ignored: its status is unknown
+            status = -1
+    if status != 0:
+        first = _csv_rows(psi, 0, half)
+    return b"".join((head, first, second))
 
 
 def save_slab_csv(slab: FieldSlab, path: str | Path, header_lines: Iterable[str] = ()) -> None:

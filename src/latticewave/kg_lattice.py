@@ -107,6 +107,8 @@ def plane_wave_residual(spec: WaveSpec, p: KGParams, extent: tuple[int, int] = (
     grid-periodic (every cayley mode, and exponential modes whose M does
     not divide Nx).
     """
+    if not (isinstance(extent, (tuple, list)) and len(extent) == 2):
+        raise DomainError(f"plane-wave certification needs a two-axis extent (Nt, Nx), got {extent!r}")
     check_extent(extent)
     nt, nx = extent
     if nt < 8 or nx < 8:

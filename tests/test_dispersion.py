@@ -480,7 +480,19 @@ def test_the_block_scan_raises_the_per_row_scans_domain_error(form, grid):
     # a NaN passed both guards: the check returned N = M = None, and the residual blamed the float range
     (lambda: quantization_check(LatticeStep(dn=1), 2 * math.pi, GRID, math.nan), "tol must be >= 0, got nan"),
     (lambda: dispersion_residual(DispersionForm.CAYLEY, 3, 6, math.nan, GRID), "m0 must be >= 0, got nan"),
-], ids=["form-type", "n-bound", "m-bound", "quantization-tol", "quantization-nan-tol", "residual-nan-m0"])
+    # a bound that is no integer ended in range()'s TypeError, and a bool tol was read as 1.0
+    (lambda: solve_modes(1.0, DispersionForm.CAYLEY, 8.5, 8, 1e-9, GRID),
+     r"mode bounds must be >= 2 and integers, got n_max=8\.5, m_max=8"),
+    (lambda: solve_modes(1.0, DispersionForm.CAYLEY, 8, True, 1e-9, GRID),
+     "mode bounds must be >= 2 and integers, got n_max=8, m_max=True"),
+    (lambda: solve_modes(1.0, DispersionForm.CAYLEY, "8", 8, 1e-9, GRID),
+     "mode bounds must be >= 2 and integers, got n_max='8', m_max=8"),
+    (lambda: solve_modes(1.0, DispersionForm.CAYLEY, 8, 8, True, GRID), "tol must be >= 0, got True"),
+    (lambda: quantization_check(LatticeStep(dn=1), 2 * math.pi, GRID, True), "tol must be >= 0, got True"),
+    (lambda: quantization_check(LatticeStep(dn=1), 2 * math.pi, GRID, np.True_), "tol must be >= 0, got np.True_"),
+], ids=["form-type", "n-bound", "m-bound", "quantization-tol", "quantization-nan-tol", "residual-nan-m0",
+        "fractional-bound", "bool-bound", "str-bound", "scan-bool-tol", "quantization-bool-tol",
+        "quantization-numpy-bool-tol"])
 def test_every_dispersion_guard_refuses_its_input(call, message):
     with pytest.raises(DomainError, match=message):
         call()

@@ -6,8 +6,11 @@ import dataclasses
 import math
 import os
 import pickle
+import signal
 import struct
+import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -36,7 +39,8 @@ from latticewave import (
     save_slab_csv,
     solve_modes,
 )
-from latticewave.grid import check_size, slab_to_bytes, slab_to_csv
+from latticewave import grid
+from latticewave.grid import SPLIT_CELLS, check_size, slab_to_bytes, slab_to_csv
 from latticewave.waves import beat_envelope
 
 
@@ -396,10 +400,11 @@ def oracle_slab_to_csv(slab, header_lines=()):
 
 
 # both sides of repr's switches to exponent form (at 1e16 and below 1e-4), subnormals and the float extremes
-REPR_EDGES = st.sampled_from([
+REPR_EDGE_VALUES = [
     1e16, 9999999999999998.0, 1.0000000000000002e16, 1e-4, 9.999999999999999e-05, 1.0000000000000003e-4,
     5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, sys.float_info.max, 1e-5, 123456.789,
-]).flatmap(lambda x: st.sampled_from([x, -x]))
+]
+REPR_EDGES = st.sampled_from(REPR_EDGE_VALUES).flatmap(lambda x: st.sampled_from([x, -x]))
 WRITER_FLOATS = FLOATS | REPR_EDGES
 HEADER_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 
@@ -422,7 +427,7 @@ def test_writer_matches_the_per_cell_oracle_byte_for_byte(slab, header_lines):
     (slab_to_csv, 2.5),  # the encoded rows and their join, about 2.0; a text join encoded afterwards is 3.0
     (slab_to_bytes, 1.2),  # the output alone; a copy of the array's bytes beside it is 2.0
 ], ids=["csv", "binary"])
-def test_a_slab_render_peaks_within_a_small_multiple_of_its_output(render, ratio):
+def test_a_slab_render_peaks_within_a_small_multiple_of_its_output(render, ratio, forks):
     slab = random_slab(nt=256, nx=256)
     tracemalloc.start()
     try:
@@ -431,6 +436,171 @@ def test_a_slab_render_peaks_within_a_small_multiple_of_its_output(render, ratio
     finally:
         tracemalloc.stop()
     assert peak <= ratio * len(out)
+    # the CSV is measured on the split path: the parent's peak, not the child's
+    assert len(forks) == (render is slab_to_csv)
+
+
+# --- the split writer: from SPLIT_CELLS sites, one forked child formats the first half of the rows ----------------
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked while the test runs, on a process that may use two CPUs.
+
+    The affinity is patched so the split path runs on any machine; after
+    the test this process has no child left, neither running nor unreaped.
+    """
+    pids = []
+
+    def fork(_fork=os.fork):
+        pid = _fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def split_slab(nt, nx):
+    """A slab that tiles repr's edge cases, their negatives, NaN, the infinities and -0.0 over random values."""
+    specials = [*REPR_EDGE_VALUES, *(-x for x in REPR_EDGE_VALUES), math.nan, math.inf, -math.inf, -0.0, 0.0]
+    parts = np.random.default_rng(nt * nx).normal(size=2 * nt * nx)
+    parts[::3] = np.resize(specials, len(parts[::3]))
+    return slab_from_parts(nt, nx, parts)
+
+
+def lowest_free_fds(pipe=os.pipe):
+    """The two descriptors a new pipe gets: a descriptor leaked since the last call shows as a change."""
+    read_end, write_end = pipe()
+    os.close(read_end)
+    os.close(write_end)
+    return read_end, write_end
+
+
+SPLIT_HEADER = ["provenance", "\u00fc", ""]
+
+
+@pytest.mark.parametrize("nt, nx, forked", [
+    (64, SPLIT_CELLS // 64, True),  # the cutoff exactly
+    (63, SPLIT_CELLS // 64, False),  # one row short of it
+    (65, SPLIT_CELLS // 64, True),  # odd nt: the parent formats the longer half
+    (2, SPLIT_CELLS, True),
+    (SPLIT_CELLS, 1, True),
+    (1, 2 * SPLIT_CELLS, False),  # one row: no first half to hand over
+], ids=["at-cutoff", "below-cutoff", "odd-nt", "nt-2", "nx-1", "nt-1"])
+def test_the_split_writer_writes_the_oracle_s_bytes(forks, nt, nx, forked):
+    slab = split_slab(nt, nx)
+    assert slab_to_csv(slab, SPLIT_HEADER) == oracle_slab_to_csv(slab, SPLIT_HEADER)
+    assert len(forks) == forked
+
+
+@pytest.mark.parametrize("missing", ["second-cpu", "affinity-call", "fork-call", "single-thread"])
+def test_the_writer_forks_only_when_every_precondition_holds(forks, monkeypatch, missing):
+    slab = split_slab(64, SPLIT_CELLS // 64)
+    if missing == "second-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif missing != "single-thread":
+        monkeypatch.delattr(os, {"affinity-call": "sched_getaffinity", "fork-call": "fork"}[missing])
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    if missing == "single-thread":
+        thread.start()
+    try:
+        assert slab_to_csv(slab) == oracle_slab_to_csv(slab)
+    finally:
+        release.set()
+        if thread.is_alive():
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+
+
+@pytest.mark.parametrize("failing", ["pipe", "fork"])
+def test_a_pipe_or_fork_that_fails_leaves_the_rows_to_this_process(forks, monkeypatch, failing):
+    def fail(*args):
+        raise OSError(24, "Too many open files")
+
+    slab = split_slab(64, SPLIT_CELLS // 64)
+    expected = oracle_slab_to_csv(slab, SPLIT_HEADER)
+    free = lowest_free_fds()
+    monkeypatch.setattr(os, failing, fail)
+    assert slab_to_csv(slab, SPLIT_HEADER) == expected
+    assert lowest_free_fds() == free
+
+
+@pytest.mark.parametrize("how", ["raises", "is-killed"])
+def test_a_child_that_fails_leaves_its_rows_to_the_parent(forks, monkeypatch, how):
+    parent, csv_rows = os.getpid(), grid._csv_rows
+
+    def rows(psi, lo, hi):
+        if os.getpid() != parent:
+            if how == "raises":
+                raise MemoryError
+            os.kill(os.getpid(), signal.SIGKILL)
+        return csv_rows(psi, lo, hi)
+
+    slab = split_slab(65, SPLIT_CELLS // 64)
+    free = lowest_free_fds()
+    monkeypatch.setattr(grid, "_csv_rows", rows)
+    assert slab_to_csv(slab, SPLIT_HEADER) == oracle_slab_to_csv(slab, SPLIT_HEADER)
+    assert len(forks) == 1
+    assert lowest_free_fds() == free
+
+
+def test_a_child_reaped_without_the_writer_counts_as_failed(forks):
+    # where SIGCHLD is ignored, the kernel reaps the child and waitpid waits for it, then finds no child
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        slab = split_slab(64, SPLIT_CELLS // 64)
+        assert slab_to_csv(slab, SPLIT_HEADER) == oracle_slab_to_csv(slab, SPLIT_HEADER)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert len(forks) == 1
+
+
+# the child blocks writing its 128 rows into the pipe, which holds far fewer bytes, until the parent closes it
+PARENT_RAISES = """
+import os, sys
+import numpy as np
+from latticewave import grid
+os.sched_getaffinity = lambda pid: {0, 1}
+parent, csv_rows = os.getpid(), grid._csv_rows
+def rows(psi, lo, hi):
+    if os.getpid() == parent:
+        raise KeyboardInterrupt
+    return csv_rows(psi, lo, hi)
+grid._csv_rows = rows
+slab = grid.FieldSlab(psi=np.random.default_rng(0).normal(size=(256, 256)))
+try:
+    grid.slab_to_csv(slab)
+    sys.exit("no KeyboardInterrupt")
+except KeyboardInterrupt:
+    pass
+try:
+    os.waitpid(-1, os.WNOHANG)
+    sys.exit("a child is left")
+except ChildProcessError:
+    print("interrupted, no child left")
+"""
+
+
+def test_an_interrupt_in_the_parent_s_half_propagates_and_leaves_no_child():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # a parent that reaps before it closes the read end waits on a child blocked on a full pipe: the timeout fails
+    # the test, and the session's processes are killed, the child's included
+    proc = subprocess.Popen([sys.executable, "-c", PARENT_RAISES], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=env, start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the writer hung after an interrupt in the parent's half")
+    assert (proc.returncode, stdout, stderr) == (0, "interrupted, no child left\n", "")
 
 
 @pytest.mark.parametrize("middle, lineno", [

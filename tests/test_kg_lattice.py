@@ -1,6 +1,7 @@
 """The lattice wave operator, its plane-wave certification, and evolution."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -109,6 +110,11 @@ class TestPlaneWaveResidual:
         # a fractional extent passed the size check and then raised IndexError
         with pytest.raises(DomainError, match=r"slab extents must be integers >= 1, got shape \(8.5, 8\)"):
             plane_wave_residual(spec, KGParams(m0=m0, grid=GRID), extent=(8.5, 8))
+        # an extent of three axes passed the extent check and then failed to unpack
+        for extent in ((8, 8, 8), (16,), 16):
+            message = rf"needs a two-axis extent \(Nt, Nx\), got {re.escape(repr(extent))}"
+            with pytest.raises(DomainError, match=message):
+                plane_wave_residual(spec, KGParams(m0=m0, grid=GRID), extent=extent)
 
 
 class TestCalibration:
