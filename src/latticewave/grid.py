@@ -17,7 +17,7 @@ import sys
 import threading
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import BinaryIO, Iterable, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -218,69 +218,71 @@ def _csv_rows(psi: np.ndarray, lo: int, hi: int) -> bytes:
 def _may_fork(cells: int) -> bool:
     """Whether slab_to_csv splits a slab of ``cells`` sites with a forked child.
 
-    Only a process with one thread forks (a child of a threaded process may
-    inherit a lock another thread held), and only where a second CPU can run
-    the child.
+    Only a process with one Python thread forks (a child of a threaded
+    process may inherit a lock another thread held), and only where a
+    second CPU can run the child. Threads that numpy's BLAS starts are not
+    Python threads; the child runs no BLAS code.
     """
     return (cells >= SPLIT_CELLS and hasattr(os, "fork") and threading.active_count() == 1
             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
 
 
-def _fork_rows(psi: np.ndarray, hi: int) -> tuple[int, BinaryIO] | None:
-    """(pid, read end of the pipe) of a child writing ``_csv_rows(psi, 0, hi)`` into it; None if pipe or fork fails."""
+def _split_rows(psi: np.ndarray) -> tuple[bytes, bytes]:
+    """The CSV rows of ``psi`` in two pieces, rows ``0 .. nt//2 - 1`` and the rest; a forked child formats the first.
+
+    This process formats the second meanwhile. A pipe or fork that fails,
+    or a child that exits with a nonzero status, leaves the first piece to
+    this process too.
+    """
+    nt = psi.shape[0]
+    half = nt // 2
     try:
         read_end, write_end = os.pipe()
     except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        # the child drops its copy of the read end, so a write to a pipe the parent has closed fails instead of
-        # blocking, and it leaves through _exit on every path: status 0 only once every byte is written
-        # unreached: only the forked child runs it, and the line recorder sees its own process alone
+        return _csv_rows(psi, 0, half), _csv_rows(psi, half, nt)
+    pid, status = None, -1  # status -1: no child wrote the first piece
+    with open(read_end, "rb", buffering=0) as reader, open(write_end, "wb") as writer:
+        # the fork runs inside the try, so the finally reaps every child whose pid this process holds; the read end
+        # closes before the reap on every path, so a child blocked on a full pipe fails and exits
         try:
-            os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                pipe.write(_csv_rows(psi, 0, hi))
-            os._exit(0)
+            try:
+                pid = os.fork()
+            except OSError:
+                pass
+            if pid == 0:
+                # the child drops its read end, so a write to a pipe the parent has closed fails instead of
+                # blocking, and it leaves through _exit on every path: status 0 only once every byte is written
+                # unreached: only the forked child runs it, and the line recorder sees its own process alone
+                try:
+                    reader.close()
+                    writer.write(_csv_rows(psi, 0, half))
+                    writer.close()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            writer.close()
+            second = _csv_rows(psi, half, nt)
+            first = reader.read()
         finally:
-            os._exit(1)
-    os.close(write_end)
-    return pid, open(read_end, "rb", buffering=0)
+            reader.close()
+            if pid is not None:
+                try:
+                    status = os.waitpid(pid, 0)[1]
+                except ChildProcessError:  # reaped without us, as where SIGCHLD is ignored: its status is unknown
+                    status = -1
+    return (first if status == 0 else _csv_rows(psi, 0, half)), second
 
 
 def slab_to_csv(slab: FieldSlab, header_lines: Iterable[str] = ()) -> bytes:
     """The slab in the CSV layout above; from SPLIT_CELLS sites a forked child formats the first half of the rows.
 
-    The parent formats the second half meanwhile. A pipe or fork that
-    fails, or a child that exits with a nonzero status, leaves the parent
-    to format the first half too, so the bytes never depend on the split.
+    The bytes never depend on the split (see _split_rows).
     """
     head = b"".join([*(f"# {line}\n".encode() for line in header_lines), f"{SLAB_CSV_HEADER}\n".encode()])
     psi, nt = slab.psi, slab.nt
-    half = nt // 2
     # a one-row slab has no first half to hand over
-    child = _fork_rows(psi, half) if half and _may_fork(psi.size) else None
-    if child is None:
-        return b"".join((head, _csv_rows(psi, 0, nt)))
-    pid, pipe = child
-    try:
-        # the read end closes before the reap on every path, so a child blocked on a full pipe fails and exits
-        with pipe:
-            second = _csv_rows(psi, half, nt)
-            first = pipe.read()
-    finally:
-        try:
-            status = os.waitpid(pid, 0)[1]
-        except ChildProcessError:  # reaped without us, as where SIGCHLD is ignored: its status is unknown
-            status = -1
-    if status != 0:
-        first = _csv_rows(psi, 0, half)
-    return b"".join((head, first, second))
+    rows = _split_rows(psi) if nt > 1 and _may_fork(psi.size) else (_csv_rows(psi, 0, nt),)
+    return b"".join((head, *rows))
 
 
 def save_slab_csv(slab: FieldSlab, path: str | Path, header_lines: Iterable[str] = ()) -> None:

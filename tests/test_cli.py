@@ -557,12 +557,13 @@ class TestRunConfigs:
         {"experiment": "no-such-experiment"},
         {"format": "xml"},
         {"grid": {"tau": -1.0}},
+        {"grid": {"tau": 1.0, "mass": 1.0}},
         {"seed": True},
         {"seed": 3.5},
         {"seed": None},
     ], ids=["experiment-list", "grid-string", "tau-string", "tau-null", "params-list", "output-path-int",
             "fractional-vec3i", "m0-bool", "form-not-a-choice", "grid-c-bool", "vec3-scalar", "missing-parameter", "unknown-experiment",
-            "unknown-format", "negative-tau", "seed-bool", "seed-fraction", "seed-null"])
+            "unknown-format", "negative-tau", "unknown-grid-key", "seed-bool", "seed-fraction", "seed-null"])
     def test_malformed_structure_is_a_config_error(self, tmp_path, overrides):
         assert main(["run", "--config", str(self.config(tmp_path, **overrides))]) == 2
         assert not (tmp_path / "out.csv").exists()

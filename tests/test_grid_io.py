@@ -423,11 +423,14 @@ def test_writer_matches_the_per_cell_oracle_byte_for_byte(slab, header_lines):
     assert slab_to_csv(slab, header_lines) == oracle_slab_to_csv(slab, header_lines)
 
 
-@pytest.mark.parametrize("render, ratio", [
-    (slab_to_csv, 2.5),  # the encoded rows and their join, about 2.0; a text join encoded afterwards is 3.0
-    (slab_to_bytes, 1.2),  # the output alone; a copy of the array's bytes beside it is 2.0
-], ids=["csv", "binary"])
-def test_a_slab_render_peaks_within_a_small_multiple_of_its_output(render, ratio, forks):
+@pytest.mark.parametrize("render, ratio, split", [
+    (slab_to_csv, 2.5, False),  # the encoded rows and their join, about 2.0; a text join encoded afterwards is 3.0
+    (slab_to_csv, 2.5, True),  # the parent's half, the child's half read from the pipe, and their join: about 2.0
+    (slab_to_bytes, 1.2, False),  # the output alone; a copy of the array's bytes beside it is 2.0
+], ids=["csv", "csv-split", "binary"])
+def test_a_slab_render_peaks_within_a_small_multiple_of_its_output(forks, monkeypatch, render, ratio, split):
+    if not split:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     slab = random_slab(nt=256, nx=256)
     tracemalloc.start()
     try:
@@ -436,8 +439,8 @@ def test_a_slab_render_peaks_within_a_small_multiple_of_its_output(render, ratio
     finally:
         tracemalloc.stop()
     assert peak <= ratio * len(out)
-    # the CSV is measured on the split path: the parent's peak, not the child's
-    assert len(forks) == (render is slab_to_csv)
+    # on the split path this is the parent's peak, not the child's
+    assert len(forks) == split
 
 
 # --- the split writer: from SPLIT_CELLS sites, one forked child formats the first half of the rows ----------------
@@ -561,24 +564,33 @@ def test_a_child_reaped_without_the_writer_counts_as_failed(forks):
     assert len(forks) == 1
 
 
-# the child blocks writing its 128 rows into the pipe, which holds far fewer bytes, until the parent closes it
-PARENT_RAISES = """
-import os, sys
+# the interrupt lands either in the parent's half or as the parent reaches the last line of grid._split_rows that
+# reads argv[1]; the child blocks writing its 128 rows into the pipe, which holds far fewer bytes, until the parent
+# closes it
+INTERRUPTED_WRITE = """
+import inspect, os, sys
 import numpy as np
 from latticewave import grid
 os.sched_getaffinity = lambda pid: {0, 1}
-parent, csv_rows = os.getpid(), grid._csv_rows
+parent, csv_rows, where = os.getpid(), grid._csv_rows, sys.argv[1]
 def rows(psi, lo, hi):
-    if os.getpid() == parent:
+    if os.getpid() == parent and where == "the parent's half":
         raise KeyboardInterrupt
     return csv_rows(psi, lo, hi)
 grid._csv_rows = rows
+lines, first = inspect.getsourcelines(grid._split_rows)
+target = first + max((k for k, line in enumerate(lines) if line.strip() == where), default=-1)
+def line(frame, event, arg):
+    if event == "line" and frame.f_lineno == target and os.getpid() == parent:
+        raise KeyboardInterrupt
+    return line
+sys.settrace(lambda frame, event, arg: line if frame.f_code is grid._split_rows.__code__ else None)
 slab = grid.FieldSlab(psi=np.random.default_rng(0).normal(size=(256, 256)))
 try:
     grid.slab_to_csv(slab)
     sys.exit("no KeyboardInterrupt")
 except KeyboardInterrupt:
-    pass
+    sys.settrace(None)
 try:
     os.waitpid(-1, os.WNOHANG)
     sys.exit("a child is left")
@@ -587,19 +599,25 @@ except ChildProcessError:
 """
 
 
-def test_an_interrupt_in_the_parent_s_half_propagates_and_leaves_no_child():
+@pytest.mark.parametrize("where", [
+    "the parent's half",
+    "if pid == 0:",  # the first line after the fork returns in the parent
+    "writer.close()",
+    "first = reader.read()",
+], ids=["parent-s-half", "after-fork", "write-end-close", "pipe-read"])
+def test_an_interrupt_in_the_parent_propagates_and_leaves_no_child(where):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     # a parent that reaps before it closes the read end waits on a child blocked on a full pipe: the timeout fails
     # the test, and the session's processes are killed, the child's included
-    proc = subprocess.Popen([sys.executable, "-c", PARENT_RAISES], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True, env=env, start_new_session=True)
+    proc = subprocess.Popen([sys.executable, "-c", INTERRUPTED_WRITE, where], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env, start_new_session=True)
     try:
         stdout, stderr = proc.communicate(timeout=30)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        pytest.fail("the writer hung after an interrupt in the parent's half")
+        pytest.fail(f"the writer hung after an interrupt at {where!r}")
     assert (proc.returncode, stdout, stderr) == (0, "interrupted, no child left\n", "")
 
 
