@@ -308,33 +308,26 @@ def _criterion_8_integral_lorentz(c: CriterionResult, rng: np.random.Generator, 
     c.require("determinants all +/-1", all(m.determinant() in (-1, 1) for m in ball))
 
 
+# criterion 9's closed-form marches, 16 steps from two exact rows: (label, mode, mass, Nx, columns compared)
+_MARCHES = (
+    ("exponential solution reproduced over 16 steps", WaveSpec(form=WaveForm.EXPONENTIAL, N=4, M=8),
+     math.sqrt(4 - 4 * math.tan(math.pi / 8) ** 2), 16, slice(None)),
+    ("rest cayley solution reproduced over 16 steps", WaveSpec(form=WaveForm.CAYLEY, N=5, M=INFINITE),
+     mass_from_rest_period(5, GRID), 12, slice(None)),
+    ("traveling cayley solution reproduced away from the wrap seam", WaveSpec(form=WaveForm.CAYLEY, N=3, M=6),
+     2 * math.pi / math.sqrt(12), 112, slice(40, 72)),
+)
+
+
 def _criterion_9_evolution_fidelity(c: CriterionResult, rng: np.random.Generator, as_printed: frozenset) -> None:
-    grid = GRID
-
-    m0_exp = math.sqrt(4 - 4 * math.tan(math.pi / 8) ** 2)
-    exact = sample_wave(WaveSpec(form=WaveForm.EXPONENTIAL, N=4, M=8), 18, 16).psi
-    out = evolve(exact[:2], 16, KGParams(m0=m0_exp, grid=grid))
-    c.check("exponential solution reproduced over 16 steps", float(np.max(np.abs(out.psi - exact))), 1e-10)
-
-    m0_rest = mass_from_rest_period(5, grid)
-    exact = sample_wave(WaveSpec(form=WaveForm.CAYLEY, N=5, M=INFINITE), 18, 12).psi
-    out = evolve(exact[:2], 16, KGParams(m0=m0_rest, grid=grid))
-    c.check("rest cayley solution reproduced over 16 steps", float(np.max(np.abs(out.psi - exact))), 1e-10)
-
-    m0_cayley = 2 * math.pi / math.sqrt(12)
-    nx = 112
-    exact = sample_wave(WaveSpec(form=WaveForm.CAYLEY, N=3, M=6), 18, nx).psi
-    out = evolve(exact[:2], 16, KGParams(m0=m0_cayley, grid=grid))
-    window = slice(40, nx - 40)
-    c.check(
-        "traveling cayley solution reproduced away from the wrap seam",
-        float(np.max(np.abs(out.psi[:, window] - exact[:, window]))),
-        1e-10,
-    )
+    for label, spec, m0, nx, columns in _MARCHES:
+        exact = sample_wave(spec, 18, nx).psi
+        out = evolve(exact[:2], 16, KGParams(m0=m0, grid=GRID))
+        c.check(label, float(np.max(np.abs(out.psi[:, columns] - exact[:, columns]))), 1e-10)
 
     a = rng.normal(size=(2, 20)) + 1j * rng.normal(size=(2, 20))
     b2 = rng.normal(size=(2, 20)) + 1j * rng.normal(size=(2, 20))
-    p = KGParams(m0=1.7, grid=grid)
+    p = KGParams(m0=1.7, grid=GRID)
     alpha, beta = 0.8 - 0.4j, -1.3 + 0.2j
     dev = np.max(np.abs(evolve(alpha * a + beta * b2, 14, p).psi - alpha * evolve(a, 14, p).psi - beta * evolve(b2, 14, p).psi))
     c.check("linearity of the march", float(dev), 1e-11)

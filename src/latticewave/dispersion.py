@@ -123,8 +123,6 @@ def dispersion_residual(
 ) -> float:
     """Signed residual of the applicable relation; reported as-is, and a DomainError if not finite."""
     check_mode(N, M)
-    if not (m0 >= 0):
-        raise DomainError(f"m0 must be >= 0, got {m0!r}")
     inv_ct2, inv_eps2, mu2 = _coefficients(form, m0, grid)
     if _has_pole(form) and 2 in (N, M):
         if N == M:
@@ -165,13 +163,11 @@ def solve_modes(
     does the two float64 subtractions in the same order. A residual that
     is not finite is a DomainError naming the first such (N, M).
     """
-    if not (m0 >= 0):
-        raise DomainError(f"m0 must be >= 0, got {m0!r}")
+    inv_ct2, inv_eps2, mu2 = _coefficients(form, m0, grid)  # first: an m0 fault is reported before a bound fault
     if not (is_integer(n_max) and is_integer(m_max)) or n_max < 2 or m_max < 2:
         raise DomainError(f"mode bounds must be >= 2 and integers, got n_max={n_max!r}, m_max={m_max!r}")
     _check_tol(tol)
     check_size((n_max - 1) * m_max, "dispersion scan modes")
-    inv_ct2, inv_eps2, mu2 = _coefficients(form, m0, grid)
     lowest = 3 if _has_pole(form) else 2
     wavelengths: list[MaybeInfinite] = list(range(lowest, m_max + 1)) + [INFINITE]
     space = np.array([inv_eps2 * _square(form, M) for M in wavelengths])

@@ -118,13 +118,13 @@ class GridSpec:
     def wave_coefficients(self, m0: float, quantum: float | None = None) -> tuple[float, float, float]:
         """(1/(c tau)^2, 1/eps^2, (m0 c/quantum)^2): how the constants enter the lattice wave equation.
 
-        ``quantum`` is hbar unless given; the cayley relation passes h. A
-        bool m0, or a coefficient that leaves the float range (a square
-        that overflows, or one that underflows so that its reciprocal is
-        not finite), is a DomainError.
+        ``quantum`` is hbar unless given; the cayley relation passes h. The one
+        check of a rest mass: an m0 that is a bool, NaN, negative or infinite,
+        or a coefficient that leaves the float range (a square that overflows,
+        or one that underflows to a reciprocal that is not finite), is a DomainError.
         """
-        if isinstance(m0, (bool, np.bool_)):
-            raise DomainError(f"m0 must be a number, got {m0!r}")
+        if isinstance(m0, (bool, np.bool_)) or not (0 <= m0 < math.inf):
+            raise DomainError(f"m0 must be a finite number >= 0, got {m0!r}")
         quantum = self.hbar if quantum is None else quantum
         try:
             coefficients = 1.0 / (self.c * self.tau) ** 2, 1.0 / self.eps**2, (m0 * self.c / quantum) ** 2

@@ -55,8 +55,7 @@ class KGParams:
     grid: GridSpec
 
     def __post_init__(self):
-        if isinstance(self.m0, (bool, np.bool_)) or not (self.m0 >= 0 and math.isfinite(self.m0)):
-            raise DomainError(f"m0 must be a finite number >= 0, got {self.m0!r}")
+        self.grid.wave_coefficients(self.m0)  # the one check of m0 and of the coefficients it yields
 
 
 def _constants_text(p: KGParams) -> str:

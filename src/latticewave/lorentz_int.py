@@ -83,18 +83,7 @@ def _as_entries(m) -> Entries:
 
 
 def _mat_mul(a: Entries, b: Entries) -> Entries:
-    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = a
-    (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = b
-    return (
-        (a00 * b00 + a01 * b10 + a02 * b20 + a03 * b30, a00 * b01 + a01 * b11 + a02 * b21 + a03 * b31,
-         a00 * b02 + a01 * b12 + a02 * b22 + a03 * b32, a00 * b03 + a01 * b13 + a02 * b23 + a03 * b33),
-        (a10 * b00 + a11 * b10 + a12 * b20 + a13 * b30, a10 * b01 + a11 * b11 + a12 * b21 + a13 * b31,
-         a10 * b02 + a11 * b12 + a12 * b22 + a13 * b32, a10 * b03 + a11 * b13 + a12 * b23 + a13 * b33),
-        (a20 * b00 + a21 * b10 + a22 * b20 + a23 * b30, a20 * b01 + a21 * b11 + a22 * b21 + a23 * b31,
-         a20 * b02 + a21 * b12 + a22 * b22 + a23 * b32, a20 * b03 + a21 * b13 + a22 * b23 + a23 * b33),
-        (a30 * b00 + a31 * b10 + a32 * b20 + a33 * b30, a30 * b01 + a31 * b11 + a32 * b21 + a33 * b31,
-         a30 * b02 + a31 * b12 + a32 * b22 + a33 * b32, a30 * b03 + a31 * b13 + a32 * b23 + a33 * b33),
-    )
+    return tuple(tuple(sum(x * y for x, y in zip(row, column)) for column in zip(*b)) for row in a)
 
 
 def preserves_metric(m) -> bool:
@@ -253,12 +242,11 @@ def _word_from_letters(letters: tuple[str, ...]) -> GeneratorWord:
 
 def eval_word(word: GeneratorWord | Iterable[str]) -> IntLorentzMatrix:
     """Left-to-right product of the word's letter matrices, each letter acting on the running product's rows."""
-    letters = word.letters if isinstance(word, GeneratorWord) else tuple(word)
+    if not isinstance(word, GeneratorWord):
+        word = GeneratorWord(word)
     r0, r1, r2, r3 = _IDENTITY
-    for letter in letters:
-        act = _LETTER_ACTIONS.get(letter)
-        if act is None:
-            raise DomainError(f"unknown letter {letter!r}; alphabet is {ALPHABET}")
+    for letter in word.letters:
+        act = _LETTER_ACTIONS[letter]
         r0, r1, r2, r3 = act(*r0), act(*r1), act(*r2), act(*r3)
     return _certified(_from_flat((*r0, *r1, *r2, *r3)))  # Python ints: wrapped and certified without re-reading them
 

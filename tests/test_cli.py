@@ -72,8 +72,23 @@ class TestExperiments:
         assert result["round_trip_exact"] is True
         assert result["word"] == ["S4"]
 
-    @pytest.mark.parametrize("matrix, message", [("2,1,x", "be 16 comma-separated integers, got '2,1,x'"),
-                                                 ("1,0,0,1", "have 16 entries, got 4")], ids=["not-an-integer", "four"])
+    def test_lorentz_factorize_allows_spaces_around_an_entry(self, tmp_path):
+        out = tmp_path / "word.json"
+        assert main(["lorentz-factorize", "--matrix", "2, 1, 1, 1, -1, 0, -1, -1, -1, -1, 0, -1, -1, -1, -1, 0",
+                     "--output", str(out)]) == 0
+        assert read_json(out)["result"]["word"] == ["S4"]
+
+    # an entry is read by int() as it stands: a space inside one, or an empty field, is no integer
+    @pytest.mark.parametrize("matrix, message", [
+        ("2,1,x", "be 16 comma-separated integers, got '2,1,x'"),
+        ("1,0,0,1", "have 16 entries, got 4"),
+        ("1,0,0,0,0,1,0,0,0,0,1,0,0,0,0 0,1",
+         "be 16 comma-separated integers, got '1,0,0,0,0,1,0,0,0,0,1,0,0,0,0 0,1'"),
+        ("2,1,1,1,,-1,0,-1,-1,-1,-1,0,-1,-1,-1,-1,0",
+         "be 16 comma-separated integers, got '2,1,1,1,,-1,0,-1,-1,-1,-1,0,-1,-1,-1,-1,0'"),
+        ("1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1,",
+         "be 16 comma-separated integers, got '1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1,'"),
+    ], ids=["not-an-integer", "four", "space-inside-an-entry", "empty-field", "trailing-comma"])
     def test_lorentz_factorize_of_a_matrix_that_is_not_16_integers_is_a_config_error(self, tmp_path, capsys,
                                                                                       matrix, message):
         assert main(["lorentz-factorize", "--matrix", matrix, "--output", str(tmp_path / "word.json")]) == 2

@@ -1,6 +1,7 @@
 """Dispersion relations, the discrete mass spectrum, and mode quantization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -479,7 +480,8 @@ def test_the_block_scan_raises_the_per_row_scans_domain_error(form, grid):
     (lambda: quantization_check(LatticeStep(dn=1, dj=(0, 0, 0)), 1.0, GRID, -1.0), "tol must be >= 0"),
     # a NaN passed both guards: the check returned N = M = None, and the residual blamed the float range
     (lambda: quantization_check(LatticeStep(dn=1), 2 * math.pi, GRID, math.nan), "tol must be >= 0, got nan"),
-    (lambda: dispersion_residual(DispersionForm.CAYLEY, 3, 6, math.nan, GRID), "m0 must be >= 0, got nan"),
+    (lambda: dispersion_residual(DispersionForm.CAYLEY, 3, 6, math.nan, GRID),
+     "m0 must be a finite number >= 0, got nan"),
     # a bound that is no integer ended in range()'s TypeError, and a bool tol was read as 1.0
     (lambda: solve_modes(1.0, DispersionForm.CAYLEY, 8.5, 8, 1e-9, GRID),
      r"mode bounds must be >= 2 and integers, got n_max=8\.5, m_max=8"),
@@ -496,3 +498,31 @@ def test_the_block_scan_raises_the_per_row_scans_domain_error(form, grid):
 def test_every_dispersion_guard_refuses_its_input(call, message):
     with pytest.raises(DomainError, match=message):
         call()
+
+
+# every entry point that takes a rest mass reads it through GridSpec.wave_coefficients, the one check of m0
+MASS_READERS = {
+    "wave-coefficients": lambda m0: GRID.wave_coefficients(m0),
+    "kg-params": lambda m0: KGParams(m0=m0, grid=GRID),
+    "dispersion-residual": lambda m0: dispersion_residual(DispersionForm.CAYLEY, 3, 6, m0, GRID),
+    "solve-modes": lambda m0: solve_modes(m0, DispersionForm.CAYLEY, 8, 8, 1e-9, GRID),
+}
+
+
+@pytest.mark.parametrize("reader", MASS_READERS.values(), ids=MASS_READERS.keys())
+@pytest.mark.parametrize("m0, message", [
+    (True, "m0 must be a finite number >= 0, got True"),
+    (np.True_, "m0 must be a finite number >= 0, got np.True_"),
+    (-1.0, "m0 must be a finite number >= 0, got -1.0"),
+    (math.nan, "m0 must be a finite number >= 0, got nan"),
+    (math.inf, "m0 must be a finite number >= 0, got inf"),
+    (1e200, "coefficients leave the float range for m0=1e+200"),
+    (0.0, None),
+    (-0.0, None),
+], ids=["bool", "numpy-bool", "negative", "nan", "inf", "mu2-overflows", "zero", "negative-zero"])
+def test_every_mass_reader_keeps_the_one_rule(reader, m0, message):
+    if message is None:
+        reader(m0)
+        return
+    with pytest.raises(DomainError, match=re.escape(message)):
+        reader(m0)
