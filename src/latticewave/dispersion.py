@@ -215,9 +215,7 @@ def quantization_check(step: LatticeStep, m0: float, grid: GridSpec, tol: float)
         in_range = False
     if not in_range:
         raise DomainError(f"mode numbers h/(tau E), h/(eps |p|) leave the float range for m0 = {m0!r}")
-    n_int = int(round(n_real)) if abs(n_real - round(n_real)) <= tol and round(n_real) >= 1 else None
-    if isinstance(m_real, Infinite):
-        m_int = None
-    else:
-        m_int = int(round(m_real)) if abs(m_real - round(m_real)) <= tol and round(m_real) >= 1 else None
+    # the nearest integer >= 1 within tol of each mode number; an INFINITE wavelength has none
+    n_int, m_int = (None if isinstance(x, Infinite) or not (abs(x - round(x)) <= tol and round(x) >= 1) else round(x)
+                    for x in (n_real, m_real))
     return QuantizationResult(N_real=n_real, M_real=m_real, N=n_int, M=m_int)

@@ -78,6 +78,42 @@ def is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def shown(value) -> str:
+    """value in a message: an int past the float range by its size (repr refuses ints of 4301+ digits), else repr."""
+    too_long = is_integer(value) and value.bit_length() > 1024
+    return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits" if too_long else repr(value)
+
+
+def check_constant(name: str, value) -> None:
+    """Raise DomainError unless value is a finite positive number, never a bool; compared, so no int overflows."""
+    if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0 < value <= sys.float_info.max):
+        raise DomainError(f"{name} must be a finite positive number, got {shown(value)}")
+
+
+def check_mass(m0) -> None:
+    """Raise DomainError unless m0, or each mass of a stack, is a finite number >= 0, never a bool; name the first."""
+    masses = np.asarray(m0)
+    if masses.dtype.kind in "bO":  # bools, Python ints past the float range, Fractions: tested one by one
+        bad = np.reshape([isinstance(m, (bool, np.bool_)) or not 0 <= m < math.inf for m in masses.flat], masses.shape)
+    else:
+        bad = ~((masses >= 0) & (masses < math.inf))
+    if bad.any():
+        index = _first(bad)
+        value = np.asarray(masses[index]).tolist() if index else m0
+        raise DomainError(f"m0 must be a finite number >= 0, got {shown(value)}{_at(index)}")
+
+
+def _first(bad) -> tuple | None:
+    """The index of the first True entry of a mask (() for one value), or None when there is none."""
+    bad = np.asarray(bad)
+    return tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape)) if bad.any() else None
+
+
+def _at(index: tuple) -> str:
+    """The end of a message on a stack, naming its row; one value needs no name."""
+    return f" (row {index[0] if len(index) == 1 else index})" if index else ""
+
+
 def check_mode(N: int, M: MaybeInfinite) -> None:
     """Raise DomainError unless N is an integer >= 2 and M an integer >= 2 or INFINITE."""
     if not (is_integer(N) and N >= 2):
@@ -103,13 +139,7 @@ class GridSpec:
 
     def __post_init__(self):
         for name in GRID_KEYS:
-            value = getattr(self, name)
-            # compared, not converted: an int past the float range must not raise OverflowError,
-            # nor be printed in full (repr refuses ints of more than 4300 digits)
-            if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0 < value <= sys.float_info.max):
-                too_long = isinstance(value, int) and value.bit_length() > 1024
-                shown = f"an int of {value.bit_length()} bits" if too_long else repr(value)
-                raise DomainError(f"GridSpec.{name} must be a finite positive number, got {shown}")
+            check_constant(f"GridSpec.{name}", getattr(self, name))
 
     @property
     def h(self) -> float:
@@ -118,13 +148,11 @@ class GridSpec:
     def wave_coefficients(self, m0: float, quantum: float | None = None) -> tuple[float, float, float]:
         """(1/(c tau)^2, 1/eps^2, (m0 c/quantum)^2): how the constants enter the lattice wave equation.
 
-        ``quantum`` is hbar unless given; the cayley relation passes h. The one
-        check of a rest mass: an m0 that is a bool, NaN, negative or infinite,
-        or a coefficient that leaves the float range (a square that overflows,
-        or one that underflows to a reciprocal that is not finite), is a DomainError.
+        ``quantum`` is hbar unless given; the cayley relation passes h. An m0 that ``check_mass`` refuses,
+        or a coefficient that leaves the float range (a square that overflows, or one that underflows
+        to a reciprocal that is not finite), is a DomainError.
         """
-        if isinstance(m0, (bool, np.bool_)) or not (0 <= m0 < math.inf):
-            raise DomainError(f"m0 must be a finite number >= 0, got {m0!r}")
+        check_mass(m0)
         quantum = self.hbar if quantum is None else quantum
         try:
             coefficients = 1.0 / (self.c * self.tau) ** 2, 1.0 / self.eps**2, (m0 * self.c / quantum) ** 2
@@ -132,8 +160,8 @@ class GridSpec:
         except (OverflowError, ZeroDivisionError):
             in_range = False
         if not in_range:
-            raise DomainError(f"the wave equation's coefficients leave the float range for m0={m0!r}, "
-                              f"tau={self.tau!r}, eps={self.eps!r}, c={self.c!r}, hbar={self.hbar!r}")
+            raise DomainError(f"the wave equation's coefficients leave the float range for m0={shown(m0)}, tau="
+                              f"{shown(self.tau)}, eps={shown(self.eps)}, c={shown(self.c)}, hbar={shown(self.hbar)}")
         return coefficients
 
 

@@ -37,7 +37,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DomainError
-from .grid import GridSpec, Infinite, INFINITE, is_integer
+from .grid import GridSpec, Infinite, INFINITE, _at, _first, check_constant, check_mass, is_integer, shown
 
 #: The relative tolerance of the mass shell: a state's shell residual and velocity, and two states' common m0.
 SHELL_RTOL = 1e-10
@@ -73,12 +73,11 @@ def boost_matrix(v: Sequence[float], c: float) -> np.ndarray:
     Satisfies L^T eta L = eta. Requires |v| < c.
     """
     v = _vec3(v)
-    if c <= 0:
-        raise DomainError("c must be positive")
+    check_constant("c", c)
     beta = v / c
     b2 = _dot(beta, beta)
     if np.any(b2 >= 1.0):
-        raise DomainError(f"boost velocity |v| = {float(np.sqrt(np.nanmax(b2)) * c)!r} must be < c = {c!r}")
+        raise DomainError(f"boost velocity |v| = {float(np.sqrt(np.nanmax(b2)) * c)!r} must be < c = {shown(c)}")
     g = 1.0 / np.sqrt(1.0 - b2)
     # built component-major, L[i, j] of the stack's shape, so that each entry's arithmetic runs over
     # the whole stack at once; then moved back to a C-contiguous (..., 4, 4) stack
@@ -119,12 +118,13 @@ def transform_wave(w: float, k: Sequence[float], v: Sequence[float], c: float) -
     qp = (boost_matrix(v, c) @ q[..., None])[..., 0]
     wp = qp[..., 0] * c
     if np.any((wp == 0) & (np.asarray(w) != 0)):
-        raise DomainError(f"a nonzero w is boosted to w' = 0 at c = {c!r}: w/c or w' underflows")
+        raise DomainError(f"a nonzero w is boosted to w' = 0 at c = {shown(c)}: w/c or w' underflows")
     return wp, qp[..., 1:]
 
 
 def _gamma(v: np.ndarray, c: float) -> np.ndarray:
     """1/sqrt(1 - |v|^2/c^2) for the printed scalar laws, which do not use boost_matrix."""
+    check_constant("c", c)
     b2 = _dot(v, v) / c**2
     if np.any(b2 >= 1.0):
         raise DomainError("boost velocity must satisfy |v| < c")
@@ -162,10 +162,8 @@ class ParticleState:
 
     @classmethod
     def from_momentum(cls, p: Sequence[float], m0: float, c: float) -> "ParticleState":
-        if np.asarray(m0).dtype == bool:  # True would be m0 = 1
-            raise DomainError(f"m0 must be a number, got {m0!r}")
-        if np.any(m0 < 0):
-            raise DomainError("rest mass must be >= 0")
+        check_mass(m0)
+        check_constant("c", c)
         p = _vec3(p)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -173,11 +171,11 @@ class ParticleState:
         except OverflowError:
             E = math.inf
         if not np.all(np.isfinite(E)):
-            raise DomainError(f"E^2 = |p|^2 c^2 + m0^2 c^4 leaves the float range for m0 = {m0!r}, c = {c!r}")
+            raise DomainError(f"E^2 = |p|^2 c^2 + m0^2 c^4 leaves the float range for m0 = {shown(m0)}, c = {shown(c)}")
         if np.any((np.asarray(m0) == 0) & ~p.any(axis=-1)):
             raise DomainError("massless state needs nonzero momentum")
         if np.any(E == 0.0):
-            raise DomainError(f"E = sqrt(|p|^2 c^2 + m0^2 c^4) underflows to 0 for m0 = {m0!r}, c = {c!r}")
+            raise DomainError(f"E = sqrt(|p|^2 c^2 + m0^2 c^4) underflows to 0 for m0 = {shown(m0)}, c = {shown(c)}")
         return cls(E=E, p=p, m0=m0, u=p * c**2 / np.expand_dims(E, -1))
 
     def momentum_magnitude(self) -> float:
@@ -191,13 +189,13 @@ class ParticleState:
             except OverflowError:
                 e2 = rhs = math.inf
             if not np.isfinite(np.maximum(e2, rhs)).all():
-                raise DomainError(f"E^2 or m0^2 c^4 leaves the float range for {self} at c = {c!r}")
+                raise DomainError(f"E^2 or m0^2 c^4 leaves the float range for E = {self.E}, m0 = {shown(self.m0)} "
+                                  f"at c = {shown(c)}")
             scale = e2 + p2c2 + rhs  # three squares, so no abs() is needed
             return abs(e2 - p2c2 - rhs) / np.where(scale > 0, scale, 1.0)
 
     def validate(self, c: float) -> None:
-        if np.any(self.m0 < 0):
-            raise DomainError("rest mass must be >= 0")
+        check_mass(self.m0)
         if np.any(self.E <= 0):
             raise DomainError("energy must be positive")
         residual = self.mass_shell_residual(c)
@@ -237,12 +235,11 @@ def transform_particle_scalar(s: ParticleState, v: Sequence[float], c: float) ->
 
 def debroglie_map(s: ParticleState, hbar: float) -> tuple[float, np.ndarray]:
     """The wave associated to a particle: w = E/hbar, k = p/hbar."""
-    if hbar <= 0:
-        raise DomainError("hbar must be positive")
+    check_constant("hbar", hbar)
     with np.errstate(over="ignore"):
         w, k = s.E / hbar, s.p / hbar
     if not (np.isfinite(w).all() and np.isfinite(k).all()) or np.any((w == 0) & (s.E != 0)):
-        raise DomainError(f"w = E/hbar or k = p/hbar leaves the float range at hbar = {hbar!r}")
+        raise DomainError(f"w = E/hbar or k = p/hbar leaves the float range at hbar = {shown(hbar)}")
     return w, k
 
 
@@ -289,39 +286,15 @@ def _integers(x) -> tuple[np.ndarray, np.ndarray]:
     return a, np.array([not is_integer(v) for v in a.flat], dtype=bool).reshape(a.shape)
 
 
-def _first(bad) -> tuple | None:
-    """The index of the first True entry of a mask (() for one step), or None when there is none."""
-    bad = np.asarray(bad)
-    if not bad.any():
-        return None
-    return tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
-
-
-def _at(index: tuple) -> str:
-    """The end of a message on a stack, naming its row; one step needs no name."""
-    return f" (row {index[0] if len(index) == 1 else index})" if index else ""
-
-
 def _mass_ratio(m0, what: str) -> tuple:
-    """m0 as (numerator, denominator), stacked like m0.
-
-    A bool m0 (True would be m0 = 1) is a DomainError; then an m0 <= 0,
-    checked over the whole stack first; then a NaN or infinite m0.
-    """
-    masses = np.asarray(m0)
-    if masses.dtype == bool:
-        raise DomainError(f"{what} needs a number for m0, got {m0!r}")
-    bad = _first(masses <= 0)
+    """m0 as (numerator, denominator), stacked like m0; an m0 that ``check_mass`` refuses, then an m0 of 0
+    (the lattice map's own rule), is a DomainError naming its first row."""
+    check_mass(m0)
+    bad = _first(np.asarray(m0) <= 0)
     if bad is not None:
         raise DomainError(f"{what} needs m0 > 0 (the map degenerates at m0 = 0){_at(bad)}")
-    pairs = []
-    for m in np.ravel(m0).tolist():
-        try:
-            pairs.append(m.as_integer_ratio() if isinstance(m, float) else Fraction(m).as_integer_ratio())
-        except (ValueError, OverflowError):
-            bad = tuple(int(i) for i in np.unravel_index(len(pairs), np.shape(m0)))
-            raise DomainError(f"{what} needs a finite m0, got {m!r}{_at(bad)}") from None
-    pairs = np.array(pairs, dtype=object).reshape(np.shape(m0) + (2,))
+    pairs = np.array([m.as_integer_ratio() if isinstance(m, float) else Fraction(m).as_integer_ratio()
+                      for m in np.ravel(m0).tolist()], dtype=object).reshape(np.shape(m0) + (2,))
     return pairs[..., 0][()], pairs[..., 1][()]
 
 
@@ -436,10 +409,9 @@ def _state_of(m0, step: LatticeStep, derived: tuple) -> ParticleState:
         in_range = (E > 0.0) & np.isfinite(E * E) & np.isfinite(_dot(p, p))
     bad = _first(~in_range)
     if bad is not None:
-        raise DomainError(
-            f"step {step._row(bad)} at m0 = {np.broadcast_to(np.asarray(m0, dtype=object), in_range.shape)[bad]!r}: "
-            f"E^2 or |p|^2 leaves the float range, or E underflows to 0{_at(bad)}"
-        )
+        m0 = np.broadcast_to(np.asarray(m0, dtype=object), in_range.shape)[bad]
+        raise DomainError(f"step {step._row(bad)} at m0 = {shown(m0)}: "
+                          f"E^2 or |p|^2 leaves the float range, or E underflows to 0{_at(bad)}")
     # u = c dx / (c dt)
     u = _divide(_last_axis(un) * dj, _last_axis(ud))
     return ParticleState(E=float(E) if E.ndim == 0 else E, p=p, m0=m0, u=u)

@@ -225,8 +225,8 @@ class BeatSpec:
     def __post_init__(self):
         for name in ("T1", "T2", "lam1", "lam2"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value != 0.0):
-                raise DomainError(f"BeatSpec.{name} must be finite and nonzero, got {value!r}")
+            if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value != 0.0):
+                raise DomainError(f"BeatSpec.{name} must be a finite nonzero number, got {value!r}")
         for name in ("freq_diff", "freq_sum", "wavenum_diff", "wavenum_sum"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"BeatSpec.{name} leaves the float range for {self}")

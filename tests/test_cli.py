@@ -826,6 +826,7 @@ RENDER_VALUES = st.recursive(
 @example({"count": 2, "matrices": [[1, 0, 0, 0] * 4, [2, 1, 1, 1] * 4], "empty": [], "nothing": {}})
 @example({"flags": [1, True, 0, False], "mixed": (1, 2.5, "inf", None)})
 @example({"rows": [(0, 1, 0.5, -0.0), (1, 0, math.nan, math.inf)], "z\u00e9": {"b": 1, "a": [INFINITE]}})
+@example([-math.inf])  # -Infinity, which a random draw alone may miss
 def test_the_json_renderer_writes_the_stdlib_text(value):
     assert _json_text(value) == oracle_render(value)
 

@@ -14,8 +14,10 @@ from latticewave import (
     INFINITE,
     KGParams,
     LatticeStep,
+    ParticleState,
     WaveForm,
     WaveSpec,
+    discrete_energy_momentum,
     dispersion_residual,
     mass_from_rest_period,
     plane_wave_residual,
@@ -500,29 +502,42 @@ def test_every_dispersion_guard_refuses_its_input(call, message):
         call()
 
 
-# every entry point that takes a rest mass reads it through GridSpec.wave_coefficients, the one check of m0
+# every entry point that takes a rest mass reads it through grid.check_mass, the one check of m0. Past it, the
+# readers of GridSpec.wave_coefficients share its float-range message; the kinematics name their own, and the
+# lattice map also needs m0 > 0. Every message shows an int past the float range by its size
 MASS_READERS = {
     "wave-coefficients": lambda m0: GRID.wave_coefficients(m0),
     "kg-params": lambda m0: KGParams(m0=m0, grid=GRID),
     "dispersion-residual": lambda m0: dispersion_residual(DispersionForm.CAYLEY, 3, 6, m0, GRID),
     "solve-modes": lambda m0: solve_modes(m0, DispersionForm.CAYLEY, 8, 8, 1e-9, GRID),
+    "from-momentum": lambda m0: ParticleState.from_momentum([1.0, 0.0, 0.0], m0, 1.0),
+    "discrete-energy-momentum": lambda m0: discrete_energy_momentum(m0, LatticeStep(3, (1, 0, 0)), GRID),
 }
+ZERO_MASS = {"*": None, "discrete-energy-momentum": "discrete energy-momentum needs m0 > 0"}
 
 
-@pytest.mark.parametrize("reader", MASS_READERS.values(), ids=MASS_READERS.keys())
+@pytest.mark.parametrize("reader", MASS_READERS)
 @pytest.mark.parametrize("m0, message", [
     (True, "m0 must be a finite number >= 0, got True"),
     (np.True_, "m0 must be a finite number >= 0, got np.True_"),
     (-1.0, "m0 must be a finite number >= 0, got -1.0"),
     (math.nan, "m0 must be a finite number >= 0, got nan"),
     (math.inf, "m0 must be a finite number >= 0, got inf"),
-    (1e200, "coefficients leave the float range for m0=1e+200"),
-    (0.0, None),
-    (-0.0, None),
-], ids=["bool", "numpy-bool", "negative", "nan", "inf", "mu2-overflows", "zero", "negative-zero"])
+    (1e200, {"*": "coefficients leave the float range for m0=1e+200",
+             "from-momentum": "E^2 = |p|^2 c^2 + m0^2 c^4 leaves the float range for m0 = 1e+200, c = 1.0",
+             "discrete-energy-momentum": "at m0 = 1e+200: E^2 or |p|^2 leaves the float range"}),
+    (10**5000, {"*": "coefficients leave the float range for m0=an int of 16610 bits,",
+                "from-momentum": "leaves the float range for m0 = an int of 16610 bits, c = 1.0",
+                "discrete-energy-momentum": "at m0 = an int of 16610 bits: E^2 or |p|^2 leaves the float range"}),
+    (0.0, ZERO_MASS),
+    (-0.0, ZERO_MASS),
+], ids=["bool", "numpy-bool", "negative", "nan", "inf", "mu2-overflows", "int-past-the-float-range", "zero",
+        "negative-zero"])
 def test_every_mass_reader_keeps_the_one_rule(reader, m0, message):
+    if isinstance(message, dict):
+        message = message.get(reader, message["*"])
     if message is None:
-        reader(m0)
+        MASS_READERS[reader](m0)
         return
     with pytest.raises(DomainError, match=re.escape(message)):
-        reader(m0)
+        MASS_READERS[reader](m0)

@@ -468,18 +468,22 @@ def test_integer_kinematics_match_the_fraction_oracle(m0, step, grid):
 @pytest.mark.parametrize("m0", [0.0, -0.0, -2.0, 0, Fraction(-1, 3)])
 @pytest.mark.parametrize("entry", [_exact_squares, energy_momentum_squared_exact, discrete_energy_momentum])
 def test_every_exact_entry_point_needs_a_positive_mass(entry, m0):
-    with pytest.raises(DomainError, match=re.escape("needs m0 > 0")):
+    # a negative mass breaks grid.check_mass, the one mass rule; a zero one the lattice map's own rule
+    message = "needs m0 > 0" if m0 == 0 else f"m0 must be a finite number >= 0, got {m0!r}"
+    with pytest.raises(DomainError, match=re.escape(message)):
         entry(m0, LatticeStep(3, (1, 0, 0)), GridSpec())
 
 
-@pytest.mark.parametrize("m0", [True, np.True_, np.array([True, True])], ids=["True", "np.True_", "bool-array"])
+@pytest.mark.parametrize("m0, shown", [
+    (True, "True"), (np.True_, "np.True_"), (np.array([True, True]), "True (row 0)"),
+], ids=["True", "np.True_", "bool-array"])
 @pytest.mark.parametrize("entry", [
     _exact_squares, energy_momentum_squared_exact, discrete_energy_momentum,
     lambda m0, step, grid: ParticleState.from_momentum([1.0, 0.0, 0.0], m0, grid.c),
 ], ids=["squares", "squared-exact", "energy-momentum", "from-momentum"])
-def test_a_bool_is_no_rest_mass(entry, m0):
+def test_a_bool_is_no_rest_mass(entry, m0, shown):
     # as KGParams and dispersion rule: True would run as m0 = 1
-    with pytest.raises(DomainError, match="a number"):
+    with pytest.raises(DomainError, match=f"^{re.escape(f'm0 must be a finite number >= 0, got {shown}')}$"):
         entry(m0, LatticeStep(2, (0, 0, 0)), GridSpec())
 
 
@@ -513,7 +517,7 @@ def test_every_exact_entry_point_derives_the_mass_ratio_and_the_interval_once(ex
 # --- a stacked step is its rows, bit for bit --------------------------------
 
 # the checks of discrete_energy_momentum, in the order it runs them, by a phrase of each message
-CHECK_ORDER = ("needs m0 > 0", "needs a finite m0", "on this grid", "float range")
+CHECK_ORDER = ("m0 must be a finite number >= 0", "needs m0 > 0", "on this grid", "float range")
 
 
 def check_of(message):
@@ -756,12 +760,15 @@ INFINITE_VELOCITY = ParticleState(E=1.0, p=[1.0, 0, 0], m0=0.0, u=[np.inf, 0, 0]
 
 @pytest.mark.parametrize("call, message", [
     (lambda: boost_matrix([0.1, 0.2], 1.0), "expected a 3-vector"),
-    (lambda: boost_matrix([0.1, 0, 0], 0.0), "c must be positive"),
+    (lambda: boost_matrix([0.1, 0, 0], 0.0), "^c must be a finite positive number, got 0.0$"),
     (lambda: transform_particle_scalar(STATE, [1.0, 0, 0], 1.0), r"\|v\| < c"),
-    (lambda: ParticleState.from_momentum([1.0, 0, 0], -1.0, 1.0), "rest mass must be >= 0"),
+    (lambda: ParticleState.from_momentum([1.0, 0, 0], -1.0, 1.0), "^m0 must be a finite number >= 0, got -1.0$"),
     (lambda: STATE.mass_shell_residual(1e100), "leaves the float range"),  # c**4 raises OverflowError
+    # the state's m0 is shown by its size: repr refuses an int of more than 4300 digits
+    (lambda: ParticleState(E=1.0, p=[0, 0, 0], m0=10**5000, u=[0, 0, 0]).validate(1.0),
+     r"^E\^2 or m0\^2 c\^4 leaves the float range for E = 1.0, m0 = an int of 16610 bits at c = 1.0$"),
     (lambda: transform_particle(ParticleState(E=1.0, p=[0, 0, 0], m0=-1.0, u=[0, 0, 0]), [0, 0, 0], 1.0),
-     "rest mass must be >= 0"),
+     "^m0 must be a finite number >= 0, got -1.0$"),
     (lambda: transform_particle(ParticleState(E=-1.0, p=[0, 0, 0], m0=1.0, u=[0, 0, 0]), [0, 0, 0], 1.0),
      "energy must be positive"),
     (lambda: transform_particle(ParticleState(E=1.0, p=[0, 0, 0], m0=1.0, u=[0.5, 0, 0]), [0, 0, 0], 1.0),
@@ -772,10 +779,21 @@ INFINITE_VELOCITY = ParticleState(E=1.0, p=[1.0, 0, 0], m0=0.0, u=[np.inf, 0, 0]
     (lambda: transform_particle(SPACELIKE_BY_ROUNDING, [1 - 1e-12, 0, 0], 1.0),
      r"non-positive energy: the state lies outside the light cone within SHELL_RTOL = 1e-10, "
      r"\|p\| c = 1\.00000000001 against E = 1\.0$"),
-    (lambda: debroglie_map(STATE, 0.0), "hbar must be positive"),
-], ids=["vec3-shape", "boost-c", "gamma-speed", "from-momentum-mass", "shell-residual-overflow", "validate-mass",
+    (lambda: debroglie_map(STATE, 0.0), "^hbar must be a finite positive number, got 0.0$"),
+    # c and hbar are read through grid.check_constant: a NaN c gave a NaN boost and NaN scalar laws, an infinite
+    # one the identity, and from_momentum took a negative c
+    *[(lambda c=c, call=call: call(c), f"^c must be a finite positive number, got {shown}$")
+      for call in (lambda c: boost_matrix([0.1, 0, 0], c), lambda c: ParticleState.from_momentum([1.0, 0, 0], 1.0, c))
+      for c, shown in ((math.nan, "nan"), (math.inf, "inf"), (-1.0, "-1.0"), (True, "True"))],
+    (lambda: transform_wave_scalar(1.0, [1.0, 0, 0], [0.1, 0, 0], math.nan), "^c must be a finite positive number"),
+    (lambda: transform_particle_scalar(STATE, [0.1, 0, 0], math.nan), "^c must be a finite positive number"),
+    (lambda: debroglie_map(STATE, math.nan), "^hbar must be a finite positive number, got nan$"),
+], ids=["vec3-shape", "boost-c", "gamma-speed", "from-momentum-mass", "shell-residual-overflow",
+        "shell-residual-int-past-the-float-range", "validate-mass",
         "validate-energy", "validate-velocity", "validate-velocity-nan", "validate-velocity-nan-row",
-        "validate-velocity-inf", "boosted-energy", "debroglie-hbar"])
+        "validate-velocity-inf", "boosted-energy", "debroglie-hbar",
+        *[f"{call}-c-{c}" for call in ("boost", "from-momentum") for c in ("nan", "inf", "negative", "bool")],
+        "wave-scalar-c-nan", "particle-scalar-c-nan", "debroglie-hbar-nan"])
 def test_every_kinematics_guard_refuses_its_input(call, message):
     with pytest.raises(DomainError, match=message):
         call()

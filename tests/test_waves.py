@@ -578,9 +578,13 @@ def test_the_tracker_reads_the_middle_half_of_slice_0_and_a_window_per_slice():
     (lambda: beat_envelope(BeatSpec(4, 6, 3, 5), GridSpec(), -3, 64), "slab extents must be integers >= 1"),
     (lambda: sample_wave(WaveSpec(form=WaveForm.CAYLEY, N=4, M=8), 2.5, 4), "slab extents must be integers >= 1"),
     (lambda: sample_wave(WaveSpec(form=WaveForm.CAYLEY, N=4, M=8), 4, True), "slab extents must be integers >= 1"),
+    # a bool period or wavelength: BeatSpec(True, 6, 3, 5) ran as T1 = 1, with velocities (2.1875, 6.25)
+    (lambda: BeatSpec(True, 6, 3, 5), "^BeatSpec.T1 must be a finite nonzero number, got True$"),
+    (lambda: BeatSpec(4, 6, 3, np.True_), "^BeatSpec.lam2 must be a finite nonzero number, got np.True_$"),
 ], ids=["spec-form", "exponential-form", "cayley-form", "phase-velocity", "exponential-half-site",
         "exponential-bool-site", "cayley-half-site", "wave-float-site", "continuum-half-site", "beat-field-half-row",
-        "measure-half-row", "envelope-no-rows", "envelope-negative-rows", "sample-half-row", "sample-bool-column"])
+        "measure-half-row", "envelope-no-rows", "envelope-negative-rows", "sample-half-row", "sample-bool-column",
+        "beat-bool-period", "beat-numpy-bool-wavelength"])
 def test_every_wave_guard_refuses_its_input(call, message):
     with pytest.raises(DomainError, match=message):
         call()
